@@ -15,7 +15,6 @@ from .pipeline import (
     PageRecord,
     RequestSpan,
     Stage,
-    StagePlanner,
     adjust_stages,
     erase_stages,
     read_stages,
@@ -44,7 +43,6 @@ __all__ = [
     "PageRecord",
     "RequestSpan",
     "Stage",
-    "StagePlanner",
     "read_stages",
     "write_stages",
     "adjust_stages",

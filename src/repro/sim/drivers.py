@@ -21,6 +21,7 @@ simulator surgery.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING
 
 from .metrics import SimMetrics
@@ -139,7 +140,7 @@ def run_closed_loop(
         raise ValueError("empty request stream")
     if queue_depth < 1:
         raise ValueError("queue_depth must be >= 1")
-    pending = list(requests)
+    pending = deque(requests)
     total = len(pending)
     completed = 0
     done_event: list[bool] = [False]
@@ -147,7 +148,7 @@ def run_closed_loop(
     def issue_next() -> None:
         if not pending:
             return
-        request = pending.pop(0)
+        request = pending.popleft()
         rebased = HostRequest(
             request_id=request.request_id,
             arrival_us=sim.engine.now,

@@ -18,6 +18,14 @@ preserving the (time, sequence) total order byte-for-byte:
   (each fired event counts as one); only the high-water mark — which is
   reported solely through the trace ``run_end`` event — goes untracked,
   so callers must keep tracking on whenever a tracer is attached.
+
+The stage machine's own completions (resource service ends, latency-only
+pipeline stages, throttled internal chains) schedule through
+:meth:`SimEngine.push`, an unchecked variant of :meth:`SimEngine.at` for
+targets that cannot lie in the past.  It consumes sequence numbers and
+tracks ``peak_pending`` exactly as ``at`` does, so event order is
+unchanged.  ``processed`` is not counted per event: it is derived as
+events scheduled minus events pending.
 """
 
 from __future__ import annotations
@@ -45,8 +53,8 @@ class SimEngine:
     def __init__(self) -> None:
         self.now: float = 0.0
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
+        #: Events scheduled so far (also the next tie-break sequence).
         self._sequence = 0
-        self._processed = 0
         self._peak_pending = 0
         self._track_peak = True
         self._prev_now = 0.0
@@ -60,8 +68,8 @@ class SimEngine:
 
     @property
     def processed(self) -> int:
-        """Number of events fired so far."""
-        return self._processed
+        """Number of events fired so far (scheduled minus pending)."""
+        return self._sequence - self.pending
 
     @property
     def peak_pending(self) -> int:
@@ -107,6 +115,21 @@ class SimEngine:
         self._sequence += 1
         if self._track_peak and len(self._queue) > self._peak_pending:
             self._peak_pending = len(self._queue)
+
+    def push(self, time: float, callback: Callable[[], None]) -> None:
+        """Schedule ``callback`` at ``time`` without validating it.
+
+        For callers that compute ``time`` as ``now + duration`` with a
+        non-negative duration (resource service ends, latency-only
+        stages), where :meth:`at`'s past-time check can never fire.
+        Sequence numbers and ``peak_pending`` advance exactly as in
+        :meth:`at`.
+        """
+        queue = self._queue
+        heapq.heappush(queue, (time, self._sequence, callback))
+        self._sequence += 1
+        if self._track_peak and len(queue) > self._peak_pending:
+            self._peak_pending = len(queue)
 
     def after(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` after ``delay`` microseconds."""
@@ -181,7 +204,6 @@ class SimEngine:
                 time, _, callback = heappop(queue)
                 self._prev_now = self.now
                 self.now = time
-                self._processed += 1
                 callback()
             return
         while queue:
@@ -191,7 +213,6 @@ class SimEngine:
             heappop(queue)
             self._prev_now = self.now
             self.now = time
-            self._processed += 1
             callback()
         if until > self.now:
             self.now = until
@@ -203,25 +224,25 @@ class SimEngine:
         stream = self._stream
         pos = self._stream_pos
         end = len(stream)
-        try:
-            while pos < end:
-                head = stream[pos]
-                if queue and queue[0] < head:
-                    time, _, callback = queue[0]
-                    if until is not None and time > until:
-                        break
-                    heappop(queue)
-                else:
-                    time, _, callback = head
-                    if until is not None and time > until:
-                        break
-                    pos += 1
-                self._prev_now = self.now
-                self.now = time
-                self._processed += 1
-                callback()
-        finally:
-            self._stream_pos = pos
+        while pos < end:
+            head = stream[pos]
+            if queue and queue[0] < head:
+                time, _, callback = queue[0]
+                if until is not None and time > until:
+                    break
+                heappop(queue)
+            else:
+                time, _, callback = head
+                if until is not None and time > until:
+                    break
+                pos += 1
+                # Published before the callback runs: ``processed`` is
+                # derived from the pending count, which callbacks
+                # (interval samplers) may read mid-drain.
+                self._stream_pos = pos
+            self._prev_now = self.now
+            self.now = time
+            callback()
         if until is not None and pos < end and until > self.now:
             self.now = until
 
@@ -253,7 +274,6 @@ class SimEngine:
                 self._stream_pos += 1
             self._prev_now = self.now
             self.now = time
-            self._processed += 1
             callback()
             return True
         if not self._queue:
@@ -261,7 +281,6 @@ class SimEngine:
         time, _, callback = heapq.heappop(self._queue)
         self._prev_now = self.now
         self.now = time
-        self._processed += 1
         callback()
         return True
 

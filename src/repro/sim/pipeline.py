@@ -22,8 +22,11 @@ the untraced case paying only a ``record is None`` check per boundary.
 
 The stage machine replaces the per-op closure webs the simulator grew in
 its first iteration: one pipeline object (``__slots__``, bound-method
-callbacks) instead of two-to-three closures per op, with identical event
-scheduling — golden-parity tests pin the refactor to the float.
+callbacks, latency-only stages included) instead of two-to-three
+closures per op, with identical event scheduling — golden-parity tests
+pin the refactor to the float.  The stage tuples themselves are compiled
+once per plane by the simulator (:class:`~repro.sim.ssd.SsdSimulator`),
+not built per op.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .resources import IoPriority, Resource
 
 __all__ = [
     "Stage",
-    "StagePlanner",
     "OpPipeline",
     "PageRecord",
     "RequestSpan",
@@ -106,65 +108,6 @@ def adjust_stages(die: Resource, timing: TimingSpec) -> tuple[Stage, ...]:
 def erase_stages(die: Resource, timing: TimingSpec) -> tuple[Stage, ...]:
     """Block erase."""
     return (Stage(die, timing.erase_us, "erase"),)
-
-
-class StagePlanner:
-    """Caches the immutable stage tuples ops of one device share.
-
-    Stage tuples depend only on (die, op shape): every read with the
-    same sense count and retry passes on the same die walks the same
-    stages, and writes / adjusts / erases are fully fixed per die.
-    Caching the tuples keeps the per-op allocation cost of the stage
-    machine below the old per-op closure webs'.
-    """
-
-    __slots__ = ("timing", "_read_cache", "_fixed_cache")
-
-    def __init__(self, timing: TimingSpec) -> None:
-        self.timing = timing
-        self._read_cache: dict[tuple[int, int, int], tuple[Stage, ...]] = {}
-        self._fixed_cache: dict[tuple[int, str], tuple[Stage, ...]] = {}
-
-    def read(
-        self,
-        die_index: int,
-        die: Resource,
-        channel: Resource,
-        senses: int,
-        passes: int,
-    ) -> tuple[Stage, ...]:
-        key = (die_index, senses, passes)
-        stages = self._read_cache.get(key)
-        if stages is None:
-            stages = read_stages(die, channel, self.timing, senses, passes)
-            self._read_cache[key] = stages
-        return stages
-
-    def write(
-        self, die_index: int, die: Resource, channel: Resource
-    ) -> tuple[Stage, ...]:
-        key = (die_index, "write")
-        stages = self._fixed_cache.get(key)
-        if stages is None:
-            stages = write_stages(die, channel, self.timing)
-            self._fixed_cache[key] = stages
-        return stages
-
-    def adjust(self, die_index: int, die: Resource) -> tuple[Stage, ...]:
-        key = (die_index, "adjust")
-        stages = self._fixed_cache.get(key)
-        if stages is None:
-            stages = adjust_stages(die, self.timing)
-            self._fixed_cache[key] = stages
-        return stages
-
-    def erase(self, die_index: int, die: Resource) -> tuple[Stage, ...]:
-        key = (die_index, "erase")
-        stages = self._fixed_cache.get(key)
-        if stages is None:
-            stages = erase_stages(die, self.timing)
-            self._fixed_cache[key] = stages
-        return stages
 
 
 class PageRecord:
@@ -350,15 +293,18 @@ class OpPipeline:
 
     def _dispatch(self) -> None:
         stage = self.stages[self._index]
-        self._submit_us = self.engine.now
-        if stage.resource is not None:
-            stage.resource.submit(
-                self.klass, stage.duration_us, self._stage_done, queue=self.queue
-            )
+        engine = self.engine
+        now = self._submit_us = engine.now
+        resource = stage.resource
+        if resource is not None:
+            resource.submit(self.klass, stage.duration_us, self._stage_done, self.queue)
         else:
-            start = self.engine.now
-            end = start + stage.duration_us
-            self.engine.at(end, lambda: self._stage_done(start, end))
+            engine.push(now + stage.duration_us, self._latency_done)
+
+    def _latency_done(self) -> None:
+        """End of a latency-only stage: it started at submission and its
+        event fires at exactly ``submit + duration``."""
+        self._stage_done(self._submit_us, self.engine.now)
 
     def _stage_done(self, start_us: float, end_us: float) -> None:
         stage = self.stages[self._index]

@@ -9,6 +9,15 @@ is non-preemptive — an in-flight 2.3 ms program cannot be suspended —
 which is exactly why slow MSB senses and programs inflate read wait
 times, the queueing effect behind the paper's "indirect" improvement
 (Sec. V-A).
+
+Service is the simulator's hottest path, so :meth:`Resource.submit`
+starts an op in place when the resource is idle with every queue empty.
+Enqueue-then-dispatch could only have picked that very op, so the fast
+start schedules the same completion event in the same ``(time, seq)``
+slot and reorders nothing.  Completions all go through one pre-bound :meth:`Resource._finish`,
+which empties the in-service slot *before* calling back, so a finished
+op (and the pipeline graph its callback reaches) is never kept alive by
+the resource that served it.
 """
 
 from __future__ import annotations
@@ -80,7 +89,15 @@ class Resource:
         #: Service time per dispatch class — the busy integral the
         #: wait-class attribution differences (one float add per start).
         self.busy_us_by_class = [0.0] * len(IoPriority)
-        self._busy = False
+        # The op in service: its completion callback (``None`` while
+        # idle) and service window.  Cleared by ``_finish`` before the
+        # callback runs.
+        self._on_done: Callable[[float, float], None] | None = None
+        self._start_us = 0.0
+        self._end_us = 0.0
+        # Pre-bound once: every completion event schedules this object
+        # instead of a fresh per-op closure.
+        self._finish_event = self._finish
         self._queues: tuple[deque[_PendingOp], ...] = tuple(
             deque() for _ in IoPriority
         )
@@ -109,7 +126,7 @@ class Resource:
 
     @property
     def is_busy(self) -> bool:
-        return self._busy
+        return self._on_done is not None
 
     @property
     def queued(self) -> int:
@@ -137,7 +154,7 @@ class Resource:
         on_done: Callable[[float, float], None],
         queue: IoPriority | None = None,
     ) -> None:
-        """Enqueue an operation.
+        """Start an operation, or enqueue it while the resource is busy.
 
         Args:
             priority: Dispatch class (drives queue-wait accounting).
@@ -151,27 +168,51 @@ class Resource:
         """
         if duration < 0:
             raise ValueError("duration must be non-negative")
-        # Always enqueue, then dispatch: a submission arriving while the
-        # resource is momentarily idle (e.g. from a completion callback
+        queues = self._queues
+        if self._on_done is None and not (queues[0] or queues[1] or queues[2]):
+            # Idle fast start: enqueue-then-dispatch would pick this very
+            # op, with zero wait and nothing to snapshot for profiling.
+            now = self.engine.now
+            end = now + duration
+            self.busy_us += duration
+            self._ops_served[priority] += 1
+            self.busy_us_by_class[priority] += duration
+            self._inflight = (priority, end)
+            self._on_done = on_done
+            self._start_us = now
+            self._end_us = end
+            self.engine.push(end, self._finish_event)
+            return
+        # Otherwise enqueue, then dispatch: a submission arriving while
+        # the resource is momentarily idle (from a completion callback
         # that chains background work) must not jump ahead of
         # higher-priority operations already waiting.
         op = _PendingOp(duration, on_done, self.engine.now, priority)
         if self.profile_waits:
             op.snapshot = (tuple(self.busy_us_by_class), self._inflight)
-        self._queues[queue if queue is not None else priority].append(op)
+        queues[queue if queue is not None else priority].append(op)
         self._dispatch_next()
 
     def enable_wait_profile(self) -> None:
         """Turn on the wait-class breakdown for subsequent submissions."""
         self.profile_waits = True
 
-    def _start(self, op: _PendingOp) -> None:
-        self._busy = True
+    def _dispatch_next(self) -> None:
+        """Start the oldest op of the highest non-empty queue, if idle."""
+        if self._on_done is not None:
+            return
+        for queue in self._queues:
+            if queue:
+                op = queue.popleft()
+                break
+        else:
+            return
         start = self.engine.now
         end = start + op.duration
+        klass = op.klass
         self.busy_us += op.duration
-        self._ops_served[op.klass] += 1
-        self._wait_us[op.klass] += start - op.enqueued_us
+        self._ops_served[klass] += 1
+        self._wait_us[klass] += start - op.enqueued_us
         if op.snapshot is not None:
             # While this op waited the resource was continuously busy, so
             # its wait tiles exactly into (a) the remainder of the op in
@@ -183,29 +224,27 @@ class Resource:
             if start > op.enqueued_us:
                 if inflight is not None:
                     served_by, served_end = inflight
-                    self._wait_inflight[op.klass][served_by] += max(
+                    self._wait_inflight[klass][served_by] += max(
                         0.0, min(served_end, start) - op.enqueued_us
                     )
-                behind = self._wait_behind[op.klass]
+                behind = self._wait_behind[klass]
                 for k in IoPriority:
                     behind[k] += self.busy_us_by_class[k] - base[k]
-        self.busy_us_by_class[op.klass] += op.duration
-        self._inflight = (op.klass, end)
+        self.busy_us_by_class[klass] += op.duration
+        self._inflight = (klass, end)
+        self._on_done = op.on_done
+        self._start_us = start
+        self._end_us = end
+        self.engine.push(end, self._finish_event)
 
-        def finish() -> None:
-            self._busy = False
-            op.on_done(start, end)
+    def _finish(self) -> None:
+        """Completion event of the op in service."""
+        on_done = self._on_done
+        self._on_done = None
+        on_done(self._start_us, self._end_us)
+        queues = self._queues
+        if queues[0] or queues[1] or queues[2]:
             self._dispatch_next()
-
-        self.engine.at(end, finish)
-
-    def _dispatch_next(self) -> None:
-        if self._busy:
-            return
-        for queue in self._queues:
-            if queue:
-                self._start(queue.popleft())
-                return
 
     def utilisation(self, elapsed_us: float) -> float:
         """Fraction of ``elapsed_us`` this resource spent in service."""

@@ -26,7 +26,7 @@ resources either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
 from typing import Iterable
 
 import numpy as np
@@ -48,7 +48,15 @@ from .backends import ExecutionBackend, make_backend
 from .drivers import run_closed_loop, run_open_loop
 from .engine import SimEngine
 from .metrics import SimMetrics
-from .pipeline import OpPipeline, PageRecord, RequestSpan, StagePlanner
+from .pipeline import (
+    OpPipeline,
+    PageRecord,
+    RequestSpan,
+    adjust_stages,
+    erase_stages,
+    read_stages,
+    write_stages,
+)
 from .policy import SchedulingPolicy, make_policy
 from .resources import (
     IoPriority,
@@ -61,14 +69,33 @@ from .scheduler import HostRequest, OutstandingRequest
 __all__ = ["SsdSimulator"]
 
 
-@dataclass
-class _NullCompletion:
-    """Completion sink for internal (GC / refresh) operations."""
+class _InternalChain:
+    """One GC / refresh pass issuing its ops one after another.
 
-    count: int = 0
+    Each op is submitted when the previous one completes; a throttling
+    policy's idle gap sits between them.
+    """
 
-    def __call__(self, start_us: float, end_us: float) -> None:
-        self.count += 1
+    __slots__ = ("sim", "ops", "gap_us")
+
+    def __init__(self, sim: "SsdSimulator", ops: list[PhysOp], gap_us: float) -> None:
+        self.sim = sim
+        self.ops = deque(ops)
+        self.gap_us = gap_us
+
+    def issue_next(self) -> None:
+        self.sim._issue(self.ops.popleft(), IoPriority.INTERNAL, self._op_done)
+
+    def _op_done(self, start_us: float, end_us: float) -> None:
+        if not self.ops:
+            return
+        if self.gap_us > 0.0:
+            engine = self.sim.engine
+            engine.push(engine.now + self.gap_us, self.issue_next)
+        else:
+            # With no gap the next op issues synchronously inside the
+            # completion callback — same event ordering as a direct chain.
+            self.issue_next()
 
 
 class SsdSimulator:
@@ -185,22 +212,30 @@ class SsdSimulator:
         #: data from any request acknowledged before a power cut must
         #: survive the remount.  ``None`` costs one check per completion.
         self.on_host_request_complete = None
-        self._internal_sink = _NullCompletion()
-        self._planner = StagePlanner(timing)
         # The policy's class -> queue mapping is static; resolve it once
         # instead of per dispatched op.
         self._queue_of = tuple(self.policy.queue_class(k) for k in IoPriority)
-        # Routing is static: block -> plane -> (die, channel).  One table
-        # lookup per op replaces three geometry computations on the hot
-        # path.
-        self._plane_routes = [
-            (
-                geometry.die_of_plane(plane),
-                self.dies[geometry.die_of_plane(plane)],
-                self.channels[geometry.channel_of_plane(plane)],
-            )
-            for plane in range(geometry.total_planes)
-        ]
+        # Compiled op plans.  Routing is static (block -> plane -> die,
+        # channel), so the stage tuple every write, adjust and erase on
+        # a plane walks is compiled here, once; planes of one die share
+        # them.  Reads vary with sense count and retry passes: they are
+        # compiled on first use and cached by (plane, senses, retries).
+        self._plane_resources: list[tuple[Resource, Resource]] = []
+        self._fixed_plans: list[dict[OpKind, tuple]] = []
+        die_plans: dict[int, dict[OpKind, tuple]] = {}
+        for plane in range(geometry.total_planes):
+            die = self.dies[geometry.die_of_plane(plane)]
+            channel = self.channels[geometry.channel_of_plane(plane)]
+            plans = die_plans.get(die.index)
+            if plans is None:
+                plans = die_plans[die.index] = {
+                    OpKind.WRITE: write_stages(die, channel, timing),
+                    OpKind.ADJUST: adjust_stages(die, timing),
+                    OpKind.ERASE: erase_stages(die, timing),
+                }
+            self._plane_resources.append((die, channel))
+            self._fixed_plans.append(plans)
+        self._read_plans: dict[tuple[int, int, int], tuple] = {}
         if self.collector is not None:
             self.collector.bind(self.engine, self.dies, self.channels)
             # Utilization/queue-depth timelines ride the collector's
@@ -388,25 +423,8 @@ class SsdSimulator:
         throttling policy additionally inserts an idle gap between the
         chained ops.
         """
-        if not ops:
-            return
-        remaining = list(ops)
-        gap_us = self.policy.internal_gap_us
-
-        def issue_next(start_us: float = 0.0, end_us: float = 0.0) -> None:
-            if not remaining:
-                return
-            op = remaining.pop(0)
-            self._issue(op, IoPriority.INTERNAL, chain)
-
-        def throttled_chain(start_us: float, end_us: float) -> None:
-            if remaining:
-                self.engine.after(gap_us, issue_next)
-
-        # With no gap the next op issues synchronously inside the
-        # completion callback — same event ordering as a direct chain.
-        chain = throttled_chain if gap_us > 0.0 else issue_next
-        issue_next()
+        if ops:
+            _InternalChain(self, ops, self.policy.internal_gap_us).issue_next()
 
     def _issue(
         self,
@@ -417,9 +435,7 @@ class SsdSimulator:
         prof_ctx=None,
     ) -> None:
         """Route one physical op into its stage pipeline."""
-        die_index, die, channel = self._plane_routes[
-            self.geometry.plane_of_block(op.block_index)
-        ]
+        plane = self.geometry.plane_of_block(op.block_index)
         fault = (
             self.faults.on_dispatch(op, klass is IoPriority.HOST_READ)
             if self.faults is not None
@@ -449,15 +465,15 @@ class SsdSimulator:
                         self._retry_counter.inc(retries)
                     if self.faults is not None:
                         self.faults.note_read_retries(op, retries)
-            stages = self._planner.read(die_index, die, channel, op.senses, 1 + retries)
-        elif op.kind is OpKind.WRITE:
-            stages = self._planner.write(die_index, die, channel)
-        elif op.kind is OpKind.ADJUST:
-            stages = self._planner.adjust(die_index, die)
-        elif op.kind is OpKind.ERASE:
-            stages = self._planner.erase(die_index, die)
-        else:  # pragma: no cover - exhaustive enum
-            raise ValueError(f"unknown op kind {op.kind}")
+            key = (plane, op.senses, retries)
+            stages = self._read_plans.get(key)
+            if stages is None:
+                die, channel = self._plane_resources[plane]
+                stages = self._read_plans[key] = read_stages(
+                    die, channel, self.timing, op.senses, 1 + retries
+                )
+        else:
+            stages = self._fixed_plans[plane][op.kind]
         self.ops_dispatched += 1
         record = None
         if span is not None:
@@ -488,10 +504,10 @@ class SsdSimulator:
             klass,
             self._queue_of[klass],
             on_done,
-            span=span,
-            record=record,
-            profile=profile,
-            fault=fault,
+            span,
+            record,
+            profile,
+            fault,
         ).start()
 
     def _wrap_adjust_commit(self, op: PhysOp, inner):

@@ -10,7 +10,6 @@ from repro.sim.pipeline import (
     OpPipeline,
     PageRecord,
     Stage,
-    StagePlanner,
     adjust_stages,
     erase_stages,
     read_stages,
@@ -67,26 +66,6 @@ class TestStageBuilders:
         assert adjust.name == "adjust"
         assert erase.name == "erase"
         assert erase.duration_us == timing.erase_us
-
-
-class TestStagePlanner:
-    def test_caches_identical_read_shapes(self, engine, timing):
-        planner = StagePlanner(timing)
-        die = Resource(engine, "die")
-        chan = Resource(engine, "chan")
-        first = planner.read(0, die, chan, senses=2, passes=1)
-        again = planner.read(0, die, chan, senses=2, passes=1)
-        assert first is again
-        other = planner.read(0, die, chan, senses=2, passes=2)
-        assert other is not first
-
-    def test_caches_fixed_ops_per_die(self, engine, timing):
-        planner = StagePlanner(timing)
-        die = Resource(engine, "die")
-        chan = Resource(engine, "chan")
-        assert planner.write(0, die, chan) is planner.write(0, die, chan)
-        assert planner.erase(0, die) is planner.erase(0, die)
-        assert planner.adjust(0, die) is planner.adjust(0, die)
 
 
 class TestOpPipeline:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.engine import SimEngine
@@ -255,3 +258,30 @@ class TestWaitClassBreakdown:
         # Each die exposed its read to a 100 us in-flight write.
         assert merged["host_read"]["host_write"]["inflight_us"] == 200.0
         assert merged["host_read"]["host_write"]["behind_us"] == 0.0
+
+
+class TestCompletedOpRelease:
+    """A resource must not keep its last served op alive: the op holds
+    the completion callback, and through it a whole pipeline, request
+    and span graph."""
+
+    @pytest.mark.parametrize("queued", (False, True), ids=("idle", "queued"))
+    def test_completion_callback_is_released(self, engine, resource, queued):
+        gc.disable()
+        try:
+            if queued:
+                # Occupy the resource so the watched op waits in a queue.
+                resource.submit(IoPriority.INTERNAL, 5.0, lambda s, e: None)
+            calls = []
+
+            def on_done(start_us: float, end_us: float) -> None:
+                calls.append(end_us)
+
+            watched = weakref.ref(on_done)
+            resource.submit(IoPriority.HOST_READ, 10.0, on_done)
+            engine.run()
+            del on_done
+            assert calls == [15.0 if queued else 10.0]
+            assert watched() is None
+        finally:
+            gc.enable()

@@ -8,6 +8,7 @@ from repro.core import conventional_tlc
 from repro.flash.errors import ReadRetryModel
 from repro.flash.geometry import Geometry
 from repro.flash.timing import TimingSpec
+from repro.ftl.ops import OpKind
 from repro.ftl.refresh import RefreshMode, RefreshPolicy
 from repro.sim.scheduler import HostRequest
 from repro.sim.ssd import SsdSimulator
@@ -118,6 +119,31 @@ class TestReadRetry:
         rng = np.random.default_rng(0)
         msb = sum(model.sample_retries(rng, senses=4) for _ in range(3000))
         assert lsb < msb
+
+
+class TestCompiledPlans:
+    def test_fixed_plans_route_to_the_planes_die_and_channel(self):
+        sim = _simulator()
+        geometry = sim.geometry
+        for plane in range(geometry.total_planes):
+            die = sim.dies[geometry.die_of_plane(plane)]
+            channel = sim.channels[geometry.channel_of_plane(plane)]
+            plans = sim._fixed_plans[plane]
+            assert [s.resource for s in plans[OpKind.WRITE]] == [channel, die]
+            assert [s.resource for s in plans[OpKind.ADJUST]] == [die]
+            assert [s.resource for s in plans[OpKind.ERASE]] == [die]
+
+    def test_read_plan_compiled_once_per_shape(self):
+        sim = _simulator()
+        sim.preload(range(6), -100.0, 0.0)
+        sim.run_requests([_read(0, 0.0, [0]), _read(1, 10_000.0, [0])])
+        # Both reads hit the same page shape on one plane: one plan.
+        ((plane, senses, retries), stages), = sim._read_plans.items()
+        die = sim.dies[sim.geometry.die_of_plane(plane)]
+        assert retries == 0
+        assert [s.name for s in stages] == ["sense", "transfer", "ecc"]
+        assert stages[0].resource is die
+        assert stages[0].duration_us == sim.timing.read_us(senses)
 
 
 class TestAccounting:
