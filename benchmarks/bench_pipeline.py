@@ -21,8 +21,7 @@ Run:  python benchmarks/bench_pipeline.py [--scale quick] [--reps 5]
                                           [--append-trajectory PATH]
 
 ``--append-trajectory`` appends one compact entry (ops/sec per policy,
-engine events/sec, batch-backend cohort ops/sec, scale, timestamp, git
-revision when available) to a JSON-array file — CI points it at
+engine events/sec, scale, timestamp, git revision when available) to a JSON-array file — CI points it at
 ``benchmarks/BENCH_trajectory.json`` so the throughput history
 accumulates one point per run and regressions show up as a trend, not
 just a single-gate pass/fail.  Entries from different scales are
@@ -33,12 +32,6 @@ sharing the file (``bench_parallel_sweep.py`` tags its entries with a
 different ``bench``), are skipped.  ``--check-trajectory`` turns the
 comparison into a gate: exit 1 when read-first ops/sec falls more than
 ``--trajectory-threshold`` percent below the same-scale predecessor.
-
-``--check-backends`` gates the batch execution backend: the vectorized
-cohort read-path math must beat the scalar-equivalent loop by >= 3x on
-plain numpy, >= 5x when numba kernels are active (the jitted gate is
-skipped, loudly, when numba is unavailable), and stream admission must
-not be slower than per-event heap admission.
 """
 
 from __future__ import annotations
@@ -50,13 +43,7 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.experiments import RunScale, ida, run_workload
-from repro.flash.errors import ReadRetryModel
-from repro.flash.timing import TimingSpec
-from repro.sim import kernels
-from repro.sim.accel import accel_active, leading_failure_counter
 from repro.sim.engine import SimEngine
 from repro.workloads import workload
 
@@ -94,9 +81,7 @@ def time_engine(events: int, reps: int) -> list[float]:
     return times
 
 
-def time_runs(
-    scale: RunScale, policy: str, reps: int, backend: str = "reference"
-) -> tuple[list[float], int]:
+def time_runs(scale: RunScale, policy: str, reps: int) -> tuple[list[float], int]:
     """Median-able wall times plus the per-run dispatched-op count."""
     spec = workload("usr_1")
     system = ida(0.2).with_policy(policy)
@@ -104,109 +89,10 @@ def time_runs(
     ops = 0
     for _ in range(reps):
         started = time.perf_counter()
-        result = run_workload(system, spec, scale, seed=11, backend=backend)
+        result = run_workload(system, spec, scale, seed=11)
         times.append(time.perf_counter() - started)
         ops = result.metrics.phys_ops_dispatched
     return times, ops
-
-
-def time_backend_cohort(reps: int, cohort: int = 50_000) -> dict:
-    """Vectorized cohort read-path math vs its scalar-equivalent loop.
-
-    The batch backend's win comes from computing sense latency, retry
-    counts and service time for a same-timestamp cohort as array ops;
-    the reference path makes three scalar model calls per read.  Both
-    sides run the *same* seeded RNG stream and must agree exactly —
-    the timing comparison doubles as a parity assertion.
-    """
-    timing = TimingSpec.tlc_table2()
-    model = ReadRetryModel(fail_prob=0.45, max_retries=7)
-    senses = np.tile(np.array([1, 2, 2, 4, 4, 4, 8], dtype=np.int64),
-                     cohort // 7 + 1)[:cohort]
-    counter = leading_failure_counter()
-    lut = kernels.read_latency_lut(timing, 8)
-    fail_lut = kernels.page_fail_lut(model, 8)
-
-    scalar_times: list[float] = []
-    scalar_total = 0.0
-    for _ in range(reps):
-        rng = np.random.default_rng(11)
-        started = time.perf_counter()
-        total = 0.0
-        for s in senses:
-            retries = model.sample_retries(rng, int(s))
-            passes = 1 + retries
-            total += (timing.read_us(int(s)) * passes
-                      + timing.transfer_us + timing.ecc_decode_us * passes)
-        scalar_times.append(time.perf_counter() - started)
-        scalar_total = total
-
-    vector_times: list[float] = []
-    vector_total = 0.0
-    for _ in range(reps):
-        rng = np.random.default_rng(11)
-        started = time.perf_counter()
-        retries = kernels.sample_retry_counts(
-            rng, model, senses, fail_lut=fail_lut, counter=counter
-        )
-        service = kernels.read_service_us(
-            lut[senses], retries, timing.transfer_us, timing.ecc_decode_us
-        )
-        vector_times.append(time.perf_counter() - started)
-        vector_total = float(service.sum())
-    assert abs(scalar_total - vector_total) < 1e-6 * max(1.0, scalar_total), \
-        "vectorized cohort math diverged from the scalar path"
-
-    scalar_median = statistics.median(scalar_times)
-    vector_median = statistics.median(vector_times)
-    return {
-        "cohort": cohort,
-        "scalar_median_s": scalar_median,
-        "vector_median_s": vector_median,
-        "speedup": scalar_median / vector_median if vector_median > 0 else 0.0,
-        "ops_per_s": cohort / vector_median if vector_median > 0 else 0.0,
-        "numba_active": accel_active(),
-    }
-
-
-def time_stream_admission(events: int, reps: int) -> dict:
-    """Sorted-stream admission vs per-event heap admission.
-
-    The batch backend admits the whole (pre-sorted) request schedule via
-    ``SimEngine.add_stream``; the reference path heap-pushes each event.
-    Measures admission + drain of an already-sorted schedule both ways.
-    """
-    schedule = [(float(i) * 0.5, i) for i in range(events)]
-
-    def noop() -> None:
-        pass
-
-    at_times: list[float] = []
-    for _ in range(reps):
-        engine = SimEngine()
-        started = time.perf_counter()
-        for t, _ in schedule:
-            engine.at(t, noop)
-        engine.run()
-        at_times.append(time.perf_counter() - started)
-
-    stream_times: list[float] = []
-    for _ in range(reps):
-        engine = SimEngine()
-        started = time.perf_counter()
-        engine.add_stream((t, noop) for t, _ in schedule)
-        engine.run_until_idle(track_peak=False)
-        stream_times.append(time.perf_counter() - started)
-
-    at_median = statistics.median(at_times)
-    stream_median = statistics.median(stream_times)
-    return {
-        "events": events,
-        "at_median_s": at_median,
-        "stream_median_s": stream_median,
-        "speedup": at_median / stream_median if stream_median > 0 else 0.0,
-        "events_per_s": events / stream_median if stream_median > 0 else 0.0,
-    }
 
 
 def _git_rev() -> str | None:
@@ -247,10 +133,6 @@ def main(argv: list[str] | None = None) -> int:
                              "percent (default: 50 — generous, because "
                              "trajectory points come from heterogeneous "
                              "machines)")
-    parser.add_argument("--check-backends", action="store_true",
-                        help="fail unless the vectorized cohort math beats "
-                             "the scalar loop by the backend gates "
-                             "(3x numpy, 5x jitted)")
     args = parser.parse_args(argv)
     if args.check and not args.baseline:
         parser.error("--check requires --baseline")
@@ -286,18 +168,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  {'engine':<11}: {engine_median:.3f} s  "
           f"({engine_events} events, {events_per_s:,.0f} events/s)")
 
-    cohort = time_backend_cohort(args.reps)
-    admission = time_stream_admission(256_000, args.reps)
-    report["backends"] = {"cohort": cohort, "admission": admission}
-    kind = "numba" if cohort["numba_active"] else "numpy"
-    print(f"  {'cohort':<11}: {cohort['vector_median_s']:.3f} s vs "
-          f"{cohort['scalar_median_s']:.3f} s scalar  "
-          f"({cohort['speedup']:.1f}x, {cohort['ops_per_s']:,.0f} ops/s, {kind})")
-    print(f"  {'admission':<11}: {admission['stream_median_s']:.3f} s vs "
-          f"{admission['at_median_s']:.3f} s heap  "
-          f"({admission['speedup']:.1f}x, "
-          f"{admission['events_per_s']:,.0f} events/s)")
-
     if args.record:
         path = Path(args.record)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -318,10 +188,6 @@ def main(argv: list[str] | None = None) -> int:
                 for policy, stats in report["policies"].items()
             },
             "engine_events_per_s": report["engine"]["events_per_s"],
-            "batch_cohort_ops_per_s": cohort["ops_per_s"],
-            "batch_cohort_speedup": cohort["speedup"],
-            "stream_admission_events_per_s": admission["events_per_s"],
-            "numba_active": cohort["numba_active"],
         }
         history: list = []
         if path.exists():
@@ -401,26 +267,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"FAIL: slowdown exceeds {args.threshold:.1f}%")
             return 1
 
-    if args.check_backends:
-        # numpy floor always applies; the jitted gate only when numba
-        # actually ran (a numpy-only environment cannot meet 5x jitted
-        # numbers and must not pretend to).
-        gate = 5.0 if cohort["numba_active"] else 3.0
-        kind = "numba" if cohort["numba_active"] else "numpy"
-        if not cohort["numba_active"]:
-            print("  backend gate: numba unavailable/disabled — "
-                  "5x jitted gate skipped, enforcing 3x numpy floor")
-        if cohort["speedup"] < gate:
-            print(f"FAIL: cohort speedup {cohort['speedup']:.1f}x "
-                  f"below the {gate:.0f}x {kind} gate")
-            return 1
-        if admission["speedup"] < 1.0:
-            print(f"FAIL: stream admission slower than heap admission "
-                  f"({admission['speedup']:.2f}x)")
-            return 1
-        print(f"  backend gate: cohort {cohort['speedup']:.1f}x >= "
-              f"{gate:.0f}x ({kind}), admission "
-              f"{admission['speedup']:.2f}x >= 1x  [OK]")
     return 0
 
 

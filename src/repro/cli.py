@@ -283,10 +283,6 @@ def _build_run_parser() -> argparse.ArgumentParser:
     parser.add_argument("--policy", default="read-first",
                         help="scheduling policy: read-first (paper default), "
                              "fcfs, or throttled")
-    parser.add_argument("--backend", default="reference",
-                        help="execution backend: reference (event-at-a-time "
-                             "default) or batch (vectorized; identical "
-                             "results, faster wall-clock)")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="write a JSONL event trace to PATH")
     parser.add_argument("--interval-us", type=float, default=None, metavar="N",
@@ -335,13 +331,6 @@ def _cmd_run(argv: list[str]) -> int:
         system = system.with_policy(args.policy)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    from .sim.backends import ENGINE_BACKENDS
-
-    if args.backend not in ENGINE_BACKENDS:
-        raise SystemExit(
-            f"unknown backend {args.backend!r}; "
-            f"choose one of: {', '.join(sorted(ENGINE_BACKENDS))}"
-        )
     try:
         spec = workload(args.workload)
     except KeyError as exc:
@@ -379,13 +368,12 @@ def _cmd_run(argv: list[str]) -> int:
             key = warm_cache_key(
                 system,
                 spec.scaled(scale.num_requests, scale.footprint_pages),
-                scale, args.seed, args.backend,
+                scale, args.seed,
             )
             warm = WarmHandle(store=store, key=key)
         result = run_workload(
             system, spec, scale, seed=args.seed, tracer=tracer,
-            collector=collector, faults=plan, health=health,
-            backend=args.backend, warm=warm,
+            collector=collector, faults=plan, health=health, warm=warm,
         )
         payload = result.to_payload()
         if store is not None:
@@ -402,7 +390,7 @@ def _cmd_run(argv: list[str]) -> int:
             slo = (DEFAULT_READ_P99_SLO,)
         unit = RunUnit(
             system, args.workload, scale, seed=args.seed, faults=plan,
-            health=args.health, slo=slo, backend=args.backend,
+            health=args.health, slo=slo,
         )
         executor = SweepExecutor(
             jobs=args.jobs, snapshots=args.snapshots,
@@ -460,7 +448,7 @@ def _cmd_run(argv: list[str]) -> int:
     if args.report:
         manifest = manifest_for_payload(
             payload, collector=collector, trace_path=args.trace,
-            jobs=args.jobs, backend=args.backend, snapshots=snapshot_stats,
+            jobs=args.jobs, snapshots=snapshot_stats,
         )
         path = write_run_manifest(manifest, args.report)
         print(f"  report: {path} (config {manifest['config_hash']})")

@@ -1,15 +1,10 @@
 """ECC substrate: SEC-DED codec, LDPC retry statistics, engine front-end."""
 
-from .bch import BchCode, BchDecodeResult
 from .engine import EccEngine
-from .gf import GF2m
 from .hamming import DecodeResult, DecodeStatus, HammingCodec
 from .ldpc import LdpcModel
 
 __all__ = [
-    "BchCode",
-    "BchDecodeResult",
-    "GF2m",
     "EccEngine",
     "DecodeResult",
     "DecodeStatus",

@@ -186,8 +186,8 @@ class RunScale:
         the paper's trace occupancy band (~31 GB of the 512 GB device).
         Feasible in bounded memory because device state is columnar
         (~270 MB for the whole device, see ``repro.flash.state``) and
-        preload collapses into batched segments; pair with the batch
-        backend for tolerable wall-clock.
+        every untimed write (preload, aging, background batches) goes
+        through the FTL's columnar ``apply_untimed_batch`` segments.
         """
         return cls(
             num_requests=20_000,

@@ -62,7 +62,6 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.profiler import SimProfiler
 from ..obs.slo import SloEngine, SloObjective
 from ..obs.tracer import Tracer
-from ..sim.backends import ENGINE_BACKENDS
 from ..sim.snapshot import (
     SharedSnapshotRef,
     SnapshotStore,
@@ -144,10 +143,6 @@ class RunUnit:
             evaluate against the health trajectory (implies nothing by
             itself — only honoured when ``health`` is set).  Objectives
             are frozen dataclasses, picklable by construction.
-        backend: Execution-backend registry name (``"reference"`` /
-            ``"batch"``, see :mod:`repro.sim.backends`).  A pure
-            wall-clock knob like ``jobs``: results are byte-identical
-            across backends, so it is safe to flip on any sweep.
     """
 
     system: SystemSpec
@@ -160,7 +155,6 @@ class RunUnit:
     faults: FaultPlan | None = None
     health: bool = False
     slo: tuple[SloObjective, ...] | None = None
-    backend: str = "reference"
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -177,12 +171,6 @@ class RunUnit:
         ):
             raise ValueError(
                 "recover-mode units need a fault plan with a power_cut event"
-            )
-        if self.backend not in ENGINE_BACKENDS:
-            valid = ", ".join(sorted(ENGINE_BACKENDS))
-            raise ValueError(
-                f"unknown execution backend {self.backend!r}; "
-                f"choose one of: {valid}"
             )
 
     def build_health(self) -> HealthMonitor | None:
@@ -241,9 +229,7 @@ def warm_key_for_unit(unit: RunUnit) -> str:
     spec = unit.resolve_workload().scaled(
         unit.scale.num_requests, unit.scale.footprint_pages
     )
-    return warm_cache_key(
-        unit.system, spec, unit.scale, unit.seed, unit.backend
-    )
+    return warm_cache_key(unit.system, spec, unit.scale, unit.seed)
 
 
 def execute_unit(
@@ -274,7 +260,6 @@ def execute_unit(
             profiler=profiler,
             faults=unit.faults,
             health=health,
-            backend=unit.backend,
             warm=warm,
         ).to_payload()
     if unit.mode == "closed":
@@ -289,7 +274,6 @@ def execute_unit(
             profiler=profiler,
             faults=unit.faults,
             health=health,
-            backend=unit.backend,
             warm=warm,
         ).to_payload()
     return run_capacity_phase_pair(
@@ -571,7 +555,6 @@ class SweepExecutor:
                         unit.resolve_workload(),
                         unit.scale,
                         seed=unit.seed,
-                        backend=unit.backend,
                     )
                     store.put(key, warm)
                     self.snapshot_stats["misses"] += 1

@@ -31,10 +31,9 @@ Cut points are chosen from a *census probe*: one cut-free run per
 workload records the op kind at every dispatch ordinal
 (:attr:`~repro.faults.FaultInjector.census`), ordinals are classified
 into write / GC / refresh / ADJUST / read phases, and the cut budget is
-spread across the phases.  Ordinals are backend-invariant (both
-execution backends route every timed op through the same dispatch
-path), so one probe serves the reference and batch sweeps and the same
-ordinal cuts the same instant on both.
+spread across the phases.  The probe replays exactly the run every
+cut unit replays, so an ordinal from the census cuts the same instant
+in the unit.
 
 Each cut is an independent :class:`~.parallel.RunUnit` in
 ``mode="recover"``, so the sweep fans out across processes, retries,
@@ -135,7 +134,6 @@ def probe_census(
     workload,
     scale: RunScale,
     seed: int = 11,
-    backend: str = "reference",
 ) -> list[str]:
     """Run one cut-free probe; return the op kind at every ordinal.
 
@@ -158,10 +156,7 @@ def probe_census(
         ),
         name="census-probe",
     )
-    sim = build_simulator(
-        system, scale, spec.duration_us, seed=seed, faults=plan,
-        backend=backend,
-    )
+    sim = build_simulator(system, scale, spec.duration_us, seed=seed, faults=plan)
     sim.faults.census = []
     warm_device(sim, generated)
     sim.run_requests(
@@ -226,7 +221,7 @@ def run_recovery_unit(unit: RunUnit, warm: WarmHandle | None = None) -> dict:
     generated = generate_workload(spec)
     sim = build_simulator(
         unit.system, unit.scale, spec.duration_us, seed=unit.seed,
-        faults=unit.faults, backend=unit.backend,
+        faults=unit.faults,
     )
     acked_ids, acked_write_lpns = _arm_ack_tracking(sim)
     requests = _to_host_requests(generated, sim.geometry.page_size_bytes)
@@ -238,7 +233,6 @@ def run_recovery_unit(unit: RunUnit, warm: WarmHandle | None = None) -> dict:
     )
     outcome = {
         "workload": unit.workload_name,
-        "backend": unit.backend,
         "seed": unit.seed,
         "op_ordinal": cut_event.op_ordinal,
     }
@@ -349,7 +343,6 @@ def run_recovery_unit(unit: RunUnit, warm: WarmHandle | None = None) -> dict:
             seed=unit.seed,
             allocation=unit.system.allocation,
             policy=unit.system.policy,
-            backend=unit.backend,
             ftl=ftl,
         )
         try:
@@ -378,10 +371,8 @@ def run_recovery_unit(unit: RunUnit, warm: WarmHandle | None = None) -> dict:
 # The sweep
 # ----------------------------------------------------------------------
 
-DEFAULT_BACKENDS: tuple[str, ...] = ("reference", "batch")
-
-#: Total cut points sampled by default, spread over workloads, backends
-#: and phases (the acceptance floor for the crash-consistency sweep).
+#: Total cut points sampled by default, spread over workloads and phases
+#: (the acceptance floor for the crash-consistency sweep).
 DEFAULT_CUTS = 200
 
 
@@ -390,7 +381,6 @@ class CutOutcome:
     """One verified cut point of the sweep."""
 
     workload: str
-    backend: str
     phase: str
     op_ordinal: int
     ok: bool
@@ -405,11 +395,10 @@ class CutOutcome:
 
     @classmethod
     def from_payload(
-        cls, workload: str, backend: str, phase: str, payload: dict
+        cls, workload: str, phase: str, payload: dict
     ) -> "CutOutcome":
         return cls(
             workload=workload,
-            backend=backend,
             phase=phase,
             op_ordinal=payload["op_ordinal"],
             ok=payload["ok"],
@@ -428,7 +417,6 @@ class CutOutcome:
 class RecoveryResult:
     """Every cut of the crash-consistency sweep."""
 
-    backends: tuple[str, ...]
     cells: list[CutOutcome] = field(default_factory=list)
 
     @property
@@ -446,7 +434,7 @@ class RecoveryResult:
     def violations(self) -> list[str]:
         """Every broken guarantee, prefixed with its cut's coordinates."""
         return [
-            f"{c.workload}/{c.backend}@{c.op_ordinal} ({c.phase}): {item}"
+            f"{c.workload}@{c.op_ordinal} ({c.phase}): {item}"
             for c in self.cells
             if not c.ok
             for item in c.violations
@@ -457,7 +445,6 @@ def run_recovery(
     scale: RunScale | None = None,
     workload_names: list[str] | None = None,
     cuts: int = DEFAULT_CUTS,
-    backends: tuple[str, ...] = DEFAULT_BACKENDS,
     error_rate: float = 0.2,
     seed: int = 11,
     jobs: int = 1,
@@ -467,49 +454,44 @@ def run_recovery(
     snapshot_dir: str | None = None,
     snapshot_stats: dict | None = None,
 ) -> RecoveryResult:
-    """Sweep ``cuts`` power-cut points across workloads, phases, backends.
+    """Sweep ``cuts`` power-cut points across workloads and phases.
 
     One census probe per workload classifies every dispatch ordinal into
     write / GC / refresh / ADJUST / read phases; the cut budget is split
-    evenly over the ``(workload, backend)`` grid and, within each cell,
+    over the workloads (the first ``cuts % len(workloads)`` get one
+    extra, so the shares sum to ``cuts``) and, within each workload,
     across the phases.  Every cut then runs as an independent
     ``mode="recover"`` unit through the standard sweep executor.
     """
     scale = scale or RunScale.bench()
     names = workload_names or ["proj_1", "usr_1", "src2_0"]
     system = ida(error_rate)
-    per_cell = max(1, cuts // (len(names) * len(backends)))
+    base, extra = divmod(cuts, len(names))
 
     units: list[RunUnit] = []
-    cells: list[tuple[str, str, str]] = []
+    cells: list[tuple[str, str]] = []
     for wl_index, name in enumerate(names):
+        share = base + int(wl_index < extra)
+        if share == 0:
+            continue
         if progress is not None:
             progress(f"census probe: {name}")
         census = probe_census(system, name, scale, seed=seed)
-        for backend_index, backend in enumerate(backends):
-            fold = seed + 997 * (wl_index + 1) + 131 * (backend_index + 1)
-            for ordinal, phase in choose_cut_ordinals(census, per_cell, fold):
-                plan = FaultPlan(
-                    events=(
-                        FaultEvent(
-                            kind=FaultKind.POWER_CUT, op_ordinal=ordinal
-                        ),
-                    ),
-                    seed=fold,
-                    name=f"{name}-{phase}-cut@{ordinal}",
+        fold = seed + 997 * (wl_index + 1)
+        for ordinal, phase in choose_cut_ordinals(census, share, fold):
+            plan = FaultPlan(
+                events=(
+                    FaultEvent(kind=FaultKind.POWER_CUT, op_ordinal=ordinal),
+                ),
+                seed=fold,
+                name=f"{name}-{phase}-cut@{ordinal}",
+            )
+            units.append(
+                RunUnit(
+                    system, name, scale, seed=seed, mode="recover", faults=plan
                 )
-                units.append(
-                    RunUnit(
-                        system,
-                        name,
-                        scale,
-                        seed=seed,
-                        mode="recover",
-                        faults=plan,
-                        backend=backend,
-                    )
-                )
-                cells.append((name, backend, phase))
+            )
+            cells.append((name, phase))
 
     payloads = execute_units(
         units,
@@ -520,14 +502,14 @@ def run_recovery(
         snapshot_dir=snapshot_dir,
         snapshot_stats=snapshot_stats,
     )
-    result = RecoveryResult(backends=tuple(backends))
+    result = RecoveryResult()
     dropped = 0
-    for (name, backend, phase), payload in zip(cells, payloads):
+    for (name, phase), payload in zip(cells, payloads):
         if isinstance(payload, SweepError):
             dropped += 1
             continue
         result.cells.append(
-            CutOutcome.from_payload(name, backend, phase, payload)
+            CutOutcome.from_payload(name, phase, payload)
         )
     if dropped and progress is not None:
         progress(f"keep-going: dropped {dropped} failed cut unit(s)")
@@ -535,26 +517,18 @@ def run_recovery(
 
 
 def format_recovery(result: RecoveryResult) -> str:
-    """Per (workload, backend) row: cuts per phase, verdict, violations."""
+    """Per-workload row: cuts per phase, verdict, violations."""
     headers = (
-        ["workload", "backend"]
+        ["workload"]
         + list(PHASES)
         + ["cuts", "clean", "torn rolled", "violations"]
     )
     rows = []
-    keys: list[tuple[str, str]] = []
-    for cell in result.cells:
-        key = (cell.workload, cell.backend)
-        if key not in keys:
-            keys.append(key)
-    for workload, backend in keys:
-        group = [
-            c
-            for c in result.cells
-            if c.workload == workload and c.backend == backend
-        ]
+    workloads = list(dict.fromkeys(c.workload for c in result.cells))
+    for workload in workloads:
+        group = [c for c in result.cells if c.workload == workload]
         rows.append(
-            [workload, backend]
+            [workload]
             + [str(sum(1 for c in group if c.phase == p)) for p in PHASES]
             + [
                 str(len(group)),
@@ -564,7 +538,7 @@ def format_recovery(result: RecoveryResult) -> str:
             ]
         )
     rows.append(
-        ["total", ""]
+        ["total"]
         + [
             str(sum(1 for c in result.cells if c.phase == p))
             for p in PHASES
@@ -594,7 +568,6 @@ def recovery_to_json(result: RecoveryResult) -> dict:
     """JSON-ready form of the sweep (the CI run artifact)."""
     return {
         "kind": "recovery_artifact",
-        "backends": list(result.backends),
         "total_cuts": result.total,
         "clean_cuts": result.clean,
         "all_ok": result.all_ok,
@@ -602,7 +575,6 @@ def recovery_to_json(result: RecoveryResult) -> dict:
         "cells": [
             {
                 "workload": c.workload,
-                "backend": c.backend,
                 "phase": c.phase,
                 "op_ordinal": c.op_ordinal,
                 "ok": c.ok,

@@ -232,8 +232,7 @@ def _assemble_manifest(
 
 
 def _run_extras(refresh: dict, in_use_blocks: int, ida_blocks: int,
-                jobs: int | None, backend: str | None = None,
-                snapshots: dict | None = None) -> dict:
+                jobs: int | None, snapshots: dict | None = None) -> dict:
     extra = {
         "refresh": {
             "blocks_refreshed": refresh["blocks_refreshed"],
@@ -242,20 +241,14 @@ def _run_extras(refresh: dict, in_use_blocks: int, ida_blocks: int,
         },
         "blocks": {"in_use": in_use_blocks, "ida": ida_blocks},
     }
-    if jobs is not None or backend is not None or snapshots is not None:
+    if jobs is not None or snapshots is not None:
         # Recorded outside ``config`` on purpose: the executor's fan-out
-        # width, the execution backend, and the warm-state snapshot
-        # cache must not perturb the config hash (results are required
-        # to be identical at any job count, on any backend, and with or
-        # without snapshot reuse).
+        # width and the warm-state snapshot cache must not perturb the
+        # config hash (results are required to be identical at any job
+        # count and with or without snapshot reuse).
         execution: dict = {}
         if jobs is not None:
             execution["jobs"] = jobs
-        if backend is not None:
-            from ..sim.accel import accel_active
-
-            execution["backend"] = backend
-            execution["numba_active"] = accel_active()
         if snapshots is not None:
             execution["snapshots"] = dict(snapshots)
         extra["execution"] = execution
@@ -268,7 +261,6 @@ def manifest_for_run(
     collector: "IntervalCollector | None" = None,
     trace_path: str | Path | None = None,
     jobs: int | None = None,
-    backend: str | None = None,
     snapshots: dict | None = None,
 ) -> dict:
     """Manifest for one :class:`~repro.experiments.runner.RunResult`."""
@@ -299,8 +291,7 @@ def manifest_for_run(
         faults=result.faults,
         health=result.health,
         extra=_run_extras(
-            refresh, result.in_use_blocks, result.ida_blocks, jobs, backend,
-            snapshots,
+            refresh, result.in_use_blocks, result.ida_blocks, jobs, snapshots
         ),
     )
 
@@ -311,7 +302,6 @@ def manifest_for_payload(
     collector: "IntervalCollector | None" = None,
     trace_path: str | Path | None = None,
     jobs: int | None = None,
-    backend: str | None = None,
     snapshots: dict | None = None,
 ) -> dict:
     """Manifest for one pool-transported run payload.
@@ -341,7 +331,7 @@ def manifest_for_payload(
         health=payload.health,
         extra=_run_extras(
             payload.refresh, payload.in_use_blocks, payload.ida_blocks, jobs,
-            backend, snapshots,
+            snapshots,
         ),
     )
 

@@ -248,7 +248,6 @@ def build_simulator(
     profiler: SimProfiler | None = None,
     faults: FaultPlan | None = None,
     health: HealthMonitor | None = None,
-    backend: str | None = None,
 ) -> SsdSimulator:
     """Assemble a simulator for one system at one scale."""
     dev = _build_device(system, scale)
@@ -273,7 +272,6 @@ def build_simulator(
         profiler=profiler,
         faults=faults,
         health=health,
-        backend=backend,
     )
 
 
@@ -332,7 +330,7 @@ def warm_device(
 #: Version of the warm-key derivation below.  Bump when the set of
 #: fields the warm-up can observe changes, so stale spill directories
 #: miss instead of restoring a subtly different state.
-_WARM_KEY_SCHEMA = 1
+_WARM_KEY_SCHEMA = 2
 
 
 def warm_cache_key(
@@ -340,7 +338,6 @@ def warm_cache_key(
     spec: WorkloadSpec,
     scale: RunScale,
     seed: int,
-    backend: str | None,
 ) -> str:
     """Content-address of the warmed state a run starts from.
 
@@ -349,7 +346,7 @@ def warm_cache_key(
     *scaled* workload spec (fill/aging LPN streams and the duration that
     sets preload timestamps), the seed, the full run scale (topology, GC
     watermarks, and ``refresh_cycles``, which fixes the preload time
-    spread), and the execution backend.  Every other system field —
+    spread).  Every other system field —
     refresh mode, error rate, DTR threshold, retry model, scheduling
     policy, adjust-program fraction — is deliberately *excluded*: the
     warm-up never reads them, which is precisely what lets a fig8 system
@@ -370,7 +367,6 @@ def warm_cache_key(
         "workload": jsonable(spec),
         "scale": jsonable(scale),
         "seed": seed,
-        "backend": backend or "reference",
     }
     canonical = json.dumps(material, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -381,7 +377,6 @@ def prepare_warm_state(
     spec: WorkloadSpec,
     scale: RunScale | None = None,
     seed: int = 11,
-    backend: str | None = None,
 ) -> WarmState:
     """Run the warm-up on a bare simulator and capture the result.
 
@@ -391,9 +386,7 @@ def prepare_warm_state(
     scale = scale or RunScale()
     spec = spec.scaled(scale.num_requests, scale.footprint_pages)
     generated = generate_workload(spec)
-    sim = build_simulator(
-        system, scale, spec.duration_us, seed=seed, backend=backend
-    )
+    sim = build_simulator(system, scale, spec.duration_us, seed=seed)
     warm_device(sim, generated)
     return capture_warm_state(sim)
 
@@ -425,16 +418,13 @@ def run_workload(
     profiler: SimProfiler | None = None,
     faults: FaultPlan | None = None,
     health: HealthMonitor | None = None,
-    backend: str | None = None,
     warm: WarmHandle | None = None,
 ) -> RunResult:
     """Execute one (system, workload) pair end to end.
 
-    ``backend`` selects the execution backend by registry name (see
-    :mod:`repro.sim.backends`); results are byte-identical across
-    backends, only wall-clock changes.  ``warm`` connects the run to the
-    warm-state snapshot cache (see :func:`warm_device`) — another pure
-    wall-clock knob, byte-identical by the snapshot-parity suite.
+    ``warm`` connects the run to the warm-state snapshot cache (see
+    :func:`warm_device`) — a pure wall-clock knob, byte-identical by the
+    snapshot-parity suite.
     """
     scale = scale or RunScale()
     spec = spec.scaled(scale.num_requests, scale.footprint_pages)
@@ -451,7 +441,6 @@ def run_workload(
         profiler=profiler,
         faults=faults,
         health=health,
-        backend=backend,
     )
     page_size = sim.geometry.page_size_bytes
 
@@ -506,7 +495,6 @@ def run_workload_closed_loop(
     profiler: SimProfiler | None = None,
     faults: FaultPlan | None = None,
     health: HealthMonitor | None = None,
-    backend: str | None = None,
     warm: WarmHandle | None = None,
 ) -> RunResult:
     """Closed-loop variant of :func:`run_workload` (Fig. 10 throughput).
@@ -529,7 +517,6 @@ def run_workload_closed_loop(
         profiler=profiler,
         faults=faults,
         health=health,
-        backend=backend,
     )
     page_size = sim.geometry.page_size_bytes
 

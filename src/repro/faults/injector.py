@@ -101,8 +101,8 @@ class FaultInjector:
             self._pending.setdefault(op_kind, {})[event.op_ordinal] = event
         self._seen = {value: 0 for value in OP_KIND_OF.values()}
         #: Global dispatched-op counter (every kind), driving power-cut
-        #: ordinals — deliberately identical across execution backends,
-        #: which route all *timed* ops through the same dispatch path.
+        #: ordinals; only *timed* ops reach the dispatch path, so
+        #: untimed warm-up and background writes never shift it.
         self.ops_seen = 0
         #: When a list, every dispatched op appends its kind value here.
         #: The crash-consistency harness arms this on a cut-free probe

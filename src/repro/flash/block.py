@@ -108,8 +108,8 @@ class SenseTable:
 
         Row = wordline mode byte, column = page type; 0 marks unreadable
         combinations (evicted bit, torn wordline, undefined mode) so
-        vector consumers (:meth:`DeviceState.senses_for_ppns`) can detect
-        the same logic errors the scalar :meth:`senses` raises on.
+        vector consumers (the coding-invariant checks) can detect the
+        same logic errors the scalar :meth:`senses` raises on.
         """
         if self._lut is None:
             lut = np.zeros((256, self.coding.bits), dtype=np.int64)

@@ -12,13 +12,13 @@ Why columns
   67 M pages.  Per-object dicts cannot hold that (memory) or update it
   (speed); one ``uint8`` column over all pages is 67 MB and a block-level
   column is 2.8 MB.
-* **Vector math** — the batch execution backend
-  (:mod:`repro.sim.backends`) computes sense counts, wordline validity
-  classification and device aggregates as array operations over these
+* **Vector math** — columnar untimed writes
+  (:meth:`repro.ftl.ftl.Ftl.apply_untimed_batch`), device aggregates and
+  the coding-invariant checks run as array operations over these
   columns; wordline-granular policies (STRAW-style stress-aware reclaim,
   per-page coding schemes) get their counters for free.
-* **Scalar speed** — the event-at-a-time reference backend still touches
-  one page at a time.  Columns are therefore stored as
+* **Scalar speed** — the timed event path still touches one page at a
+  time.  Columns are therefore stored as
   ``bytearray`` / ``array`` buffers (C-speed scalar indexing, ~3-5x
   faster than numpy scalar access) with **zero-copy live numpy views**
   on top: mutating through either side is visible to the other
@@ -104,10 +104,6 @@ FLAG_RETIRED = 0x04
 # Local copies of the wordline-mode sentinels (block.py re-exports them;
 # duplicated here to avoid a circular import).
 _CONVENTIONAL_WL = 0xFF
-
-_PAGE_FREE = 0
-_PAGE_VALID = 1
-_PAGE_INVALID = 2
 
 #: ``oob_lpn`` value of a never-programmed page.
 NO_LPN = -1
@@ -472,59 +468,6 @@ class DeviceState:
     def wordline_base(self, slot: int) -> int:
         """First global wordline index of block ``slot``."""
         return slot * self.wordlines_per_block
-
-    # ------------------------------------------------------------------
-    # Vectorized queries (the batch backend's raw material)
-    # ------------------------------------------------------------------
-    def senses_for_ppns(
-        self, ppns: np.ndarray, sense_lut: np.ndarray
-    ) -> np.ndarray:
-        """Sense counts for an array of physical page numbers.
-
-        Args:
-            ppns: int array of global page numbers (``block * ppb + page``).
-            sense_lut: The ``(256, bits_per_cell)`` lookup from
-                :meth:`repro.flash.block.SenseTable.lut` — rows indexed
-                by wordline mode, 0 marking unreadable (evicted / torn)
-                combinations.
-
-        Raises:
-            KeyError: if any addressed page is unreadable under its
-                wordline's current mode (same contract as the scalar
-                :meth:`~repro.flash.block.SenseTable.senses`).
-        """
-        ppns = np.asarray(ppns, dtype=np.int64)
-        bits = ppns % self.bits_per_cell
-        pages = ppns % self.pages_per_block
-        wl = ppns // self.bits_per_cell  # global wordline index
-        # ``pages // bits`` within block + block * wpb == ppn // bits.
-        del pages
-        modes = self.wl_mode_np[wl]
-        senses = sense_lut[modes, bits]
-        if not senses.all():
-            bad = int(ppns[np.flatnonzero(senses == 0)[0]])
-            raise KeyError(
-                f"page {bad} is unreadable under its wordline mode "
-                "(evicted bit or torn wordline)"
-            )
-        return senses.astype(np.int64, copy=False)
-
-    def wordline_validity_rows(self, ppns: np.ndarray) -> np.ndarray:
-        """Per-bit validity of each addressed page's wordline.
-
-        Returns a ``(len(ppns), bits_per_cell)`` bool matrix — row ``i``
-        is the Table I input of ``ppns[i]``'s wordline.
-        """
-        ppns = np.asarray(ppns, dtype=np.int64)
-        first_page = (ppns // self.bits_per_cell) * self.bits_per_cell
-        offsets = np.arange(self.bits_per_cell, dtype=np.int64)
-        gathered = self.page_state_np[first_page[:, None] + offsets[None, :]]
-        return gathered == _PAGE_VALID
-
-    def note_host_reads(self, ppns: np.ndarray) -> None:
-        """Bump the stress counter of each addressed wordline."""
-        wl = np.asarray(ppns, dtype=np.int64) // self.bits_per_cell
-        np.add.at(self.wl_read_count_np, wl, 1)
 
     # ------------------------------------------------------------------
     # Vectorized aggregates (telemetry / census fast paths)

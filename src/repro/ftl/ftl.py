@@ -188,7 +188,7 @@ class Ftl:
     def apply_untimed_batch(self, lpns, times) -> None:
         """Bulk :meth:`write_untimed`: identical final state, array speed.
 
-        The batch backend's workhorse (preload / aging / background
+        The path of every untimed write (preload / aging / background
         batches).  Writes are applied in *segments*: a safe run is the
         longest prefix guaranteed to trigger no GC pass and open no
         block on any plane — each plane in the allocator rotation merely

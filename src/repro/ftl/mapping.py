@@ -9,7 +9,7 @@ The forward map is columnar: one growable ``int64`` entry per LPN
 512 GB topology the logical space is tens of millions of pages — a flat
 column holds that in a few hundred MB worst-case and answers batched
 lookups (:meth:`PageMap.lookup_many`) as one numpy gather, which the
-batch execution backend leans on.  The reverse map stays a dict: it is
+columnar untimed writes lean on.  The reverse map stays a dict: it is
 sparse over the *physical* space (entries = live pages only), so a
 67 M-entry physical column would waste far more than the dict costs.
 """

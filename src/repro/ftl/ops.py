@@ -112,7 +112,7 @@ class FlashTranslation(Protocol):
 
     Everything is expressed in terms of :class:`PhysOp` sequences — the
     FTL never touches simulator resources, queues, or the event engine,
-    and the simulator never reaches past these five members into FTL
+    and the simulator never reaches past these six members into FTL
     internals.  Host writes may trigger GC; the implied relocation work
     comes back in :attr:`WriteResult.internal_ops` rather than being
     self-scheduled.
@@ -136,6 +136,14 @@ class FlashTranslation(Protocol):
 
     def write_untimed(self, lpn: int, pseudo_now_us: float) -> None:
         """Preconditioning write: full logical effect, no timed ops."""
+        ...
+
+    def apply_untimed_batch(self, lpns, times) -> None:
+        """Bulk :meth:`write_untimed` (preload, aging, background batches).
+
+        ``times`` is a scalar or one time per write; the final state
+        must equal a :meth:`write_untimed` loop over the same writes.
+        """
         ...
 
     def check_refresh(self, now_us: float) -> list[PhysOp]:

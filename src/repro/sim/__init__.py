@@ -1,12 +1,5 @@
 """SSD simulator substrate: engine, resources, pipeline, policy, the SSD."""
 
-from .backends import (
-    ENGINE_BACKENDS,
-    BatchBackend,
-    ExecutionBackend,
-    ReferenceBackend,
-    make_backend,
-)
 from .drivers import run_closed_loop, run_open_loop
 from .engine import SimEngine
 from .metrics import LatencyStats, ReadMixCounters, SimMetrics
@@ -47,11 +40,6 @@ __all__ = [
     "write_stages",
     "adjust_stages",
     "erase_stages",
-    "ENGINE_BACKENDS",
-    "ExecutionBackend",
-    "ReferenceBackend",
-    "BatchBackend",
-    "make_backend",
     "POLICIES",
     "SchedulingPolicy",
     "ReadFirstPolicy",

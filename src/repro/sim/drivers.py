@@ -9,10 +9,12 @@ Two driving disciplines, mirroring the paper's evaluation:
   throughput; an open-loop replay's throughput is pinned to the trace's
   arrival rate and cannot show a device improvement).
 
-Both drivers own the run choreography around the simulator: scheduling
-request dispatches, applying untimed background-update batches, ticking
-the refresh daemon, bracketing the run for the tracer / interval
-collector, and folding counters when the queues drain.  The simulator
+Both drivers own the run choreography around the simulator: admitting
+request dispatches (open loop: one sorted stream through
+:meth:`~repro.sim.engine.SimEngine.add_stream`), scheduling untimed
+background-update batches, ticking the refresh daemon, bracketing the
+run for the tracer / interval collector, and folding counters when the
+queues drain.  The simulator
 itself only knows how to dispatch *one* request — everything stream-
 shaped lives here, so new disciplines (bursty arrivals, rate-limited
 replay, multi-tenant interleaving) are additive modules rather than
@@ -48,6 +50,19 @@ def _begin_run(sim: "SsdSimulator", mode: str, n_requests: int) -> None:
             dies=len(sim.dies),
             channels=len(sim.channels),
         )
+
+
+def _schedule_background(
+    sim: "SsdSimulator",
+    background_updates: list[tuple[float, list[int]]] | None,
+) -> None:
+    """Apply each untimed background-update batch at its sim time."""
+    for time_us, lpns in background_updates or []:
+
+        def apply(lpns=lpns) -> None:
+            sim.ftl.apply_untimed_batch(lpns, sim.engine.now)
+
+        sim.engine.at(time_us, apply)
 
 
 def _end_run(sim: "SsdSimulator") -> None:
@@ -101,8 +116,10 @@ def run_open_loop(
 
         return dispatch
 
-    sim.backend.admit_requests(sim, ordered, make_dispatch)
-    sim.backend.schedule_background(sim, background_updates)
+    sim.engine.add_stream(
+        (request.arrival_us, make_dispatch(request)) for request in ordered
+    )
+    _schedule_background(sim, background_updates)
 
     # Refresh daemon: scan on the FTL's cadence until the trace ends.
     trace_end = ordered[-1].arrival_us
@@ -117,7 +134,7 @@ def run_open_loop(
         sim.engine.after(interval, tick)
 
     _begin_run(sim, "open_loop", len(ordered))
-    sim.backend.drain(sim)
+    sim.engine.run()
     sim.metrics.start_us = ordered[0].arrival_us
     sim.metrics.end_us = sim.engine.now
     sim.fold_counters()
@@ -171,7 +188,7 @@ def run_closed_loop(
 
     for _ in range(min(queue_depth, total)):
         sim.engine.after(0.0, issue_next)
-    sim.backend.schedule_background(sim, background_updates)
+    _schedule_background(sim, background_updates)
 
     # No refresh daemon deadline in closed-loop mode: scan on a fixed
     # cadence until the stream completes, then let the queues drain.
@@ -184,7 +201,7 @@ def run_closed_loop(
 
     sim.engine.after(interval, refresh_tick)
     _begin_run(sim, "closed_loop", total)
-    sim.backend.drain(sim)
+    sim.engine.run()
     sim.metrics.start_us = 0.0
     sim.metrics.end_us = sim.engine.now
     sim.fold_counters()

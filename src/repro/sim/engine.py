@@ -4,20 +4,21 @@ A minimal event loop in the DiskSim tradition: a time-ordered heap of
 callbacks, with a monotone sequence number breaking ties so runs are fully
 deterministic regardless of callback scheduling order.
 
-Two batched fast paths support the vectorized execution backend while
-preserving the (time, sequence) total order byte-for-byte:
+Request streams are admitted through :meth:`SimEngine.add_stream`: a
+*sorted* run of events that never touches the heap.  The stream reserves
+its sequence numbers up front — exactly the numbers the equivalent
+``at()`` calls would have consumed — and the run loop merges stream
+head vs heap top by ``(time, seq)``, so the firing order is the one
+per-event admission would give, while the heap stays small.
 
-* :meth:`SimEngine.add_stream` admits a *sorted* run of events without
-  pushing them through the heap.  The stream reserves its sequence
-  numbers up front — exactly the numbers the equivalent ``at()`` calls
-  would have consumed — and the run loop merges stream head vs heap top
-  by ``(time, seq)``, so event order is identical to the reference
-  admission by construction while the heap stays small.
-* :meth:`SimEngine.run_until_idle` drains the queue with per-event
-  ``peak_pending`` bookkeeping switched off.  ``processed`` stays exact
-  (each fired event counts as one); only the high-water mark — which is
-  reported solely through the trace ``run_end`` event — goes untracked,
-  so callers must keep tracking on whenever a tracer is attached.
+``peak_pending`` (the queue high-water mark the trace ``run_end`` event
+reports) counts stream events as if they sat in the heap, at no
+per-push cost.  The engine stores ``_peak_mark`` = peak minus the
+stream events not yet fired.  A push compares the heap length against
+the mark, as it would against the peak with no stream; admitting a
+stream of ``n`` sets the mark to ``max(mark - n, len(heap))``; each
+fired stream event adds one to it; and ``peak_pending`` is the mark
+plus the stream events left.
 
 The stage machine's own completions (resource service ends, latency-only
 pipeline stages, throttled internal chains) schedule through
@@ -55,8 +56,8 @@ class SimEngine:
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
         #: Events scheduled so far (also the next tie-break sequence).
         self._sequence = 0
-        self._peak_pending = 0
-        self._track_peak = True
+        #: Queue high-water mark minus the stream events not yet fired.
+        self._peak_mark = 0
         self._prev_now = 0.0
         self._stream: list[tuple[float, int, Callable[[], None]]] = []
         self._stream_pos = 0
@@ -73,13 +74,12 @@ class SimEngine:
 
     @property
     def peak_pending(self) -> int:
-        """High-water mark of the event queue (for run reports).
+        """High-water mark of the pending events (for run reports).
 
-        Meaningful only while per-event tracking is on (the default);
-        :meth:`run_until_idle` with ``track_peak=False`` and
-        :meth:`add_stream` trade this statistic for speed.
+        Stream events count from their admission on, exactly as if each
+        had been scheduled with :meth:`at`.
         """
-        return self._peak_pending
+        return self._peak_mark + len(self._stream) - self._stream_pos
 
     def _clamped(self, time: float) -> float:
         """Validate a target time against the clock (shared with at())."""
@@ -113,8 +113,8 @@ class SimEngine:
                 )
         heapq.heappush(self._queue, (time, self._sequence, callback))
         self._sequence += 1
-        if self._track_peak and len(self._queue) > self._peak_pending:
-            self._peak_pending = len(self._queue)
+        if len(self._queue) > self._peak_mark:
+            self._peak_mark = len(self._queue)
 
     def push(self, time: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at ``time`` without validating it.
@@ -128,8 +128,8 @@ class SimEngine:
         queue = self._queue
         heapq.heappush(queue, (time, self._sequence, callback))
         self._sequence += 1
-        if self._track_peak and len(queue) > self._peak_pending:
-            self._peak_pending = len(queue)
+        if len(queue) > self._peak_mark:
+            self._peak_mark = len(queue)
 
     def after(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` after ``delay`` microseconds."""
@@ -148,8 +148,8 @@ class SimEngine:
         but the events never touch the heap: the run loop merges the
         stream head against the heap top by ``(time, seq)``.
 
-        The high-water ``peak_pending`` statistic does not see stream
-        events; callers needing it (tracing) must admit via :meth:`at`.
+        ``peak_pending`` counts the admitted events as pending from now
+        on, as :meth:`at` admission would.
 
         Args:
             events: ``(time, callback)`` pairs in non-decreasing time
@@ -179,6 +179,7 @@ class SimEngine:
         self._sequence = sequence
         self._stream = stream
         self._stream_pos = 0
+        self._peak_mark = max(self._peak_mark - len(stream), len(self._queue))
         return len(stream)
 
     def run(self, until: float | None = None) -> None:
@@ -240,28 +241,12 @@ class SimEngine:
                 # derived from the pending count, which callbacks
                 # (interval samplers) may read mid-drain.
                 self._stream_pos = pos
+                self._peak_mark += 1
             self._prev_now = self.now
             self.now = time
             callback()
         if until is not None and pos < end and until > self.now:
             self.now = until
-
-    def run_until_idle(self, track_peak: bool = True) -> None:
-        """Drain everything; optionally skip peak-queue bookkeeping.
-
-        ``track_peak=False`` removes the per-push high-water-mark update
-        from :meth:`at` for the duration of the drain — the fast path
-        for untraced runs, where ``peak_pending`` is never reported.
-        Event and processed counts stay exact either way.
-        """
-        if track_peak:
-            self.run()
-            return
-        self._track_peak = False
-        try:
-            self.run()
-        finally:
-            self._track_peak = True
 
     def step(self) -> bool:
         """Fire exactly one event; returns False when the queue is empty."""
@@ -272,6 +257,7 @@ class SimEngine:
             else:
                 time, _, callback = head
                 self._stream_pos += 1
+                self._peak_mark += 1
             self._prev_now = self.now
             self.now = time
             callback()

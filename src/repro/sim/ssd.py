@@ -43,8 +43,6 @@ from ..ftl.ops import FlashTranslation, OpKind, PhysOp
 from ..ftl.refresh import RefreshPolicy
 from ..obs.interval import IntervalCollector
 from ..obs.tracer import NULL_TRACER, Tracer
-from .accel import publish_accel_state
-from .backends import ExecutionBackend, make_backend
 from .drivers import run_closed_loop, run_open_loop
 from .engine import SimEngine
 from .metrics import SimMetrics
@@ -114,11 +112,6 @@ class SsdSimulator:
         policy: Scheduling policy instance or registry name
             (``"read-first"`` / ``"fcfs"`` / ``"throttled"``); ``None``
             selects the paper's read-first default.
-        backend: Execution backend instance or registry name
-            (``"reference"`` / ``"batch"``, see
-            :mod:`repro.sim.backends`); ``None`` selects the
-            event-at-a-time reference.  Backends change only run
-            mechanics — metrics and traces are byte-identical.
         tracer: Structured event tracer; ``None`` = tracing disabled
             (the null fast path).  Tracing is passive: it never schedules
             events, touches RNG streams, or alters metrics.
@@ -160,7 +153,6 @@ class SsdSimulator:
         profiler=None,
         faults: FaultPlan | None = None,
         health=None,
-        backend: ExecutionBackend | str | None = None,
         ftl: FlashTranslation | None = None,
     ) -> None:
         self.geometry = geometry
@@ -168,7 +160,6 @@ class SsdSimulator:
         self.engine = SimEngine()
         self.metrics = SimMetrics()
         self.policy = make_policy(policy)
-        self.backend = make_backend(backend)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.collector = collector
         self.retry_model = retry_model or ReadRetryModel(fail_prob=0.0)
@@ -272,7 +263,6 @@ class SsdSimulator:
                     "extra sensing passes forced by failed LDPC decodes",
                 ).unlabeled
                 self.ftl.bind_telemetry(registry)
-                publish_accel_state(registry)
 
     # ------------------------------------------------------------------
     # Preconditioning
@@ -289,11 +279,11 @@ class SsdSimulator:
             return
         step = (end_us - start_us) / len(lpn_list)
         times = start_us + np.arange(len(lpn_list), dtype=np.float64) * step
-        self.backend.apply_untimed(self, lpn_list, times)
+        self.ftl.apply_untimed_batch(lpn_list, times)
 
     def age(self, lpns: Iterable[int], pseudo_now_us: float) -> None:
         """Untimed update writes — creates the invalid lower pages IDA needs."""
-        self.backend.apply_untimed(self, list(lpns), pseudo_now_us)
+        self.ftl.apply_untimed_batch(list(lpns), pseudo_now_us)
 
     # ------------------------------------------------------------------
     # Trace execution (delegates to the workload drivers)

@@ -4,8 +4,7 @@
 64 planes x 5472 blocks = 350,208 blocks, 67 M physical pages.  The
 per-object simulator could never hold that; the columnar
 :class:`~repro.flash.state.DeviceState` must — in a few hundred MB of
-flat buffers — and a short fig8 slice must run on it end to end via the
-batch backend.  These tests pin both the scale numbers and the memory
+flat buffers — and a short fig8 slice must run on it end to end.  These tests pin both the scale numbers and the memory
 bound so a regression back toward per-page Python objects fails fast.
 """
 
@@ -57,9 +56,7 @@ class TestFullTopologyState:
         # empty device still walks every summary/journal/pool column,
         # so it exercises the full-scale code path without a preload.
         scale = RunScale.full()
-        sim = build_simulator(
-            ida(0.2), scale, duration_us=1e6, seed=11, backend="batch"
-        )
+        sim = build_simulator(ida(0.2), scale, duration_us=1e6, seed=11)
         start = time.monotonic()
         recovered, report = mount_device(
             sim.ftl.table.state,
@@ -77,12 +74,9 @@ class TestFullTopologyState:
 
     def test_simulator_builds_at_full_topology(self):
         scale = RunScale.full()
-        sim = build_simulator(
-            ida(0.2), scale, duration_us=1e6, seed=11, backend="batch"
-        )
+        sim = build_simulator(ida(0.2), scale, duration_us=1e6, seed=11)
         assert sim.ftl.table.state.num_blocks == FULL_BLOCKS
         assert len(sim.dies) == 32
-        assert sim.backend.name == "batch"
 
 
 class TestFullTopologySlice:
@@ -94,9 +88,7 @@ class TestFullTopologySlice:
         scale = replace(
             RunScale.full(), num_requests=150, footprint_pages=120_000
         )
-        result = run_workload(
-            ida(0.2), workload("usr_1"), scale, seed=11, backend="batch"
-        )
+        result = run_workload(ida(0.2), workload("usr_1"), scale, seed=11)
         metrics = result.metrics
         assert metrics.read_response.count > 0
         assert metrics.write_response.count > 0

@@ -42,13 +42,12 @@ def _snapshot(result: RunResult) -> dict:
     }
 
 
-def _run(trace: str, system_name: str, backend: str = "reference") -> dict:
+def _run(trace: str, system_name: str) -> dict:
     result = run_workload(
         SYSTEMS[system_name],
         TABLE3_WORKLOADS[trace],
         scale=RunScale.tiny(),
         seed=SEED,
-        backend=backend,
     )
     return _snapshot(result)
 
@@ -59,16 +58,11 @@ def golden() -> dict:
         return json.load(fh)
 
 
-@pytest.mark.parametrize("backend", ("reference", "batch"))
 @pytest.mark.parametrize("trace", TRACES)
 @pytest.mark.parametrize("system_name", sorted(SYSTEMS))
-def test_matches_golden_exactly(
-    golden: dict, trace: str, system_name: str, backend: str
-) -> None:
-    # Both execution backends must land on the golden numbers exactly —
-    # the backend is a wall-clock knob, never a semantics knob.
+def test_matches_golden_exactly(golden: dict, trace: str, system_name: str) -> None:
     expected = golden[trace][system_name]
-    actual = json.loads(json.dumps(_run(trace, system_name, backend)))
+    actual = json.loads(json.dumps(_run(trace, system_name)))
     assert actual == expected
 
 

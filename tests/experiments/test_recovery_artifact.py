@@ -34,7 +34,7 @@ def _cut_plan(ordinal: int, name: str = "cut") -> FaultPlan:
     )
 
 
-def _recover_unit(ordinal: int, backend: str = "reference") -> RunUnit:
+def _recover_unit(ordinal: int) -> RunUnit:
     return RunUnit(
         SYSTEM,
         "proj_1",
@@ -42,7 +42,6 @@ def _recover_unit(ordinal: int, backend: str = "reference") -> RunUnit:
         seed=11,
         mode="recover",
         faults=_cut_plan(ordinal),
-        backend=backend,
     )
 
 
@@ -154,7 +153,6 @@ class TestRunRecoverySweep:
             scale=SCALE,
             workload_names=["proj_1"],
             cuts=8,
-            backends=("reference", "batch"),
             seed=11,
         )
 
@@ -164,18 +162,51 @@ class TestRunRecoverySweep:
         assert result.all_ok
         assert result.violations() == []
 
-    def test_both_backends_were_cut(self, result):
-        assert {c.backend for c in result.cells} == {"reference", "batch"}
-
     def test_formatting_and_json_round_trip(self, result):
         text = format_recovery(result)
-        assert "proj_1" in text and "reference" in text
+        assert "proj_1" in text
         data = json.loads(json.dumps(recovery_to_json(result)))
         assert data["kind"] == "recovery_artifact"
+        assert all("backend" not in cell for cell in data["cells"])
         assert data["total_cuts"] == 8
         assert data["clean_cuts"] == 8
         assert data["all_ok"] is True
         assert len(data["cells"]) == 8
+
+
+class TestCutSplit:
+    def test_remainder_goes_to_the_first_workloads(self, monkeypatch):
+        # The split is pinned without running any cut: the executor is
+        # replaced by one that reports every unit clean.
+        from repro.experiments import recovery_artifact
+
+        def clean(units, **_):
+            return [
+                {
+                    "op_ordinal": unit.faults.events[0].op_ordinal,
+                    "ok": True,
+                    "cut_fired": True,
+                    "cut_t_us": 0.0,
+                    "acked_writes": 0,
+                    "mapped_lpns": 0,
+                    "torn_rolled_forward": 0,
+                    "relocated_lpns": 0,
+                    "resumed_requests": 0,
+                    "violations": [],
+                }
+                for unit in units
+            ]
+
+        monkeypatch.setattr(recovery_artifact, "execute_units", clean)
+        names = ["proj_1", "usr_1", "src2_0"]
+        result = run_recovery(
+            scale=SCALE, workload_names=names, cuts=13, seed=11
+        )
+        assert result.total == 13
+        per_workload = [
+            sum(1 for c in result.cells if c.workload == name) for name in names
+        ]
+        assert per_workload == [5, 4, 4]
 
 
 class TestProbeCensus:

@@ -2,7 +2,7 @@
 
 A run restored from a snapshot must be *byte-identical* to a cold run —
 same metrics, same counters, same fault-event streams, same trace — for
-every (backend x policy x fault-plan) cell, inline and pooled.  The
+every (system x policy x fault-plan) cell, inline and pooled.  The
 fig8 cells are additionally pinned against the sequential golden file,
 so snapshot-enabled sweeps are transitively pinned to the pre-pipeline
 float.
@@ -93,21 +93,16 @@ def _fault_plan() -> FaultPlan:
 class TestRestoredRunEquivalence:
     """restore_warm_state(fresh sim) == the cold warm-up, exactly."""
 
-    @pytest.mark.parametrize("backend", ("reference", "batch"))
     @pytest.mark.parametrize("policy", ("read-first", "fcfs"))
-    def test_backend_x_policy_cells(self, backend: str, policy: str) -> None:
+    def test_policy_cells(self, policy: str) -> None:
         system = ida(0.2).with_policy(policy)
         spec = TABLE3_WORKLOADS["usr_1"]
-        cold = run_workload(
-            system, spec, SCALE, seed=SEED, backend=backend
-        ).to_payload()
+        cold = run_workload(system, spec, SCALE, seed=SEED).to_payload()
         warm = WarmHandle(
-            state=prepare_warm_state(
-                system, spec, SCALE, seed=SEED, backend=backend
-            )
+            state=prepare_warm_state(system, spec, SCALE, seed=SEED)
         )
         restored = run_workload(
-            system, spec, SCALE, seed=SEED, backend=backend, warm=warm
+            system, spec, SCALE, seed=SEED, warm=warm
         ).to_payload()
         assert warm.outcome == "hit"
         assert _canon(restored) == _canon(cold)
@@ -131,22 +126,15 @@ class TestRestoredRunEquivalence:
         assert _canon(restored) == _canon(cold)
         assert restored.faults == cold.faults
 
-    def test_snapshot_crosses_backends(self) -> None:
-        # Warm keys include the backend, but the captured state itself is
-        # backend-agnostic: a reference-captured state restored under the
-        # batch backend still matches the cold batch run.
+    def test_baseline_system_cell(self) -> None:
         system = baseline()
         spec = TABLE3_WORKLOADS["usr_1"]
-        cold = run_workload(
-            system, spec, SCALE, seed=SEED, backend="batch"
-        ).to_payload()
+        cold = run_workload(system, spec, SCALE, seed=SEED).to_payload()
         warm = WarmHandle(
-            state=prepare_warm_state(
-                system, spec, SCALE, seed=SEED, backend="reference"
-            )
+            state=prepare_warm_state(system, spec, SCALE, seed=SEED)
         )
         restored = run_workload(
-            system, spec, SCALE, seed=SEED, backend="batch", warm=warm
+            system, spec, SCALE, seed=SEED, warm=warm
         ).to_payload()
         assert _canon(restored) == _canon(cold)
 

@@ -131,9 +131,9 @@ class TestViewCoherence:
         assert state.valid_count[1] == 42
 
     def test_pre_restore_view_references_see_restored_data(self):
-        # The batch backend caches ``state.<col>_np`` arrays; since
-        # restore writes into the same buffers, even a stale reference
-        # observes the restored bytes.
+        # Callers may hold ``state.<col>_np`` arrays across a restore;
+        # since restore writes into the same buffers, even a stale
+        # reference observes the restored bytes.
         state = _make_state()
         held = state.page_state_np
         source = _make_state()

@@ -1,14 +1,16 @@
-"""Stream admission and idle-drain fast paths of the event engine.
+"""Stream admission of the event engine.
 
-``add_stream`` is the batch backend's admission path: a time-sorted run
-of events that bypasses the heap but reserves the exact sequence numbers
-per-event ``at()`` calls would have consumed, so the merged firing order
-is byte-identical.  These tests pin that equivalence and the error
-contract, plus the ``run_until_idle(track_peak=False)`` bookkeeping
-trade-off.
+``add_stream`` is how the open-loop driver admits requests: a
+time-sorted run of events that bypasses the heap but reserves the exact
+sequence numbers per-event ``at()`` calls would have consumed, so the
+merged firing order is byte-identical.  These tests pin that
+equivalence, the exact ``peak_pending`` statistic, and the error
+contract.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -48,8 +50,9 @@ class TestStreamOrdering:
         assert log == ["s1", "heap-before", "s2", "heap-after"]
 
     def test_stream_matches_at_admission_byte_for_byte(self):
-        """The equivalence the batch backend relies on: same callbacks,
-        same times → identical firing order under either admission."""
+        """The equivalence the open-loop driver relies on: same
+        callbacks, same times → identical firing order under either
+        admission."""
         times = [0.0, 0.5, 0.5, 1.5, 1.5, 1.5, 3.0]
 
         def run(use_stream: bool) -> list[int]:
@@ -119,29 +122,69 @@ class TestStreamErrors:
         assert log == ["first", "second"]
 
 
-class TestRunUntilIdle:
-    def test_counts_stay_exact_without_peak_tracking(self):
-        engine = SimEngine()
-        for i in range(5):
-            engine.at(float(i), lambda: None)
-        engine.run_until_idle(track_peak=False)
-        assert engine.processed == 5
-        assert engine.pending == 0
+class TestPeakPending:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stream_and_at_admission_agree_on_order_and_peak(self, seed):
+        """Callbacks push follow-ups mid-drain (some at the same instant,
+        some far ahead), an earlier burst has already drained, heap
+        events exist before and after admission, and part of the drain
+        runs through ``step``: the firing order and the queue high-water
+        mark must match event for event."""
+        rng = random.Random(seed)
+        times = sorted(rng.uniform(0.0, 50.0) for _ in range(rng.randint(1, 40)))
+        drained = rng.randint(0, 30)
+        before = [rng.uniform(0.0, 60.0) for _ in range(rng.randint(0, 5))]
+        after = [rng.uniform(0.0, 60.0) for _ in range(rng.randint(0, 5))]
+        fanout = [rng.randint(0, 3) for _ in times]
+        delays = [rng.choice((0.0, 0.5, 5.0, 30.0)) for _ in range(4 * len(times))]
+        steps = rng.randint(0, 10)
 
-    def test_peak_tracking_restored_after_fast_drain(self):
-        engine = SimEngine()
-        engine.at(1.0, lambda: None)
-        engine.run_until_idle(track_peak=False)
-        # Pushes after the drain must update the high-water mark again.
-        before = engine.peak_pending
-        engine.at(2.0, lambda: None)
-        engine.at(3.0, lambda: None)
-        assert engine.peak_pending >= max(before, 2)
+        def run(use_stream: bool) -> tuple[list, int, list[int]]:
+            engine = SimEngine()
+            log: list = []
+            peaks: list[int] = []
+            delay_iter = iter(delays)
 
-    def test_stream_events_bypass_peak_statistic(self):
+            def make(i: int):
+                def callback() -> None:
+                    log.append(i)
+                    peaks.append(engine.peak_pending)
+                    for k in range(fanout[i]):
+                        engine.push(
+                            engine.now + next(delay_iter), _record(log, (i, k))
+                        )
+
+                return callback
+
+            # An earlier, already drained burst sets a high-water mark
+            # the admission must neither lose nor add to.
+            for j in range(drained):
+                engine.at(0.0, _record(log, ("drained", j)))
+            engine.run()
+            for j, t in enumerate(before):
+                engine.at(t, _record(log, ("before", j)))
+            events = [(t, make(i)) for i, t in enumerate(times)]
+            if use_stream:
+                engine.add_stream(events)
+            else:
+                for t, cb in events:
+                    engine.at(t, cb)
+            for j, t in enumerate(after):
+                engine.at(t, _record(log, ("after", j)))
+            for _ in range(steps):
+                engine.step()
+            engine.run()
+            assert engine.pending == 0
+            return log, engine.peak_pending, peaks
+
+        assert run(use_stream=True) == run(use_stream=False)
+
+    def test_stream_counts_toward_peak_from_admission(self):
         engine = SimEngine()
+        engine.at(0.5, lambda: None)
         engine.add_stream([(float(i), lambda: None) for i in range(10)])
-        assert engine.pending == 10
-        engine.run_until_idle(track_peak=False)
-        assert engine.peak_pending == 0
-        assert engine.processed == 10
+        assert engine.pending == 11
+        assert engine.peak_pending == 11
+        engine.run()
+        assert engine.peak_pending == 11
+        assert engine.processed == 11
