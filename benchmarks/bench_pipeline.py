@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Microbenchmark: simulated-ops throughput of the staged op pipeline.
+"""Microbenchmark: simulated-ops throughput of the op pipeline.
 
-The op-pipeline refactor (closure webs -> :class:`OpPipeline` stage
-machine) must not slow simulation down: the acceptance gate is "no worse
-than 5% below the pre-refactor baseline".  Because absolute wall time is
+Each physical op runs as an :class:`~repro.sim.pipeline.OpPipeline`
+over an :class:`~repro.sim.pipeline.OpPlan` compiled once per op shape:
+flat per-boundary methods, no generic stage walk, no observer work
+unless something observes.  A change to that hot path must not slow
+simulation down: the acceptance gate is "no worse than 5% below the
+baseline recorded before the change".  Because absolute wall time is
 machine-dependent, the comparison runs in two steps:
 
-* on the *pre-refactor* tree:   ``bench_pipeline.py --record base.json``
-* on the *post-refactor* tree:  ``bench_pipeline.py --check --baseline base.json``
+* on the tree *before* the change:  ``bench_pipeline.py --record base.json``
+* on the tree *after* the change:   ``bench_pipeline.py --check --baseline base.json``
 
 which fails (exit 1) when the new median wall time exceeds the recorded
 one by more than ``--threshold`` percent.  Without ``--baseline`` the

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Protocol, runtime_checkable
+from typing import NamedTuple, Protocol, runtime_checkable
 
 __all__ = [
     "OpKind",
@@ -39,9 +39,12 @@ class OpKind(Enum):
     ERASE = "erase"
 
 
-@dataclass(frozen=True)
-class PhysOp:
+class PhysOp(NamedTuple):
     """One physical operation to be timed by the simulator.
+
+    A ``NamedTuple``: immutable, compared by value, and several times
+    cheaper to build than a frozen dataclass — the FTL builds one per
+    timed physical op.
 
     Attributes:
         kind: Operation type.

@@ -5,9 +5,11 @@ from .engine import SimEngine
 from .metrics import LatencyStats, ReadMixCounters, SimMetrics
 from .pipeline import (
     OpPipeline,
+    OpPlan,
     PageRecord,
     RequestSpan,
     Stage,
+    StageObservers,
     adjust_stages,
     erase_stages,
     read_stages,
@@ -33,9 +35,11 @@ __all__ = [
     "run_open_loop",
     "run_closed_loop",
     "OpPipeline",
+    "OpPlan",
     "PageRecord",
     "RequestSpan",
     "Stage",
+    "StageObservers",
     "read_stages",
     "write_stages",
     "adjust_stages",

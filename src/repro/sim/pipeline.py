@@ -1,4 +1,4 @@
-"""Declarative per-op stage pipelines over contended resources.
+"""Per-op stage programs over contended resources.
 
 Every physical flash operation moves through a fixed sequence of
 *stages* (Fig. 1 / Sec. II-C):
@@ -11,22 +11,21 @@ Every physical flash operation moves through a fixed sequence of
 * **adjust** (IDA voltage adjustment): ``adjust`` (die);
 * **erase**: ``erase`` (die).
 
-A :class:`Stage` is a declarative ``(resource, duration, name)`` step;
-:class:`OpPipeline` walks a tuple of stages, submitting each to its
-resource (or, for resource-free stages such as the deeply-pipelined
-hardware ECC decoder, scheduling a pure delay) and advancing on
-completion.  Observation attaches *generically* at stage boundaries:
-when a :class:`PageRecord` is supplied the pipeline notes queue wait and
-service time per stage — one code path serves traced and untraced runs,
-the untraced case paying only a ``record is None`` check per boundary.
+A :class:`Stage` is a declarative ``(resource, duration, name)`` step and
+the builders below return the stage tuple of each op kind.  The
+simulator compiles each tuple once into an :class:`OpPlan` — one or two
+resource stages plus an optional trailing latency-only stage (the
+deeply pipelined hardware ECC decoder adds delay without queueing) — and
+an :class:`OpPipeline` runs one op through it.  Each stage boundary is a
+bound method that submits the next stage directly, with no generic
+stage walk in between.
 
-The stage machine replaces the per-op closure webs the simulator grew in
-its first iteration: one pipeline object (``__slots__``, bound-method
-callbacks, latency-only stages included) instead of two-to-three
-closures per op, with identical event scheduling — golden-parity tests
-pin the refactor to the float.  The stage tuples themselves are compiled
-once per plane by the simulator (:class:`~repro.sim.ssd.SsdSimulator`),
-not built per op.
+Observation attaches at those boundaries through one
+:class:`StageObservers` slot: a :class:`PageRecord` noting queue wait and
+service time per stage, the profiler's op context and the fault
+injector's op context all sit behind it, and an unobserved op pays one
+``is None`` check per boundary.  Golden-parity tests pin the event
+order of this machine to the float.
 """
 
 from __future__ import annotations
@@ -40,7 +39,9 @@ from .resources import IoPriority, Resource
 
 __all__ = [
     "Stage",
+    "OpPlan",
     "OpPipeline",
+    "StageObservers",
     "PageRecord",
     "RequestSpan",
     "read_stages",
@@ -218,44 +219,119 @@ class RequestSpan:
         tracer.emit(complete_us, kind, **payload)
 
 
+class StageObservers:
+    """Everything watching one op's stage boundaries, behind one slot.
+
+    An op may be traced (a :class:`PageRecord` joining a
+    :class:`RequestSpan`), profiled (a
+    :class:`~repro.obs.profiler.ProfiledOp`) and fault-marked (a
+    :class:`~repro.faults.injector.FaultedOp`) at once.  The simulator
+    builds this fan-out only when at least one of them is present, so an
+    unobserved op pays one ``obs is None`` check per boundary.
+    """
+
+    __slots__ = ("span", "record", "profile", "fault")
+
+    def __init__(
+        self,
+        span: RequestSpan | None = None,
+        record: PageRecord | None = None,
+        profile=None,
+        fault=None,
+    ) -> None:
+        self.span = span
+        self.record = record
+        self.profile = profile
+        self.fault = fault
+
+    def note_stage(
+        self, stage: Stage, submit_us: float, start_us: float, end_us: float
+    ) -> None:
+        """One stage finished: it was submitted at ``submit_us`` and
+        served over ``[start_us, end_us]``."""
+        if self.record is not None:
+            self.record.note_stage(stage.name, start_us - submit_us, start_us, end_us)
+        if self.profile is not None:
+            self.profile.note_stage(stage, submit_us, start_us, end_us)
+        if self.fault is not None:
+            self.fault.note_stage(stage, submit_us, start_us, end_us)
+
+    def complete(self, end_us: float) -> None:
+        """The op's last stage finished (called before ``on_done``)."""
+        if self.record is not None and self.span is not None:
+            self.span.add_page(self.record)
+        if self.profile is not None:
+            self.profile.complete(end_us)
+
+
+class OpPlan:
+    """A stage tuple compiled into the fixed program one op shape runs.
+
+    A plan is one or two resource stages, optionally followed by one
+    latency-only stage; the simulator's ops use three of those four
+    shapes (read: die, channel, ECC; write: channel, die; adjust and
+    erase: die).  Compiling the tuple once pulls each stage's resource and
+    duration into a slot, so running an op does no per-stage lookups.
+
+    Raises:
+        ValueError: For any other shape — no stages, a latency-only
+            stage first or in the middle, or more than two resource
+            stages.
+    """
+
+    __slots__ = ("stages", "first", "first_us", "second", "second_us", "latency_us")
+
+    def __init__(self, stages: tuple[Stage, ...]) -> None:
+        stages = tuple(stages)
+        served = 0
+        while served < len(stages) and stages[served].resource is not None:
+            served += 1
+        if not 1 <= served <= 2 or len(stages) - served > 1:
+            names = [stage.name for stage in stages]
+            raise ValueError(
+                "an op plan is one or two resource stages plus at most one "
+                f"trailing latency-only stage, got {names}"
+            )
+        self.stages = stages
+        self.first: Resource = stages[0].resource
+        self.first_us = stages[0].duration_us
+        self.second: Resource | None = stages[1].resource if served == 2 else None
+        self.second_us = stages[1].duration_us if served == 2 else 0.0
+        self.latency_us: float | None = (
+            stages[-1].duration_us if len(stages) > served else None
+        )
+
+
 class OpPipeline:
-    """Walks one op through its stages on the event engine.
+    """Runs one op through its compiled :class:`OpPlan` on the engine.
+
+    Each stage boundary is its own bound method, so a completion goes
+    straight to the next submission: :meth:`_to_second` (die -> channel
+    for reads, channel -> die for writes), :meth:`_to_latency` (channel
+    -> ECC), :meth:`_latency_done` and :meth:`_done` (the op's end).
 
     Args:
         engine: The simulation clock.
-        stages: The declarative stage tuple (from the builders above).
+        plan: The compiled program of this op's shape.
         klass: Dispatch class for resource accounting.
         queue: Resource queue class the scheduling policy mapped this op
             to (read-first maps it to ``klass`` itself).
         on_done: Completion callback ``(start_us, end_us)`` where
             ``start_us`` is the service start of the last *resource*
-            stage and ``end_us`` the pipeline end (including trailing
-            latency-only stages) — the contract every completion sink
+            stage and ``end_us`` the pipeline end (including a trailing
+            latency-only stage) — the contract every completion sink
             (request trackers, internal chains) consumes.
-        span: Optional :class:`RequestSpan` the finished record joins.
-        record: Optional :class:`PageRecord` noting stage boundaries.
-        profile: Optional profiler op context
-            (:class:`~repro.obs.profiler.ProfiledOp`) fed the same stage
-            boundaries plus resource identity; unprofiled runs pay one
-            ``is None`` check per boundary, exactly like ``record``.
-        fault: Optional fault-injection op context
-            (:class:`~repro.faults.injector.FaultedOp`) — present only on
-            the (rare) ops a bound FaultPlan marked as failing, fed the
-            same stage boundaries; fault-free runs pay the same single
-            ``is None`` check as ``record`` and ``profile``.
+        obs: Optional :class:`StageObservers` fed every stage boundary
+            and the op's completion.
     """
 
     __slots__ = (
         "engine",
-        "stages",
+        "plan",
         "klass",
         "queue",
         "on_done",
-        "span",
-        "record",
-        "profile",
-        "fault",
-        "_index",
+        "obs",
         "_submit_us",
         "_last_start_us",
     )
@@ -263,67 +339,71 @@ class OpPipeline:
     def __init__(
         self,
         engine: SimEngine,
-        stages: tuple[Stage, ...],
+        plan: OpPlan,
         klass: IoPriority,
         queue: IoPriority,
         on_done: Callable[[float, float], None],
-        span: RequestSpan | None = None,
-        record: PageRecord | None = None,
-        profile=None,
-        fault=None,
+        obs: StageObservers | None = None,
     ) -> None:
-        if not stages:
-            raise ValueError("a pipeline needs at least one stage")
         self.engine = engine
-        self.stages = stages
+        self.plan = plan
         self.klass = klass
         self.queue = queue
         self.on_done = on_done
-        self.span = span
-        self.record = record
-        self.profile = profile
-        self.fault = fault
-        self._index = 0
+        self.obs = obs
         self._submit_us = 0.0
         self._last_start_us = 0.0
 
     def start(self) -> None:
         """Submit the first stage; the rest chain on completions."""
-        self._dispatch()
+        plan = self.plan
+        self._submit_us = self.engine.now
+        if plan.second is not None:
+            done = self._to_second
+        elif plan.latency_us is not None:
+            done = self._to_latency
+        else:
+            done = self._done
+        plan.first.submit(self.klass, plan.first_us, done, self.queue)
 
-    def _dispatch(self) -> None:
-        stage = self.stages[self._index]
+    def _to_second(self, start_us: float, end_us: float) -> None:
+        """First of two resource stages done: submit the second."""
+        plan = self.plan
+        if self.obs is not None:
+            self.obs.note_stage(plan.stages[0], self._submit_us, start_us, end_us)
+        self._submit_us = self.engine.now
+        plan.second.submit(
+            self.klass,
+            plan.second_us,
+            self._done if plan.latency_us is None else self._to_latency,
+            self.queue,
+        )
+
+    def _to_latency(self, start_us: float, end_us: float) -> None:
+        """Last resource stage done: start the trailing latency stage."""
+        plan = self.plan
+        if self.obs is not None:
+            self.obs.note_stage(plan.stages[-2], self._submit_us, start_us, end_us)
+        self._last_start_us = start_us
         engine = self.engine
         now = self._submit_us = engine.now
-        resource = stage.resource
-        if resource is not None:
-            resource.submit(self.klass, stage.duration_us, self._stage_done, self.queue)
-        else:
-            engine.push(now + stage.duration_us, self._latency_done)
+        engine.push(now + plan.latency_us, self._latency_done)
 
     def _latency_done(self) -> None:
-        """End of a latency-only stage: it started at submission and its
+        """End of the latency stage: it started at submission and its
         event fires at exactly ``submit + duration``."""
-        self._stage_done(self._submit_us, self.engine.now)
-
-    def _stage_done(self, start_us: float, end_us: float) -> None:
-        stage = self.stages[self._index]
-        if self.record is not None:
-            self.record.note_stage(
-                stage.name, start_us - self._submit_us, start_us, end_us
-            )
-        if self.profile is not None:
-            self.profile.note_stage(stage, self._submit_us, start_us, end_us)
-        if self.fault is not None:
-            self.fault.note_stage(stage, self._submit_us, start_us, end_us)
-        if stage.resource is not None:
-            self._last_start_us = start_us
-        self._index += 1
-        if self._index < len(self.stages):
-            self._dispatch()
-            return
-        if self.record is not None and self.span is not None:
-            self.span.add_page(self.record)
-        if self.profile is not None:
-            self.profile.complete(end_us)
+        end_us = self.engine.now
+        obs = self.obs
+        if obs is not None:
+            submit_us = self._submit_us
+            obs.note_stage(self.plan.stages[-1], submit_us, submit_us, end_us)
+            obs.complete(end_us)
         self.on_done(self._last_start_us, end_us)
+
+    def _done(self, start_us: float, end_us: float) -> None:
+        """Last stage, a resource stage, done."""
+        obs = self.obs
+        if obs is not None:
+            obs.note_stage(self.plan.stages[-1], self._submit_us, start_us, end_us)
+            obs.complete(end_us)
+        self.on_done(start_us, end_us)

@@ -14,16 +14,17 @@ Service is the simulator's hottest path, so :meth:`Resource.submit`
 starts an op in place when the resource is idle with every queue empty.
 Enqueue-then-dispatch could only have picked that very op, so the fast
 start schedules the same completion event in the same ``(time, seq)``
-slot and reorders nothing.  Completions all go through one pre-bound :meth:`Resource._finish`,
-which empties the in-service slot *before* calling back, so a finished
-op (and the pipeline graph its callback reaches) is never kept alive by
-the resource that served it.
+slot and reorders nothing.  An op that does wait is queued as a plain
+tuple, and the wait-class snapshot it carries is built only when
+profiling asked for it.  Completions all go through one pre-bound
+:meth:`Resource._finish`, which empties the in-service slot *before*
+calling back, so a finished op (and the pipeline graph its callback
+reaches) is never kept alive by the resource that served it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable
 
@@ -44,18 +45,6 @@ class IoPriority(IntEnum):
     HOST_READ = 0
     HOST_WRITE = 1
     INTERNAL = 2
-
-
-@dataclass(slots=True)
-class _PendingOp:
-    duration: float
-    on_done: Callable[[float, float], None]
-    enqueued_us: float
-    klass: IoPriority
-    # Wait-class profiling snapshot, filled only when the owning
-    # resource's profiling is enabled: (per-class busy integral at
-    # enqueue, (class, end_us) of the op then in service or None).
-    snapshot: tuple | None = None
 
 
 class Resource:
@@ -90,15 +79,20 @@ class Resource:
         #: wait-class attribution differences (one float add per start).
         self.busy_us_by_class = [0.0] * len(IoPriority)
         # The op in service: its completion callback (``None`` while
-        # idle) and service window.  Cleared by ``_finish`` before the
-        # callback runs.
+        # idle), dispatch class and service window.  ``_finish`` clears
+        # the callback before calling it; the class and window stay
+        # until the next start (the wait-class snapshot reads them).
         self._on_done: Callable[[float, float], None] | None = None
+        self._klass: IoPriority | None = None
         self._start_us = 0.0
         self._end_us = 0.0
         # Pre-bound once: every completion event schedules this object
         # instead of a fresh per-op closure.
         self._finish_event = self._finish
-        self._queues: tuple[deque[_PendingOp], ...] = tuple(
+        # Queued ops are plain tuples ``(duration, on_done, enqueued_us,
+        # klass, snapshot)``; ``snapshot`` is ``None`` unless wait-class
+        # profiling is on (see ``submit``).
+        self._queues: tuple[deque[tuple], ...] = tuple(
             deque() for _ in IoPriority
         )
         # Queue-wait accounting per dispatch class: how long ops of each
@@ -122,7 +116,6 @@ class Resource:
         self._wait_inflight = [
             [0.0] * len(IoPriority) for _ in IoPriority
         ]
-        self._inflight: tuple[IoPriority, float] | None = None
 
     @property
     def is_busy(self) -> bool:
@@ -143,8 +136,8 @@ class Resource:
         """
         depths = {priority.name.lower(): 0 for priority in IoPriority}
         for queue in self._queues:
-            for op in queue:
-                depths[op.klass.name.lower()] += 1
+            for _, _, _, klass, _ in queue:
+                depths[klass.name.lower()] += 1
         return depths
 
     def submit(
@@ -177,7 +170,7 @@ class Resource:
             self.busy_us += duration
             self._ops_served[priority] += 1
             self.busy_us_by_class[priority] += duration
-            self._inflight = (priority, end)
+            self._klass = priority
             self._on_done = on_done
             self._start_us = now
             self._end_us = end
@@ -187,10 +180,16 @@ class Resource:
         # the resource is momentarily idle (from a completion callback
         # that chains background work) must not jump ahead of
         # higher-priority operations already waiting.
-        op = _PendingOp(duration, on_done, self.engine.now, priority)
+        snapshot = None
         if self.profile_waits:
-            op.snapshot = (tuple(self.busy_us_by_class), self._inflight)
-        queues[queue if queue is not None else priority].append(op)
+            # Per-class busy integral at enqueue, and (class, end_us) of
+            # the op last started here — still in service, or just
+            # finished at this very instant — or None before any start.
+            inflight = None if self._klass is None else (self._klass, self._end_us)
+            snapshot = (tuple(self.busy_us_by_class), inflight)
+        queues[queue if queue is not None else priority].append(
+            (duration, on_done, self.engine.now, priority, snapshot)
+        )
         self._dispatch_next()
 
     def enable_wait_profile(self) -> None:
@@ -203,36 +202,35 @@ class Resource:
             return
         for queue in self._queues:
             if queue:
-                op = queue.popleft()
+                duration, on_done, enqueued_us, klass, snapshot = queue.popleft()
                 break
         else:
             return
         start = self.engine.now
-        end = start + op.duration
-        klass = op.klass
-        self.busy_us += op.duration
+        end = start + duration
+        self.busy_us += duration
         self._ops_served[klass] += 1
-        self._wait_us[klass] += start - op.enqueued_us
-        if op.snapshot is not None:
+        self._wait_us[klass] += start - enqueued_us
+        if snapshot is not None:
             # While this op waited the resource was continuously busy, so
             # its wait tiles exactly into (a) the remainder of the op in
             # service at enqueue and (b) service periods that started
             # during the wait — which is the growth of the per-class busy
             # integral since the snapshot, because integrals are credited
             # here, at service start.
-            base, inflight = op.snapshot
-            if start > op.enqueued_us:
+            base, inflight = snapshot
+            if start > enqueued_us:
                 if inflight is not None:
                     served_by, served_end = inflight
                     self._wait_inflight[klass][served_by] += max(
-                        0.0, min(served_end, start) - op.enqueued_us
+                        0.0, min(served_end, start) - enqueued_us
                     )
                 behind = self._wait_behind[klass]
                 for k in IoPriority:
                     behind[k] += self.busy_us_by_class[k] - base[k]
-        self.busy_us_by_class[klass] += op.duration
-        self._inflight = (klass, end)
-        self._on_done = op.on_done
+        self.busy_us_by_class[klass] += duration
+        self._klass = klass
+        self._on_done = on_done
         self._start_us = start
         self._end_us = end
         self.engine.push(end, self._finish_event)

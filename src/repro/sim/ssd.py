@@ -8,9 +8,9 @@ The simulator is a thin conductor over the layered architecture (see
 * **scheduling policy** — :mod:`repro.sim.policy` decides which resource
   queue each dispatch class waits in and how internal traffic is paced
   (read-first by default, Table II);
-* **op pipeline** — :mod:`repro.sim.pipeline` walks each physical op
-  through its declarative stages (sense/transfer/ECC for reads,
-  transfer/program for writes, adjust/erase for internal ops);
+* **op pipeline** — :mod:`repro.sim.pipeline` runs each physical op
+  through a plan compiled from its declarative stages (sense/transfer/ECC
+  for reads, transfer/program for writes, adjust/erase for internal ops);
 * **resources** — contended dies and channels, where all queueing
   behaviour comes from;
 * **FTL** — reached only through the :class:`FlashTranslation` protocol
@@ -48,8 +48,10 @@ from .engine import SimEngine
 from .metrics import SimMetrics
 from .pipeline import (
     OpPipeline,
+    OpPlan,
     PageRecord,
     RequestSpan,
+    StageObservers,
     adjust_stages,
     erase_stages,
     read_stages,
@@ -65,6 +67,13 @@ from .resources import (
 from .scheduler import HostRequest, OutstandingRequest
 
 __all__ = ["SsdSimulator"]
+
+# Enum members bound once: ``OpKind.READ`` is a class-attribute lookup
+# through the enum metaclass on every access, ``_READ`` a global.
+_READ = OpKind.READ
+_WRITE = OpKind.WRITE
+_ADJUST = OpKind.ADJUST
+_HOST_READ = IoPriority.HOST_READ
 
 
 class _InternalChain:
@@ -207,26 +216,31 @@ class SsdSimulator:
         # instead of per dispatched op.
         self._queue_of = tuple(self.policy.queue_class(k) for k in IoPriority)
         # Compiled op plans.  Routing is static (block -> plane -> die,
-        # channel), so the stage tuple every write, adjust and erase on
-        # a plane walks is compiled here, once; planes of one die share
-        # them.  Reads vary with sense count and retry passes: they are
+        # channel), so the plan every write, adjust and erase on a plane
+        # runs is compiled here, once; planes of one die share them.
+        # Reads vary with sense count and retry passes: they are
         # compiled on first use and cached by (plane, senses, retries).
+        self._blocks_per_plane = geometry.blocks_per_plane
         self._plane_resources: list[tuple[Resource, Resource]] = []
-        self._fixed_plans: list[dict[OpKind, tuple]] = []
-        die_plans: dict[int, dict[OpKind, tuple]] = {}
+        self._write_plans: list[OpPlan] = []
+        self._adjust_plans: list[OpPlan] = []
+        self._erase_plans: list[OpPlan] = []
+        die_plans: dict[int, tuple[OpPlan, OpPlan, OpPlan]] = {}
         for plane in range(geometry.total_planes):
             die = self.dies[geometry.die_of_plane(plane)]
             channel = self.channels[geometry.channel_of_plane(plane)]
             plans = die_plans.get(die.index)
             if plans is None:
-                plans = die_plans[die.index] = {
-                    OpKind.WRITE: write_stages(die, channel, timing),
-                    OpKind.ADJUST: adjust_stages(die, timing),
-                    OpKind.ERASE: erase_stages(die, timing),
-                }
+                plans = die_plans[die.index] = (
+                    OpPlan(write_stages(die, channel, timing)),
+                    OpPlan(adjust_stages(die, timing)),
+                    OpPlan(erase_stages(die, timing)),
+                )
             self._plane_resources.append((die, channel))
-            self._fixed_plans.append(plans)
-        self._read_plans: dict[tuple[int, int, int], tuple] = {}
+            self._write_plans.append(plans[0])
+            self._adjust_plans.append(plans[1])
+            self._erase_plans.append(plans[2])
+        self._read_plans: dict[tuple[int, int, int], OpPlan] = {}
         if self.collector is not None:
             self.collector.bind(self.engine, self.dies, self.channels)
             # Utilization/queue-depth timelines ride the collector's
@@ -316,7 +330,7 @@ class SsdSimulator:
             assert op.bit is not None and op.wl_validity is not None
             self.metrics.read_mix.record(op.bit, op.wl_validity, op.from_ida)
         self._launch_request(
-            request, ops, IoPriority.HOST_READ, "read_span", on_request_done
+            request, ops, _HOST_READ, "read_span", on_request_done
         )
 
     def dispatch_write(self, request: HostRequest, on_request_done=None) -> None:
@@ -344,14 +358,14 @@ class SsdSimulator:
             self.profiler.begin_request(
                 request.request_id,
                 request.arrival_us,
-                "read" if klass is IoPriority.HOST_READ else "write",
+                "read" if klass is _HOST_READ else "write",
             )
             if self.profiler is not None
             else None
         )
         stats = (
             self.metrics.read_response
-            if klass is IoPriority.HOST_READ
+            if klass is _HOST_READ
             else self.metrics.write_response
         )
         record_interval = (
@@ -359,18 +373,18 @@ class SsdSimulator:
             if self.collector is None
             else (
                 self.collector.record_read
-                if klass is IoPriority.HOST_READ
+                if klass is _HOST_READ
                 else self.collector.record_write
             )
         )
         observe_latency = (
-            self._lat_read if klass is IoPriority.HOST_READ else self._lat_write
+            self._lat_read if klass is _HOST_READ else self._lat_write
         )
 
         def complete(req: HostRequest, now_us: float) -> None:
             response = now_us - req.arrival_us + self.timing.host_overhead_us
             stats.add(response)
-            if klass is IoPriority.HOST_READ:
+            if klass is _HOST_READ:
                 self.metrics.bytes_read += req.size_bytes
             else:
                 self.metrics.bytes_written += req.size_bytes
@@ -386,7 +400,7 @@ class SsdSimulator:
                 )
             if self.on_host_request_complete is not None:
                 self.on_host_request_complete(
-                    req, klass is IoPriority.HOST_READ
+                    req, klass is _HOST_READ
                 )
             if on_request_done is not None:
                 on_request_done()
@@ -424,21 +438,23 @@ class SsdSimulator:
         span: RequestSpan | None = None,
         prof_ctx=None,
     ) -> None:
-        """Route one physical op into its stage pipeline."""
-        plane = self.geometry.plane_of_block(op.block_index)
+        """Run one physical op through its compiled plan."""
+        plane = op.block_index // self._blocks_per_plane
+        host_read = klass is _HOST_READ
         fault = (
-            self.faults.on_dispatch(op, klass is IoPriority.HOST_READ)
+            self.faults.on_dispatch(op, host_read)
             if self.faults is not None
             else None
         )
+        kind = op.kind
         retries = 0
-        if op.kind is OpKind.READ:
+        if kind is _READ:
             # Retention-induced read retries hit long-stored data, i.e.
             # host reads.  Refresh-internal reads either target data
             # about to be rewritten anyway or verify *freshly
             # reprogrammed* pages whose RBER is far below the retry
             # threshold, so they decode hard.
-            if klass is IoPriority.HOST_READ:
+            if host_read:
                 retries = self.retry_model.sample_retries(
                     self._host_retry_rng, senses=op.senses
                 )
@@ -456,32 +472,39 @@ class SsdSimulator:
                     if self.faults is not None:
                         self.faults.note_read_retries(op, retries)
             key = (plane, op.senses, retries)
-            stages = self._read_plans.get(key)
-            if stages is None:
+            plan = self._read_plans.get(key)
+            if plan is None:
                 die, channel = self._plane_resources[plane]
-                stages = self._read_plans[key] = read_stages(
-                    die, channel, self.timing, op.senses, 1 + retries
+                plan = self._read_plans[key] = OpPlan(
+                    read_stages(die, channel, self.timing, op.senses, 1 + retries)
                 )
+        elif kind is _WRITE:
+            plan = self._write_plans[plane]
+        elif kind is _ADJUST:
+            plan = self._adjust_plans[plane]
         else:
-            stages = self._fixed_plans[plane][op.kind]
+            plan = self._erase_plans[plane]
         self.ops_dispatched += 1
-        record = None
-        if span is not None:
-            record = PageRecord(
-                op.block_index,
-                op.page if op.page is not None else -1,
-                op.senses,
-                retries,
-                submit_us=self.engine.now,
+        obs = None
+        if span is not None or self.profiler is not None or fault is not None:
+            record = None
+            if span is not None:
+                record = PageRecord(
+                    op.block_index,
+                    op.page if op.page is not None else -1,
+                    op.senses,
+                    retries,
+                    submit_us=self.engine.now,
+                )
+            profile = (
+                self.profiler.begin_op(klass, prof_ctx)
+                if self.profiler is not None
+                else None
             )
-        profile = (
-            self.profiler.begin_op(klass, prof_ctx)
-            if self.profiler is not None
-            else None
-        )
+            obs = StageObservers(span, record, profile, fault)
         if fault is not None:
             on_done = self.faults.wrap_completion(fault, on_done)
-        elif op.kind is OpKind.ADJUST:
+        elif kind is _ADJUST:
             # Clean adjust completions write their on-flash commit
             # record and retire any torn-recovery journal intent.  This
             # runs with or without a fault plan: the SPOR journal
@@ -489,15 +512,7 @@ class SsdSimulator:
             # no stale intents behind for a later mount to misread.
             on_done = self._wrap_adjust_commit(op, on_done)
         OpPipeline(
-            self.engine,
-            stages,
-            klass,
-            self._queue_of[klass],
-            on_done,
-            span,
-            record,
-            profile,
-            fault,
+            self.engine, plan, klass, self._queue_of[klass], on_done, obs
         ).start()
 
     def _wrap_adjust_commit(self, op: PhysOp, inner):

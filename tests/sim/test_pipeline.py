@@ -1,4 +1,4 @@
-"""Tests for the staged op pipeline (repro.sim.pipeline)."""
+"""Tests for the compiled op programs (repro.sim.pipeline)."""
 
 from __future__ import annotations
 
@@ -8,8 +8,11 @@ from repro.flash.timing import TimingSpec
 from repro.sim.engine import SimEngine
 from repro.sim.pipeline import (
     OpPipeline,
+    OpPlan,
     PageRecord,
+    RequestSpan,
     Stage,
+    StageObservers,
     adjust_stages,
     erase_stages,
     read_stages,
@@ -68,24 +71,93 @@ class TestStageBuilders:
         assert erase.duration_us == timing.erase_us
 
 
-class TestOpPipeline:
-    def _run(self, engine, stages, record=None):
-        done: list[tuple[float, float]] = []
-        OpPipeline(
-            engine,
-            stages,
-            IoPriority.HOST_READ,
-            IoPriority.HOST_READ,
-            lambda s, e: done.append((s, e)),
-            record=record,
-        ).start()
-        engine.run()
-        return done
+def _resources(engine):
+    return (
+        Resource(engine, "die", kind="die"),
+        Resource(engine, "chan", kind="channel"),
+    )
 
+
+class _Notes:
+    """Stands in for the profiler's and the fault injector's op context."""
+
+    def __init__(self, log: list, tag: str) -> None:
+        self.log = log
+        self.tag = tag
+
+    def note_stage(self, stage, submit_us, start_us, end_us) -> None:
+        self.log.append((self.tag, stage.name, submit_us, start_us, end_us))
+
+    def complete(self, end_us) -> None:
+        self.log.append((self.tag, "complete", end_us))
+
+
+def _run(engine, plan, klass=IoPriority.HOST_READ, obs=None):
+    done: list[tuple[float, float]] = []
+    OpPipeline(engine, plan, klass, klass, lambda s, e: done.append((s, e)), obs).start()
+    engine.run()
+    return done
+
+
+class TestOpPlan:
+    def test_read_plan_is_die_then_channel_then_latency(self, engine, timing):
+        die, chan = _resources(engine)
+        plan = OpPlan(read_stages(die, chan, timing, senses=2, passes=2))
+        assert plan.first is die
+        assert plan.first_us == timing.read_us(2) * 2
+        assert plan.second is chan
+        assert plan.second_us == timing.transfer_us
+        assert plan.latency_us == timing.ecc_decode_us * 2
+        assert [s.name for s in plan.stages] == ["sense", "transfer", "ecc"]
+
+    def test_write_plan_is_channel_then_die(self, engine, timing):
+        die, chan = _resources(engine)
+        plan = OpPlan(write_stages(die, chan, timing))
+        assert (plan.first, plan.second) == (chan, die)
+        assert plan.second_us == timing.program_us
+        assert plan.latency_us is None
+
+    def test_adjust_and_erase_plans_are_die_only(self, engine, timing):
+        die, _ = _resources(engine)
+        for stages in (adjust_stages(die, timing), erase_stages(die, timing)):
+            plan = OpPlan(stages)
+            assert plan.first is die
+            assert plan.first_us == stages[0].duration_us
+            assert plan.second is None
+            assert plan.latency_us is None
+
+    def test_one_resource_stage_then_latency(self, engine):
+        die, _ = _resources(engine)
+        plan = OpPlan((Stage(die, 5.0, "sense"), Stage(None, 3.0, "ecc")))
+        assert plan.second is None
+        assert plan.latency_us == 3.0
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "",  # no stage at all
+            "L",  # latency-only first
+            "LR",
+            "RLR",  # latency-only in the middle
+            "RLL",  # two trailing latency stages
+            "RRR",  # three resource stages
+            "RRRL",
+        ],
+    )
+    def test_unsupported_shape_raises(self, engine, shape):
+        die, _ = _resources(engine)
+        stages = tuple(
+            Stage(die if c == "R" else None, 1.0, "sense" if c == "R" else "ecc")
+            for c in shape
+        )
+        with pytest.raises(ValueError, match="op plan"):
+            OpPlan(stages)
+
+
+class TestOpPipeline:
     def test_read_walks_all_stages_on_idle_device(self, engine, timing):
-        die = Resource(engine, "die")
-        chan = Resource(engine, "chan")
-        done = self._run(engine, read_stages(die, chan, timing, senses=1))
+        die, chan = _resources(engine)
+        done = _run(engine, OpPlan(read_stages(die, chan, timing, senses=1)))
         # on_done start = service start of the last *resource* stage
         # (the channel transfer); end includes the trailing ECC latency.
         assert done == [
@@ -95,11 +167,47 @@ class TestOpPipeline:
             )
         ]
 
+    def test_read_retries_repeat_sense_and_decode(self, engine, timing):
+        die, chan = _resources(engine)
+        plan = OpPlan(read_stages(die, chan, timing, senses=1, passes=3))
+        sense = timing.read_us(1) * 3
+        assert _run(engine, plan) == [
+            (sense, sense + timing.transfer_us + timing.ecc_decode_us * 3)
+        ]
+
+    def test_write_transfers_then_programs(self, engine, timing):
+        die, chan = _resources(engine)
+        plan = OpPlan(write_stages(die, chan, timing))
+        done = _run(engine, plan, IoPriority.HOST_WRITE)
+        # start = the program's service start on the die.
+        assert done == [
+            (timing.transfer_us, timing.transfer_us + timing.program_us)
+        ]
+        assert die.busy_us == timing.program_us
+        assert chan.busy_us == timing.transfer_us
+
+    def test_adjust_and_erase_run_on_the_die(self, engine, timing):
+        die, chan = _resources(engine)
+        assert _run(engine, OpPlan(adjust_stages(die, timing)), IoPriority.INTERNAL) == [
+            (0.0, timing.adjust_us())
+        ]
+        start = engine.now
+        assert _run(engine, OpPlan(erase_stages(die, timing)), IoPriority.INTERNAL) == [
+            (start, start + timing.erase_us)
+        ]
+        assert chan.busy_us == 0.0
+
+    def test_resource_then_latency_reports_the_resource_start(self, engine):
+        die, _ = _resources(engine)
+        plan = OpPlan((Stage(die, 5.0, "sense"), Stage(None, 3.0, "ecc")))
+        assert _run(engine, plan) == [(0.0, 8.0)]
+        assert engine.now == 8.0
+
     def test_record_notes_each_stage(self, engine, timing):
-        die = Resource(engine, "die")
-        chan = Resource(engine, "chan")
+        die, chan = _resources(engine)
         record = PageRecord(block=1, page=2, senses=1, retries=0, submit_us=0.0)
-        self._run(engine, read_stages(die, chan, timing, senses=1), record)
+        plan = OpPlan(read_stages(die, chan, timing, senses=1))
+        _run(engine, plan, obs=StageObservers(record=record))
         assert record.sense_us == timing.read_us(1)
         assert record.transfer_us == timing.transfer_us
         assert record.ecc_us == timing.ecc_decode_us
@@ -108,23 +216,31 @@ class TestOpPipeline:
             timing.read_us(1) + timing.transfer_us + timing.ecc_decode_us
         )
 
+    def test_record_notes_write_stages(self, engine, timing):
+        die, chan = _resources(engine)
+        record = PageRecord(block=0, page=0, senses=0, retries=0, submit_us=0.0)
+        plan = OpPlan(write_stages(die, chan, timing))
+        _run(engine, plan, IoPriority.HOST_WRITE, StageObservers(record=record))
+        assert record.transfer_us == timing.transfer_us
+        assert record.program_us == timing.program_us
+        assert record.end_us == timing.transfer_us + timing.program_us
+
     def test_record_accumulates_queue_wait_under_contention(
         self, engine, timing
     ):
-        die = Resource(engine, "die")
-        chan = Resource(engine, "chan")
+        die, chan = _resources(engine)
         first = PageRecord(0, 0, 1, 0, submit_us=0.0)
         second = PageRecord(0, 1, 1, 0, submit_us=0.0)
-        stages = read_stages(die, chan, timing, senses=1)
+        plan = OpPlan(read_stages(die, chan, timing, senses=1))
         done: list[float] = []
         for record in (first, second):
             OpPipeline(
                 engine,
-                stages,
+                plan,
                 IoPriority.HOST_READ,
                 IoPriority.HOST_READ,
                 lambda s, e: done.append(e),
-                record=record,
+                StageObservers(record=record),
             ).start()
         engine.run()
         assert first.queue_wait_us == 0.0
@@ -132,14 +248,62 @@ class TestOpPipeline:
         # channel is free again by the time its transfer is ready.
         assert second.queue_wait_us == pytest.approx(timing.read_us(1))
 
-    def test_latency_only_stage_does_not_queue(self, engine):
-        stages = (Stage(None, 7.0, "ecc"), Stage(None, 3.0, "ecc"))
-        done = self._run(engine, stages)
-        assert done == [(0.0, 10.0)]
-        assert engine.now == 10.0
+    def test_busy_channel_delays_the_transfer(self, engine, timing):
+        die, chan = _resources(engine)
+        chan.submit(IoPriority.INTERNAL, 1000.0, lambda s, e: None)
+        record = PageRecord(0, 0, 1, 0, submit_us=0.0)
+        plan = OpPlan(read_stages(die, chan, timing, senses=1))
+        done = _run(engine, plan, obs=StageObservers(record=record))
+        assert done == [(1000.0, 1000.0 + timing.transfer_us + timing.ecc_decode_us)]
+        assert record.queue_wait_us == pytest.approx(1000.0 - timing.read_us(1))
+
+    def test_busy_die_delays_the_program(self, engine, timing):
+        die, chan = _resources(engine)
+        die.submit(IoPriority.INTERNAL, timing.erase_us, lambda s, e: None)
+        plan = OpPlan(write_stages(die, chan, timing))
+        done = _run(engine, plan, IoPriority.HOST_WRITE)
+        # The transfer runs at once; the program waits for the erase.
+        assert done == [(timing.erase_us, timing.erase_us + timing.program_us)]
+
+    def test_observers_see_every_boundary_before_on_done(self, engine, timing):
+        die, chan = _resources(engine)
+        log: list = []
+        obs = StageObservers(
+            profile=_Notes(log, "profile"), fault=_Notes(log, "fault")
+        )
+        plan = OpPlan(read_stages(die, chan, timing, senses=1))
+        OpPipeline(
+            engine,
+            plan,
+            IoPriority.HOST_READ,
+            IoPriority.HOST_READ,
+            lambda s, e: log.append(("on_done", s, e)),
+            obs,
+        ).start()
+        engine.run()
+        sense = timing.read_us(1)
+        moved = sense + timing.transfer_us
+        end = moved + timing.ecc_decode_us
+        boundaries = [
+            ("sense", 0.0, 0.0, sense),
+            ("transfer", sense, sense, moved),
+            ("ecc", moved, moved, end),
+        ]
+        expected = []
+        for boundary in boundaries:
+            expected += [("profile",) + boundary, ("fault",) + boundary]
+        expected += [("profile", "complete", end), ("on_done", sense, end)]
+        assert log == expected
+
+    def test_span_collects_the_record_at_completion(self, engine, timing):
+        die, chan = _resources(engine)
+        span = RequestSpan(request=None)
+        record = PageRecord(0, 0, 0, 0, submit_us=0.0)
+        plan = OpPlan(adjust_stages(die, timing))
+        _run(engine, plan, IoPriority.INTERNAL, StageObservers(span, record))
+        assert span.pages == [record]
+        assert record.end_us == timing.adjust_us()
 
     def test_rejects_empty_stage_tuple(self, engine):
         with pytest.raises(ValueError):
-            OpPipeline(
-                engine, (), IoPriority.HOST_READ, IoPriority.HOST_READ, lambda s, e: None
-            )
+            OpPlan(())

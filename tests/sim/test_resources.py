@@ -96,6 +96,48 @@ class TestReadFirstScheduling:
         assert not resource.is_busy
 
 
+class TestQueuedByClass:
+    def test_fcfs_counts_by_dispatch_class_in_one_queue(self, engine, resource):
+        # FCFS: every class waits in the host-read queue.
+        fcfs = IoPriority.HOST_READ
+        resource.submit(IoPriority.INTERNAL, 10.0, lambda s, e: None, fcfs)
+        resource.submit(IoPriority.HOST_WRITE, 10.0, lambda s, e: None, fcfs)
+        resource.submit(IoPriority.INTERNAL, 10.0, lambda s, e: None, fcfs)
+        resource.submit(IoPriority.HOST_READ, 10.0, lambda s, e: None, fcfs)
+        assert resource.queued == 3  # the first is in service
+        assert resource.queued_by_class() == {
+            "host_read": 1,
+            "host_write": 1,
+            "internal": 1,
+        }
+        engine.run()
+        assert resource.queued_by_class() == {
+            "host_read": 0,
+            "host_write": 0,
+            "internal": 0,
+        }
+
+    def test_counts_with_wait_profiling_on(self, engine, resource):
+        resource.enable_wait_profile()
+        resource.submit(IoPriority.HOST_WRITE, 10.0, lambda s, e: None)
+        for klass in (IoPriority.HOST_READ, IoPriority.INTERNAL, IoPriority.HOST_READ):
+            resource.submit(klass, 10.0, lambda s, e: None)
+        assert resource.queued_by_class() == {
+            "host_read": 2,
+            "host_write": 0,
+            "internal": 1,
+        }
+        engine.run()
+        # The queued ops carried profiling snapshots: their waits were
+        # attributed, and the attribution sums to the queue waits.
+        breakdown = resource.wait_class_breakdown()
+        stats = resource.queue_wait_stats()
+        for waiter, row in breakdown.items():
+            attributed = sum(c["behind_us"] + c["inflight_us"] for c in row.values())
+            assert attributed == pytest.approx(stats[waiter]["total_wait_us"])
+        assert stats["host_read"]["total_wait_us"] == 10.0 + 20.0
+
+
 class TestQueueWaitStats:
     def test_shape_when_idle(self, resource):
         stats = resource.queue_wait_stats()

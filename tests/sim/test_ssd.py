@@ -8,26 +8,27 @@ from repro.core import conventional_tlc
 from repro.flash.errors import ReadRetryModel
 from repro.flash.geometry import Geometry
 from repro.flash.timing import TimingSpec
-from repro.ftl.ops import OpKind
 from repro.ftl.refresh import RefreshMode, RefreshPolicy
 from repro.sim.scheduler import HostRequest
 from repro.sim.ssd import SsdSimulator
 
 
-def _geometry():
+def _geometry(planes_per_die=1):
     return Geometry(
         channels=2,
         chips_per_channel=1,
         dies_per_chip=1,
-        planes_per_die=1,
+        planes_per_die=planes_per_die,
         blocks_per_plane=8,
         pages_per_block=12,
     )
 
 
-def _simulator(refresh_mode=RefreshMode.BASELINE, retry=None, period_us=1e9):
+def _simulator(
+    refresh_mode=RefreshMode.BASELINE, retry=None, period_us=1e9, planes_per_die=1
+):
     return SsdSimulator(
-        geometry=_geometry(),
+        geometry=_geometry(planes_per_die),
         timing=TimingSpec.tlc_table2(),
         coding=conventional_tlc(),
         refresh_policy=RefreshPolicy(mode=refresh_mode, period_us=period_us),
@@ -128,22 +129,38 @@ class TestCompiledPlans:
         for plane in range(geometry.total_planes):
             die = sim.dies[geometry.die_of_plane(plane)]
             channel = sim.channels[geometry.channel_of_plane(plane)]
-            plans = sim._fixed_plans[plane]
-            assert [s.resource for s in plans[OpKind.WRITE]] == [channel, die]
-            assert [s.resource for s in plans[OpKind.ADJUST]] == [die]
-            assert [s.resource for s in plans[OpKind.ERASE]] == [die]
+            write = sim._write_plans[plane]
+            assert (write.first, write.second) == (channel, die)
+            assert [s.resource for s in write.stages] == [channel, die]
+            for plan in (sim._adjust_plans[plane], sim._erase_plans[plane]):
+                assert plan.first is die
+                assert plan.second is None
+                assert plan.latency_us is None
+
+    def test_planes_of_a_die_share_one_plan_object(self):
+        sim = _simulator(planes_per_die=2)
+        geometry = sim.geometry
+        for plans in (sim._write_plans, sim._adjust_plans, sim._erase_plans):
+            by_die: dict[int, object] = {}
+            for plane, plan in enumerate(plans):
+                first = by_die.setdefault(geometry.die_of_plane(plane), plan)
+                assert plan is first
+            assert len(by_die) == geometry.total_dies
+            assert len({id(plan) for plan in plans}) == geometry.total_dies
 
     def test_read_plan_compiled_once_per_shape(self):
         sim = _simulator()
         sim.preload(range(6), -100.0, 0.0)
         sim.run_requests([_read(0, 0.0, [0]), _read(1, 10_000.0, [0])])
         # Both reads hit the same page shape on one plane: one plan.
-        ((plane, senses, retries), stages), = sim._read_plans.items()
+        ((plane, senses, retries), plan), = sim._read_plans.items()
         die = sim.dies[sim.geometry.die_of_plane(plane)]
+        channel = sim.channels[sim.geometry.channel_of_plane(plane)]
         assert retries == 0
-        assert [s.name for s in stages] == ["sense", "transfer", "ecc"]
-        assert stages[0].resource is die
-        assert stages[0].duration_us == sim.timing.read_us(senses)
+        assert [s.name for s in plan.stages] == ["sense", "transfer", "ecc"]
+        assert (plan.first, plan.second) == (die, channel)
+        assert plan.first_us == sim.timing.read_us(senses)
+        assert plan.latency_us == sim.timing.ecc_decode_us
 
 
 class TestAccounting:
