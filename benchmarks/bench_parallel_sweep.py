@@ -3,7 +3,7 @@
 
 Section 1 (always runs) — pool speedup: the same batch of
 :class:`~repro.experiments.parallel.RunUnit`\\ s through
-``execute_units`` inline (``jobs=1``) and on a worker pool, always
+``SweepExecutor`` inline (``jobs=1``) and on a worker pool, always
 asserting exact payload parity, and reports the wall-clock speedup.
 With ``--check`` the script fails (exit 1) when the speedup falls below
 ``--min-speedup`` — unless the machine has fewer cores than ``--jobs``,
@@ -44,7 +44,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.experiments import RunUnit, RunScale, baseline, execute_units, ida
+from repro.experiments import RunUnit, RunScale, SweepExecutor, baseline, ida
 from repro.experiments.parallel import warm_key_for_unit
 
 WORKLOADS = ["proj_1", "proj_3", "hm_1", "src2_0", "usr_1"]
@@ -128,16 +128,15 @@ def run_snapshot_bench(args) -> dict:
           f"refresh_cycles={scale.refresh_cycles}")
 
     started = time.perf_counter()
-    cold = execute_units(units, jobs=args.jobs)
+    cold = SweepExecutor(jobs=args.jobs).map(units)
     cold_s = time.perf_counter() - started
 
-    stats: dict = {}
+    executor = SweepExecutor(jobs=args.jobs, snapshots=True)
     started = time.perf_counter()
-    warm = execute_units(
-        units, jobs=args.jobs, snapshots=True, snapshot_stats=stats
-    )
+    warm = executor.map(units)
     warm_s = time.perf_counter() - started
 
+    stats = executor.snapshot_stats
     _assert_parity(units, cold, warm, "snapshot")
     print(f"  parity    : OK ({len(units)} payloads identical, cache on/off)")
 
@@ -256,11 +255,11 @@ def main(argv: list[str] | None = None) -> int:
           f"cores={cores}")
 
     started = time.perf_counter()
-    sequential = execute_units(units, jobs=1)
+    sequential = SweepExecutor(jobs=1).map(units)
     sequential_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    parallel = execute_units(units, jobs=args.jobs)
+    parallel = SweepExecutor(jobs=args.jobs).map(units)
     parallel_s = time.perf_counter() - started
 
     _assert_parity(units, sequential, parallel, "pool")

@@ -36,6 +36,8 @@ from .obs import (
 
 from .experiments import (
     RunScale,
+    RunUnit,
+    SweepExecutor,
     breakdown_to_json,
     faults_to_json,
     format_ablation,
@@ -193,34 +195,27 @@ _PROM_EXPORTERS: dict[str, Callable] = {
 }
 
 
+def _snapshot_counts(stats: dict) -> str:
+    return (
+        f"{stats['hits']} hit(s), {stats['misses']} miss(es), "
+        f"{stats['fallbacks']} fallback(s)"
+    )
+
+
 def _run_one(
     name: str,
     scale: RunScale,
     workload_names: list[str] | None,
-    jobs: int = 1,
-    keep_going: bool = False,
+    executor: SweepExecutor,
     json_out: str | None = None,
     prom_out: str | None = None,
-    snapshots: bool = False,
-    snapshot_dir: str | None = None,
     cuts: int | None = None,
 ) -> str:
     runner, formatter = ARTIFACTS[name]
-    snapshot_stats: dict | None = (
-        {} if (snapshots or snapshot_dir) else None
-    )
     extra = {"cuts": cuts} if cuts is not None else {}
     started = time.time()
     result = runner(
-        scale=scale,
-        workload_names=workload_names,
-        jobs=jobs,
-        progress=print if (jobs > 1 or keep_going) else None,
-        keep_going=keep_going,
-        snapshots=snapshots,
-        snapshot_dir=snapshot_dir,
-        snapshot_stats=snapshot_stats,
-        **extra,
+        scale=scale, workload_names=workload_names, executor=executor, **extra
     )
     elapsed = time.time() - started
     if json_out:
@@ -244,12 +239,8 @@ def _run_one(
         with open(prom_out, "w", encoding="utf-8") as handle:
             handle.write(exporter(result))
     timing = f"[{name}: {elapsed:.1f}s]"
-    if snapshot_stats is not None:
-        timing += (
-            f" [snapshots: {snapshot_stats.get('hits', 0)} hit(s), "
-            f"{snapshot_stats.get('misses', 0)} miss(es), "
-            f"{snapshot_stats.get('fallbacks', 0)} fallback(s)]"
-        )
+    if executor.snapshots:
+        timing += f" [snapshots: {_snapshot_counts(executor.snapshot_stats)}]"
     return f"{formatter(result)}\n{timing}"
 
 
@@ -312,9 +303,7 @@ def _build_run_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(argv: list[str]) -> int:
-    from .experiments.parallel import RunUnit, SweepExecutor
     from .experiments.reporting import manifest_for_payload, write_run_manifest
-    from .experiments.runner import run_workload
     from .workloads import workload
 
     args = _build_run_parser().parse_args(argv)
@@ -332,7 +321,7 @@ def _cmd_run(argv: list[str]) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     try:
-        spec = workload(args.workload)
+        workload(args.workload)
     except KeyError as exc:
         raise SystemExit(exc.args[0]) from None
     scale = _SCALES[args.scale]()
@@ -345,63 +334,35 @@ def _cmd_run(argv: list[str]) -> int:
             "--trace / --interval-us need the inline path; rerun with --jobs 1"
         )
 
+    slo = None
+    if args.health:
+        from .obs import DEFAULT_READ_P99_SLO
+
+        slo = (DEFAULT_READ_P99_SLO,)
+    unit = RunUnit(
+        system, args.workload, scale, seed=args.seed, faults=plan,
+        health=args.health, slo=slo,
+    )
+    executor = SweepExecutor(
+        jobs=args.jobs, snapshots=args.snapshots,
+        snapshot_dir=args.snapshot_dir,
+    )
     tracer = Tracer(JsonlSink(args.trace)) if args.trace else None
     collector = (
         IntervalCollector(args.interval_us) if args.interval_us else None
     )
-    use_snapshots = bool(args.snapshots or args.snapshot_dir)
-    snapshot_stats: dict | None = None
     started = time.time()
-    if args.jobs == 1:
-        health = None
-        if args.health:
-            from .obs import HealthMonitor, MetricsRegistry, SloEngine
-
-            health = HealthMonitor(registry=MetricsRegistry(), slo=SloEngine())
-        warm = None
-        store = None
-        if use_snapshots:
-            from .experiments.runner import warm_cache_key
-            from .sim.snapshot import SnapshotStore, WarmHandle
-
-            store = SnapshotStore(spill_dir=args.snapshot_dir)
-            key = warm_cache_key(
-                system,
-                spec.scaled(scale.num_requests, scale.footprint_pages),
-                scale, args.seed,
-            )
-            warm = WarmHandle(store=store, key=key)
-        result = run_workload(
-            system, spec, scale, seed=args.seed, tracer=tracer,
-            collector=collector, faults=plan, health=health, warm=warm,
-        )
-        payload = result.to_payload()
-        if store is not None:
-            snapshot_stats = {
-                "hits": store.stats.hits,
-                "misses": store.stats.misses,
-                "fallbacks": store.stats.fallbacks,
-            }
-    else:
-        slo = None
-        if args.health:
-            from .obs import DEFAULT_READ_P99_SLO
-
-            slo = (DEFAULT_READ_P99_SLO,)
-        unit = RunUnit(
-            system, args.workload, scale, seed=args.seed, faults=plan,
-            health=args.health, slo=slo,
-        )
-        executor = SweepExecutor(
-            jobs=args.jobs, snapshots=args.snapshots,
-            snapshot_dir=args.snapshot_dir,
-        )
-        payload = executor.map([unit])[0]
-        if use_snapshots:
-            snapshot_stats = dict(executor.snapshot_stats)
+    payload = executor.map(
+        [unit],
+        tracer_factory=(lambda _: tracer) if tracer is not None else None,
+        collector_factory=(lambda _: collector) if collector is not None else None,
+    )[0]
     elapsed = time.time() - started
     if tracer is not None:
         tracer.close()
+    snapshot_stats = (
+        dict(executor.snapshot_stats) if executor.snapshots else None
+    )
 
     def _us(value: float | None) -> str:
         # percentiles are None for zero-sample populations
@@ -442,9 +403,7 @@ def _cmd_run(argv: list[str]) -> int:
         print(f"  series: {len(collector.snapshots)} intervals of "
               f"{args.interval_us:.0f} us")
     if snapshot_stats is not None:
-        print(f"  snaps : {snapshot_stats.get('hits', 0)} hit(s), "
-              f"{snapshot_stats.get('misses', 0)} miss(es), "
-              f"{snapshot_stats.get('fallbacks', 0)} fallback(s)")
+        print(f"  snaps : {_snapshot_counts(snapshot_stats)}")
     if args.report:
         manifest = manifest_for_payload(
             payload, collector=collector, trace_path=args.trace,
@@ -637,17 +596,21 @@ def main(argv: list[str] | None = None) -> int:
         if args.cuts < 1:
             raise SystemExit("--cuts must be >= 1")
     for name in targets:
+        executor = SweepExecutor(
+            jobs=args.jobs,
+            progress=print if (args.jobs > 1 or args.keep_going) else None,
+            keep_going=args.keep_going,
+            snapshots=args.snapshots,
+            snapshot_dir=args.snapshot_dir,
+        )
         print(
             _run_one(
                 name,
                 scale,
                 workload_names,
-                jobs=args.jobs,
-                keep_going=args.keep_going,
+                executor,
                 json_out=args.json_out,
                 prom_out=args.prom,
-                snapshots=args.snapshots,
-                snapshot_dir=args.snapshot_dir,
                 cuts=args.cuts,
             )
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .config import RunScale
-from .parallel import ProgressFn, RunUnit, execute_units, failed_workloads
+from .parallel import RunUnit, SweepExecutor, failed_workloads
 from .reporting import ascii_table
 from .runner import improvement_pct
 from .systems import SystemSpec, baseline, ida
@@ -52,37 +52,22 @@ def _run_paired_sweep(
     knob: str,
     cells: list[tuple[str, str, SystemSpec, SystemSpec, RunScale]],
     seed: int,
-    jobs: int,
-    progress: ProgressFn | None,
-    keep_going: bool = False,
-    snapshots: bool = False,
-    snapshot_dir: str | None = None,
-    snapshot_stats: dict | None = None,
+    executor: SweepExecutor | None,
 ) -> AblationResult:
     """Fan out (setting, workload, baseline, variant, scale) cells.
 
     Each cell becomes one baseline unit and one variant unit; the
     improvement is computed after the fan-out from the collected pairs.
-    With ``keep_going``, a failure prunes its workload across every
+    With a keep-going executor, a failure prunes its workload across every
     setting so the per-setting averages stay comparable.
     """
     units = []
     for _, name, base_system, variant_system, scale in cells:
         units.append(RunUnit(base_system, name, scale, seed=seed))
         units.append(RunUnit(variant_system, name, scale, seed=seed))
-    payloads = execute_units(
-        units,
-        jobs=jobs,
-        progress=progress,
-        keep_going=keep_going,
-        snapshots=snapshots,
-        snapshot_dir=snapshot_dir,
-        snapshot_stats=snapshot_stats,
-    )
-    failed = failed_workloads(payloads)
-    if failed and progress is not None:
-        for name in sorted(failed):
-            progress(f"keep-going: dropping workload {name!r} (unit failed)")
+    executor = executor or SweepExecutor()
+    payloads = executor.map(units)
+    failed = failed_workloads(payloads, executor.progress)
 
     result = AblationResult(knob=knob)
     for index, (setting, name, *_) in enumerate(cells):
@@ -100,12 +85,7 @@ def run_adjust_cost_ablation(
     workload_names: list[str] | None = None,
     fractions: tuple[float, ...] = (0.5, 1.0),
     seed: int = 11,
-    jobs: int = 1,
-    progress: ProgressFn | None = None,
-    keep_going: bool = False,
-    snapshots: bool = False,
-    snapshot_dir: str | None = None,
-    snapshot_stats: dict | None = None,
+    executor: SweepExecutor | None = None,
 ) -> AblationResult:
     """IDA benefit under proportional vs conservative adjustment cost."""
     scale = scale or RunScale.bench()
@@ -124,12 +104,7 @@ def run_adjust_cost_ablation(
         "adjust_program_fraction",
         cells,
         seed,
-        jobs,
-        progress,
-        keep_going,
-        snapshots=snapshots,
-        snapshot_dir=snapshot_dir,
-        snapshot_stats=snapshot_stats,
+        executor,
     )
 
 
@@ -138,12 +113,7 @@ def run_refresh_frequency_ablation(
     workload_names: list[str] | None = None,
     cycles: tuple[float, ...] = (1.5, 3.0, 6.0),
     seed: int = 11,
-    jobs: int = 1,
-    progress: ProgressFn | None = None,
-    keep_going: bool = False,
-    snapshots: bool = False,
-    snapshot_dir: str | None = None,
-    snapshot_stats: dict | None = None,
+    executor: SweepExecutor | None = None,
 ) -> AblationResult:
     """IDA benefit vs refresh cycles per trace (more cycles = fresher IDA)."""
     scale = scale or RunScale.bench()
@@ -162,12 +132,7 @@ def run_refresh_frequency_ablation(
         "refresh_cycles",
         cells,
         seed,
-        jobs,
-        progress,
-        keep_going,
-        snapshots=snapshots,
-        snapshot_dir=snapshot_dir,
-        snapshot_stats=snapshot_stats,
+        executor,
     )
 
 
@@ -176,12 +141,7 @@ def run_allocation_ablation(
     workload_names: list[str] | None = None,
     strategies: tuple[str, ...] = ("cwdp", "pdwc"),
     seed: int = 11,
-    jobs: int = 1,
-    progress: ProgressFn | None = None,
-    keep_going: bool = False,
-    snapshots: bool = False,
-    snapshot_dir: str | None = None,
-    snapshot_stats: dict | None = None,
+    executor: SweepExecutor | None = None,
 ) -> AblationResult:
     """IDA benefit under different static allocation stripe orders."""
     scale = scale or RunScale.bench()
@@ -200,12 +160,7 @@ def run_allocation_ablation(
         "allocation",
         cells,
         seed,
-        jobs,
-        progress,
-        keep_going,
-        snapshots=snapshots,
-        snapshot_dir=snapshot_dir,
-        snapshot_stats=snapshot_stats,
+        executor,
     )
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import RunScale
-from .parallel import ProgressFn, RunUnit, execute_units, prune_failed
+from .parallel import RunUnit, SweepExecutor, prune_failed
 from .reporting import ascii_table
 from .runner import CapacityCensus
 from .systems import baseline, ida
@@ -82,12 +82,7 @@ def run_capacity_analysis(
     scale: RunScale | None = None,
     workload_names: list[str] | None = None,
     seed: int = 11,
-    jobs: int = 1,
-    progress: ProgressFn | None = None,
-    keep_going: bool = False,
-    snapshots: bool = False,
-    snapshot_dir: str | None = None,
-    snapshot_stats: dict | None = None,
+    executor: SweepExecutor | None = None,
 ) -> list[CapacityResult]:
     """Compare block census and GC cost, baseline vs IDA-E20."""
     scale = scale or RunScale.bench()
@@ -96,16 +91,9 @@ def run_capacity_analysis(
     for name in names:
         for system in (baseline(), ida(0.2)):
             units.append(RunUnit(system, name, scale, seed=seed, mode="capacity"))
-    censuses = execute_units(
-        units,
-        jobs=jobs,
-        progress=progress,
-        keep_going=keep_going,
-        snapshots=snapshots,
-        snapshot_dir=snapshot_dir,
-        snapshot_stats=snapshot_stats,
-    )
-    names, units, censuses, _ = prune_failed(names, units, censuses, progress)
+    executor = executor or SweepExecutor()
+    censuses = executor.map(units)
+    names, units, censuses, _ = prune_failed(names, units, censuses, executor.progress)
 
     results = []
     for index, name in enumerate(names):

@@ -23,7 +23,7 @@ from ..faults.plan import FaultPlan
 from ..workloads.msr import workload as _catalog_workload
 from .config import RunScale
 from .fig11_read_retry import DEFAULT_PHASES, LifetimePhase
-from .parallel import ProgressFn, RunUnit, execute_units, failed_workloads
+from .parallel import RunUnit, SweepExecutor, failed_workloads
 from .reporting import ascii_table
 from .runner import _build_device, improvement_pct
 from .systems import baseline, ida
@@ -133,12 +133,7 @@ def run_faults(
     densities: tuple[int, ...] = DEFAULT_DENSITIES,
     error_rate: float = 0.2,
     seed: int = 11,
-    jobs: int = 1,
-    progress: ProgressFn | None = None,
-    keep_going: bool = False,
-    snapshots: bool = False,
-    snapshot_dir: str | None = None,
-    snapshot_stats: dict | None = None,
+    executor: SweepExecutor | None = None,
 ) -> FaultsResult:
     """Sweep the (workload x lifetime phase x fault density) grid."""
     scale = scale or RunScale.bench()
@@ -171,19 +166,9 @@ def run_faults(
                 faults=plan,
             )
         )
-    payloads = execute_units(
-        units,
-        jobs=jobs,
-        progress=progress,
-        keep_going=keep_going,
-        snapshots=snapshots,
-        snapshot_dir=snapshot_dir,
-        snapshot_stats=snapshot_stats,
-    )
-    failed = failed_workloads(payloads)
-    if failed and progress is not None:
-        for name in sorted(failed):
-            progress(f"keep-going: dropping workload {name!r} (unit failed)")
+    executor = executor or SweepExecutor()
+    payloads = executor.map(units)
+    failed = failed_workloads(payloads, executor.progress)
 
     result = FaultsResult(phases=phases, densities=densities)
     for index, (name, phase_index, density) in enumerate(cells):

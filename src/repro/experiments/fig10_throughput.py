@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ..workloads.msr import TABLE3_WORKLOADS
 from .config import RunScale
-from .parallel import ProgressFn, RunUnit, execute_units, prune_failed
+from .parallel import RunUnit, SweepExecutor, prune_failed
 from .reporting import ascii_table
 from .systems import baseline, ida
 
@@ -38,12 +38,7 @@ def run_fig10(
     error_rate: float = 0.2,
     queue_depth: int = 32,
     seed: int = 11,
-    jobs: int = 1,
-    progress: ProgressFn | None = None,
-    keep_going: bool = False,
-    snapshots: bool = False,
-    snapshot_dir: str | None = None,
-    snapshot_stats: dict | None = None,
+    executor: SweepExecutor | None = None,
 ) -> Fig10Result:
     """Closed-loop throughput comparison, baseline vs IDA-E{error_rate}."""
     scale = scale or RunScale.bench()
@@ -61,16 +56,9 @@ def run_fig10(
                     queue_depth=queue_depth,
                 )
             )
-    payloads = execute_units(
-        units,
-        jobs=jobs,
-        progress=progress,
-        keep_going=keep_going,
-        snapshots=snapshots,
-        snapshot_dir=snapshot_dir,
-        snapshot_stats=snapshot_stats,
-    )
-    names, units, payloads, _ = prune_failed(names, units, payloads, progress)
+    executor = executor or SweepExecutor()
+    payloads = executor.map(units)
+    names, units, payloads, _ = prune_failed(names, units, payloads, executor.progress)
 
     result = Fig10Result()
     for index, name in enumerate(names):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ..workloads.msr import TABLE3_WORKLOADS
 from .config import RunScale
-from .parallel import ProgressFn, RunUnit, execute_units, prune_failed
+from .parallel import RunUnit, SweepExecutor, prune_failed
 from .reporting import ascii_table
 from .runner import normalized_read_response
 from .systems import baseline, ida
@@ -55,12 +55,7 @@ def run_fig11(
     phases: tuple[LifetimePhase, ...] = DEFAULT_PHASES,
     error_rate: float = 0.2,
     seed: int = 11,
-    jobs: int = 1,
-    progress: ProgressFn | None = None,
-    keep_going: bool = False,
-    snapshots: bool = False,
-    snapshot_dir: str | None = None,
-    snapshot_stats: dict | None = None,
+    executor: SweepExecutor | None = None,
 ) -> Fig11Result:
     """Compare IDA-E20 vs baseline in each lifetime phase."""
     scale = scale or RunScale.bench()
@@ -84,16 +79,9 @@ def run_fig11(
                     seed=seed,
                 )
             )
-    payloads = execute_units(
-        units,
-        jobs=jobs,
-        progress=progress,
-        keep_going=keep_going,
-        snapshots=snapshots,
-        snapshot_dir=snapshot_dir,
-        snapshot_stats=snapshot_stats,
-    )
-    names, units, payloads, _ = prune_failed(names, units, payloads, progress)
+    executor = executor or SweepExecutor()
+    payloads = executor.map(units)
+    names, units, payloads, _ = prune_failed(names, units, payloads, executor.progress)
 
     result = Fig11Result(phases=phases)
     pairs = iter(zip(payloads[::2], payloads[1::2]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ..workloads.msr import EXTRA_WORKLOADS, TABLE3_WORKLOADS
 from .config import RunScale
-from .parallel import ProgressFn, RunUnit, execute_units, failed_workloads
+from .parallel import RunUnit, SweepExecutor, failed_workloads
 from .reporting import ascii_table, format_pct
 from .runner import RunResultPayload
 from .systems import baseline
@@ -70,12 +70,7 @@ def run_fig4(
     workload_names: list[str] | None = None,
     include_extra: bool = True,
     seed: int = 11,
-    jobs: int = 1,
-    progress: ProgressFn | None = None,
-    keep_going: bool = False,
-    snapshots: bool = False,
-    snapshot_dir: str | None = None,
-    snapshot_stats: dict | None = None,
+    executor: SweepExecutor | None = None,
 ) -> Fig4Result:
     """Measure the read mix for the main and extra workload panels."""
     scale = scale or RunScale.bench()
@@ -87,21 +82,11 @@ def run_fig4(
         RunUnit(baseline(), name, scale, seed=seed)
         for name in main_names + extra_names
     ]
-    payloads = execute_units(
-        units,
-        jobs=jobs,
-        progress=progress,
-        keep_going=keep_going,
-        snapshots=snapshots,
-        snapshot_dir=snapshot_dir,
-        snapshot_stats=snapshot_stats,
-    )
+    executor = executor or SweepExecutor()
+    payloads = executor.map(units)
     # Both panels draw from one flat unit list, so prune each panel's
     # name list against the combined failure set rather than re-slicing.
-    failed = failed_workloads(payloads)
-    if failed and progress is not None:
-        for name in sorted(failed):
-            progress(f"keep-going: dropping workload {name!r} (unit failed)")
+    failed = failed_workloads(payloads, executor.progress)
     outcome_of = dict(zip(main_names + extra_names, payloads))
 
     result = Fig4Result()

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from ..workloads.msr import TABLE3_WORKLOADS
 from .config import RunScale
-from .parallel import ProgressFn, RunUnit, execute_units, prune_failed
+from .parallel import RunUnit, SweepExecutor, prune_failed
 from .reporting import ascii_table
 from .runner import normalized_read_response
 from .systems import baseline, ida
@@ -62,14 +62,9 @@ def run_fig8(
     workload_names: list[str] | None = None,
     error_rates: tuple[float, ...] = DEFAULT_ERROR_RATES,
     seed: int = 11,
-    jobs: int = 1,
-    progress: ProgressFn | None = None,
-    keep_going: bool = False,
-    snapshots: bool = False,
-    snapshot_dir: str | None = None,
-    snapshot_stats: dict | None = None,
+    executor: SweepExecutor | None = None,
 ) -> Fig8Result:
-    """Run the Fig. 8 sweep; ``jobs`` fans the runs out over processes."""
+    """Run the Fig. 8 sweep; ``executor`` may fan the runs out over processes."""
     scale = scale or RunScale.bench()
     names = workload_names or list(TABLE3_WORKLOADS)
     units = []
@@ -78,16 +73,9 @@ def run_fig8(
         units.extend(
             RunUnit(ida(rate), name, scale, seed=seed) for rate in error_rates
         )
-    payloads = execute_units(
-        units,
-        jobs=jobs,
-        progress=progress,
-        keep_going=keep_going,
-        snapshots=snapshots,
-        snapshot_dir=snapshot_dir,
-        snapshot_stats=snapshot_stats,
-    )
-    names, units, payloads, _ = prune_failed(names, units, payloads, progress)
+    executor = executor or SweepExecutor()
+    payloads = executor.map(units)
+    names, units, payloads, _ = prune_failed(names, units, payloads, executor.progress)
 
     result = Fig8Result(error_rates=error_rates)
     stride = 1 + len(error_rates)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from ..workloads.msr import TABLE3_WORKLOADS
 from .config import RunScale
-from .parallel import ProgressFn, RunUnit, execute_units, prune_failed
+from .parallel import RunUnit, SweepExecutor, prune_failed
 from .reporting import ascii_table
 from .runner import normalized_read_response
 from .systems import baseline, ida
@@ -41,12 +41,7 @@ def run_fig9(
     dtr_values: tuple[float, ...] = DEFAULT_DTR_SWEEP,
     error_rate: float = 0.2,
     seed: int = 11,
-    jobs: int = 1,
-    progress: ProgressFn | None = None,
-    keep_going: bool = False,
-    snapshots: bool = False,
-    snapshot_dir: str | None = None,
-    snapshot_stats: dict | None = None,
+    executor: SweepExecutor | None = None,
 ) -> Fig9Result:
     """Run the dtR sweep; baseline and IDA share each dtR setting."""
     scale = scale or RunScale.bench()
@@ -58,16 +53,9 @@ def run_fig9(
             units.append(
                 RunUnit(ida(error_rate).with_dtr(dtr), name, scale, seed=seed)
             )
-    payloads = execute_units(
-        units,
-        jobs=jobs,
-        progress=progress,
-        keep_going=keep_going,
-        snapshots=snapshots,
-        snapshot_dir=snapshot_dir,
-        snapshot_stats=snapshot_stats,
-    )
-    names, units, payloads, _ = prune_failed(names, units, payloads, progress)
+    executor = executor or SweepExecutor()
+    payloads = executor.map(units)
+    names, units, payloads, _ = prune_failed(names, units, payloads, executor.progress)
 
     result = Fig9Result(dtr_values=dtr_values)
     pairs = iter(zip(payloads[::2], payloads[1::2]))

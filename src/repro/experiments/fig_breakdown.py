@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from ..workloads.msr import TABLE3_WORKLOADS
 from .config import RunScale
-from .parallel import ProgressFn, RunUnit, execute_units, prune_failed
+from .parallel import RunUnit, SweepExecutor, prune_failed
 from .reporting import ascii_table
 from .systems import baseline, ida
 
@@ -133,19 +133,15 @@ def run_fig_breakdown(
     workload_names: list[str] | None = None,
     error_rate: float = 0.2,
     seed: int = 11,
-    jobs: int = 1,
-    progress: ProgressFn | None = None,
+    executor: SweepExecutor | None = None,
     tolerance_us: float = 1e-6,
-    keep_going: bool = False,
-    snapshots: bool = False,
-    snapshot_dir: str | None = None,
-    snapshot_stats: dict | None = None,
 ) -> BreakdownResult:
     """Run Baseline vs IDA with profiling and build the attribution table.
 
     Each run's per-stage attribution is self-checked against the
     independently measured mean read response (see module docstring);
-    ``jobs > 1`` fans runs out with aggregate-only worker profilers.
+    a pooled ``executor`` fans runs out with aggregate-only worker
+    profilers.
     """
     scale = scale or RunScale.bench()
     names = workload_names or list(TABLE3_WORKLOADS)
@@ -155,16 +151,9 @@ def run_fig_breakdown(
         for name in names
         for system in systems
     ]
-    payloads = execute_units(
-        units,
-        jobs=jobs,
-        progress=progress,
-        keep_going=keep_going,
-        snapshots=snapshots,
-        snapshot_dir=snapshot_dir,
-        snapshot_stats=snapshot_stats,
-    )
-    names, units, payloads, _ = prune_failed(names, units, payloads, progress)
+    executor = executor or SweepExecutor()
+    payloads = executor.map(units)
+    names, units, payloads, _ = prune_failed(names, units, payloads, executor.progress)
 
     result = BreakdownResult(
         system_names=(systems[0].name, systems[1].name),

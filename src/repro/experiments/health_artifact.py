@@ -29,7 +29,7 @@ from ..workloads.msr import workload as _catalog_workload
 from .config import RunScale
 from .faults_artifact import plan_for_cell
 from .fig11_read_retry import DEFAULT_PHASES
-from .parallel import ProgressFn, RunUnit, execute_units, failed_workloads
+from .parallel import RunUnit, SweepExecutor, failed_workloads
 from .reporting import ascii_table
 from .systems import baseline, ida
 
@@ -138,12 +138,7 @@ def run_health(
     error_rate: float = 0.2,
     density: int = DEFAULT_HEALTH_DENSITY,
     seed: int = 11,
-    jobs: int = 1,
-    progress: ProgressFn | None = None,
-    keep_going: bool = False,
-    snapshots: bool = False,
-    snapshot_dir: str | None = None,
-    snapshot_stats: dict | None = None,
+    executor: SweepExecutor | None = None,
 ) -> HealthArtifactResult:
     """Sweep (workload x {baseline, ida} x {healthy, faulted}) with health on."""
     scale = scale or RunScale.bench()
@@ -178,19 +173,9 @@ def run_health(
                 )
             )
 
-    payloads = execute_units(
-        units,
-        jobs=jobs,
-        progress=progress,
-        keep_going=keep_going,
-        snapshots=snapshots,
-        snapshot_dir=snapshot_dir,
-        snapshot_stats=snapshot_stats,
-    )
-    failed = failed_workloads(payloads)
-    if failed and progress is not None:
-        for name in sorted(failed):
-            progress(f"keep-going: dropping workload {name!r} (unit failed)")
+    executor = executor or SweepExecutor()
+    payloads = executor.map(units)
+    failed = failed_workloads(payloads, executor.progress)
 
     result = HealthArtifactResult(
         workloads=[n for n in names if n not in failed],

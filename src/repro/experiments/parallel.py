@@ -88,7 +88,6 @@ __all__ = [
     "SweepError",
     "SweepExecutor",
     "execute_unit",
-    "execute_units",
     "failed_workloads",
     "prune_failed",
     "warm_key_for_unit",
@@ -163,6 +162,10 @@ class RunUnit:
             )
         if self.slo is not None and not self.health:
             raise ValueError("slo objectives require health=True")
+        if self.queue_depth < 1:
+            raise ValueError(
+                f"queue_depth must be >= 1, got {self.queue_depth}"
+            )
         if self.mode == "recover" and (
             self.faults is None
             or not any(
@@ -710,51 +713,22 @@ class SweepExecutor:
         return delay
 
 
-def execute_units(
-    units: Sequence[RunUnit],
-    jobs: int = 1,
-    progress: ProgressFn | None = None,
-    timeout_s: float | None = None,
-    max_retries: int = 0,
-    backoff_s: float = 0.5,
-    backoff_cap_s: float = 30.0,
-    keep_going: bool = False,
-    snapshots: bool = False,
-    snapshot_dir: str | None = None,
-    snapshot_stats: dict | None = None,
-    registry: MetricsRegistry | None = None,
-) -> list[RunResultPayload | CapacityCensus | SweepError]:
-    """One-shot convenience wrapper around :class:`SweepExecutor`.
+def failed_workloads(
+    outcomes: Sequence, progress: ProgressFn | None = None
+) -> set[str]:
+    """Workload names with at least one :class:`SweepError` outcome.
 
-    Pass a dict as ``snapshot_stats`` to receive the sweep's warm-state
-    cache accounting (``hits`` / ``misses`` / ``fallbacks``) — artifact
-    runners forward it into the manifest's ``execution`` block.
+    Each dropped workload is reported once through ``progress``.
     """
-    executor = SweepExecutor(
-        jobs=jobs,
-        progress=progress,
-        timeout_s=timeout_s,
-        max_retries=max_retries,
-        backoff_s=backoff_s,
-        backoff_cap_s=backoff_cap_s,
-        keep_going=keep_going,
-        snapshots=snapshots,
-        snapshot_dir=snapshot_dir,
-        registry=registry,
-    )
-    results = executor.map(units)
-    if snapshot_stats is not None:
-        snapshot_stats.update(executor.snapshot_stats)
-    return results
-
-
-def failed_workloads(outcomes: Sequence) -> set[str]:
-    """Workload names with at least one :class:`SweepError` outcome."""
-    return {
+    failed = {
         outcome.unit.workload_name
         for outcome in outcomes
         if isinstance(outcome, SweepError)
     }
+    if progress is not None:
+        for name in sorted(failed):
+            progress(f"keep-going: dropping workload {name!r} (unit failed)")
+    return failed
 
 
 def prune_failed(
@@ -778,10 +752,7 @@ def prune_failed(
     errors = [o for o in outcomes if isinstance(o, SweepError)]
     if not errors:
         return list(names), list(units), list(outcomes), []
-    failed = {error.unit.workload_name for error in errors}
-    if progress is not None:
-        for name in sorted(failed):
-            progress(f"keep-going: dropping workload {name!r} (unit failed)")
+    failed = failed_workloads(errors, progress)
     kept_names = [name for name in names if name not in failed]
     kept_units = [u for u in units if u.workload_name not in failed]
     kept_outcomes = [

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from ..workloads.msr import TABLE3_WORKLOADS
 from .config import RunScale
-from .parallel import ProgressFn, RunUnit, execute_units, failed_workloads
+from .parallel import RunUnit, SweepExecutor, failed_workloads
 from .reporting import ascii_table
 from .runner import improvement_pct
 from .systems import baseline, ida
@@ -39,12 +39,7 @@ def run_qlc_extension(
     devices: tuple[str, ...] = ("tlc", "qlc", "tlc232"),
     error_rate: float = 0.2,
     seed: int = 11,
-    jobs: int = 1,
-    progress: ProgressFn | None = None,
-    keep_going: bool = False,
-    snapshots: bool = False,
-    snapshot_dir: str | None = None,
-    snapshot_stats: dict | None = None,
+    executor: SweepExecutor | None = None,
 ) -> QlcResult:
     """Compare IDA benefit across cell densities / codings."""
     scale = scale or RunScale.bench()
@@ -54,21 +49,11 @@ def run_qlc_extension(
     for dev, name in cells:
         units.append(RunUnit(baseline(dev), name, scale, seed=seed))
         units.append(RunUnit(ida(error_rate, dev), name, scale, seed=seed))
-    payloads = execute_units(
-        units,
-        jobs=jobs,
-        progress=progress,
-        keep_going=keep_going,
-        snapshots=snapshots,
-        snapshot_dir=snapshot_dir,
-        snapshot_stats=snapshot_stats,
-    )
+    executor = executor or SweepExecutor()
+    payloads = executor.map(units)
     # A failure prunes the workload across every device family so the
     # cross-family comparison always covers one consistent workload set.
-    failed = failed_workloads(payloads)
-    if failed and progress is not None:
-        for name in sorted(failed):
-            progress(f"keep-going: dropping workload {name!r} (unit failed)")
+    failed = failed_workloads(payloads, executor.progress)
 
     result = QlcResult()
     for index, (dev, name) in enumerate(cells):

@@ -53,16 +53,16 @@ from ..flash.block import TORN_WL
 from ..ftl.recovery import mount_device
 from ..sim.snapshot import WarmHandle
 from ..sim.ssd import SsdSimulator
-from ..workloads.synthetic import generate_workload, sample_update_lpns
+from ..workloads.synthetic import generate_workload
 from .config import RunScale
-from .parallel import (
-    ProgressFn,
-    RunUnit,
-    SweepError,
-    execute_units,
-)
+from .parallel import RunUnit, SweepError, SweepExecutor
 from .reporting import ascii_table
-from .runner import _to_host_requests, build_simulator, warm_device
+from .runner import (
+    _background_batches,
+    _to_host_requests,
+    build_simulator,
+    warm_device,
+)
 from .systems import SystemSpec, ida
 
 __all__ = [
@@ -109,24 +109,6 @@ def _phase_labels(census: list[str]) -> list[str]:
         else:
             labels.append("write")
     return labels
-
-
-def _background_batches(spec, scale: RunScale) -> list[tuple[float, list[int]]]:
-    """The run's background update batches (mirrors ``run_workload``)."""
-    batches_per_cycle = 8
-    total_batches = max(1, int(scale.refresh_cycles * batches_per_cycle))
-    per_cycle_updates = int(spec.aging_update_fraction * spec.footprint_pages)
-    total_updates = int(per_cycle_updates * scale.refresh_cycles)
-    update_lpns = sample_update_lpns(spec, total_updates)
-    background: list[tuple[float, list[int]]] = []
-    if update_lpns:
-        chunk = max(1, len(update_lpns) // total_batches)
-        for i in range(total_batches):
-            batch = update_lpns[i * chunk : (i + 1) * chunk]
-            if batch:
-                time_us = (i + 0.5) * spec.duration_us / total_batches
-                background.append((time_us, batch))
-    return background
 
 
 def probe_census(
@@ -447,12 +429,7 @@ def run_recovery(
     cuts: int = DEFAULT_CUTS,
     error_rate: float = 0.2,
     seed: int = 11,
-    jobs: int = 1,
-    progress: ProgressFn | None = None,
-    keep_going: bool = False,
-    snapshots: bool = False,
-    snapshot_dir: str | None = None,
-    snapshot_stats: dict | None = None,
+    executor: SweepExecutor | None = None,
 ) -> RecoveryResult:
     """Sweep ``cuts`` power-cut points across workloads and phases.
 
@@ -464,6 +441,7 @@ def run_recovery(
     ``mode="recover"`` unit through the standard sweep executor.
     """
     scale = scale or RunScale.bench()
+    executor = executor or SweepExecutor()
     names = workload_names or ["proj_1", "usr_1", "src2_0"]
     system = ida(error_rate)
     base, extra = divmod(cuts, len(names))
@@ -474,8 +452,8 @@ def run_recovery(
         share = base + int(wl_index < extra)
         if share == 0:
             continue
-        if progress is not None:
-            progress(f"census probe: {name}")
+        if executor.progress is not None:
+            executor.progress(f"census probe: {name}")
         census = probe_census(system, name, scale, seed=seed)
         fold = seed + 997 * (wl_index + 1)
         for ordinal, phase in choose_cut_ordinals(census, share, fold):
@@ -493,15 +471,7 @@ def run_recovery(
             )
             cells.append((name, phase))
 
-    payloads = execute_units(
-        units,
-        jobs=jobs,
-        progress=progress,
-        keep_going=keep_going,
-        snapshots=snapshots,
-        snapshot_dir=snapshot_dir,
-        snapshot_stats=snapshot_stats,
-    )
+    payloads = executor.map(units)
     result = RecoveryResult()
     dropped = 0
     for (name, phase), payload in zip(cells, payloads):
@@ -511,8 +481,8 @@ def run_recovery(
         result.cells.append(
             CutOutcome.from_payload(name, phase, payload)
         )
-    if dropped and progress is not None:
-        progress(f"keep-going: dropped {dropped} failed cut unit(s)")
+    if dropped and executor.progress is not None:
+        executor.progress(f"keep-going: dropped {dropped} failed cut unit(s)")
     return result
 
 

@@ -231,15 +231,54 @@ def _assemble_manifest(
     return manifest
 
 
-def _run_extras(refresh: dict, in_use_blocks: int, ida_blocks: int,
-                jobs: int | None, snapshots: dict | None = None) -> dict:
+def manifest_for_run(
+    result: "RunResult",
+    *,
+    collector: "IntervalCollector | None" = None,
+    trace_path: str | Path | None = None,
+) -> dict:
+    """Manifest for one :class:`~repro.experiments.runner.RunResult`.
+
+    The same manifest as its payload's (payloads carry exactly the
+    summary the manifest records).
+    """
+    return manifest_for_payload(
+        result.to_payload(), collector=collector, trace_path=trace_path
+    )
+
+
+def manifest_for_payload(
+    payload: "RunResultPayload",
+    *,
+    collector: "IntervalCollector | None" = None,
+    trace_path: str | Path | None = None,
+    jobs: int | None = None,
+    snapshots: dict | None = None,
+) -> dict:
+    """Manifest for one run payload, inline or pool-transported.
+
+    Inline and pooled sweeps return the same payloads, so they emit
+    interchangeable artifacts.  ``jobs`` and ``snapshots`` land in an
+    ``execution`` block outside the hashed config.
+    """
+    config = {
+        "system": jsonable(payload.system),
+        "workload": jsonable(payload.workload),
+        "scale": jsonable(payload.scale) if payload.scale is not None else None,
+        "seed": payload.seed,
+    }
+    if payload.faults is not None:
+        # The plan is part of the run's identity (it changes the
+        # numbers), so it joins the hashed config; the fired events are
+        # observations and ride outside it.
+        config["faults"] = payload.faults.get("plan")
     extra = {
         "refresh": {
-            "blocks_refreshed": refresh["blocks_refreshed"],
-            "extra_reads": refresh["extra_reads"],
-            "extra_writes": refresh["extra_writes"],
+            "blocks_refreshed": payload.refresh["blocks_refreshed"],
+            "extra_reads": payload.refresh["extra_reads"],
+            "extra_writes": payload.refresh["extra_writes"],
         },
-        "blocks": {"in_use": in_use_blocks, "ida": ida_blocks},
+        "blocks": {"in_use": payload.in_use_blocks, "ida": payload.ida_blocks},
     }
     if jobs is not None or snapshots is not None:
         # Recorded outside ``config`` on purpose: the executor's fan-out
@@ -252,73 +291,6 @@ def _run_extras(refresh: dict, in_use_blocks: int, ida_blocks: int,
         if snapshots is not None:
             execution["snapshots"] = dict(snapshots)
         extra["execution"] = execution
-    return extra
-
-
-def manifest_for_run(
-    result: "RunResult",
-    *,
-    collector: "IntervalCollector | None" = None,
-    trace_path: str | Path | None = None,
-    jobs: int | None = None,
-    snapshots: dict | None = None,
-) -> dict:
-    """Manifest for one :class:`~repro.experiments.runner.RunResult`."""
-    config = {
-        "system": jsonable(result.system),
-        "workload": jsonable(result.workload),
-        "scale": jsonable(result.scale) if result.scale is not None else None,
-        "seed": result.seed,
-    }
-    if result.faults is not None:
-        # The plan is part of the run's identity (it changes the
-        # numbers), so it joins the hashed config; the fired events are
-        # observations and ride outside it.
-        config["faults"] = result.faults.get("plan")
-    refresh = {
-        "blocks_refreshed": len(result.refresh_reports),
-        "extra_reads": sum(r.extra_reads for r in result.refresh_reports),
-        "extra_writes": sum(r.extra_writes for r in result.refresh_reports),
-    }
-    return _assemble_manifest(
-        config,
-        metrics_summary(result.metrics),
-        utilisation=result.utilisation or None,
-        queue_wait=result.queue_wait or None,
-        collector=collector,
-        trace_path=trace_path,
-        profile=result.profile,
-        faults=result.faults,
-        health=result.health,
-        extra=_run_extras(
-            refresh, result.in_use_blocks, result.ida_blocks, jobs, snapshots
-        ),
-    )
-
-
-def manifest_for_payload(
-    payload: "RunResultPayload",
-    *,
-    collector: "IntervalCollector | None" = None,
-    trace_path: str | Path | None = None,
-    jobs: int | None = None,
-    snapshots: dict | None = None,
-) -> dict:
-    """Manifest for one pool-transported run payload.
-
-    Produces the same manifest :func:`manifest_for_run` would for the
-    originating :class:`~repro.experiments.runner.RunResult` (payloads
-    carry exactly the summary the manifest records), so sequential and
-    parallel sweeps emit interchangeable artifacts.
-    """
-    config = {
-        "system": jsonable(payload.system),
-        "workload": jsonable(payload.workload),
-        "scale": jsonable(payload.scale) if payload.scale is not None else None,
-        "seed": payload.seed,
-    }
-    if payload.faults is not None:
-        config["faults"] = payload.faults.get("plan")
     return _assemble_manifest(
         config,
         payload.metrics_summary(),
@@ -329,10 +301,7 @@ def manifest_for_payload(
         profile=payload.profile,
         faults=payload.faults,
         health=payload.health,
-        extra=_run_extras(
-            payload.refresh, payload.in_use_blocks, payload.ida_blocks, jobs,
-            snapshots,
-        ),
+        extra=extra,
     )
 
 

@@ -115,7 +115,7 @@ class RunResultPayload:
     objects are collapsed to summary dicts, fixed-bucket histograms and
     refresh aggregates — a few KB regardless of run size — while keeping
     everything the artifact post-processing (normalisation, Table IV
-    averages, manifests) consumes.  ``jobs=1`` sweeps return the same
+    averages, manifests) consumes.  Inline sweeps return the same
     type, so a sweep's output is identical at any job count.
     """
 
@@ -408,6 +408,92 @@ def _to_host_requests(
     return requests
 
 
+def _background_batches(
+    spec: WorkloadSpec, scale: RunScale
+) -> list[tuple[float, list[int]]]:
+    """The background update stream of an open-loop run.
+
+    Sustains the trace's update rate between refresh cycles so
+    invalid-lower-page exposure stays at the Table III level throughout
+    the run (the timed trace replays only a sample of the original
+    requests).
+    """
+    batches_per_cycle = 8
+    total_batches = max(1, int(scale.refresh_cycles * batches_per_cycle))
+    per_cycle_updates = int(spec.aging_update_fraction * spec.footprint_pages)
+    total_updates = int(per_cycle_updates * scale.refresh_cycles)
+    update_lpns = sample_update_lpns(spec, total_updates)
+    background: list[tuple[float, list[int]]] = []
+    if update_lpns:
+        chunk = max(1, len(update_lpns) // total_batches)
+        for i in range(total_batches):
+            batch = update_lpns[i * chunk : (i + 1) * chunk]
+            if batch:
+                time_us = (i + 0.5) * spec.duration_us / total_batches
+                background.append((time_us, batch))
+    return background
+
+
+def _run(
+    system: SystemSpec,
+    spec: WorkloadSpec,
+    scale: RunScale | None,
+    seed: int,
+    queue_depth: int | None,
+    tracer: Tracer | None,
+    collector: IntervalCollector | None,
+    profiler: SimProfiler | None,
+    faults: FaultPlan | None,
+    health: HealthMonitor | None,
+    warm: WarmHandle | None,
+) -> RunResult:
+    """Shared body of the two run entry points.
+
+    Scales and generates the workload, builds and warms the simulator,
+    then replays the trace open loop (``queue_depth is None``, with the
+    background update stream) or closed loop at ``queue_depth``.
+    """
+    scale = scale or RunScale()
+    spec = spec.scaled(scale.num_requests, scale.footprint_pages)
+    generated = generate_workload(spec)
+    if health is not None:
+        collector = _health_collector(spec, collector)
+    sim = build_simulator(
+        system,
+        scale,
+        spec.duration_us,
+        seed=seed,
+        tracer=tracer,
+        collector=collector,
+        profiler=profiler,
+        faults=faults,
+        health=health,
+    )
+    warm_device(sim, generated, warm=warm)
+    requests = _to_host_requests(generated, sim.geometry.page_size_bytes)
+    if queue_depth is None:
+        metrics = sim.run_requests(
+            requests, background_updates=_background_batches(spec, scale)
+        )
+    else:
+        metrics = sim.run_closed_loop(requests, queue_depth=queue_depth)
+    return RunResult(
+        system=system,
+        workload=spec,
+        metrics=metrics,
+        refresh_reports=list(sim.ftl.refresh_reports),
+        in_use_blocks=sim.ftl.table.in_use_blocks(),
+        ida_blocks=sim.ftl.table.ida_blocks(),
+        utilisation=sim.utilisation_report(),
+        queue_wait=sim.queue_wait_report(),
+        scale=scale,
+        seed=seed,
+        profile=sim.profiler.aggregate() if sim.profiler is not None else None,
+        faults=sim.fault_summary(),
+        health=sim.health.to_payload() if sim.health is not None else None,
+    )
+
+
 def run_workload(
     system: SystemSpec,
     spec: WorkloadSpec,
@@ -426,61 +512,9 @@ def run_workload(
     :func:`warm_device`) — a pure wall-clock knob, byte-identical by the
     snapshot-parity suite.
     """
-    scale = scale or RunScale()
-    spec = spec.scaled(scale.num_requests, scale.footprint_pages)
-    generated = generate_workload(spec)
-    if health is not None:
-        collector = _health_collector(spec, collector)
-    sim = build_simulator(
-        system,
-        scale,
-        spec.duration_us,
-        seed=seed,
-        tracer=tracer,
-        collector=collector,
-        profiler=profiler,
-        faults=faults,
-        health=health,
-    )
-    page_size = sim.geometry.page_size_bytes
-
-    warm_device(sim, generated, warm=warm)
-
-    # Background update stream: sustain the trace's update rate between
-    # refresh cycles so invalid-lower-page exposure stays at the Table III
-    # level throughout the run (the timed trace replays only a sample of
-    # the original requests).
-    batches_per_cycle = 8
-    total_batches = max(1, int(scale.refresh_cycles * batches_per_cycle))
-    per_cycle_updates = int(spec.aging_update_fraction * spec.footprint_pages)
-    total_updates = int(per_cycle_updates * scale.refresh_cycles)
-    update_lpns = sample_update_lpns(spec, total_updates)
-    background: list[tuple[float, list[int]]] = []
-    if update_lpns:
-        chunk = max(1, len(update_lpns) // total_batches)
-        for i in range(total_batches):
-            batch = update_lpns[i * chunk : (i + 1) * chunk]
-            if batch:
-                time_us = (i + 0.5) * spec.duration_us / total_batches
-                background.append((time_us, batch))
-
-    metrics = sim.run_requests(
-        _to_host_requests(generated, page_size), background_updates=background
-    )
-    return RunResult(
-        system=system,
-        workload=spec,
-        metrics=metrics,
-        refresh_reports=list(sim.ftl.refresh_reports),
-        in_use_blocks=sim.ftl.table.in_use_blocks(),
-        ida_blocks=sim.ftl.table.ida_blocks(),
-        utilisation=sim.utilisation_report(),
-        queue_wait=sim.queue_wait_report(),
-        scale=scale,
-        seed=seed,
-        profile=sim.profiler.aggregate() if sim.profiler is not None else None,
-        faults=sim.fault_summary(),
-        health=sim.health.to_payload() if sim.health is not None else None,
+    return _run(
+        system, spec, scale, seed, None,
+        tracer, collector, profiler, faults, health, warm,
     )
 
 
@@ -502,43 +536,9 @@ def run_workload_closed_loop(
     The host keeps ``queue_depth`` requests outstanding; throughput then
     reflects device capability rather than the trace's arrival rate.
     """
-    scale = scale or RunScale()
-    spec = spec.scaled(scale.num_requests, scale.footprint_pages)
-    generated = generate_workload(spec)
-    if health is not None:
-        collector = _health_collector(spec, collector)
-    sim = build_simulator(
-        system,
-        scale,
-        spec.duration_us,
-        seed=seed,
-        tracer=tracer,
-        collector=collector,
-        profiler=profiler,
-        faults=faults,
-        health=health,
-    )
-    page_size = sim.geometry.page_size_bytes
-
-    warm_device(sim, generated, warm=warm)
-
-    metrics = sim.run_closed_loop(
-        _to_host_requests(generated, page_size), queue_depth=queue_depth
-    )
-    return RunResult(
-        system=system,
-        workload=spec,
-        metrics=metrics,
-        refresh_reports=list(sim.ftl.refresh_reports),
-        in_use_blocks=sim.ftl.table.in_use_blocks(),
-        ida_blocks=sim.ftl.table.ida_blocks(),
-        utilisation=sim.utilisation_report(),
-        queue_wait=sim.queue_wait_report(),
-        scale=scale,
-        seed=seed,
-        profile=sim.profiler.aggregate() if sim.profiler is not None else None,
-        faults=sim.fault_summary(),
-        health=sim.health.to_payload() if sim.health is not None else None,
+    return _run(
+        system, spec, scale, seed, queue_depth,
+        tracer, collector, profiler, faults, health, warm,
     )
 
 

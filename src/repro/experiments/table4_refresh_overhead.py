@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ..workloads.msr import TABLE3_WORKLOADS
 from .config import RunScale
-from .parallel import ProgressFn, RunUnit, execute_units, prune_failed
+from .parallel import RunUnit, SweepExecutor, prune_failed
 from .reporting import ascii_table
 from .systems import ida
 
@@ -42,27 +42,15 @@ def run_table4(
     workload_names: list[str] | None = None,
     error_rate: float = 0.2,
     seed: int = 11,
-    jobs: int = 1,
-    progress: ProgressFn | None = None,
-    keep_going: bool = False,
-    snapshots: bool = False,
-    snapshot_dir: str | None = None,
-    snapshot_stats: dict | None = None,
+    executor: SweepExecutor | None = None,
 ) -> Table4Result:
     """Measure per-block refresh overheads under IDA-E{error_rate}."""
     scale = scale or RunScale.bench()
     names = workload_names or list(TABLE3_WORKLOADS)
     units = [RunUnit(ida(error_rate), name, scale, seed=seed) for name in names]
-    payloads = execute_units(
-        units,
-        jobs=jobs,
-        progress=progress,
-        keep_going=keep_going,
-        snapshots=snapshots,
-        snapshot_dir=snapshot_dir,
-        snapshot_stats=snapshot_stats,
-    )
-    names, units, payloads, _ = prune_failed(names, units, payloads, progress)
+    executor = executor or SweepExecutor()
+    payloads = executor.map(units)
+    names, units, payloads, _ = prune_failed(names, units, payloads, executor.progress)
 
     result = Table4Result()
     for name, payload in zip(names, payloads):

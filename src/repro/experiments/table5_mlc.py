@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ..workloads.msr import TABLE3_WORKLOADS
 from .config import RunScale
-from .parallel import ProgressFn, RunUnit, execute_units, prune_failed
+from .parallel import RunUnit, SweepExecutor, prune_failed
 from .reporting import ascii_table
 from .runner import improvement_pct
 from .systems import baseline, ida
@@ -39,12 +39,7 @@ def run_table5(
     device: str = "mlc",
     error_rate: float = 0.2,
     seed: int = 11,
-    jobs: int = 1,
-    progress: ProgressFn | None = None,
-    keep_going: bool = False,
-    snapshots: bool = False,
-    snapshot_dir: str | None = None,
-    snapshot_stats: dict | None = None,
+    executor: SweepExecutor | None = None,
 ) -> Table5Result:
     """Measure IDA-E{error_rate} improvements on the given device family."""
     scale = scale or RunScale.bench()
@@ -53,16 +48,9 @@ def run_table5(
     for name in names:
         units.append(RunUnit(baseline(device), name, scale, seed=seed))
         units.append(RunUnit(ida(error_rate, device), name, scale, seed=seed))
-    payloads = execute_units(
-        units,
-        jobs=jobs,
-        progress=progress,
-        keep_going=keep_going,
-        snapshots=snapshots,
-        snapshot_dir=snapshot_dir,
-        snapshot_stats=snapshot_stats,
-    )
-    names, units, payloads, _ = prune_failed(names, units, payloads, progress)
+    executor = executor or SweepExecutor()
+    payloads = executor.map(units)
+    names, units, payloads, _ = prune_failed(names, units, payloads, executor.progress)
 
     result = Table5Result(device=device)
     for index, name in enumerate(names):

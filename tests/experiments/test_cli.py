@@ -366,3 +366,39 @@ class TestInspectJsonFormat:
         trace.write_text("")
         with pytest.raises(SystemExit, match="text-only"):
             main(["inspect", str(trace), "--last", "2", "--format", "json"])
+
+
+class TestSnapshotsCli:
+    def test_run_snapshot_dir_misses_then_hits(self, capsys, tmp_path):
+        import json
+
+        spill = tmp_path / "snaps"
+        reports = [tmp_path / "first.json", tmp_path / "second.json"]
+        outs = []
+        for report in reports:
+            assert main(["run", "--scale", "tiny", "--snapshot-dir", str(spill),
+                         "--report", str(report)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert "snaps : 0 hit(s), 1 miss(es), 0 fallback(s)" in outs[0]
+        assert "snaps : 1 hit(s), 0 miss(es), 0 fallback(s)" in outs[1]
+        first, second = (json.loads(r.read_text()) for r in reports)
+        assert first["execution"]["snapshots"] == {
+            "hits": 0, "misses": 1, "fallbacks": 0,
+        }
+        assert second["execution"]["snapshots"] == {
+            "hits": 1, "misses": 0, "fallbacks": 0,
+        }
+        assert first["metrics"] == second["metrics"]
+        assert first["config_hash"] == second["config_hash"]
+
+    def test_artifact_snapshots_line(self, capsys):
+        import re
+
+        assert main(["fig9", "--scale", "tiny", "--workloads", "hm_1",
+                     "--snapshots"]) == 0
+        out = capsys.readouterr().out
+        match = re.search(
+            r"\[snapshots: (\d+) hit\(s\), 1 miss\(es\), 0 fallback\(s\)\]", out
+        )
+        assert match is not None, out
+        assert int(match.group(1)) > 0

@@ -15,7 +15,7 @@ from repro.experiments.fig_breakdown import (
     format_fig_breakdown,
     run_fig_breakdown,
 )
-from repro.experiments.parallel import RunUnit, execute_unit
+from repro.experiments.parallel import RunUnit, SweepExecutor, execute_unit
 from repro.experiments.reporting import manifest_for_payload
 from repro.experiments.systems import ida
 
@@ -125,8 +125,6 @@ class TestProfileTransport:
         assert payload.profile["requests"]["read"]["count"] > 0
 
     def test_pool_payload_matches_inline(self):
-        from repro.experiments.parallel import SweepExecutor
-
         unit = RunUnit(ida(0.2), "usr_1", RunScale.tiny(), profile=True)
         inline = execute_unit(unit)
         pooled = SweepExecutor(jobs=2).map([unit, unit])[0]
@@ -135,8 +133,6 @@ class TestProfileTransport:
         assert pooled.profile["stages"] == inline.profile["stages"]
 
     def test_manifest_embeds_transported_profile(self):
-        from repro.experiments.parallel import SweepExecutor
-
         unit = RunUnit(ida(0.2), "usr_1", RunScale.tiny(), profile=True)
         payload = SweepExecutor(jobs=2).map([unit])[0]
         manifest = manifest_for_payload(payload, jobs=2)
@@ -144,7 +140,9 @@ class TestProfileTransport:
 
     def test_run_fig_breakdown_through_pool(self):
         pooled = run_fig_breakdown(
-            scale=RunScale.tiny(), workload_names=["usr_1"], jobs=2
+            scale=RunScale.tiny(),
+            workload_names=["usr_1"],
+            executor=SweepExecutor(jobs=2),
         )
         inline = run_fig_breakdown(
             scale=RunScale.tiny(), workload_names=["usr_1"]

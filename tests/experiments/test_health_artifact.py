@@ -16,6 +16,7 @@ from repro.experiments.health_artifact import (
     health_to_prometheus,
     run_health,
 )
+from repro.experiments.parallel import SweepExecutor
 from repro.experiments.reporting import SCHEMA_VERSION, manifest_for_run
 from repro.experiments.runner import run_workload
 from repro.experiments.systems import ida
@@ -116,7 +117,11 @@ class TestExports:
 
 class TestJobsParity:
     def test_health_series_identical_inline_vs_pool(self, artifact):
-        pooled = run_health(scale=health_scale(), workload_names=["hm_1"], jobs=4)
+        pooled = run_health(
+            scale=health_scale(),
+            workload_names=["hm_1"],
+            executor=SweepExecutor(jobs=4),
+        )
         assert json.dumps(health_to_json(pooled), sort_keys=True) == json.dumps(
             health_to_json(artifact), sort_keys=True
         )

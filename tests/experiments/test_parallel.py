@@ -13,7 +13,6 @@ from repro.experiments.parallel import (
     SweepError,
     SweepExecutor,
     execute_unit,
-    execute_units,
 )
 from repro.experiments.runner import (
     CapacityCensus,
@@ -53,6 +52,11 @@ class TestRunUnit:
     def test_is_picklable(self) -> None:
         unit = _unit(seed=7, mode="closed", queue_depth=8)
         assert pickle.loads(pickle.dumps(unit)) == unit
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_rejects_queue_depth_below_one(self, depth) -> None:
+        with pytest.raises(ValueError, match="queue_depth"):
+            _unit(mode="closed", queue_depth=depth)
 
     def test_slo_requires_health(self) -> None:
         from repro.obs.slo import DEFAULT_READ_P99_SLO
@@ -126,7 +130,7 @@ class TestInlineExecution:
 
     def test_results_follow_submission_order(self) -> None:
         units = [_unit("usr_1"), RunUnit(ida(0.2), "hm_1", SCALE)]
-        payloads = execute_units(units)
+        payloads = SweepExecutor().map(units)
         assert [p.system.name for p in payloads] == ["baseline", "ida-e20"]
         assert [p.workload.name for p in payloads] == ["usr_1", "hm_1"]
 
@@ -140,7 +144,7 @@ class TestInlineExecution:
     def test_unknown_workload_raises_sweep_error(self) -> None:
         unit = _unit("no_such_trace")
         with pytest.raises(SweepError) as info:
-            execute_units([unit])
+            SweepExecutor().map([unit])
         assert info.value.unit == unit
         assert "no_such_trace" in str(info.value)
         assert isinstance(info.value.__cause__, KeyError)
@@ -154,14 +158,14 @@ class TestPoolExecution:
     def test_worker_failure_propagates_with_unit_context(self) -> None:
         units = [_unit("hm_1"), _unit("no_such_trace")]
         with pytest.raises(SweepError) as info:
-            execute_units(units, jobs=2)
+            SweepExecutor(jobs=2).map(units)
         assert info.value.unit == units[1]
         assert "no_such_trace" in str(info.value)
 
     def test_pool_shuts_down_cleanly(self) -> None:
         with pytest.raises(SweepError):
-            execute_units([_unit("no_such_trace")], jobs=2)
-        execute_units([_unit("hm_1")], jobs=2)
+            SweepExecutor(jobs=2).map([_unit("no_such_trace")])
+        SweepExecutor(jobs=2).map([_unit("hm_1")])
         assert multiprocessing.active_children() == []
 
     def test_tracer_factory_rejected(self) -> None:

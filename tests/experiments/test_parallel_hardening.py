@@ -175,6 +175,15 @@ class TestPruneHelpers:
         assert failed_workloads(outcomes) == {"w2"}
         assert failed_workloads(["a", "b"]) == set()
 
+    def test_failed_workloads_reports_each_drop_once(self):
+        units, outcomes = self._outcomes()
+        messages: list[str] = []
+        outcomes.append(SweepError(units[3], "boom again"))
+        assert failed_workloads(outcomes, messages.append) == {"w2"}
+        assert messages == [
+            "keep-going: dropping workload 'w2' (unit failed)"
+        ]
+
     def test_prune_drops_whole_workload_groups(self):
         units, outcomes = self._outcomes()
         names = ["w1", "w2", "w1", "w2"]

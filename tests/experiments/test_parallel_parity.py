@@ -21,7 +21,7 @@ import pytest
 
 from repro.experiments.config import RunScale
 from repro.experiments.fig8_response_time import format_fig8, run_fig8
-from repro.experiments.parallel import RunUnit, execute_units
+from repro.experiments.parallel import RunUnit, SweepExecutor
 from repro.experiments.systems import baseline, ida
 from repro.faults import FaultPlan
 
@@ -47,7 +47,7 @@ def pool_payloads() -> dict:
         RunUnit(SYSTEMS[name], trace, RunScale.tiny(), seed=SEED)
         for trace, name in cells
     ]
-    payloads = execute_units(units, jobs=2)
+    payloads = SweepExecutor(jobs=2).map(units)
     return dict(zip(cells, payloads))
 
 
@@ -87,8 +87,8 @@ def test_fig8_sweep_parity_across_job_counts() -> None:
         error_rates=(0.2,),
         seed=SEED,
     )
-    sequential = run_fig8(jobs=1, **kwargs)
-    parallel = run_fig8(jobs=2, **kwargs)
+    sequential = run_fig8(executor=SweepExecutor(jobs=1), **kwargs)
+    parallel = run_fig8(executor=SweepExecutor(jobs=2), **kwargs)
     assert parallel.normalized == sequential.normalized
     assert format_fig8(parallel) == format_fig8(sequential)
 
@@ -115,8 +115,8 @@ def test_fault_injection_parity_across_job_counts() -> None:
         for trace in ("hm_1", "usr_1")
         for name in sorted(SYSTEMS)
     ]
-    inline = execute_units(units, jobs=1)
-    pooled = execute_units(units, jobs=4)
+    inline = SweepExecutor(jobs=1).map(units)
+    pooled = SweepExecutor(jobs=4).map(units)
     for seq, par in zip(inline, pooled):
         assert json.dumps(seq.metrics_summary(), sort_keys=True) == json.dumps(
             par.metrics_summary(), sort_keys=True

@@ -175,32 +175,36 @@ class TestRunRecoverySweep:
 
 
 class TestCutSplit:
-    def test_remainder_goes_to_the_first_workloads(self, monkeypatch):
+    def test_remainder_goes_to_the_first_workloads(self):
         # The split is pinned without running any cut: the executor is
-        # replaced by one that reports every unit clean.
-        from repro.experiments import recovery_artifact
+        # a stub that reports every unit clean.
+        class CleanExecutor:
+            progress = None
 
-        def clean(units, **_):
-            return [
-                {
-                    "op_ordinal": unit.faults.events[0].op_ordinal,
-                    "ok": True,
-                    "cut_fired": True,
-                    "cut_t_us": 0.0,
-                    "acked_writes": 0,
-                    "mapped_lpns": 0,
-                    "torn_rolled_forward": 0,
-                    "relocated_lpns": 0,
-                    "resumed_requests": 0,
-                    "violations": [],
-                }
-                for unit in units
-            ]
+            def map(self, units):
+                return [
+                    {
+                        "op_ordinal": unit.faults.events[0].op_ordinal,
+                        "ok": True,
+                        "cut_fired": True,
+                        "cut_t_us": 0.0,
+                        "acked_writes": 0,
+                        "mapped_lpns": 0,
+                        "torn_rolled_forward": 0,
+                        "relocated_lpns": 0,
+                        "resumed_requests": 0,
+                        "violations": [],
+                    }
+                    for unit in units
+                ]
 
-        monkeypatch.setattr(recovery_artifact, "execute_units", clean)
         names = ["proj_1", "usr_1", "src2_0"]
         result = run_recovery(
-            scale=SCALE, workload_names=names, cuts=13, seed=11
+            scale=SCALE,
+            workload_names=names,
+            cuts=13,
+            seed=11,
+            executor=CleanExecutor(),
         )
         assert result.total == 13
         per_workload = [

@@ -20,7 +20,6 @@ from repro.experiments.config import RunScale
 from repro.experiments.parallel import (
     RunUnit,
     SweepExecutor,
-    execute_units,
     warm_key_for_unit,
 )
 from repro.experiments.reporting import manifest_for_payload
@@ -203,7 +202,7 @@ class TestExecutorParity:
 
     @pytest.fixture(scope="class")
     def cold(self, units):
-        return execute_units(units, jobs=1)
+        return SweepExecutor(jobs=1).map(units)
 
     def test_units_share_one_warm_key(self, units) -> None:
         assert len({warm_key_for_unit(u) for u in units}) == 1
@@ -288,24 +287,20 @@ class TestFig8GoldenWithSnapshots:
 
     def test_inline(self, golden) -> None:
         self._check(
-            execute_units(self._units(), jobs=1, snapshots=True), golden
+            SweepExecutor(jobs=1, snapshots=True).map(self._units()), golden
         )
 
     def test_pooled_jobs_4(self, golden) -> None:
         self._check(
-            execute_units(self._units(), jobs=4, snapshots=True), golden
+            SweepExecutor(jobs=4, snapshots=True).map(self._units()), golden
         )
 
 
 class TestManifestRecording:
     def test_snapshot_stats_land_under_execution(self) -> None:
-        stats: dict = {}
-        payloads = execute_units(
-            [RunUnit(ida(0.2), "usr_1", SCALE, seed=SEED)],
-            jobs=1,
-            snapshots=True,
-            snapshot_stats=stats,
-        )
+        executor = SweepExecutor(jobs=1, snapshots=True)
+        payloads = executor.map([RunUnit(ida(0.2), "usr_1", SCALE, seed=SEED)])
+        stats = executor.snapshot_stats
         manifest = manifest_for_payload(
             payloads[0], jobs=1, snapshots=stats
         )
@@ -313,8 +308,8 @@ class TestManifestRecording:
         assert recorded == {"hits": 0, "misses": 1, "fallbacks": 0}
 
     def test_snapshot_stats_stay_out_of_the_config_hash(self) -> None:
-        payload = execute_units(
-            [RunUnit(ida(0.2), "usr_1", SCALE, seed=SEED)], jobs=1
+        payload = SweepExecutor(jobs=1).map(
+            [RunUnit(ida(0.2), "usr_1", SCALE, seed=SEED)]
         )[0]
         without = manifest_for_payload(payload, jobs=1)
         with_stats = manifest_for_payload(
