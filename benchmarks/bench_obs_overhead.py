@@ -7,23 +7,28 @@ hooks must be equally free when no profiler is attached (<= 5%).  This
 script times the same (system, workload, seed) run six ways, in two
 sections:
 
+Every variant attaches its instruments through one ``telemetry=``
+:class:`~repro.obs.Telemetry` (``None`` for the bare variants).
+
 tracer section
-  * ``untraced``  — ``tracer=None`` (the default every experiment uses);
+  * ``untraced``  — ``telemetry=None`` (the default every experiment uses);
   * ``null``      — an explicit :class:`NullTracer` (same fast path,
     proves the guard itself is free);
   * ``traced``    — a real tracer into an in-memory sink, for context.
 
 profiler section
-  * ``disabled``  — ``profiler=None`` (every pre-existing call site);
+  * ``disabled``  — no profiler (every pre-existing call site);
   * ``aggregate`` — ``SimProfiler(keep_events=False)``, the worker-pool
     configuration (attribution only, no trace slices);
   * ``full``      — ``SimProfiler()`` retaining Chrome-trace slices.
 
 telemetry section
-  * ``disabled``  — ``health=None`` (the default): the FTL / ECC / host
-    instrument points all hit their ``is None`` guards and nothing else;
-  * ``enabled``   — a full :class:`HealthMonitor` with metrics registry
-    and SLO engine attached (sampled on the auto interval collector).
+  * ``disabled``  — no health monitor (the default): the FTL / ECC /
+    host instrument points all hit their ``is None`` guards and nothing
+    else;
+  * ``enabled``   — ``Instruments(health=True)``: a full
+    :class:`HealthMonitor` with metrics registry and SLO engine attached
+    (sampled 16 times per run).
 
 Run:  python benchmarks/bench_obs_overhead.py [--scale quick] [--reps 5]
                                               [--check] [--threshold 3.0]
@@ -52,31 +57,31 @@ from pathlib import Path
 
 from repro.experiments import RunScale, ida, run_workload
 from repro.obs import (
-    HealthMonitor,
+    DEFAULT_READ_P99_SLO,
+    Instruments,
     MemorySink,
-    MetricsRegistry,
     NullTracer,
     SimProfiler,
-    SloEngine,
+    Telemetry,
     Tracer,
 )
 from repro.workloads import workload
 
-
-def _health_monitor() -> HealthMonitor:
-    return HealthMonitor(registry=MetricsRegistry(), slo=SloEngine())
-
-
-#: variant name -> (tracer, profiler, health) factories; rebuilt per rep.
+#: variant name -> telemetry factory of the run's scaled duration
+#: (``None`` = bare run); rebuilt per rep.
 VARIANTS = {
-    "untraced": (None, None, None),
-    "null_tracer": (NullTracer, None, None),
-    "full_tracer": (lambda: Tracer(MemorySink()), None, None),
-    "profiler_disabled": (None, None, None),
-    "profiler_aggregate": (None, lambda: SimProfiler(keep_events=False), None),
-    "profiler_full": (None, lambda: SimProfiler(), None),
-    "health_disabled": (None, None, None),
-    "health_enabled": (None, None, _health_monitor),
+    "untraced": None,
+    "null_tracer": lambda _: Telemetry(tracer=NullTracer()),
+    "full_tracer": lambda _: Telemetry(tracer=Tracer(MemorySink())),
+    "profiler_disabled": None,
+    "profiler_aggregate": lambda _: Telemetry(
+        profiler=SimProfiler(keep_events=False)
+    ),
+    "profiler_full": lambda _: Telemetry(profiler=SimProfiler()),
+    "health_disabled": None,
+    "health_enabled": Instruments(
+        health=True, slo=(DEFAULT_READ_P99_SLO,)
+    ).build,
 }
 
 
@@ -93,16 +98,13 @@ def time_variants(scale: RunScale, reps: int) -> dict[str, float]:
     cost, which a percent-level overhead gate needs.
     """
     spec = workload("usr_1")
+    duration_us = spec.scaled(scale.num_requests, scale.footprint_pages).duration_us
     times: dict[str, list[float]] = {name: [] for name in VARIANTS}
     for _ in range(reps):
-        for name, factories in VARIANTS.items():
-            tracer_factory, profiler_factory, health_factory = factories
-            tracer = tracer_factory() if tracer_factory else None
-            profiler = profiler_factory() if profiler_factory else None
-            health = health_factory() if health_factory else None
+        for name, factory in VARIANTS.items():
+            telemetry = factory(duration_us) if factory else None
             started = time.perf_counter()
-            run_workload(ida(0.2), spec, scale, seed=11, tracer=tracer,
-                         profiler=profiler, health=health)
+            run_workload(ida(0.2), spec, scale, seed=11, telemetry=telemetry)
             times[name].append(time.perf_counter() - started)
     return {name: min(seq) for name, seq in times.items()}
 

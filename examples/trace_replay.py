@@ -19,7 +19,7 @@ from pathlib import Path
 
 from repro.experiments import RunScale, baseline, build_run_manifest, ida, write_run_manifest
 from repro.experiments.runner import build_simulator
-from repro.obs import JsonlSink, Tracer
+from repro.obs import Instruments
 from repro.sim.scheduler import HostRequest
 from repro.workloads import (
     generate_workload,
@@ -40,10 +40,11 @@ def characterise(trace) -> None:
 
 def replay(trace, system, scale: RunScale, trace_path: Path | None = None):
     """Replay ``trace`` against ``system``; returns (metrics, manifest)."""
-    tracer = Tracer(JsonlSink(trace_path)) if trace_path is not None else None
-    sim = build_simulator(
-        system, scale, duration_us=max(trace.duration_us(), 1.0), tracer=tracer
-    )
+    duration_us = max(trace.duration_us(), 1.0)
+    telemetry = Instruments(
+        trace_path=None if trace_path is None else str(trace_path)
+    ).build(duration_us)
+    sim = build_simulator(system, scale, duration_us, telemetry=telemetry)
     page_size = sim.geometry.page_size_bytes
     footprint = trace.footprint_pages(page_size)
     period = sim.ftl.refresh_policy.period_us
@@ -53,14 +54,13 @@ def replay(trace, system, scale: RunScale, trace_path: Path | None = None):
         for i, io in enumerate(trace)
     ]
     metrics = sim.run_requests(requests)
-    if tracer is not None:
-        tracer.close()
+    telemetry.close()
     manifest = build_run_manifest(
         {"trace": trace.name, "system": system, "scale": scale},
         metrics,
         utilisation=sim.utilisation_report(),
         queue_wait=sim.queue_wait_report(),
-        trace_path=trace_path,
+        telemetry=telemetry.payload(),
     )
     return metrics, manifest
 

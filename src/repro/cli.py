@@ -25,10 +25,11 @@ import time
 from typing import Callable
 
 from .obs import (
+    DEFAULT_READ_P99_SLO,
+    Instruments,
     IntervalCollector,
-    JsonlSink,
+    Telemetry,
     TraceLoadError,
-    Tracer,
     format_last_spans,
     format_trace_summary,
     load_trace_safe,
@@ -281,8 +282,8 @@ def _build_run_parser() -> argparse.ArgumentParser:
     parser.add_argument("--report", metavar="PATH", default=None,
                         help="write the run manifest (JSON) to PATH")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (N>1 runs in a pool; tracing "
-                             "and interval collection require --jobs 1)")
+                        help="worker processes (N>1 runs the unit in a pool; "
+                             "output is identical either way)")
     parser.add_argument("--faults", metavar="PATH", default=None,
                         help="inject the fault plan (JSON, see docs/faults.md) "
                              "into the run")
@@ -329,37 +330,25 @@ def _cmd_run(argv: list[str]) -> int:
         raise SystemExit("--interval-us must be positive")
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
-    if args.jobs > 1 and (args.trace or args.interval_us):
-        raise SystemExit(
-            "--trace / --interval-us need the inline path; rerun with --jobs 1"
-        )
 
-    slo = None
-    if args.health:
-        from .obs import DEFAULT_READ_P99_SLO
-
-        slo = (DEFAULT_READ_P99_SLO,)
+    instruments = Instruments(
+        trace_path=args.trace,
+        interval_us=args.interval_us,
+        health=args.health,
+        slo=(DEFAULT_READ_P99_SLO,) if args.health else None,
+    )
     unit = RunUnit(
         system, args.workload, scale, seed=args.seed, faults=plan,
-        health=args.health, slo=slo,
+        instruments=instruments,
     )
     executor = SweepExecutor(
         jobs=args.jobs, snapshots=args.snapshots,
         snapshot_dir=args.snapshot_dir,
     )
-    tracer = Tracer(JsonlSink(args.trace)) if args.trace else None
-    collector = (
-        IntervalCollector(args.interval_us) if args.interval_us else None
-    )
     started = time.time()
-    payload = executor.map(
-        [unit],
-        tracer_factory=(lambda _: tracer) if tracer is not None else None,
-        collector_factory=(lambda _: collector) if collector is not None else None,
-    )[0]
+    payload = executor.map([unit])[0]
     elapsed = time.time() - started
-    if tracer is not None:
-        tracer.close()
+    telemetry = payload.telemetry
     snapshot_stats = (
         dict(executor.snapshot_stats) if executor.snapshots else None
     )
@@ -384,30 +373,32 @@ def _cmd_run(argv: list[str]) -> int:
         active = {k: v for k, v in fired.items() if v}
         print(f"  faults: {len(payload.faults.get('events', []))} events "
               f"fired {active or '(none)'}")
-    if payload.health is not None:
-        summary = payload.health.get("summary", {})
+    if telemetry["health"] is not None:
+        summary = telemetry["health"].get("summary", {})
         wear = summary.get("wear", {})
         print(f"  health: {summary.get('samples', 0)} samples  "
               f"wear p99 {wear.get('p99', 0):.0f} erases  "
               f"retired {summary.get('retired_blocks', 0)}  "
               f"retries {summary.get('read_retries', 0)}  "
               f"IDA exposure {summary.get('ida_exposure', 0.0):.1%}")
-        slo = payload.health.get("slo")
+        slo = telemetry["health"].get("slo")
         if slo is not None:
             breaching = [o["objective"] for o in slo["objectives"] if o["breaching"]]
             print(f"  slo   : {slo['breaches']} breach(es)"
                   + (f", still breaching: {', '.join(breaching)}" if breaching else ""))
-    if tracer is not None:
-        print(f"  trace : {args.trace} ({tracer.events_emitted} events)")
-    if collector is not None:
-        print(f"  series: {len(collector.snapshots)} intervals of "
-              f"{args.interval_us:.0f} us")
+    if args.trace:
+        # Every line after the header is one emitted event.
+        with open(args.trace, encoding="utf-8") as handle:
+            events = sum(1 for _ in handle) - 1
+        print(f"  trace : {args.trace} ({events} events)")
+    if telemetry["time_series"] is not None:
+        print(f"  series: {len(telemetry['time_series']['intervals'])} "
+              f"intervals of {args.interval_us:.0f} us")
     if snapshot_stats is not None:
         print(f"  snaps : {_snapshot_counts(snapshot_stats)}")
     if args.report:
         manifest = manifest_for_payload(
-            payload, collector=collector, trace_path=args.trace,
-            jobs=args.jobs, snapshots=snapshot_stats,
+            payload, jobs=args.jobs, snapshots=snapshot_stats
         )
         path = write_run_manifest(manifest, args.report)
         print(f"  report: {path} (config {manifest['config_hash']})")
@@ -472,12 +463,12 @@ def _cmd_profile(argv: list[str]) -> int:
     )
     started = time.time()
     result = run_workload(
-        system, spec, scale, seed=args.seed, collector=collector,
-        profiler=profiler,
+        system, spec, scale, seed=args.seed,
+        telemetry=Telemetry(collector=collector, profiler=profiler),
     )
     elapsed = time.time() - started
 
-    aggregate = result.profile
+    aggregate = result.telemetry["profile"]
     print(f"{system.name} on {args.workload} @ {args.scale} "
           f"({elapsed:.1f}s wall, seed {args.seed}, policy {system.policy})")
     for kind in ("read", "write"):

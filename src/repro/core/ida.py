@@ -129,12 +129,6 @@ class IdaTransform:
         """Where ISPP must drive a cell currently in ``state``."""
         return self.move_map[state]
 
-    def moved_states(self) -> tuple[int, ...]:
-        """States that actually change during the voltage adjustment."""
-        return tuple(
-            s for s in range(self.base.num_states) if self.move_map[s] != s
-        )
-
     def max_move_distance(self) -> int:
         """Largest rightward state jump the adjustment performs.
 

@@ -50,9 +50,6 @@ class DeviceConfig:
         """Same device with a different read-latency step (Fig. 9)."""
         return replace(self, timing=self.timing.with_dtr(dtr_us))
 
-    def with_blocks_per_plane(self, blocks: int) -> "DeviceConfig":
-        return replace(self, geometry=self.geometry.scaled(blocks))
-
 
 def device(name: str, blocks_per_plane: int = 64) -> DeviceConfig:
     """Build a named device family at the given scale.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..obs.instruments import Instruments
 from ..workloads.msr import TABLE3_WORKLOADS
 from .config import RunScale
 from .parallel import RunUnit, SweepExecutor, prune_failed
@@ -91,11 +92,11 @@ class BreakdownResult:
 
 
 def _attribution_cell(payload, workload: str, tolerance_us: float) -> BreakdownCell:
-    profile = payload.profile
+    profile = payload.telemetry.get("profile")
     if profile is None:
         raise ValueError(
             f"run {payload.system.name}/{workload} carried no profile; "
-            "fig_breakdown units must set profile=True"
+            "fig_breakdown units must set Instruments(profile=True)"
         )
     reads = profile["requests"].get("read")
     if reads is None:
@@ -146,8 +147,9 @@ def run_fig_breakdown(
     scale = scale or RunScale.bench()
     names = workload_names or list(TABLE3_WORKLOADS)
     systems = (baseline(), ida(error_rate))
+    profiled = Instruments(profile=True)
     units = [
-        RunUnit(system, name, scale, seed=seed, profile=True)
+        RunUnit(system, name, scale, seed=seed, instruments=profiled)
         for name in names
         for system in systems
     ]

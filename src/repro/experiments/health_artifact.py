@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..obs.instruments import Instruments
 from ..obs.metrics import labeled_snapshots_to_prometheus
 from ..obs.slo import SloObjective
 from ..workloads.msr import workload as _catalog_workload
@@ -151,14 +152,12 @@ def run_health(
         spec = _catalog_workload(name).scaled(
             scale.num_requests, scale.footprint_pages
         )
-        objectives = health_objectives(spec.duration_us)
+        health = Instruments(health=True, slo=health_objectives(spec.duration_us))
         plan = plan_for_cell(name, _LATE_PHASE_INDEX, density, scale, seed)
         for spec_sys in (baseline(), ida(error_rate)):
             conditions.append((name, spec_sys.name, "healthy"))
             units.append(
-                RunUnit(
-                    spec_sys, name, scale, seed=seed, health=True, slo=objectives
-                )
+                RunUnit(spec_sys, name, scale, seed=seed, instruments=health)
             )
             conditions.append((name, spec_sys.name, "faulted"))
             units.append(
@@ -168,8 +167,7 @@ def run_health(
                     scale,
                     seed=seed,
                     faults=plan,
-                    health=True,
-                    slo=objectives,
+                    instruments=health,
                 )
             )
 
@@ -192,7 +190,7 @@ def run_health(
                 system=system_name,
                 condition=condition,
                 mean_read_us=payload.mean_read_response_us,
-                health=payload.health or {},
+                health=payload.telemetry["health"],
             )
         )
     return result

@@ -21,10 +21,13 @@ flip on any experiment.
 Only compact :class:`~repro.experiments.runner.RunResultPayload` objects
 (or :class:`~repro.experiments.runner.CapacityCensus` for capacity-mode
 units) cross the process boundary; raw metrics with per-sample lists
-never do.  Tracing and interval collection are *inline-only* (``jobs=1``,
-the default): a tracer is an open file plus callbacks, neither of which
-can usefully cross a fork, and interleaving events from concurrent runs
-would destroy the per-run ordering the trace inspector relies on.
+never do.  Instrumentation crosses as a declarative
+:class:`~repro.obs.instruments.Instruments` spec on the unit: each worker
+builds its own tracer, collector, profiler and health monitor, and only
+the plain ``telemetry`` dict rides back.  A traced unit writes its own
+JSONL file worker-side, so tracing works at any job count; the executor
+rejects two units naming the same ``trace_path``, since concurrent
+writers would interleave one file.
 
 Hardening
 ---------
@@ -56,12 +59,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..faults.plan import FaultKind, FaultPlan
-from ..obs.health import HealthMonitor
-from ..obs.interval import IntervalCollector
+from ..obs.instruments import Instruments
 from ..obs.metrics import MetricsRegistry
-from ..obs.profiler import SimProfiler
-from ..obs.slo import SloEngine, SloObjective
-from ..obs.tracer import Tracer
 from ..sim.snapshot import (
     SharedSnapshotRef,
     SnapshotStore,
@@ -122,26 +121,15 @@ class RunUnit:
             remount from on-flash metadata, verify and resume — see
             :mod:`repro.experiments.recovery_artifact`).
         queue_depth: Outstanding requests for ``"closed"`` units.
-        profile: Attach a :class:`~repro.obs.profiler.SimProfiler` to
-            the run; its aggregate rides back on the payload's
-            ``profile`` field.  Unlike tracing, profiling works at any
-            job count — the profiler is built worker-side (aggregates
-            only, no slice events) and only its plain-dict aggregate
-            crosses the process boundary.
         faults: Optional :class:`~repro.faults.FaultPlan` to bind to the
             run's simulator.  Plans are frozen and picklable, so faulted
             units fan out exactly like healthy ones; the fault summary
             rides back on the payload's ``faults`` field.
-        health: Attach a :class:`~repro.obs.health.HealthMonitor` (with
-            its own :class:`~repro.obs.metrics.MetricsRegistry`) to the
-            run.  Like the profiler, the monitor is built worker-side —
-            only its plain-dict payload crosses the process boundary —
-            so health-instrumented sweeps run at any job count and
-            produce identical series inline and pooled.
-        slo: Optional :class:`~repro.obs.slo.SloObjective` tuple to
-            evaluate against the health trajectory (implies nothing by
-            itself — only honoured when ``health`` is set).  Objectives
-            are frozen dataclasses, picklable by construction.
+        instruments: Optional :class:`~repro.obs.instruments.Instruments`
+            spec for ``"open"`` and ``"closed"`` units.  The worker builds
+            the live instruments and only their plain ``telemetry`` dict
+            crosses the process boundary, so instrumented sweeps run at
+            any job count with identical payloads and traces.
     """
 
     system: SystemSpec
@@ -150,18 +138,18 @@ class RunUnit:
     seed: int = 11
     mode: str = "open"
     queue_depth: int = 32
-    profile: bool = False
     faults: FaultPlan | None = None
-    health: bool = False
-    slo: tuple[SloObjective, ...] | None = None
+    instruments: Instruments | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(
                 f"unknown mode {self.mode!r}; choose one of {_MODES}"
             )
-        if self.slo is not None and not self.health:
-            raise ValueError("slo objectives require health=True")
+        if self.instruments is not None and self.mode not in ("open", "closed"):
+            raise ValueError(
+                f"{self.mode}-mode units take no instruments"
+            )
         if self.queue_depth < 1:
             raise ValueError(
                 f"queue_depth must be >= 1, got {self.queue_depth}"
@@ -176,15 +164,6 @@ class RunUnit:
                 "recover-mode units need a fault plan with a power_cut event"
             )
 
-    def build_health(self) -> HealthMonitor | None:
-        """Worker-side health monitor for this unit (None when disabled)."""
-        if not self.health:
-            return None
-        return HealthMonitor(
-            registry=MetricsRegistry(),
-            slo=SloEngine(self.slo) if self.slo else None,
-        )
-
     @property
     def workload_name(self) -> str:
         if isinstance(self.workload, str):
@@ -195,6 +174,16 @@ class RunUnit:
         if isinstance(self.workload, str):
             return _catalog_workload(self.workload)
         return self.workload
+
+    def scaled_workload(self) -> WorkloadSpec:
+        """The workload spec as the run replays it, scaled to the unit."""
+        return self.resolve_workload().scaled(
+            self.scale.num_requests, self.scale.footprint_pages
+        )
+
+    @property
+    def trace_path(self) -> str | None:
+        return None if self.instruments is None else self.instruments.trace_path
 
     def describe(self) -> str:
         return f"{self.system.name}/{self.workload_name}"
@@ -229,17 +218,13 @@ def warm_key_for_unit(unit: RunUnit) -> str:
     snapshot — the grouping :class:`SweepExecutor` fans shared-memory
     segments out by.
     """
-    spec = unit.resolve_workload().scaled(
-        unit.scale.num_requests, unit.scale.footprint_pages
+    return warm_cache_key(
+        unit.system, unit.scaled_workload(), unit.scale, unit.seed
     )
-    return warm_cache_key(unit.system, spec, unit.scale, unit.seed)
 
 
 def execute_unit(
-    unit: RunUnit,
-    tracer: Tracer | None = None,
-    collector: IntervalCollector | None = None,
-    warm: WarmHandle | None = None,
+    unit: RunUnit, warm: WarmHandle | None = None
 ) -> RunResultPayload | CapacityCensus | dict:
     """Run one unit in the current process (worker body and inline path)."""
     if unit.mode == "recover":
@@ -248,45 +233,31 @@ def execute_unit(
 
         return run_recovery_unit(unit, warm=warm)
     spec = unit.resolve_workload()
-    # Worker-side profiler / health monitor: constructed here so nothing
-    # live crosses the fork; only plain-dict payloads ride back.
-    profiler = SimProfiler(keep_events=False) if unit.profile else None
-    health = unit.build_health()
-    if unit.mode == "open":
-        return run_workload(
-            unit.system,
-            spec,
-            unit.scale,
-            seed=unit.seed,
-            tracer=tracer,
-            collector=collector,
-            profiler=profiler,
-            faults=unit.faults,
-            health=health,
+    if unit.mode == "capacity":
+        return run_capacity_phase_pair(
+            unit.system, spec, unit.scale, seed=unit.seed, faults=unit.faults,
             warm=warm,
-        ).to_payload()
-    if unit.mode == "closed":
-        return run_workload_closed_loop(
-            unit.system,
-            spec,
-            unit.scale,
-            queue_depth=unit.queue_depth,
-            seed=unit.seed,
-            tracer=tracer,
-            collector=collector,
-            profiler=profiler,
-            faults=unit.faults,
-            health=health,
-            warm=warm,
-        ).to_payload()
-    return run_capacity_phase_pair(
-        unit.system,
-        spec,
-        unit.scale,
-        seed=unit.seed,
-        faults=unit.faults,
-        warm=warm,
+        )
+    # Live instruments are built here, in the process that runs the
+    # simulation; only their plain payload rides back.
+    telemetry = (
+        unit.instruments.build(unit.scaled_workload().duration_us)
+        if unit.instruments is not None
+        else None
     )
+    common = dict(seed=unit.seed, faults=unit.faults, telemetry=telemetry, warm=warm)
+    try:
+        if unit.mode == "open":
+            result = run_workload(unit.system, spec, unit.scale, **common)
+        else:
+            result = run_workload_closed_loop(
+                unit.system, spec, unit.scale, queue_depth=unit.queue_depth,
+                **common,
+            )
+    finally:
+        if telemetry is not None:
+            telemetry.close()
+    return result.to_payload()
 
 
 class _WorkerFailure:
@@ -359,10 +330,9 @@ def _release_segments(segments) -> None:
 class SweepExecutor:
     """Executes :class:`RunUnit` lists, inline or on a process pool.
 
-    ``jobs=1`` (the default) runs every unit in-process, which keeps
-    tracer / interval-collector support; ``jobs>1`` fans units out to a
-    process pool.  Either way :meth:`map` returns results in submission
-    order.
+    ``jobs=1`` (the default) runs every unit in-process; ``jobs>1`` fans
+    units out to a process pool.  Either way :meth:`map` returns the same
+    results, in submission order.
 
     Args:
         jobs: Worker count (1 = inline).
@@ -457,24 +427,25 @@ class SweepExecutor:
         self.snapshot_stats = {"hits": 0, "misses": 0, "fallbacks": 0}
 
     def map(
-        self,
-        units: Sequence[RunUnit],
-        tracer_factory: Callable[[RunUnit], Tracer | None] | None = None,
-        collector_factory: Callable[[RunUnit], IntervalCollector | None] | None = None,
+        self, units: Sequence[RunUnit]
     ) -> list[RunResultPayload | CapacityCensus | SweepError]:
         units = list(units)
+        traces: set[str] = set()
         for unit in units:
             if not isinstance(unit, RunUnit):
                 raise TypeError(f"expected RunUnit, got {type(unit).__name__}")
+            if unit.trace_path is not None:
+                if unit.trace_path in traces:
+                    raise ValueError(
+                        f"two units write trace_path {unit.trace_path!r}; "
+                        "give each traced unit its own file"
+                    )
+                traces.add(unit.trace_path)
         if not units:
             return []
         self.snapshot_stats = {"hits": 0, "misses": 0, "fallbacks": 0}
         if self.jobs == 1:
-            return self._map_inline(units, tracer_factory, collector_factory)
-        if tracer_factory is not None or collector_factory is not None:
-            raise ValueError(
-                "tracing / interval collection is inline-only; use jobs=1"
-            )
+            return self._map_inline(units)
         return self._map_pool(units)
 
     def _emit(
@@ -485,7 +456,7 @@ class SweepExecutor:
         timing = f" ({elapsed_s:.1f}s)" if elapsed_s is not None else ""
         self.progress(f"[{done}/{total}] {unit.describe()}{timing}")
 
-    def _map_inline(self, units, tracer_factory, collector_factory):
+    def _map_inline(self, units):
         store = None
         if self.snapshots:
             store = SnapshotStore(
@@ -494,18 +465,12 @@ class SweepExecutor:
         results = []
         total = len(units)
         for index, unit in enumerate(units):
-            tracer = tracer_factory(unit) if tracer_factory else None
-            collector = collector_factory(unit) if collector_factory else None
             warm = None
             if store is not None:
                 warm = WarmHandle(store=store, key=warm_key_for_unit(unit))
             started = time.perf_counter()
             try:
-                results.append(
-                    execute_unit(
-                        unit, tracer=tracer, collector=collector, warm=warm
-                    )
-                )
+                results.append(execute_unit(unit, warm=warm))
             except Exception as exc:
                 error = SweepError(unit, str(exc), traceback.format_exc())
                 if not self.keep_going:
@@ -513,7 +478,9 @@ class SweepExecutor:
                 error.__cause__ = exc
                 results.append(error)
             else:
-                if warm is not None and warm.outcome is not None:
+                if warm is not None:
+                    # A traced unit never fetches (``warm_device``): it
+                    # preloads cold, a miss.
                     key = "hits" if warm.outcome == "hit" else "misses"
                     self.snapshot_stats[key] += 1
             self._emit(index + 1, total, unit, time.perf_counter() - started)
@@ -540,7 +507,8 @@ class SweepExecutor:
         """
         groups: dict[str, list[int]] = {}
         for index, unit in enumerate(units):
-            groups.setdefault(warm_key_for_unit(unit), []).append(index)
+            if unit.trace_path is None:  # traced units always warm up cold
+                groups.setdefault(warm_key_for_unit(unit), []).append(index)
         store = SnapshotStore(
             capacity=_SNAPSHOT_LRU_CAPACITY, spill_dir=self.snapshot_dir
         )

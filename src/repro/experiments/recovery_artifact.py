@@ -197,9 +197,7 @@ def run_recovery_unit(unit: RunUnit, warm: WarmHandle | None = None) -> dict:
     JSON-able dict; ``"ok"`` is the verdict and ``"violations"`` lists
     every broken guarantee in human-readable form.
     """
-    spec = unit.resolve_workload().scaled(
-        unit.scale.num_requests, unit.scale.footprint_pages
-    )
+    spec = unit.scaled_workload()
     generated = generate_workload(spec)
     sim = build_simulator(
         unit.system, unit.scale, spec.duration_us, seed=unit.seed,

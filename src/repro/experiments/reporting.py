@@ -22,7 +22,6 @@ from ..obs.tracer import SCHEMA_VERSION
 from ..sim.metrics import SimMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.interval import IntervalCollector
     from ..sim.metrics import ReadMixCounters
     from .runner import RunResult, RunResultPayload
 
@@ -150,50 +149,26 @@ def metrics_summary(metrics: SimMetrics) -> dict:
 
 def build_run_manifest(
     config: dict,
-    metrics: SimMetrics,
+    metrics: "SimMetrics | dict",
     *,
     utilisation: dict | None = None,
     queue_wait: dict | None = None,
-    collector: "IntervalCollector | None" = None,
-    trace_path: str | Path | None = None,
-    profile: dict | None = None,
     faults: dict | None = None,
-    health: dict | None = None,
+    telemetry: dict | None = None,
     extra: dict | None = None,
 ) -> dict:
     """Assemble a run manifest from its parts.
 
     ``config`` is whatever identifies the run (system, workload, scale,
-    seed, trace file, ...); it is hashed verbatim.  Use
-    :func:`manifest_for_run` when you have a full :class:`RunResult`.
+    seed, trace file, ...); it is hashed verbatim.  ``metrics`` is a
+    :class:`SimMetrics` or its :func:`metrics_summary`.  ``telemetry`` is
+    a :meth:`~repro.obs.instruments.Telemetry.payload` dict (any subset
+    of its keys).  Use :func:`manifest_for_run` when you have a full
+    :class:`RunResult`.
     """
-    return _assemble_manifest(
-        config,
-        metrics_summary(metrics),
-        utilisation=utilisation,
-        queue_wait=queue_wait,
-        collector=collector,
-        trace_path=trace_path,
-        profile=profile,
-        faults=faults,
-        health=health,
-        extra=extra,
-    )
-
-
-def _assemble_manifest(
-    config: dict,
-    summary: dict,
-    *,
-    utilisation: dict | None = None,
-    queue_wait: dict | None = None,
-    collector: "IntervalCollector | None" = None,
-    trace_path: str | Path | None = None,
-    profile: dict | None = None,
-    faults: dict | None = None,
-    health: dict | None = None,
-    extra: dict | None = None,
-) -> dict:
+    if isinstance(metrics, SimMetrics):
+        metrics = metrics_summary(metrics)
+    telemetry = telemetry or {}
     manifest: dict = {
         "kind": "run_manifest",
         "schema": SCHEMA_VERSION,
@@ -203,55 +178,41 @@ def _assemble_manifest(
         "schema_version": SCHEMA_VERSION,
         "config": jsonable(config),
         "config_hash": config_hash(config),
-        "metrics": summary,
+        "metrics": metrics,
     }
     if utilisation is not None:
         manifest["utilisation"] = jsonable(utilisation)
     if queue_wait is not None:
         manifest["queue_wait"] = jsonable(queue_wait)
-    if profile is not None:
-        # Only profiled runs carry the key: unprofiled manifests stay
-        # byte-identical to pre-profiler ones.
-        manifest["profile"] = jsonable(profile)
+    # Optional sections appear only when their source was attached, so
+    # a bare run's manifest carries none of these keys.
+    if telemetry.get("profile") is not None:
+        manifest["profile"] = jsonable(telemetry["profile"])
     if faults is not None:
-        # Same contract: only fault-injected runs carry the key.
         manifest["faults"] = jsonable(faults)
-    if health is not None:
-        # And again: only health-monitored runs carry the key.
-        manifest["health"] = jsonable(health)
-    if collector is not None:
-        manifest["time_series"] = {
-            "summary": collector.summary(),
-            "intervals": collector.time_series(),
-        }
-    if trace_path is not None:
-        manifest["trace_path"] = str(trace_path)
+    if telemetry.get("health") is not None:
+        manifest["health"] = jsonable(telemetry["health"])
+    if telemetry.get("time_series") is not None:
+        manifest["time_series"] = telemetry["time_series"]
+    if telemetry.get("trace_path") is not None:
+        manifest["trace_path"] = str(telemetry["trace_path"])
     if extra:
         manifest.update(jsonable(extra))  # type: ignore[arg-type]
     return manifest
 
 
-def manifest_for_run(
-    result: "RunResult",
-    *,
-    collector: "IntervalCollector | None" = None,
-    trace_path: str | Path | None = None,
-) -> dict:
+def manifest_for_run(result: "RunResult") -> dict:
     """Manifest for one :class:`~repro.experiments.runner.RunResult`.
 
     The same manifest as its payload's (payloads carry exactly the
     summary the manifest records).
     """
-    return manifest_for_payload(
-        result.to_payload(), collector=collector, trace_path=trace_path
-    )
+    return manifest_for_payload(result.to_payload())
 
 
 def manifest_for_payload(
     payload: "RunResultPayload",
     *,
-    collector: "IntervalCollector | None" = None,
-    trace_path: str | Path | None = None,
     jobs: int | None = None,
     snapshots: dict | None = None,
 ) -> dict:
@@ -291,16 +252,13 @@ def manifest_for_payload(
         if snapshots is not None:
             execution["snapshots"] = dict(snapshots)
         extra["execution"] = execution
-    return _assemble_manifest(
+    return build_run_manifest(
         config,
         payload.metrics_summary(),
         utilisation=payload.utilisation or None,
         queue_wait=payload.queue_wait or None,
-        collector=collector,
-        trace_path=trace_path,
-        profile=payload.profile,
         faults=payload.faults,
-        health=payload.health,
+        telemetry=payload.telemetry,
         extra=extra,
     )
 

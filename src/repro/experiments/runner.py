@@ -18,11 +18,8 @@ from dataclasses import dataclass, field
 from ..faults.plan import FaultPlan
 from ..ftl.gc import GcPolicy
 from ..ftl.refresh import RefreshPolicy, RefreshReport
-from ..obs.health import HealthMonitor
 from ..obs.histogram import Histogram
-from ..obs.interval import IntervalCollector
-from ..obs.profiler import SimProfiler
-from ..obs.tracer import Tracer
+from ..obs.instruments import Telemetry
 from ..sim.metrics import ReadMixCounters, SimMetrics
 from ..sim.scheduler import HostRequest
 from ..sim.snapshot import (
@@ -67,17 +64,13 @@ class RunResult:
         utilisation: Mean die / channel utilisation over the run.
         queue_wait: Per resource class and priority queue-wait totals.
         scale / seed: The run's scale and RNG seed (for the manifest).
-        profile: Aggregated :class:`~repro.obs.profiler.SimProfiler`
-            output (``aggregate()`` dict) when the run was profiled,
-            else ``None`` — absent keys keep unprofiled manifests
-            byte-identical to pre-profiler ones.
         faults: The fault injector's ``summary()`` (plan + fired events)
             when the run had a :class:`~repro.faults.FaultPlan` bound,
-            else ``None`` — same absent-key discipline as ``profile``.
-        health: The health monitor's ``to_payload()`` (snapshot series,
-            summary, optional SLO + registry state) when the run had a
-            :class:`~repro.obs.health.HealthMonitor` bound, else
-            ``None`` — same absent-key discipline again.
+            else ``None`` — absent keys keep unfaulted manifests
+            byte-identical to pre-fault ones.
+        telemetry: The run's :meth:`~repro.obs.instruments.Telemetry.payload`:
+            ``profile``, ``health``, ``time_series`` and ``trace_path``,
+            each ``None`` when that instrument was not attached.
     """
 
     system: SystemSpec
@@ -90,9 +83,8 @@ class RunResult:
     queue_wait: dict = field(default_factory=dict)
     scale: RunScale | None = None
     seed: int = 11
-    profile: dict | None = None
     faults: dict | None = None
-    health: dict | None = None
+    telemetry: dict = field(default_factory=dict)
 
     @property
     def mean_read_response_us(self) -> float:
@@ -139,9 +131,8 @@ class RunResultPayload:
     ida_blocks: int
     utilisation: dict = field(default_factory=dict)
     queue_wait: dict = field(default_factory=dict)
-    profile: dict | None = None
     faults: dict | None = None
-    health: dict | None = None
+    telemetry: dict = field(default_factory=dict)
 
     @property
     def mean_read_response_us(self) -> float:
@@ -200,9 +191,8 @@ class RunResultPayload:
             ida_blocks=result.ida_blocks,
             utilisation=result.utilisation,
             queue_wait=result.queue_wait,
-            profile=result.profile,
             faults=result.faults,
-            health=result.health,
+            telemetry=result.telemetry,
         )
 
 
@@ -243,11 +233,8 @@ def build_simulator(
     scale: RunScale,
     duration_us: float,
     seed: int = 11,
-    tracer: Tracer | None = None,
-    collector: IntervalCollector | None = None,
-    profiler: SimProfiler | None = None,
     faults: FaultPlan | None = None,
-    health: HealthMonitor | None = None,
+    telemetry: Telemetry | None = None,
 ) -> SsdSimulator:
     """Assemble a simulator for one system at one scale."""
     dev = _build_device(system, scale)
@@ -267,27 +254,9 @@ def build_simulator(
         seed=seed,
         allocation=system.allocation,
         policy=system.policy,
-        tracer=tracer,
-        collector=collector,
-        profiler=profiler,
         faults=faults,
-        health=health,
+        telemetry=telemetry,
     )
-
-
-def _health_collector(
-    spec: WorkloadSpec, collector: IntervalCollector | None
-) -> IntervalCollector | None:
-    """Collector to sample a health monitor on.
-
-    Health trajectories ride the interval collector's cadence; a run
-    that asks for health without supplying a collector gets a default
-    one spanning the trace in 16 samples.  Built from the scaled spec
-    alone, so inline and pooled executions derive the same grid.
-    """
-    if collector is not None:
-        return collector
-    return IntervalCollector(interval_us=spec.duration_us / 16)
 
 
 def warm_device(
@@ -440,11 +409,8 @@ def _run(
     scale: RunScale | None,
     seed: int,
     queue_depth: int | None,
-    tracer: Tracer | None,
-    collector: IntervalCollector | None,
-    profiler: SimProfiler | None,
     faults: FaultPlan | None,
-    health: HealthMonitor | None,
+    telemetry: Telemetry | None,
     warm: WarmHandle | None,
 ) -> RunResult:
     """Shared body of the two run entry points.
@@ -456,18 +422,9 @@ def _run(
     scale = scale or RunScale()
     spec = spec.scaled(scale.num_requests, scale.footprint_pages)
     generated = generate_workload(spec)
-    if health is not None:
-        collector = _health_collector(spec, collector)
     sim = build_simulator(
-        system,
-        scale,
-        spec.duration_us,
-        seed=seed,
-        tracer=tracer,
-        collector=collector,
-        profiler=profiler,
-        faults=faults,
-        health=health,
+        system, scale, spec.duration_us, seed=seed, faults=faults,
+        telemetry=telemetry,
     )
     warm_device(sim, generated, warm=warm)
     requests = _to_host_requests(generated, sim.geometry.page_size_bytes)
@@ -488,9 +445,8 @@ def _run(
         queue_wait=sim.queue_wait_report(),
         scale=scale,
         seed=seed,
-        profile=sim.profiler.aggregate() if sim.profiler is not None else None,
         faults=sim.fault_summary(),
-        health=sim.health.to_payload() if sim.health is not None else None,
+        telemetry=sim.telemetry.payload(),
     )
 
 
@@ -499,22 +455,20 @@ def run_workload(
     spec: WorkloadSpec,
     scale: RunScale | None = None,
     seed: int = 11,
-    tracer: Tracer | None = None,
-    collector: IntervalCollector | None = None,
-    profiler: SimProfiler | None = None,
     faults: FaultPlan | None = None,
-    health: HealthMonitor | None = None,
+    telemetry: Telemetry | None = None,
     warm: WarmHandle | None = None,
 ) -> RunResult:
     """Execute one (system, workload) pair end to end.
 
-    ``warm`` connects the run to the warm-state snapshot cache (see
-    :func:`warm_device`) — a pure wall-clock knob, byte-identical by the
-    snapshot-parity suite.
+    ``telemetry`` attaches the run's passive instruments (its payload
+    lands on :attr:`RunResult.telemetry`); ``warm`` connects the run to
+    the warm-state snapshot cache (see :func:`warm_device`) — a pure
+    wall-clock knob, byte-identical by the snapshot-parity suite.
     """
     return _run(
         system, spec, scale, seed, None,
-        tracer, collector, profiler, faults, health, warm,
+        faults, telemetry, warm,
     )
 
 
@@ -524,11 +478,8 @@ def run_workload_closed_loop(
     scale: RunScale | None = None,
     queue_depth: int = 32,
     seed: int = 11,
-    tracer: Tracer | None = None,
-    collector: IntervalCollector | None = None,
-    profiler: SimProfiler | None = None,
     faults: FaultPlan | None = None,
-    health: HealthMonitor | None = None,
+    telemetry: Telemetry | None = None,
     warm: WarmHandle | None = None,
 ) -> RunResult:
     """Closed-loop variant of :func:`run_workload` (Fig. 10 throughput).
@@ -538,7 +489,7 @@ def run_workload_closed_loop(
     """
     return _run(
         system, spec, scale, seed, queue_depth,
-        tracer, collector, profiler, faults, health, warm,
+        faults, telemetry, warm,
     )
 
 
@@ -566,9 +517,7 @@ def run_capacity_phase_pair(
     sim.run_requests(_to_host_requests(generated, page_size))
 
     followup = sample_update_lpns(spec, scale.footprint_pages, seed_offset=9)
-    now = sim.engine.now
-    for lpn in followup:
-        sim.ftl.write_untimed(lpn, now)
+    sim.ftl.apply_untimed_batch(list(followup), sim.engine.now)
 
     return CapacityCensus(
         in_use_blocks=sim.ftl.table.in_use_blocks(),

@@ -144,7 +144,3 @@ class PlanePool:
 
     def is_retired(self, in_plane_index: int) -> bool:
         return in_plane_index in self.retired
-
-    @property
-    def retired_count(self) -> int:
-        return len(self.retired)

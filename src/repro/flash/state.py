@@ -459,17 +459,6 @@ class DeviceState:
         return self.stamp_oob(new_ppn, self.oob_lpn[old_ppn])
 
     # ------------------------------------------------------------------
-    # Derived geometry helpers
-    # ------------------------------------------------------------------
-    def page_base(self, slot: int) -> int:
-        """First global page index of block ``slot``."""
-        return slot * self.pages_per_block
-
-    def wordline_base(self, slot: int) -> int:
-        """First global wordline index of block ``slot``."""
-        return slot * self.wordlines_per_block
-
-    # ------------------------------------------------------------------
     # Vectorized aggregates (telemetry / census fast paths)
     # ------------------------------------------------------------------
     def in_use_blocks(self) -> int:

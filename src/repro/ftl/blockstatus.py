@@ -101,10 +101,6 @@ class BlockStatusTable:
         block, page = self.block_of_ppn(ppn)
         return block.senses_for(self.sense_table, page)
 
-    def wordline_validity_of_ppn(self, ppn: int) -> tuple[bool, ...]:
-        block, page = self.block_of_ppn(ppn)
-        return block.wordline_validity(block.wordline_of(page))
-
     # ------------------------------------------------------------------
     # Aggregates (array reductions over the columnar state)
     # ------------------------------------------------------------------

@@ -5,9 +5,10 @@ keeps the end-of-run aggregates the paper's tables are built from; this
 package records *how a run behaved* — per-request lifecycle spans (queue
 wait vs sense vs transfer vs ECC), GC / refresh / IDA-reprogram events,
 and periodic samples of queue depths, utilisation and latency histograms.
-All of it is opt-in and passive: a run with the default
-:data:`NULL_TRACER` and no collector is behaviourally and metrically
-identical to an uninstrumented one.
+All of it is opt-in and passive, and reaches a run through one attach
+point: a picklable :class:`Instruments` spec built into a live
+:class:`Telemetry` bundle.  An instrumented run is behaviourally and
+metrically identical to an uninstrumented one.
 
 See ``docs/observability.md`` for the event schema and a worked example.
 """
@@ -23,6 +24,7 @@ from .inspect import (
     load_trace_safe,
     summarize_trace,
 )
+from .instruments import Instruments, Telemetry
 from .interval import IntervalCollector, IntervalSnapshot
 from .metrics import (
     METRICS_SCHEMA,
@@ -56,6 +58,8 @@ __all__ = [
     "default_latency_bounds",
     "IntervalCollector",
     "IntervalSnapshot",
+    "Instruments",
+    "Telemetry",
     "METRICS_SCHEMA",
     "MetricsRegistry",
     "merge_snapshots",

@@ -13,12 +13,12 @@ Both drivers own the run choreography around the simulator: admitting
 request dispatches (open loop: one sorted stream through
 :meth:`~repro.sim.engine.SimEngine.add_stream`), scheduling untimed
 background-update batches, ticking the refresh daemon, bracketing the
-run for the tracer / interval collector, and folding counters when the
-queues drain.  The simulator
-itself only knows how to dispatch *one* request — everything stream-
-shaped lives here, so new disciplines (bursty arrivals, rate-limited
-replay, multi-tenant interleaving) are additive modules rather than
-simulator surgery.
+run for the simulator's :class:`~repro.obs.instruments.Telemetry`, and
+folding counters when the queues drain.  The simulator itself only
+knows how to dispatch *one* request — everything stream-shaped lives
+here, so new disciplines (bursty arrivals, rate-limited replay,
+multi-tenant interleaving) are additive modules rather than simulator
+surgery.
 """
 
 from __future__ import annotations
@@ -35,23 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["run_open_loop", "run_closed_loop"]
 
 
-def _begin_run(sim: "SsdSimulator", mode: str, n_requests: int) -> None:
-    if sim.collector is not None:
-        sim.collector.start()
-    if sim.profiler is not None:
-        sim.profiler.start_run(sim.engine.now)
-    if sim.tracer.enabled:
-        sim.tracer.emit(
-            sim.engine.now,
-            "run_start",
-            mode=mode,
-            requests=n_requests,
-            policy=sim.policy.name,
-            dies=len(sim.dies),
-            channels=len(sim.channels),
-        )
-
-
 def _schedule_background(
     sim: "SsdSimulator",
     background_updates: list[tuple[float, list[int]]] | None,
@@ -63,24 +46,6 @@ def _schedule_background(
             sim.ftl.apply_untimed_batch(lpns, sim.engine.now)
 
         sim.engine.at(time_us, apply)
-
-
-def _end_run(sim: "SsdSimulator") -> None:
-    if sim.collector is not None:
-        sim.collector.finish()
-    if sim.profiler is not None:
-        sim.profiler.finish_run(sim.engine.now, sim.metrics.elapsed_us)
-    if sim.tracer.enabled:
-        sim.tracer.emit(
-            sim.engine.now,
-            "run_end",
-            elapsed_us=sim.metrics.elapsed_us,
-            reads=sim.metrics.read_response.count,
-            writes=sim.metrics.write_response.count,
-            utilisation=sim.utilisation_report(),
-            events_processed=sim.engine.processed,
-            peak_pending_events=sim.engine.peak_pending,
-        )
 
 
 def run_open_loop(
@@ -133,12 +98,12 @@ def run_open_loop(
     if interval <= trace_end:
         sim.engine.after(interval, tick)
 
-    _begin_run(sim, "open_loop", len(ordered))
+    sim.telemetry.begin_run(sim, "open_loop", len(ordered))
     sim.engine.run()
     sim.metrics.start_us = ordered[0].arrival_us
     sim.metrics.end_us = sim.engine.now
     sim.fold_counters()
-    _end_run(sim)
+    sim.telemetry.end_run(sim)
     return sim.metrics
 
 
@@ -200,10 +165,10 @@ def run_closed_loop(
             sim.engine.after(interval, refresh_tick)
 
     sim.engine.after(interval, refresh_tick)
-    _begin_run(sim, "closed_loop", total)
+    sim.telemetry.begin_run(sim, "closed_loop", total)
     sim.engine.run()
     sim.metrics.start_us = 0.0
     sim.metrics.end_us = sim.engine.now
     sim.fold_counters()
-    _end_run(sim)
+    sim.telemetry.end_run(sim)
     return sim.metrics

@@ -201,15 +201,3 @@ class SimMetrics:
         if self.elapsed_us <= 0:
             return 0.0
         return (self.bytes_read / 1e6) / (self.elapsed_us / 1e6)
-
-    def phys_ops_per_wall_second(self, wall_seconds: float) -> float:
-        """Simulated physical ops per second of *wall* time.
-
-        The simulator-throughput figure ``benchmarks/bench_pipeline.py``
-        gates on: how many timed flash operations (reads, programs,
-        adjusts, erases) the pipeline machinery pushes through per second
-        of real time.
-        """
-        if wall_seconds <= 0:
-            return 0.0
-        return self.phys_ops_dispatched / wall_seconds

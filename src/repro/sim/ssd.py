@@ -41,8 +41,7 @@ from ..ftl.ftl import Ftl
 from ..ftl.gc import GcPolicy
 from ..ftl.ops import FlashTranslation, OpKind, PhysOp
 from ..ftl.refresh import RefreshPolicy
-from ..obs.interval import IntervalCollector
-from ..obs.tracer import NULL_TRACER, Tracer
+from ..obs.instruments import Telemetry
 from .drivers import run_closed_loop, run_open_loop
 from .engine import SimEngine
 from .metrics import SimMetrics
@@ -121,29 +120,20 @@ class SsdSimulator:
         policy: Scheduling policy instance or registry name
             (``"read-first"`` / ``"fcfs"`` / ``"throttled"``); ``None``
             selects the paper's read-first default.
-        tracer: Structured event tracer; ``None`` = tracing disabled
-            (the null fast path).  Tracing is passive: it never schedules
-            events, touches RNG streams, or alters metrics.
-        collector: Optional interval time-series collector; bound to
-            this simulator's engine and resources, started per run.
-        profiler: Optional :class:`~repro.obs.profiler.SimProfiler`;
-            bound like the collector and fed stage boundaries, request
-            completions and (via the collector's cadence) interval
-            samples.  Passive — ``None`` costs one check per boundary.
         faults: Optional :class:`~repro.faults.FaultPlan`; when given, a
             :class:`~repro.faults.FaultInjector` is bound to this
             simulator (timed events scheduled, FTL recovery armed, op
             dispatch matched against the plan's ordinals).  ``None`` —
-            the default — costs one ``is None`` check per dispatched op,
-            the same zero-cost off-path discipline as the observability
-            hooks.
-        health: Optional :class:`~repro.obs.health.HealthMonitor`; bound
-            to this simulator and sampled on the collector's cadence
-            (pass a ``collector`` too, or no snapshots close).  When the
-            monitor carries a metrics registry, the simulator and FTL
-            additionally publish live counters/histograms into it
-            (per-class latency, read retries, GC/refresh/wear activity).
-            Passive and ``None``-cost like every other hook.
+            the default — costs one ``is None`` check per dispatched op.
+            Faults change results, so they stay apart from telemetry.
+        telemetry: Optional :class:`~repro.obs.instruments.Telemetry`
+            bundling the run's passive instruments (tracer, interval
+            collector, profiler, health monitor); it binds them to this
+            simulator and brackets each run.  Passive: an instrumented
+            run has the same metrics as a bare one, and ``None`` — the
+            default — costs one ``is None`` check per hook site.
+        ftl: A pre-built translation layer to adopt instead of building
+            one (the power-loss recovery path).
     """
 
     def __init__(
@@ -157,11 +147,8 @@ class SsdSimulator:
         seed: int = 1,
         allocation: str = "cwdp",
         policy: SchedulingPolicy | str | None = None,
-        tracer: Tracer | None = None,
-        collector: IntervalCollector | None = None,
-        profiler=None,
         faults: FaultPlan | None = None,
-        health=None,
+        telemetry: Telemetry | None = None,
         ftl: FlashTranslation | None = None,
     ) -> None:
         self.geometry = geometry
@@ -169,8 +156,8 @@ class SsdSimulator:
         self.engine = SimEngine()
         self.metrics = SimMetrics()
         self.policy = make_policy(policy)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.collector = collector
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self.tracer = self.telemetry.tracer
         self.retry_model = retry_model or ReadRetryModel(fail_prob=0.0)
         # Common random numbers: host reads draw retry counts from a
         # dedicated stream, so paired baseline/IDA runs of the same trace
@@ -202,9 +189,6 @@ class SsdSimulator:
             Resource(self.engine, f"chan{c}", kind="channel", index=c)
             for c in range(geometry.channels)
         ]
-        self.profiler = profiler if (profiler is not None and profiler.enabled) else None
-        if self.profiler is not None:
-            self.profiler.bind(self.engine, self.dies, self.channels)
         self.ops_dispatched = 0
         #: Optional hook ``fn(request, is_read)`` fired when a host
         #: request fully completes (its acknowledgement instant).  The
@@ -241,42 +225,15 @@ class SsdSimulator:
             self._adjust_plans.append(plans[1])
             self._erase_plans.append(plans[2])
         self._read_plans: dict[tuple[int, int, int], OpPlan] = {}
-        if self.collector is not None:
-            self.collector.bind(self.engine, self.dies, self.channels)
-            # Utilization/queue-depth timelines ride the collector's
-            # sampling cadence; without a collector the profiler still
-            # attributes latency, it just has no timeline.
-            if self.profiler is not None:
-                self.collector.attach_profiler(self.profiler)
         self.faults = FaultInjector(faults) if faults is not None else None
         if self.faults is not None:
             self.faults.bind(self)
-        # Device-health telemetry: the monitor samples on the collector's
-        # cadence; a registry riding on it additionally receives live
-        # per-class latency and retry publishes from the hot path (one
-        # ``is None`` check each when telemetry is off).
-        self.health = health
-        self._lat_read = None
-        self._lat_write = None
-        self._retry_counter = None
-        if self.health is not None:
-            self.health.bind(self)
-            if self.collector is not None:
-                self.collector.attach_health(self.health)
-            registry = self.health.registry
-            if registry is not None:
-                latency = registry.histogram(
-                    "host_latency_us",
-                    "host request response time",
-                    labels=("request_class",),
-                )
-                self._lat_read = latency.labels(request_class="read")
-                self._lat_write = latency.labels(request_class="write")
-                self._retry_counter = registry.counter(
-                    "flash_read_retries_total",
-                    "extra sensing passes forced by failed LDPC decodes",
-                ).unlabeled
-                self.ftl.bind_telemetry(registry)
+        # Passive hooks, set by ``Telemetry.bind`` when an instrument
+        # needs them; each costs one ``is None`` check when off.
+        self.profiler = None
+        self.completion_observer = None
+        self.retry_counter = None
+        self.telemetry.bind(self)
 
     # ------------------------------------------------------------------
     # Preconditioning
@@ -368,17 +325,11 @@ class SsdSimulator:
             if klass is _HOST_READ
             else self.metrics.write_response
         )
-        record_interval = (
+        observer = self.completion_observer
+        observe = (
             None
-            if self.collector is None
-            else (
-                self.collector.record_read
-                if klass is _HOST_READ
-                else self.collector.record_write
-            )
-        )
-        observe_latency = (
-            self._lat_read if klass is _HOST_READ else self._lat_write
+            if observer is None
+            else (observer.host_read if klass is _HOST_READ else observer.host_write)
         )
 
         def complete(req: HostRequest, now_us: float) -> None:
@@ -388,10 +339,8 @@ class SsdSimulator:
                 self.metrics.bytes_read += req.size_bytes
             else:
                 self.metrics.bytes_written += req.size_bytes
-            if record_interval is not None:
-                record_interval(response, req.size_bytes)
-            if observe_latency is not None:
-                observe_latency.observe(response)
+            if observe is not None:
+                observe(response, req.size_bytes)
             if span is not None:
                 span.emit(self.tracer, span_kind, now_us, self.timing.host_overhead_us)
             if prof_ctx is not None:
@@ -467,8 +416,8 @@ class SsdSimulator:
                     retries = self.retry_model.max_retries
                 if retries:
                     self.metrics.read_retries += retries
-                    if self._retry_counter is not None:
-                        self._retry_counter.inc(retries)
+                    if self.retry_counter is not None:
+                        self.retry_counter.inc(retries)
                     if self.faults is not None:
                         self.faults.note_read_retries(op, retries)
             key = (plane, op.senses, retries)

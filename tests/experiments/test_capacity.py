@@ -56,3 +56,25 @@ class TestEndToEnd:
         assert abs(result.in_use_increase_fraction()) < 0.3
         text = format_capacity(results)
         assert "proj_3" in text and "baseline" in text
+
+
+class TestPhasePairPin:
+    def test_ida_census_pinned(self):
+        # The follow-up write phase goes through the bulk untimed write
+        # path; this census was captured when it still looped one
+        # ``write_untimed`` call per LPN, so the two paths must agree.
+        from repro.experiments.config import RunScale
+        from repro.experiments.runner import CapacityCensus, run_capacity_phase_pair
+        from repro.experiments.systems import ida
+        from repro.workloads import workload
+
+        census = run_capacity_phase_pair(
+            ida(0.2), workload("proj_4"), RunScale.tiny(), seed=11
+        )
+        assert census == CapacityCensus(
+            in_use_blocks=36,
+            ida_blocks=16,
+            total_blocks=48,
+            gc_invocations=24,
+            block_erases=24,
+        )

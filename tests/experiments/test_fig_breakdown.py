@@ -16,6 +16,7 @@ from repro.experiments.fig_breakdown import (
     run_fig_breakdown,
 )
 from repro.experiments.parallel import RunUnit, SweepExecutor, execute_unit
+from repro.obs import Instruments
 from repro.experiments.reporting import manifest_for_payload
 from repro.experiments.systems import ida
 
@@ -81,7 +82,7 @@ class TestRunFigBreakdown:
 
         unit = RunUnit(ida(0.2), "usr_1", RunScale.tiny())
         payload = execute_unit(unit)
-        assert payload.profile is None
+        assert payload.telemetry["profile"] is None
         with pytest.raises(ValueError, match="no profile"):
             _attribution_cell(payload, "usr_1", 1e-6)
 
@@ -116,24 +117,30 @@ class TestImprovement:
 
 
 class TestProfileTransport:
-    """RunUnit(profile=True) must survive the process-pool hop."""
+    """RunUnit(instruments=Instruments(profile=True)) must survive the
+    process-pool hop."""
 
     def test_inline_unit_carries_profile(self):
-        unit = RunUnit(ida(0.2), "usr_1", RunScale.tiny(), profile=True)
+        unit = RunUnit(ida(0.2), "usr_1", RunScale.tiny(),
+                       instruments=Instruments(profile=True))
         payload = execute_unit(unit)
-        assert payload.profile is not None
-        assert payload.profile["requests"]["read"]["count"] > 0
+        assert payload.telemetry["profile"] is not None
+        assert payload.telemetry["profile"]["requests"]["read"]["count"] > 0
 
     def test_pool_payload_matches_inline(self):
-        unit = RunUnit(ida(0.2), "usr_1", RunScale.tiny(), profile=True)
+        unit = RunUnit(ida(0.2), "usr_1", RunScale.tiny(),
+                       instruments=Instruments(profile=True))
         inline = execute_unit(unit)
         pooled = SweepExecutor(jobs=2).map([unit, unit])[0]
-        assert pooled.profile is not None
-        assert pooled.profile["requests"] == inline.profile["requests"]
-        assert pooled.profile["stages"] == inline.profile["stages"]
+        pooled_profile = pooled.telemetry["profile"]
+        inline_profile = inline.telemetry["profile"]
+        assert pooled_profile is not None
+        assert pooled_profile["requests"] == inline_profile["requests"]
+        assert pooled_profile["stages"] == inline_profile["stages"]
 
     def test_manifest_embeds_transported_profile(self):
-        unit = RunUnit(ida(0.2), "usr_1", RunScale.tiny(), profile=True)
+        unit = RunUnit(ida(0.2), "usr_1", RunScale.tiny(),
+                       instruments=Instruments(profile=True))
         payload = SweepExecutor(jobs=2).map([unit])[0]
         manifest = manifest_for_payload(payload, jobs=2)
         assert manifest["profile"]["requests"]["read"]["count"] > 0

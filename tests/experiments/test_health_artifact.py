@@ -20,10 +20,8 @@ from repro.experiments.parallel import SweepExecutor
 from repro.experiments.reporting import SCHEMA_VERSION, manifest_for_run
 from repro.experiments.runner import run_workload
 from repro.experiments.systems import ida
-from repro.obs.health import HealthMonitor
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SloEngine
-from repro.obs.tracer import JsonlSink, Tracer, read_jsonl_trace
+from repro.obs import Instruments
+from repro.obs.tracer import read_jsonl_trace
 from repro.workloads import workload
 
 
@@ -137,21 +135,21 @@ class TestEndToEndBreach:
         spec = workload(name).scaled(scale.num_requests, scale.footprint_pages)
         late = DEFAULT_PHASES[1]
         plan = plan_for_cell(name, 1, 4, scale, 11)
-        monitor = HealthMonitor(
-            registry=MetricsRegistry(),
-            slo=SloEngine(health_objectives(spec.duration_us)),
-        )
         trace_path = tmp_path / "trace.jsonl"
-        tracer = Tracer(JsonlSink(trace_path))
+        telemetry = Instruments(
+            trace_path=str(trace_path),
+            health=True,
+            slo=health_objectives(spec.duration_us),
+        ).build(spec.duration_us)
+        monitor = telemetry.health
         result = run_workload(
             ida(0.2).with_retry(late.retry_fail_prob),
             workload(name),
             scale,
-            tracer=tracer,
             faults=plan,
-            health=monitor,
+            telemetry=telemetry,
         )
-        tracer.close()
+        telemetry.close()
 
         assert monitor.slo.breach_count >= 1
         events = [
@@ -160,7 +158,7 @@ class TestEndToEndBreach:
         assert len(events) == monitor.slo.breach_count
         assert events[0]["objective"] in ("read-retry-rate", "read-p99")
 
-        manifest = manifest_for_run(result, trace_path=trace_path)
+        manifest = manifest_for_run(result)
         assert manifest["schema_version"] == SCHEMA_VERSION
         assert manifest["health"]["slo"]["breaches"] == monitor.slo.breach_count
         assert manifest["health"]["summary"]["read_retries"] > 0

@@ -21,6 +21,7 @@ from repro.experiments.runner import (
     run_workload_closed_loop,
 )
 from repro.experiments.systems import baseline, ida
+from repro.obs import Instruments
 from repro.workloads import TABLE3_WORKLOADS
 
 SCALE = RunScale.tiny()
@@ -62,17 +63,19 @@ class TestRunUnit:
         from repro.obs.slo import DEFAULT_READ_P99_SLO
 
         with pytest.raises(ValueError, match="health"):
-            _unit(slo=(DEFAULT_READ_P99_SLO,))
+            _unit(instruments=Instruments(slo=(DEFAULT_READ_P99_SLO,)))
 
     def test_health_unit_is_picklable_and_builds_monitor(self) -> None:
         from repro.obs.slo import DEFAULT_READ_P99_SLO
 
-        unit = _unit(health=True, slo=(DEFAULT_READ_P99_SLO,))
+        unit = _unit(
+            instruments=Instruments(health=True, slo=(DEFAULT_READ_P99_SLO,))
+        )
         assert pickle.loads(pickle.dumps(unit)) == unit
-        monitor = unit.build_health()
+        monitor = unit.instruments.build(unit.scaled_workload().duration_us).health
         assert monitor.registry is not None
         assert monitor.slo.objectives == (DEFAULT_READ_P99_SLO,)
-        assert _unit().build_health() is None
+        assert Instruments().build(1.0).health is None
 
 
 class TestPayloadRoundTrip:
@@ -167,18 +170,6 @@ class TestPoolExecution:
             SweepExecutor(jobs=2).map([_unit("no_such_trace")])
         SweepExecutor(jobs=2).map([_unit("hm_1")])
         assert multiprocessing.active_children() == []
-
-    def test_tracer_factory_rejected(self) -> None:
-        with pytest.raises(ValueError, match="inline-only"):
-            SweepExecutor(jobs=2).map(
-                [_unit()], tracer_factory=lambda unit: None
-            )
-
-    def test_collector_factory_rejected(self) -> None:
-        with pytest.raises(ValueError, match="inline-only"):
-            SweepExecutor(jobs=2).map(
-                [_unit()], collector_factory=lambda unit: None
-            )
 
     def test_rejects_bad_job_count(self) -> None:
         with pytest.raises(ValueError):

@@ -40,7 +40,7 @@ def _unit(workload: str) -> RunUnit:
     return RunUnit(baseline(), workload, SCALE)
 
 
-def _fake_execute_unit(unit, tracer=None, collector=None, warm=None):
+def _fake_execute_unit(unit, warm=None):
     name = unit.workload
     if name == "crash":
         os._exit(1)

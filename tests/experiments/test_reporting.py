@@ -126,7 +126,9 @@ class TestRunManifest:
         monitored = build_run_manifest(
             {"system": "baseline"},
             _metrics(),
-            health={"schema": 1, "summary": {"samples": 3}, "series": []},
+            telemetry={
+                "health": {"schema": 1, "summary": {"samples": 3}, "series": []}
+            },
         )
         assert monitored["health"]["summary"]["samples"] == 3
 
@@ -136,7 +138,7 @@ class TestRunManifest:
             _metrics(),
             utilisation={"die": 0.5, "channel": 0.2},
             queue_wait={"die": {}},
-            trace_path=Path("/tmp/t.jsonl"),
+            telemetry={"trace_path": Path("/tmp/t.jsonl")},
             extra={"note": "hello"},
         )
         assert manifest["utilisation"]["die"] == 0.5
@@ -144,7 +146,7 @@ class TestRunManifest:
         assert manifest["note"] == "hello"
 
     def test_time_series_from_collector(self):
-        from repro.obs import IntervalCollector
+        from repro.obs import IntervalCollector, Telemetry
         from repro.sim.engine import SimEngine
 
         collector = IntervalCollector(100.0)
@@ -155,7 +157,9 @@ class TestRunManifest:
         collector.start()
         engine.run()
         collector.finish()
-        manifest = build_run_manifest({}, _metrics(), collector=collector)
+        manifest = build_run_manifest(
+            {}, _metrics(), telemetry=Telemetry(collector=collector).payload()
+        )
         series = manifest["time_series"]
         assert series["summary"]["read_latency"]["count"] == 1
         assert len(series["intervals"]) == len(collector.snapshots)

@@ -33,7 +33,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.systems import baseline, ida
 from repro.faults import FaultPlan
-from repro.obs.tracer import JsonlSink, Tracer
+from repro.obs import JsonlSink, Telemetry, Tracer
 from repro.sim.snapshot import WarmHandle
 from repro.workloads import TABLE3_WORKLOADS
 
@@ -67,7 +67,7 @@ def _canon(payload) -> str:
             "bytes": [payload.bytes_read, payload.bytes_written],
             "elapsed_us": payload.elapsed_us,
             "faults": payload.faults,
-            "health": payload.health,
+            "health": payload.telemetry["health"],
         },
         sort_keys=True,
     )
@@ -146,11 +146,11 @@ class TestRestoredRunEquivalence:
         paths = [tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"]
         state = prepare_warm_state(system, spec, SCALE, seed=SEED)
         for path, warm in zip(paths, (None, WarmHandle(state=state))):
-            tracer = Tracer(JsonlSink(str(path)))
+            telemetry = Telemetry(tracer=Tracer(JsonlSink(str(path))))
             run_workload(
-                system, spec, SCALE, seed=SEED, tracer=tracer, warm=warm
+                system, spec, SCALE, seed=SEED, telemetry=telemetry, warm=warm
             )
-            tracer.close()
+            telemetry.close()
         assert paths[0].read_text() == paths[1].read_text()
         assert paths[0].stat().st_size > 0
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.experiments import RunScale, ida
 from repro.experiments.runner import run_workload
-from repro.obs import IntervalCollector, MemorySink, NullTracer, Tracer
+from repro.obs import IntervalCollector, MemorySink, NullTracer, Telemetry, Tracer
 from repro.workloads import workload
 
 SEED = 11
@@ -29,8 +29,7 @@ def traced_run(tracer=None, collector=None):
         workload("usr_1"),
         RunScale.tiny(),
         seed=SEED,
-        tracer=tracer,
-        collector=collector,
+        telemetry=Telemetry(tracer=tracer, collector=collector),
     )
 
 

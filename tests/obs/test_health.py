@@ -8,9 +8,10 @@ import pytest
 
 from repro.experiments.runner import run_workload
 from repro.experiments.systems import ida
+from repro.obs import Instruments, IntervalCollector, Telemetry
 from repro.obs.health import HEALTH_SCHEMA, HealthMonitor
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SloEngine, SloObjective
+from repro.obs.slo import SloObjective
 from repro.workloads import workload
 
 
@@ -27,20 +28,21 @@ def monitored_run(request):
         dies_per_chip=1,
         planes_per_die=2,
     )
-    monitor = HealthMonitor(
-        registry=MetricsRegistry(),
-        slo=SloEngine(
-            [
-                SloObjective(
-                    name="loose",
-                    metric="read_p99_us",
-                    threshold=1e9,
-                    window_us=1e6,
-                )
-            ]
+    spec = workload("usr_1")
+    duration_us = spec.scaled(scale.num_requests, scale.footprint_pages).duration_us
+    telemetry = Instruments(
+        health=True,
+        slo=(
+            SloObjective(
+                name="loose",
+                metric="read_p99_us",
+                threshold=1e9,
+                window_us=1e6,
+            ),
         ),
-    )
-    result = run_workload(ida(0.2), workload("usr_1"), scale, health=monitor)
+    ).build(duration_us)
+    monitor = telemetry.health
+    result = run_workload(ida(0.2), spec, scale, telemetry=telemetry)
     return monitor, result
 
 
@@ -91,7 +93,7 @@ class TestMonitoredRun(object):
         payload = monitor.to_payload()
         assert set(payload) == {"schema", "summary", "series", "slo", "registry"}
         json.dumps(payload)
-        assert result.health == payload
+        assert result.telemetry["health"] == payload
 
     def test_gauges_published_to_registry(self, monitored_run):
         monitor, _ = monitored_run
@@ -165,7 +167,16 @@ class TestEccTelemetry:
 class TestWithoutRegistry:
     def test_monitor_works_bare(self, tiny_scale):
         monitor = HealthMonitor()
-        run_workload(ida(0.2), workload("usr_1"), tiny_scale, health=monitor)
+        spec = workload("usr_1")
+        duration_us = spec.scaled(
+            tiny_scale.num_requests, tiny_scale.footprint_pages
+        ).duration_us
+        run_workload(
+            ida(0.2), spec, tiny_scale,
+            telemetry=Telemetry(
+                collector=IntervalCollector(duration_us / 16), health=monitor
+            ),
+        )
         payload = monitor.to_payload()
         assert "registry" not in payload
         assert "slo" not in payload

@@ -19,7 +19,12 @@ from repro.experiments import (
     manifest_for_run,
     run_workload,
 )
-from repro.obs import IntervalCollector, SimProfiler, validate_chrome_trace
+from repro.obs import (
+    IntervalCollector,
+    SimProfiler,
+    Telemetry,
+    validate_chrome_trace,
+)
 from repro.obs.profiler import PROFILE_SCHEMA
 from repro.workloads import workload
 
@@ -29,7 +34,7 @@ def profiled_run(keep_events: bool = True, max_events: int = 200_000,
     profiler = SimProfiler(keep_events=keep_events, max_events=max_events)
     result = run_workload(
         ida(0.2), workload("usr_1"), RunScale.tiny(), seed=11,
-        profiler=profiler, collector=collector,
+        telemetry=Telemetry(collector=collector, profiler=profiler),
     )
     return result, profiler
 
@@ -42,10 +47,10 @@ def run_and_profiler():
 class TestConservation:
     def test_zero_residual(self, run_and_profiler):
         result, _ = run_and_profiler
-        assert result.profile is not None
+        assert result.telemetry["profile"] is not None
         # The critical op's stages tile dispatch -> completion exactly,
         # so the worst per-request residual is float-noise at most.
-        assert result.profile["max_residual_us"] <= 1e-6
+        assert result.telemetry["profile"]["max_residual_us"] <= 1e-6
 
     def test_mean_attribution_matches_measured_response(self, run_and_profiler):
         result, _ = run_and_profiler
@@ -53,7 +58,7 @@ class TestConservation:
             ("read", result.metrics.read_response),
             ("write", result.metrics.write_response),
         ):
-            cell = result.profile["requests"][kind]
+            cell = result.telemetry["profile"]["requests"][kind]
             attributed = (
                 cell["mean_queue_wait_us"]
                 + sum(cell["mean_service_us"].values())
@@ -64,7 +69,7 @@ class TestConservation:
 
     def test_read_stages_are_the_read_pipeline(self, run_and_profiler):
         result, _ = run_and_profiler
-        stages = result.profile["stages"]["host_read"]
+        stages = result.telemetry["profile"]["stages"]["host_read"]
         assert set(stages) >= {"sense", "transfer", "ecc"}
         for cell in stages.values():
             assert cell["count"] > 0
@@ -72,7 +77,7 @@ class TestConservation:
 
     def test_resource_section_covers_dies_and_channels(self, run_and_profiler):
         result, _ = run_and_profiler
-        resources = result.profile["resources"]
+        resources = result.telemetry["profile"]["resources"]
         assert set(resources["utilisation"]) == {"die", "channel"}
         assert 0.0 < resources["utilisation"]["die"] <= 1.0
         # read-first: a queued read's wait is never attributed to a
@@ -83,7 +88,7 @@ class TestConservation:
 
     def test_schema_tag(self, run_and_profiler):
         result, _ = run_and_profiler
-        assert result.profile["schema"] == PROFILE_SCHEMA
+        assert result.telemetry["profile"]["schema"] == PROFILE_SCHEMA
 
 
 class TestChromeTrace:
@@ -130,7 +135,7 @@ class TestChromeTrace:
 
     def test_event_cap_drops_not_crashes(self):
         result, profiler = profiled_run(max_events=50)
-        assert result.profile["events_dropped"] > 0
+        assert result.telemetry["profile"]["events_dropped"] > 0
         assert validate_chrome_trace(profiler.to_chrome_trace()) == []
 
 
@@ -138,7 +143,7 @@ class TestPassivity:
     def test_profiler_does_not_perturb_metrics(self, run_and_profiler):
         profiled, _ = run_and_profiler
         bare = run_workload(ida(0.2), workload("usr_1"), RunScale.tiny(), seed=11)
-        assert bare.profile is None
+        assert bare.telemetry["profile"] is None
         assert bare.metrics.read_response.mean_us == profiled.metrics.read_response.mean_us
         assert bare.metrics.read_response.count == profiled.metrics.read_response.count
         assert bare.metrics.write_response.mean_us == profiled.metrics.write_response.mean_us
@@ -157,7 +162,7 @@ class TestPassivity:
 class TestTimeline:
     def test_interval_samples_land_in_profile(self):
         result, _ = profiled_run(collector=IntervalCollector(5_000_000.0))
-        timeline = result.profile["timeline"]
+        timeline = result.telemetry["profile"]["timeline"]
         assert timeline
         for sample in timeline:
             assert 0.0 <= sample["die_busy_frac"] <= 1.0
@@ -168,7 +173,7 @@ class TestTimeline:
 
     def test_no_collector_no_timeline(self, run_and_profiler):
         result, _ = run_and_profiler
-        assert result.profile["timeline"] == []
+        assert result.telemetry["profile"]["timeline"] == []
 
 
 class TestTransport:

@@ -15,7 +15,7 @@ from repro.experiments.config import RunScale
 from repro.experiments.reporting import metrics_summary
 from repro.experiments.runner import run_workload
 from repro.experiments.systems import baseline, ida
-from repro.obs.tracer import MemorySink, Tracer
+from repro.obs import MemorySink, Telemetry, Tracer
 from repro.workloads import TABLE3_WORKLOADS
 
 
@@ -27,7 +27,7 @@ def _run(system, traced: bool):
         TABLE3_WORKLOADS["usr_1"],
         scale=RunScale.tiny(),
         seed=11,
-        tracer=tracer,
+        telemetry=Telemetry(tracer=tracer),
     )
     events = sink.events if sink is not None else []
     return metrics_summary(result.metrics), events

@@ -14,7 +14,7 @@ from repro.core import conventional_tlc
 from repro.flash.geometry import Geometry
 from repro.flash.timing import TimingSpec
 from repro.ftl.refresh import RefreshMode, RefreshPolicy
-from repro.obs.tracer import MemorySink, Tracer
+from repro.obs import MemorySink, Telemetry, Tracer
 from repro.sim.resources import IoPriority
 from repro.sim.scheduler import HostRequest
 from repro.sim.ssd import SsdSimulator
@@ -37,7 +37,7 @@ def _single_die_sim(policy=None, tracer=None):
         refresh_policy=RefreshPolicy(mode=RefreshMode.BASELINE, period_us=1e9),
         seed=5,
         policy=policy,
-        tracer=tracer,
+        telemetry=Telemetry(tracer=tracer),
     )
 
 

@@ -268,7 +268,7 @@ class TestQueueWaitReport:
 
 class TestTracedRuns:
     def test_traced_run_leaves_complete_spans(self):
-        from repro.obs import MemorySink, Tracer
+        from repro.obs import MemorySink, Telemetry, Tracer
 
         sink = MemorySink()
         sim = SsdSimulator(
@@ -277,7 +277,7 @@ class TestTracedRuns:
             coding=conventional_tlc(),
             refresh_policy=RefreshPolicy(mode=RefreshMode.BASELINE, period_us=1e9),
             seed=5,
-            tracer=Tracer(sink),
+            telemetry=Telemetry(tracer=Tracer(sink)),
         )
         sim.preload(range(4), -100.0, 0.0)
         sim.run_requests([_read(0, 0.0, [0]), _write(1, 1000.0, [1])])

@@ -28,7 +28,7 @@ from repro.experiments.reporting import metrics_summary
 from repro.experiments.runner import run_workload, run_workload_closed_loop
 from repro.experiments.systems import baseline, ida
 from repro.faults import FaultPlan
-from repro.obs import SimProfiler
+from repro.obs import SimProfiler, Telemetry
 from repro.obs.tracer import MemorySink, Tracer
 from repro.workloads import workload
 
@@ -78,12 +78,12 @@ def _run_cell(cell: str) -> dict:
     profiler = sink = None
     if mode == "profiled":
         profiler = SimProfiler(keep_events=False)
-        kwargs["profiler"] = profiler
+        kwargs["telemetry"] = Telemetry(profiler=profiler)
     elif mode == "faults":
         kwargs["faults"] = _fault_plan()
     elif mode.startswith("traced"):
         sink = MemorySink()
-        kwargs["tracer"] = Tracer(sink)
+        kwargs["telemetry"] = Telemetry(tracer=Tracer(sink))
     if mode.endswith("closed8"):
         result = run_workload_closed_loop(
             system, workload(trace), queue_depth=8, **kwargs
@@ -96,8 +96,8 @@ def _run_cell(cell: str) -> dict:
         "queue_wait": result.queue_wait,
     }
     if profiler is not None:
-        snapshot["wait_classes"] = result.profile["resources"]["wait_classes"]
-        snapshot["profile_stages"] = result.profile["stages"]
+        snapshot["wait_classes"] = result.telemetry["profile"]["resources"]["wait_classes"]
+        snapshot["profile_stages"] = result.telemetry["profile"]["stages"]
     if mode == "faults":
         snapshot["faults"] = result.faults
     if sink is not None:
