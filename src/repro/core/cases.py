@@ -23,13 +23,21 @@ the maximal *contiguous* run of valid bits ending at the MSB and starting
 above bit 0 (the paper always evicts the LSB — cases 1 and 3 are converted
 into cases 2 and 4 by moving it); every other valid bit is moved to the
 new block, as the original refresh would have done.
+
+:func:`validity_table` is the same policy in lookup form: one entry per
+validity bitmask of a ``b``-bit wordline, built from
+:func:`classify_validity` so the refresh planner can classify a whole
+block with one gather instead of one call per wordline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import cache
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
     "WordlineAction",
@@ -37,6 +45,8 @@ __all__ = [
     "classify_validity",
     "classify_tlc_case",
     "TLC_CASE_TABLE",
+    "ValidityTable",
+    "validity_table",
 ]
 
 
@@ -145,3 +155,41 @@ TLC_CASE_TABLE: dict[int, WordlineDecision] = {
         for lsb in (True, False)
     )
 }
+
+
+class ValidityTable(NamedTuple):
+    """:func:`classify_validity` for every wordline validity bitmask.
+
+    Row ``m`` describes the wordline whose bit-``k`` page is valid iff
+    bit ``k`` of ``m`` is set (LSB = bit 0).  All three columns are
+    read-only ``uint8`` arrays of length ``2**bits``.
+
+    Attributes:
+        move_mask: Bits of the pages the refresh writes to the new block.
+        keep_mask: Bits kept in place through the voltage adjustment
+            (nonzero exactly when the wordline is adjusted).
+        start_bit: Kept-suffix start bit of an adjusted wordline (its new
+            wordline mode), 0 otherwise.
+    """
+
+    move_mask: np.ndarray
+    keep_mask: np.ndarray
+    start_bit: np.ndarray
+
+
+@cache
+def validity_table(bits: int) -> ValidityTable:
+    """The Table I decisions of a ``bits``-bit cell, indexed by bitmask."""
+    size = 1 << bits
+    move = np.zeros(size, dtype=np.uint8)
+    keep = np.zeros(size, dtype=np.uint8)
+    start = np.zeros(size, dtype=np.uint8)
+    for mask in range(size):
+        decision = classify_validity([mask >> k & 1 for k in range(bits)])
+        move[mask] = sum(1 << k for k in decision.pages_to_move)
+        if decision.applies_ida:
+            keep[mask] = sum(1 << k for k in decision.adjust_bits)
+            start[mask] = decision.adjust_bits[0]
+    for column in (move, keep, start):
+        column.setflags(write=False)
+    return ValidityTable(move, keep, start)

@@ -441,6 +441,25 @@ class Block:
             mask |= 1 << (page - base)
         state.journal_kept[gw] = mask
 
+    def adjust_wordlines(self, wordlines: np.ndarray, start_bits: np.ndarray) -> None:
+        """Bulk :meth:`set_wordline_ida` plus :meth:`journal_adjust`.
+
+        Records the voltage adjustment of each of ``wordlines`` to keep
+        bits ``start_bits[i]..b-1`` — every one of them a valid page the
+        wordline keeps — together with its on-flash intent record.
+
+        Raises:
+            ValueError: on a start bit outside ``1..b-1``.
+        """
+        if ((start_bits < 1) | (start_bits >= self.bits_per_cell)).any():
+            raise ValueError(f"invalid kept-suffix start bits {start_bits}")
+        state = self.state
+        rows = self._w0 + wordlines
+        state.wl_mode_np[rows] = start_bits
+        state.journal_bit_np[rows] = start_bits
+        state.journal_kept_np[rows] = (1 << self.bits_per_cell) - (1 << start_bits)
+        state.flags[self.slot] |= FLAG_IS_IDA
+
     def commit_wordline_summary(self, wordline: int) -> None:
         """Durably record ``wordline``'s current mode and clear its journal.
 

@@ -12,7 +12,6 @@ from .refresh import (
     RefreshPlan,
     RefreshPolicy,
     RefreshReport,
-    WordlinePlan,
     plan_refresh,
 )
 from .wear import WearStats, collect_wear, write_amplification
@@ -37,7 +36,6 @@ __all__ = [
     "RefreshPlan",
     "RefreshPolicy",
     "RefreshReport",
-    "WordlinePlan",
     "plan_refresh",
     "WearStats",
     "collect_wear",

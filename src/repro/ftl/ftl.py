@@ -13,6 +13,12 @@ a plane's free blocks fall below the policy watermark.  The refresh daemon
 period and executes either the baseline remapping flow or the IDA flow of
 Fig. 7 — see :mod:`repro.ftl.refresh` for the planning logic and
 accounting.
+
+Bulk page placement is columnar.  Untimed writes and refresh relocations
+are applied in *safe runs* — stretches that trigger no GC and open no
+block — as scatters on the device columns plus one bulk map rebinding;
+the write on each boundary takes the scalar path, so the resulting
+state and op lists equal a page-by-page loop.
 """
 
 from __future__ import annotations
@@ -31,11 +37,12 @@ from .blockstatus import BlockStatusTable
 from .gc import GcPolicy, select_victim
 from .mapping import PageMap
 from .ops import FtlCounters, OpKind, PhysOp, WriteResult
-from .refresh import RefreshPolicy, RefreshReport, plan_refresh
+from .refresh import RefreshPlan, RefreshPolicy, RefreshReport, plan_refresh
 
-# WriteResult and FtlCounters live in .ops (the FTL <-> sim contract)
-# but remain importable from here for compatibility.
-__all__ = ["Ftl", "WriteResult", "FtlCounters"]
+__all__ = ["Ftl"]
+
+_VALID = int(PageState.VALID)
+_INVALID = int(PageState.INVALID)
 
 
 class Ftl:
@@ -189,15 +196,12 @@ class Ftl:
         """Bulk :meth:`write_untimed`: identical final state, array speed.
 
         The path of every untimed write (preload / aging / background
-        batches).  Writes are applied in *segments*: a safe run is the
-        longest prefix guaranteed to trigger no GC pass and open no
-        block on any plane — each plane in the allocator rotation merely
-        fills its already-open active block — so the whole prefix
-        collapses to column scatters on the device state plus one bulk
-        map rebinding.  The write that lands on a segment boundary (GC
-        watermark, block open, block fill) goes through the ordinary
-        scalar path, which realigns every invariant before the next
-        segment is sized.
+        batches).  Writes are applied in *segments*: a safe run (see
+        :meth:`_safe_run`) collapses to column scatters on the device
+        state plus one bulk map rebinding.  The write that lands on a
+        segment boundary (GC watermark, block open, block fill) goes
+        through the ordinary scalar path, which realigns every invariant
+        before the next segment is sized.
 
         Args:
             lpns: Logical pages in write order (any int sequence).
@@ -213,7 +217,7 @@ class Ftl:
         )
         start = 0
         while start < total:
-            safe = self._untimed_safe_run(total - start)
+            safe = self._safe_run(total - start)
             if safe < self._MIN_BULK_SEGMENT:
                 # Too short to be worth array setup; the +1 also steps
                 # over the boundary write itself (GC / block open).
@@ -226,8 +230,13 @@ class Ftl:
             )
             start += safe
 
-    def _untimed_safe_run(self, limit: int) -> int:
+    def _safe_run(self, limit: int) -> int:
         """Longest write run from here that stays inside active blocks.
+
+        A safe run triggers no GC pass and opens no block on any plane:
+        each plane in the allocator rotation merely fills its
+        already-open active block.  Untimed writes and refresh
+        relocations are applied in such runs.
 
         Position ``k`` of the run lands on rotation slot ``k % P``.  For
         each slot the first boundary is either its very first write (GC
@@ -261,37 +270,90 @@ class Ftl:
                     break
         return best
 
-    def _apply_untimed_segment(self, lpns: np.ndarray, times: np.ndarray) -> None:
-        """Apply one GC-free run of untimed writes as column operations."""
+    def _program_run(
+        self,
+        oob_lpns: np.ndarray,
+        times: np.ndarray | float,
+        keep: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Program one safe run of pages across the allocator rotation.
+
+        The destination step shared by untimed segments and refresh
+        relocations: slot ``s`` writes pages ``next_page``, +1, ... of its
+        plane's active block, and position ``p`` of the run is the
+        ``(p // P)``-th write of slot ``p % P``.  Stamps the page states,
+        the OOB records (``oob_lpns`` plus fresh sequence numbers, in
+        write order — the scalar path's per-program stamps), each
+        destination's ``next_page``, ``valid_count`` and first-program
+        time, then seals filled active blocks and advances the cursor.
+
+        Args:
+            oob_lpns: The LPN each page's OOB record carries.
+            times: Per-write program times, or one for the whole run (a
+                destination opened since its last erase takes its first
+                write's time).
+            keep: Per-write flag, False for a page superseded later in
+                the run: it lands directly as INVALID.  ``None`` keeps
+                all.
+
+        Returns:
+            The destination PPNs in write order.
+        """
         state = self.table.state
-        geometry = self.geometry
         order = self.allocator.order
         cursor = self.allocator._cursor
         n_planes = len(order)
-        pages_per_block = geometry.pages_per_block
-        length = len(lpns)
+        pages_per_block = self.geometry.pages_per_block
+        length = len(oob_lpns)
         width = min(n_planes, length)
 
-        # Destination PPNs: slot s writes pages start_page[s], +1, ... of
-        # its plane's active block; position p of the segment is the
-        # (p // P)-th write of slot p % P.
         pools = [
             self.table.planes[order[(cursor + slot) % n_planes]]
             for slot in range(width)
         ]
-        dest_blocks = np.empty(width, dtype=np.int64)
-        start_pages = np.empty(width, dtype=np.int64)
-        for slot, pool in enumerate(pools):
-            block_index = pool.blocks[pool.active].index
-            dest_blocks[slot] = block_index
-            start_pages[slot] = state.next_page[block_index]
+        dest_blocks = np.array(
+            [pool.blocks[pool.active].index for pool in pools], dtype=np.int64
+        )
         positions = np.arange(length, dtype=np.int64)
         slot_of = positions % n_planes
         new_ppns = (
             dest_blocks[slot_of] * pages_per_block
-            + start_pages[slot_of]
+            + state.next_page_np[dest_blocks][slot_of]
             + positions // n_planes
         )
+
+        page_states = state.page_state_np
+        writes = np.bincount(slot_of, minlength=width)
+        if keep is None:
+            page_states[new_ppns] = _VALID
+            kept = writes
+        else:
+            page_states[new_ppns[keep]] = _VALID
+            page_states[new_ppns[~keep]] = _INVALID
+            kept = np.bincount(slot_of[keep], minlength=width)
+        # Slots are distinct planes, so ``dest_blocks`` has no repeats.
+        state.next_page_np[dest_blocks] += writes
+        state.valid_count_np[dest_blocks] += kept
+        stamps = state.programmed_at_us_np[dest_blocks]
+        fresh = stamps != stamps  # NaN: first program since erase
+        if fresh.any():
+            firsts = np.broadcast_to(times, (length,))[:width]
+            state.programmed_at_us_np[dest_blocks[fresh]] = firsts[fresh]
+
+        state.oob_lpn_np[new_ppns] = oob_lpns
+        state.oob_seq_np[new_ppns] = state.write_seq + positions
+        state.write_seq += length
+
+        for pool in pools:
+            pool.retire_active()
+        self.allocator.advance(length)
+        return new_ppns
+
+    def _apply_untimed_segment(self, lpns: np.ndarray, times: np.ndarray) -> None:
+        """Apply one GC-free run of untimed writes as column operations."""
+        state = self.table.state
+        pages_per_block = self.geometry.pages_per_block
+        length = len(lpns)
 
         # Duplicate LPNs inside the segment: only the first occurrence
         # displaces a pre-segment mapping; only the last stays valid.
@@ -307,14 +369,14 @@ class Ftl:
         page_states = state.page_state_np
         if len(ext_ppns):
             stale = page_states[ext_ppns]
-            if (stale != int(PageState.VALID)).any():
-                bad = int(ext_ppns[stale != int(PageState.VALID)][0])
+            if (stale != _VALID).any():
+                bad = int(ext_ppns[stale != _VALID][0])
                 block_index, page = divmod(bad, pages_per_block)
                 raise RuntimeError(
                     f"block {block_index} page {page} is not valid "
                     f"({PageState(page_states[bad]).name})"
                 )
-            page_states[ext_ppns] = int(PageState.INVALID)
+            page_states[ext_ppns] = _INVALID
             np.subtract.at(
                 state.valid_count_np, ext_ppns // pages_per_block, 1
             )
@@ -322,122 +384,89 @@ class Ftl:
         # Program the new pages: duplicates superseded within the
         # segment land directly as INVALID (net effect of program +
         # later invalidate).
-        page_states[new_ppns[is_last]] = int(PageState.VALID)
-        page_states[new_ppns[~is_last]] = int(PageState.INVALID)
-        for slot in range(width):
-            block_index = int(dest_blocks[slot])
-            in_slot = slot_of == slot
-            state.next_page[block_index] += int(in_slot.sum())
-            state.valid_count[block_index] += int(is_last[in_slot].sum())
-            stamp = state.programmed_at_us[block_index]
-            if stamp != stamp:  # NaN: first program since erase
-                state.programmed_at_us[block_index] = float(times[slot])
-
-        # OOB records, in write order — identical (lpn, seq) stamps to
-        # the scalar path's per-program ``stamp_oob`` calls.
-        state.oob_lpn_np[new_ppns] = lpns
-        state.oob_seq_np[new_ppns] = state.write_seq + positions
-        state.write_seq += length
-
+        new_ppns = self._program_run(lpns, times, is_last)
         self.map.bind_batch(uniq, new_ppns[last_positions], ext_ppns)
-
-        for pool in pools:
-            pool.retire_active()
-        self.allocator.advance(length)
 
     # ------------------------------------------------------------------
     # Refresh daemon
     # ------------------------------------------------------------------
     def check_refresh(self, now_us: float) -> list[PhysOp]:
-        """Refresh every full block older than the policy period."""
+        """Refresh every full block older than the policy period.
+
+        Blocks are visited in pool order, then in the order of each
+        pool's :meth:`~repro.flash.plane.PlanePool.used_blocks` at the
+        time the pool is reached.  Which blocks are old enough is taken
+        as one mask over ``programmed_at_us`` at the start of the tick:
+        the tick's own work can only make a block younger (a first
+        program and an IDA refresh stamp ``now_us``, an erase clears the
+        stamp), so the mask only narrows the live checks below.
+        """
         ops: list[PhysOp] = []
+        period_us = self.refresh_policy.period_us
+        stamps = self.table.state.programmed_at_us_np
+        due = (now_us - stamps) >= period_us
+        if not due.any():
+            return ops
+        blocks_per_plane = self.geometry.blocks_per_plane
         for pool in self.table.planes:
-            # Snapshot: refreshing mutates pool membership via GC/allocation.
-            for block in list(pool.used_blocks()):
+            first = pool.plane_index * blocks_per_plane
+            in_plane = np.flatnonzero(due[first : first + blocks_per_plane])
+            if not len(in_plane):
+                continue
+            used = pool.used
+            visit = [index for index in in_plane.tolist() if index in used]
+            if pool.active is not None and due[first + pool.active]:
+                visit.append(pool.active)
+            for index in visit:
+                block = pool.blocks[index]
                 if not block.is_full or block.valid_count == 0:
                     continue
-                age_start = block.programmed_at_us
-                if age_start is None:
-                    continue
-                if now_us - age_start < self.refresh_policy.period_us:
-                    continue
+                if not now_us - stamps[block.slot] >= period_us:
+                    continue  # erased and refilled earlier in this tick
                 ops.extend(self._refresh_block(block, now_us))
         return ops
 
     def _refresh_block(self, block: Block, now_us: float) -> list[PhysOp]:
-        ops: list[PhysOp] = []
         self.counters.refresh_invocations += 1
         block.locked = True
-        plan = plan_refresh(block, self.refresh_policy.mode)
-        report = RefreshReport(block.index, n_valid=len(plan.valid_pages))
+        try:
+            plan = plan_refresh(block, self.refresh_policy.mode)
+            report = RefreshReport(block.index, n_valid=len(plan.valid_pages))
 
-        # Step 1-2 of Fig. 7: read + ECC-decode every valid page.
-        for page in plan.valid_pages:
-            ops.append(self._internal_read_op(block, page))
+            # Step 1-2 of Fig. 7: read + ECC-decode every valid page.
+            ops = self._read_ops(block, plan.valid_pages)
 
-        # Step 3: move the pages that cannot benefit from IDA.
-        for page in plan.moves:
-            ops.append(self._move_page(block, page, now_us, ops))
-            report.n_moved += 1
-            self.counters.refresh_page_moves += 1
+            # Step 3: move the pages that cannot benefit from IDA.
+            self._relocate(block, plan.moves.tolist(), now_us, ops)
+            report.n_moved = len(plan.moves)
+            self.counters.refresh_page_moves += report.n_moved
 
-        # Step 4: voltage-adjust the IDA wordlines.
-        kept_pages: list[int] = []
-        for wl_plan in plan.adjusted_wordlines:
-            start_bit = wl_plan.decision.adjust_bits[0]
-            block.set_wordline_ida(wl_plan.wordline, start_bit)
-            # On-flash intent record, written before the ADJUST op is
-            # issued: a power cut before the commit rolls forward from
-            # this at mount (see repro.ftl.recovery).
-            block.journal_adjust(
-                wl_plan.wordline, start_bit, wl_plan.pages_to_keep
-            )
-            if self._journal is not None:
-                # Intent record for torn-reprogram recovery: which mode the
-                # adjust lands in and which pages ride on the wordline.
-                self._journal[(block.index, wl_plan.wordline)] = (
-                    start_bit,
-                    tuple(wl_plan.pages_to_keep),
-                )
-            ops.append(
-                PhysOp(
-                    kind=OpKind.ADJUST,
-                    block_index=block.index,
-                    wordline=wl_plan.wordline,
-                )
-            )
-            report.n_adjusted_wordlines += 1
-            self.counters.refresh_adjusted_wordlines += 1
-            kept_pages.extend(wl_plan.pages_to_keep)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    now_us,
-                    "ida_adjust",
-                    block=block.index,
-                    wordline=wl_plan.wordline,
-                    start_bit=start_bit,
-                    kept_pages=len(wl_plan.pages_to_keep),
-                )
+            # Step 4: voltage-adjust the IDA wordlines.
+            if len(plan.adjusted_wordlines):
+                self._adjust_wordlines(block, plan, now_us, ops)
+            report.n_adjusted_wordlines = len(plan.adjusted_wordlines)
+            self.counters.refresh_adjusted_wordlines += report.n_adjusted_wordlines
 
-        # Step 5-6: re-read the reprogrammed pages to check for disturb.
-        report.n_target = len(kept_pages)
-        self.counters.refresh_reprogrammed_pages += len(kept_pages)
-        for page in kept_pages:
-            ops.append(self._internal_read_op(block, page))
+            # Step 5-6: re-read the reprogrammed pages (under their new
+            # wordline mode) to check for disturb.
+            kept_pages = plan.kept.tolist()
+            report.n_target = len(kept_pages)
+            self.counters.refresh_reprogrammed_pages += len(kept_pages)
+            ops.extend(self._read_ops(block, plan.kept))
 
-        # Step 7-8: corrupted pages get their error-free copy written to
-        # the new block; clean pages stay in place.
-        corrupted = self.disturb.corrupted_pages(self.rng, kept_pages)
-        for page in corrupted:
-            ops.append(self._move_page(block, page, now_us, ops))
-        report.n_error = len(corrupted)
-        self.counters.refresh_corrupted_pages += len(corrupted)
+            # Step 7-8: corrupted pages get their error-free copy written
+            # to the new block; clean pages stay in place.
+            corrupted = self.disturb.corrupted_pages(self.rng, kept_pages)
+            self._relocate(block, corrupted, now_us, ops)
+            report.n_error = len(corrupted)
+            self.counters.refresh_corrupted_pages += len(corrupted)
 
-        if plan.adjusted_wordlines and block.valid_count > 0:
-            # The block lives on as an IDA block; restart its age so the
-            # next refresh cycle force-reclaims it (Sec. III-C).
-            block.programmed_at_us = now_us
-        block.locked = False
+            if report.n_adjusted_wordlines and block.valid_count > 0:
+                # The block lives on as an IDA block; restart its age so
+                # the next refresh cycle force-reclaims it (Sec. III-C).
+                block.programmed_at_us = now_us
+        finally:
+            block.locked = False
         self.refresh_reports.append(report)
         if self.telemetry is not None:
             self.telemetry["refresh_passes"].inc()
@@ -459,6 +488,113 @@ class Ftl:
                 n_adjusted_wordlines=report.n_adjusted_wordlines,
             )
         return ops
+
+    def _adjust_wordlines(
+        self, block: Block, plan: RefreshPlan, now_us: float, ops: list[PhysOp]
+    ) -> None:
+        """Step 4 of Fig. 7 for every adjusted wordline of ``plan``.
+
+        Sets each wordline's IDA mode and, before its ADJUST op is
+        issued, its on-flash intent record: a power cut before the
+        commit rolls forward from it at mount (see
+        :mod:`repro.ftl.recovery`).
+        """
+        bits = block.bits_per_cell
+        wordlines = plan.adjusted_wordlines
+        start_bits = plan.start_bits
+        block.adjust_wordlines(wordlines, start_bits)
+        index = block.index
+        ops.extend(
+            [
+                PhysOp(OpKind.ADJUST, index, wordline=wordline)
+                for wordline in wordlines.tolist()
+            ]
+        )
+        if self._journal is None and not self.tracer.enabled:
+            return
+        for wordline, start_bit in zip(wordlines.tolist(), start_bits.tolist()):
+            kept = tuple(range(wordline * bits + start_bit, (wordline + 1) * bits))
+            if self._journal is not None:
+                # Intent record for torn-reprogram recovery: which mode
+                # the adjust lands in and which pages ride on the wordline.
+                self._journal[(index, wordline)] = (start_bit, kept)
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    now_us,
+                    "ida_adjust",
+                    block=index,
+                    wordline=wordline,
+                    start_bit=start_bit,
+                    kept_pages=len(kept),
+                )
+
+    def _read_ops(self, block: Block, pages: np.ndarray) -> list[PhysOp]:
+        """Internal read ops for ``pages`` of ``block``, one gather.
+
+        Sense counts come from :meth:`SenseTable.lut` over the current
+        ``wl_mode`` column; a page the table marks unreadable is handed
+        to the scalar lookup, which raises as :meth:`_internal_read_op`
+        would.
+        """
+        state = self.table.state
+        sense_table = self.table.sense_table
+        wordlines, page_bits = np.divmod(pages, block.bits_per_cell)
+        modes = state.wl_mode_np[block.slot * state.wordlines_per_block + wordlines]
+        senses = sense_table.lut()[modes, page_bits]
+        if not senses.all():
+            bad = int(np.flatnonzero(senses == 0)[0])
+            sense_table.senses(int(modes[bad]), int(page_bits[bad]))
+        return PhysOp.reads(
+            block.index, pages.tolist(), senses.tolist(), page_bits.tolist()
+        )
+
+    def _relocate(
+        self, source: Block, pages: list[int], now_us: float, ops: list[PhysOp]
+    ) -> None:
+        """Move ``pages`` of ``source`` to fresh pages, in order.
+
+        Appends each move's WRITE op to ``ops``, preceded by any GC work
+        its allocation triggered.  Moves run in safe segments like
+        :meth:`apply_untimed_batch`; a move that lands on a segment
+        boundary (GC watermark, block open) takes the scalar
+        :meth:`_move_page`, so GC ops interleave exactly as they would
+        page by page.
+        """
+        total = len(pages)
+        start = 0
+        while start < total:
+            safe = self._safe_run(total - start)
+            if safe < self._MIN_BULK_SEGMENT:
+                for page in pages[start : start + safe + 1]:
+                    ops.append(self._move_page(source, page, now_us, ops))
+                start += safe + 1
+                continue
+            self._relocate_segment(source, pages[start : start + safe], now_us, ops)
+            start += safe
+
+    def _relocate_segment(
+        self, source: Block, pages: list[int], now_us: float, ops: list[PhysOp]
+    ) -> None:
+        """Move one safe run of ``source`` pages as column operations."""
+        state = self.table.state
+        pages_per_block = self.geometry.pages_per_block
+        first = self.geometry.page_number(source.index, 0)
+        old_ppns = np.array(pages, dtype=np.int64) + first
+        # The scalar path's checks: every source page is live and mapped.
+        lpns = self.map.owners(old_ppns.tolist())
+        page_states = state.page_state_np
+        stale = page_states[old_ppns] != _VALID
+        if stale.any():
+            source.invalidate(pages[int(np.flatnonzero(stale)[0])])
+
+        # The LPN travels with the data; the destination gets a fresh
+        # sequence number (``DeviceState.relocate_oob``).
+        new_ppns = self._program_run(state.oob_lpn_np[old_ppns], now_us)
+        self.map.bind_batch(lpns, new_ppns, old_ppns)
+        page_states[old_ppns] = _INVALID
+        state.valid_count[source.slot] -= len(pages)
+        dest_blocks, dest_pages = np.divmod(new_ppns, pages_per_block)
+        ops.extend(PhysOp.writes(dest_blocks.tolist(), dest_pages.tolist()))
 
     # ------------------------------------------------------------------
     # Fault recovery (graceful degradation)

@@ -82,6 +82,16 @@ class PageMap:
         """LPN stored at ``ppn``, or None when the page holds no live data."""
         return self._reverse.get(ppn)
 
+    def owners(self, ppns: list[int]) -> np.ndarray:
+        """LPNs stored at live pages ``ppns`` (batched :meth:`owner`).
+
+        Raises:
+            KeyError: if a page holds no live data, as
+                :meth:`rebind_physical` does.
+        """
+        reverse = self._reverse
+        return np.array([reverse[ppn] for ppn in ppns], dtype=np.int64)
+
     def bind(self, lpn: int, ppn: int) -> int | None:
         """Map ``lpn`` to ``ppn``; returns the displaced old PPN (if any).
 

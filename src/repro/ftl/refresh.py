@@ -18,24 +18,33 @@ The IDA-modified flow (Fig. 7b) instead classifies every wordline
 
 This module *plans* a refresh (pure function of the block state) and
 defines the accounting record behind Table IV; the FTL executes plans.
+A plan is columnar: the block's page states are read once as a
+(wordlines x bits) validity matrix, each row's bitmask indexes the
+Table I decisions tabulated by :func:`repro.core.cases.validity_table`,
+and the result is page and wordline arrays rather than one record per
+wordline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from ..core.cases import WordlineDecision, classify_validity
-from ..flash.block import Block
+import numpy as np
+
+from ..core.cases import validity_table
+from ..flash.block import Block, PageState
 
 __all__ = [
     "RefreshMode",
     "RefreshPolicy",
     "RefreshReport",
-    "WordlinePlan",
     "RefreshPlan",
     "plan_refresh",
 ]
+
+
+_VALID = int(PageState.VALID)
 
 
 class RefreshMode(Enum):
@@ -115,51 +124,36 @@ class RefreshReport:
         return self.n_moved + self.n_error
 
 
-@dataclass(frozen=True)
-class WordlinePlan:
-    """Planned treatment of one wordline during an IDA refresh.
+@dataclass(frozen=True, eq=False)
+class RefreshPlan:
+    """Full plan for refreshing one block, as page and wordline arrays.
+
+    Page arrays hold page-in-block indices and wordline arrays wordline
+    indices, all ``int64`` and ascending.  Pages of one wordline are
+    consecutive (``wordline * bits + bit``), so ascending page order is
+    the wordline-by-wordline, LSB-first order the refresh works in.
 
     Attributes:
-        wordline: Wordline index within the block.
-        decision: The Table I classification.
-        pages_to_move: Page-in-block indices to write to the new block.
-        pages_to_keep: Page-in-block indices kept through the adjustment.
+        block_index: The block being refreshed.
+        mode: The refresh flow planned for.
+        valid_pages: Every valid page (read and ECC-decoded first).
+        moves: Pages written to the new block.
+        kept: Pages kept in place through the voltage adjustment.
+        adjusted_wordlines: Wordlines that will be voltage-adjusted —
+            exactly those keeping pages.  A full-move plan (baseline
+            mode, or reclaiming an old IDA block) adjusts none, even
+            where the Table I case is 1-4.
+        start_bits: Kept-suffix start bit of each adjusted wordline; it
+            keeps bits ``start_bit..b-1``, all of them valid.
     """
-
-    wordline: int
-    decision: WordlineDecision
-    pages_to_move: tuple[int, ...]
-    pages_to_keep: tuple[int, ...]
-
-
-@dataclass
-class RefreshPlan:
-    """Full plan for refreshing one block."""
 
     block_index: int
     mode: RefreshMode
-    valid_pages: list[int] = field(default_factory=list)
-    wordlines: list[WordlinePlan] = field(default_factory=list)
-
-    @property
-    def moves(self) -> list[int]:
-        """All page-in-block indices written to the new block."""
-        return [page for wl in self.wordlines for page in wl.pages_to_move]
-
-    @property
-    def kept(self) -> list[int]:
-        """All page-in-block indices kept in place (IDA targets)."""
-        return [page for wl in self.wordlines for page in wl.pages_to_keep]
-
-    @property
-    def adjusted_wordlines(self) -> list[WordlinePlan]:
-        """Wordlines that will actually be voltage-adjusted.
-
-        A wordline is adjusted only when it keeps pages in place; in a
-        full-move plan (baseline mode, or reclaiming an old IDA block) no
-        wordline qualifies even if its Table I case is 1-4.
-        """
-        return [wl for wl in self.wordlines if wl.pages_to_keep]
+    valid_pages: np.ndarray
+    moves: np.ndarray
+    kept: np.ndarray
+    adjusted_wordlines: np.ndarray
+    start_bits: np.ndarray
 
 
 def plan_refresh(block: Block, mode: RefreshMode) -> RefreshPlan:
@@ -168,40 +162,32 @@ def plan_refresh(block: Block, mode: RefreshMode) -> RefreshPlan:
     Baseline mode — and any block that was *already* IDA-reprogrammed
     (the paper forces IDA blocks to be fully reclaimed at their next
     refresh cycle, Sec. III-C) — moves every valid page.  IDA mode
-    classifies each wordline per Table I.
+    classifies each wordline per Table I: the block's page states are
+    read once as a (wordlines x bits) validity matrix, each row is packed
+    into a bitmask, and the bitmasks index :func:`validity_table`.
     """
-    plan = RefreshPlan(block_index=block.index, mode=mode)
-    plan.valid_pages = block.valid_pages()
     bits = block.bits_per_cell
-
-    full_move = mode is RefreshMode.BASELINE or block.is_ida
-    for wordline in range(block.wordlines):
-        base = wordline * bits
-        validity = block.wordline_validity(wordline)
-        valid_here = tuple(base + b for b in range(bits) if validity[b])
-        if not valid_here:
-            continue
-        if full_move:
-            plan.wordlines.append(
-                WordlinePlan(
-                    wordline=wordline,
-                    decision=classify_validity(validity),
-                    pages_to_move=valid_here,
-                    pages_to_keep=(),
-                )
-            )
-            continue
-        decision = classify_validity(validity)
-        if decision.applies_ida:
-            moves = tuple(base + b for b in decision.pages_to_move)
-            keeps = tuple(
-                base + b for b in decision.adjust_bits if validity[b]
-            )
-            plan.wordlines.append(
-                WordlinePlan(wordline, decision, moves, keeps)
-            )
-        else:
-            plan.wordlines.append(
-                WordlinePlan(wordline, decision, valid_here, ())
-            )
-    return plan
+    base = block.slot * block.pages_per_block
+    pages = block.state.page_state_np[base : base + block.pages_per_block]
+    valid = (pages == _VALID).reshape(-1, bits)
+    valid_pages = np.flatnonzero(valid)
+    if mode is RefreshMode.BASELINE or block.is_ida:
+        nothing = valid_pages[:0]
+        return RefreshPlan(
+            block.index, mode, valid_pages, valid_pages, nothing, nothing, nothing
+        )
+    shifts = np.arange(bits)
+    masks = valid @ (1 << shifts)
+    table = validity_table(bits)
+    move_rows = (table.move_mask[masks, None] >> shifts) & 1
+    keep_rows = (table.keep_mask[masks, None] >> shifts) & 1
+    adjusted = np.flatnonzero(table.keep_mask[masks])
+    return RefreshPlan(
+        block.index,
+        mode,
+        valid_pages,
+        np.flatnonzero(move_rows),
+        np.flatnonzero(keep_rows),
+        adjusted,
+        table.start_bit[masks[adjusted]].astype(np.int64),
+    )

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blockstatus import BlockStatusTable
-from .ftl import FtlCounters
+from .ops import FtlCounters
 
 __all__ = ["WearStats", "collect_wear", "write_amplification"]
 

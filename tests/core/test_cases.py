@@ -9,6 +9,7 @@ from repro.core.cases import (
     WordlineAction,
     classify_tlc_case,
     classify_validity,
+    validity_table,
 )
 
 
@@ -143,3 +144,25 @@ class TestDecisionInvariants:
                     range(d.adjust_bits[0], bits)
                 )
                 assert d.adjust_bits[0] >= 1  # never keeps the LSB slot
+
+
+class TestValidityTable:
+    @pytest.mark.parametrize("bits", [2, 3, 4])
+    def test_table_agrees_with_classifier_for_every_mask(self, bits):
+        table = validity_table(bits)
+        assert all(len(column) == 1 << bits for column in table)
+        for mask in range(1 << bits):
+            flags = tuple(bool(mask & (1 << b)) for b in range(bits))
+            d = classify_validity(flags)
+            moved = {b for b in range(bits) if table.move_mask[mask] >> b & 1}
+            kept = {b for b in range(bits) if table.keep_mask[mask] >> b & 1}
+            assert moved == set(d.pages_to_move)
+            assert kept == (set(d.adjust_bits) if d.applies_ida else set())
+            start = d.adjust_bits[0] if d.applies_ida else 0
+            assert table.start_bit[mask] == start
+
+    def test_table_is_built_once_and_read_only(self):
+        table = validity_table(3)
+        assert validity_table(3) is table
+        with pytest.raises(ValueError):
+            table.keep_mask[0] = 1

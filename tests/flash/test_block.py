@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.flash.block import CONVENTIONAL_WL, Block, PageState, SenseTable
@@ -127,6 +128,20 @@ class TestWordlines:
             block.set_wordline_ida(0, 0)
         with pytest.raises(ValueError):
             block.set_wordline_ida(0, 3)
+
+    def test_adjust_wordlines_equals_per_wordline_calls(self, block):
+        bulk = Block(index=0, pages_per_block=192, bits_per_cell=3)
+        bulk.adjust_wordlines(np.array([0, 4, 9]), np.array([1, 2, 1]))
+        for wordline, start in ((0, 1), (4, 2), (9, 1)):
+            block.set_wordline_ida(wordline, start)
+            kept = tuple(range(wordline * 3 + start, wordline * 3 + 3))
+            block.journal_adjust(wordline, start, kept)
+        assert bulk.state.snapshot().columns == block.state.snapshot().columns
+
+    def test_adjust_wordlines_validates_start(self, block):
+        for start in (0, 3):
+            with pytest.raises(ValueError):
+                block.adjust_wordlines(np.array([0, 1]), np.array([1, start]))
 
     def test_ida_block_rejects_programs(self, block):
         block.program_next(0.0)

@@ -40,3 +40,15 @@ def test_equal_fields_compare_equal():
     assert a != PhysOp(kind=OpKind.READ, block_index=1, page=2, senses=2, bit=0,
                        wl_validity=(True, False, True), from_ida=True)
     assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_bulk_builders_equal_the_constructor():
+    reads = PhysOp.reads(7, [0, 4, 5], [1, 2, 4], [0, 1, 2])
+    assert reads == [
+        PhysOp(OpKind.READ, 7, 0, 1, 0),
+        PhysOp(OpKind.READ, 7, 4, 2, 1),
+        PhysOp(OpKind.READ, 7, 5, 4, 2),
+    ]
+    writes = PhysOp.writes([3, 9], [10, 11])
+    assert writes == [PhysOp(OpKind.WRITE, 3, 10), PhysOp(OpKind.WRITE, 9, 11)]
+    assert all(type(op) is PhysOp for op in reads + writes)

@@ -1,9 +1,14 @@
-"""Tests for refresh planning (repro.ftl.refresh)."""
+"""Tests for refresh planning (repro.ftl.refresh).
+
+The plan is arrays; the Table I case behind each wordline's treatment is
+checked through :func:`repro.core.cases.classify_validity`.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.cases import classify_validity
 from repro.flash.block import Block
 from repro.ftl.refresh import (
     RefreshMode,
@@ -26,59 +31,69 @@ def _tlc_block(wordline_validity):
     return block
 
 
+def _case(block, wordline):
+    """Table I case number of one wordline, via the classifier."""
+    return classify_validity(block.wordline_validity(wordline)).case
+
+
 class TestBaselinePlan:
     def test_moves_every_valid_page(self):
         block = _tlc_block([(True, True, True), (False, True, True)])
         plan = plan_refresh(block, RefreshMode.BASELINE)
-        assert sorted(plan.moves) == block.valid_pages()
-        assert plan.kept == []
-        assert plan.adjusted_wordlines == []
+        assert plan.moves.tolist() == block.valid_pages()
+        assert plan.kept.tolist() == []
+        assert plan.adjusted_wordlines.tolist() == []
 
     def test_skips_fully_invalid_wordlines(self):
         block = _tlc_block([(False, False, False), (True, True, True)])
         plan = plan_refresh(block, RefreshMode.BASELINE)
-        assert sorted(plan.moves) == [3, 4, 5]
+        assert plan.moves.tolist() == [3, 4, 5]
 
 
 class TestIdaPlan:
     def test_case2_keeps_csb_and_msb(self):
         block = _tlc_block([(False, True, True)])
         plan = plan_refresh(block, RefreshMode.IDA)
-        (wl_plan,) = plan.wordlines
-        assert wl_plan.decision.case == 2
-        assert wl_plan.pages_to_move == ()
-        assert wl_plan.pages_to_keep == (1, 2)
+        assert _case(block, 0) == 2
+        assert plan.adjusted_wordlines.tolist() == [0]
+        assert plan.start_bits.tolist() == [1]
+        assert plan.moves.tolist() == []
+        assert plan.kept.tolist() == [1, 2]
 
     def test_case1_converts_to_case2(self):
         block = _tlc_block([(True, True, True)])
         plan = plan_refresh(block, RefreshMode.IDA)
-        (wl_plan,) = plan.wordlines
-        assert wl_plan.decision.case == 1
-        assert wl_plan.pages_to_move == (0,)  # LSB evicted
-        assert wl_plan.pages_to_keep == (1, 2)
+        assert _case(block, 0) == 1
+        assert plan.adjusted_wordlines.tolist() == [0]
+        assert plan.moves.tolist() == [0]  # LSB evicted
+        assert plan.kept.tolist() == [1, 2]
 
     def test_case4_keeps_msb_only(self):
         block = _tlc_block([(False, False, True)])
         plan = plan_refresh(block, RefreshMode.IDA)
-        (wl_plan,) = plan.wordlines
-        assert wl_plan.decision.case == 4
-        assert wl_plan.pages_to_keep == (2,)
+        assert _case(block, 0) == 4
+        assert plan.adjusted_wordlines.tolist() == [0]
+        assert plan.start_bits.tolist() == [2]
+        assert plan.kept.tolist() == [2]
 
     def test_cases_5_to_7_move_like_baseline(self):
         block = _tlc_block(
             [(True, True, False), (False, True, False), (True, False, False)]
         )
         plan = plan_refresh(block, RefreshMode.IDA)
-        assert plan.kept == []
-        assert sorted(plan.moves) == block.valid_pages()
+        assert [_case(block, wl) for wl in range(3)] == [5, 6, 7]
+        assert plan.kept.tolist() == []
+        assert plan.adjusted_wordlines.tolist() == []
+        assert plan.moves.tolist() == block.valid_pages()
 
     def test_old_ida_block_is_fully_reclaimed(self):
         # Sec. III-C: IDA blocks are force-reclaimed at the next refresh.
         block = _tlc_block([(False, True, True)])
         block.set_wordline_ida(0, 1)
         plan = plan_refresh(block, RefreshMode.IDA)
-        assert plan.kept == []
-        assert sorted(plan.moves) == [1, 2]
+        assert plan.kept.tolist() == []
+        assert plan.adjusted_wordlines.tolist() == []
+        assert plan.moves.tolist() == [1, 2]
 
     def test_mixed_block_accounting(self):
         block = _tlc_block(
@@ -91,10 +106,12 @@ class TestIdaPlan:
             ]
         )
         plan = plan_refresh(block, RefreshMode.IDA)
+        assert [_case(block, wl) for wl in range(5)] == [1, 2, 4, 5, 8]
         assert len(plan.valid_pages) == 8
         assert len(plan.moves) == 3
         assert len(plan.kept) == 5
-        assert len(plan.adjusted_wordlines) == 3
+        assert plan.adjusted_wordlines.tolist() == [0, 1, 2]
+        assert plan.start_bits.tolist() == [1, 1, 2]
 
     def test_every_valid_page_is_moved_or_kept(self):
         validities = [
@@ -105,8 +122,9 @@ class TestIdaPlan:
         ]
         block = _tlc_block(validities)
         plan = plan_refresh(block, RefreshMode.IDA)
-        handled = sorted(plan.moves + plan.kept)
+        handled = sorted(plan.moves.tolist() + plan.kept.tolist())
         assert handled == block.valid_pages()
+        assert not set(plan.moves.tolist()) & set(plan.kept.tolist())
 
 
 class TestReportArithmetic:

@@ -8,8 +8,9 @@ import pytest
 from repro.core import conventional_tlc
 from repro.flash.geometry import Geometry
 from repro.ftl.blockstatus import BlockStatusTable
-from repro.ftl.ftl import Ftl, FtlCounters
+from repro.ftl.ftl import Ftl
 from repro.ftl.gc import GcPolicy
+from repro.ftl.ops import FtlCounters
 from repro.ftl.refresh import RefreshMode, RefreshPolicy
 from repro.ftl.wear import collect_wear, write_amplification
 
