@@ -14,6 +14,13 @@ Usage::
     ida-repro inspect /tmp/t.jsonl --last 20
     ida-repro inspect /tmp/t.jsonl --format json
 
+Every artifact (one at a time, not ``all``) accepts ``--json-out PATH``
+and writes ``{"kind": <artifact name>, "result": <result>}`` there;
+``result`` is the artifact's return value encoded by
+:func:`~repro.experiments.reporting.jsonable` (dataclasses become
+objects, tuples lists, enums their values).  Values the formatter
+derives from the result (totals, averages, savings) are not repeated.
+
 (The ``repro`` console script is an alias of ``ida-repro``.)
 """
 
@@ -39,15 +46,12 @@ from .experiments import (
     RunScale,
     RunUnit,
     SweepExecutor,
-    breakdown_to_json,
-    faults_to_json,
     format_ablation,
     format_capacity,
     format_faults,
     run_capacity_analysis,
     run_faults,
     format_health,
-    health_to_json,
     health_to_prometheus,
     run_health,
     format_fig4,
@@ -71,11 +75,15 @@ from .experiments import (
     run_fig_breakdown,
     run_qlc_extension,
     run_recovery,
-    recovery_to_json,
     run_refresh_frequency_ablation,
     run_table3,
     run_table4,
     run_table5,
+)
+from .experiments.reporting import (
+    jsonable,
+    manifest_for_payload,
+    write_run_manifest,
 )
 
 __all__ = ["main", "ARTIFACTS"]
@@ -169,8 +177,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json-out",
         metavar="PATH",
         default=None,
-        help="also write the artifact's JSON form to PATH "
-             "(supported by: faults, breakdown, health, recover)",
+        help="also write the artifact's result to PATH as JSON: "
+             "{\"kind\": <artifact>, \"result\": <result>} "
+             "(any single artifact)",
     )
     parser.add_argument(
         "--prom",
@@ -180,20 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "(supported by: health)",
     )
     return parser
-
-
-#: artifact name -> JSON exporter, for artifacts that have one.
-_JSON_EXPORTERS: dict[str, Callable] = {
-    "faults": faults_to_json,
-    "breakdown": breakdown_to_json,
-    "health": health_to_json,
-    "recover": recovery_to_json,
-}
-
-#: artifact name -> Prometheus exposition exporter.
-_PROM_EXPORTERS: dict[str, Callable] = {
-    "health": health_to_prometheus,
-}
 
 
 def _snapshot_counts(stats: dict) -> str:
@@ -220,25 +215,10 @@ def _run_one(
     )
     elapsed = time.time() - started
     if json_out:
-        exporter = _JSON_EXPORTERS.get(name)
-        if exporter is None:
-            raise SystemExit(
-                f"--json-out is not supported for {name!r}; "
-                f"use one of {sorted(_JSON_EXPORTERS)}"
-            )
-        import json
-
-        with open(json_out, "w", encoding="utf-8") as handle:
-            json.dump(exporter(result), handle, indent=2)
+        write_run_manifest({"kind": name, "result": jsonable(result)}, json_out)
     if prom_out:
-        exporter = _PROM_EXPORTERS.get(name)
-        if exporter is None:
-            raise SystemExit(
-                f"--prom is not supported for {name!r}; "
-                f"use one of {sorted(_PROM_EXPORTERS)}"
-            )
         with open(prom_out, "w", encoding="utf-8") as handle:
-            handle.write(exporter(result))
+            handle.write(health_to_prometheus(result))
     timing = f"[{name}: {elapsed:.1f}s]"
     if executor.snapshots:
         timing += f" [snapshots: {_snapshot_counts(executor.snapshot_stats)}]"
@@ -304,7 +284,6 @@ def _build_run_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(argv: list[str]) -> int:
-    from .experiments.reporting import manifest_for_payload, write_run_manifest
     from .workloads import workload
 
     args = _build_run_parser().parse_args(argv)
@@ -570,16 +549,9 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit("--json-out needs a single artifact, not 'all'")
     if args.prom and len(targets) != 1:
         raise SystemExit("--prom needs a single artifact, not 'all'")
-    # Reject unsupported exporters before the (possibly long) run starts.
-    if args.json_out and targets[0] not in _JSON_EXPORTERS:
+    if args.prom and targets != ["health"]:
         raise SystemExit(
-            f"--json-out is not supported for {targets[0]!r}; "
-            f"use one of {sorted(_JSON_EXPORTERS)}"
-        )
-    if args.prom and targets[0] not in _PROM_EXPORTERS:
-        raise SystemExit(
-            f"--prom is not supported for {targets[0]!r}; "
-            f"use one of {sorted(_PROM_EXPORTERS)}"
+            f"--prom is not supported for {targets[0]!r}; use 'health'"
         )
     if args.cuts is not None:
         if targets != ["recover"]:

@@ -16,7 +16,6 @@ from .config import DeviceConfig, RunScale, device
 from .faults_artifact import (
     FaultCell,
     FaultsResult,
-    faults_to_json,
     format_faults,
     run_faults,
 )
@@ -30,14 +29,12 @@ from .health_artifact import (
     HealthCell,
     format_health,
     health_objectives,
-    health_to_json,
     health_to_prometheus,
     run_health,
 )
 from .fig_breakdown import (
     BreakdownCell,
     BreakdownResult,
-    breakdown_to_json,
     format_fig_breakdown,
     run_fig_breakdown,
 )
@@ -54,7 +51,6 @@ from .recovery_artifact import (
     CutOutcome,
     RecoveryResult,
     format_recovery,
-    recovery_to_json,
     run_recovery,
     run_recovery_unit,
 )
@@ -97,7 +93,6 @@ __all__ = [
     "device",
     "FaultCell",
     "FaultsResult",
-    "faults_to_json",
     "format_faults",
     "run_faults",
     "Fig4Result",
@@ -121,21 +116,18 @@ __all__ = [
     "HealthCell",
     "format_health",
     "health_objectives",
-    "health_to_json",
     "health_to_prometheus",
     "run_health",
     "BreakdownCell",
     "BreakdownResult",
     "run_fig_breakdown",
     "format_fig_breakdown",
-    "breakdown_to_json",
     "QlcResult",
     "format_qlc",
     "run_qlc_extension",
     "CutOutcome",
     "RecoveryResult",
     "format_recovery",
-    "recovery_to_json",
     "run_recovery",
     "run_recovery_unit",
     "RunUnit",

@@ -34,7 +34,6 @@ __all__ = [
     "FaultsResult",
     "run_faults",
     "format_faults",
-    "faults_to_json",
     "plan_for_cell",
 ]
 
@@ -225,34 +224,3 @@ def format_faults(result: FaultsResult) -> str:
         title="Faults: IDA-E20 read RT improvement vs fault density "
         "(density 0 = healthy device, faults fully off)",
     )
-
-
-def faults_to_json(result: FaultsResult) -> dict:
-    """JSON-ready form of the grid, fault-event streams included.
-
-    CI uploads this as the run's workflow artifact so a regression in
-    fault handling is diagnosable from the event streams alone.
-    """
-    return {
-        "kind": "faults_artifact",
-        "phases": [
-            {"name": p.name, "retry_fail_prob": p.retry_fail_prob}
-            for p in result.phases
-        ],
-        "densities": list(result.densities),
-        "cells": [
-            {
-                "workload": c.workload,
-                "phase": c.phase,
-                "density": c.density,
-                "baseline_rt_us": c.baseline_rt_us,
-                "ida_rt_us": c.ida_rt_us,
-                "improvement_pct": c.improvement_pct,
-                "baseline_fired": c.baseline_fired,
-                "ida_fired": c.ida_fired,
-                "baseline_events": c.baseline_events,
-                "ida_events": c.ida_events,
-            }
-            for c in result.cells
-        ],
-    }

@@ -33,7 +33,6 @@ __all__ = [
     "BreakdownResult",
     "run_fig_breakdown",
     "format_fig_breakdown",
-    "breakdown_to_json",
 ]
 
 #: Attribution components, in display order.  ``queue_wait`` is the
@@ -203,26 +202,3 @@ def format_fig_breakdown(result: BreakdownResult) -> str:
         f"(paper: ~28% for E20); attribution residual <= "
         f"{result.tolerance_us:g} us on every run"
     )
-
-
-def breakdown_to_json(result: BreakdownResult) -> dict:
-    """JSON-ready form of the attribution table (the CI artifact)."""
-    return {
-        "kind": "fig_breakdown",
-        "systems": list(result.system_names),
-        "components": list(COMPONENTS),
-        "mean_improvement_pct": result.mean_improvement_pct(),
-        "workloads": {
-            workload: {
-                system: {
-                    "reads": cell.reads,
-                    "mean_response_us": cell.mean_response_us,
-                    "components_us": dict(cell.components_us),
-                    "residual_us": cell.residual_us,
-                }
-                for system, cell in per_system.items()
-            }
-            | {"saved_us": result.improvement_us(workload)}
-            for workload, per_system in result.cells.items()
-        },
-    }

@@ -41,7 +41,6 @@ __all__ = [
     "health_objectives",
     "run_health",
     "format_health",
-    "health_to_json",
     "health_to_prometheus",
 ]
 
@@ -259,31 +258,6 @@ def format_health(result: HealthArtifactResult) -> str:
         lines.append(f"  {label:<40} retry-rate [{_sparkline(retry)}]")
         lines.append(f"  {'':<40} read-p99   [{_sparkline(p99)}]")
     return "\n".join(lines)
-
-
-def health_to_json(result: HealthArtifactResult) -> dict:
-    """JSON-ready form of the sweep, full health payloads included.
-
-    CI uploads this as the run's health-series artifact; everything the
-    summary table shows is reconstructible from it.
-    """
-    return {
-        "kind": "health_artifact",
-        "workloads": list(result.workloads),
-        "error_rate": result.error_rate,
-        "density": result.density,
-        "retry_fail_prob": result.retry_fail_prob,
-        "cells": [
-            {
-                "workload": c.workload,
-                "system": c.system,
-                "condition": c.condition,
-                "mean_read_us": c.mean_read_us,
-                "health": c.health,
-            }
-            for c in result.cells
-        ],
-    }
 
 
 def health_to_prometheus(result: HealthArtifactResult) -> str:

@@ -71,7 +71,6 @@ __all__ = [
     "choose_cut_ordinals",
     "format_recovery",
     "probe_census",
-    "recovery_to_json",
     "run_recovery",
     "run_recovery_unit",
 ]
@@ -530,31 +529,3 @@ def format_recovery(result: RecoveryResult) -> str:
             f"  {line}" for line in problems
         )
     return table
-
-
-def recovery_to_json(result: RecoveryResult) -> dict:
-    """JSON-ready form of the sweep (the CI run artifact)."""
-    return {
-        "kind": "recovery_artifact",
-        "total_cuts": result.total,
-        "clean_cuts": result.clean,
-        "all_ok": result.all_ok,
-        "violations": result.violations(),
-        "cells": [
-            {
-                "workload": c.workload,
-                "phase": c.phase,
-                "op_ordinal": c.op_ordinal,
-                "ok": c.ok,
-                "cut_fired": c.cut_fired,
-                "cut_t_us": c.cut_t_us,
-                "acked_writes": c.acked_writes,
-                "mapped_lpns": c.mapped_lpns,
-                "torn_rolled_forward": c.torn_rolled_forward,
-                "relocated_lpns": c.relocated_lpns,
-                "resumed_requests": c.resumed_requests,
-                "violations": list(c.violations),
-            }
-            for c in result.cells
-        ],
-    }

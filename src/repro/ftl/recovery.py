@@ -107,19 +107,6 @@ class MountReport:
     stale_journal_cleared: int = 0
     relocated_lpns: tuple[int, ...] = field(default_factory=tuple)
 
-    def as_dict(self) -> dict:
-        return {
-            "mapped_lpns": self.mapped_lpns,
-            "write_seq": self.write_seq,
-            "sealed_blocks": self.sealed_blocks,
-            "open_blocks": self.open_blocks,
-            "free_blocks": self.free_blocks,
-            "retired_blocks": self.retired_blocks,
-            "torn_rolled_forward": self.torn_rolled_forward,
-            "stale_journal_cleared": self.stale_journal_cleared,
-            "relocated_lpns": list(self.relocated_lpns),
-        }
-
 
 def _rebuild_map(
     ftl: Ftl, state: DeviceState, report: MountReport

@@ -24,7 +24,7 @@ breach events); both are themselves optional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -75,31 +75,7 @@ class HealthSnapshot:
     read_latency: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "start_us": self.start_us,
-            "end_us": self.end_us,
-            "wear": dict(self.wear),
-            "in_use_blocks": self.in_use_blocks,
-            "free_blocks": self.free_blocks,
-            "retired_blocks": self.retired_blocks,
-            "grown_bad_blocks": self.grown_bad_blocks,
-            "ida_blocks": self.ida_blocks,
-            "ida_exposure": self.ida_exposure,
-            "ida_read_fraction": self.ida_read_fraction,
-            "rber_groups": [dict(g) for g in self.rber_groups],
-            "reads": self.reads,
-            "read_retries": self.read_retries,
-            "read_retry_rate": self.read_retry_rate,
-            "read_reclaims": self.read_reclaims,
-            "uncorrectable_reads": self.uncorrectable_reads,
-            "refresh_backlog": self.refresh_backlog,
-            "refresh_invocations": self.refresh_invocations,
-            "refresh_page_moves": self.refresh_page_moves,
-            "gc_invocations": self.gc_invocations,
-            "gc_page_moves": self.gc_page_moves,
-            "queue_depth": dict(self.queue_depth),
-            "read_latency": dict(self.read_latency),
-        }
+        return asdict(self)
 
 
 def _percentile(sorted_values, q: float) -> float:

@@ -282,14 +282,6 @@ class SnapshotStats:
     fallbacks: int = 0
     stores: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "fallbacks": self.fallbacks,
-            "stores": self.stores,
-        }
-
 
 class SnapshotStore:
     """Content-addressed warm-state cache: in-process LRU + disk spill.

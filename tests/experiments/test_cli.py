@@ -27,6 +27,34 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig8", "--scale", "galactic"])
 
+    @pytest.mark.parametrize("name", sorted(ARTIFACTS))
+    def test_every_artifact_writes_json_envelope(self, name, tmp_path):
+        import json
+
+        out_path = tmp_path / f"{name}.json"
+        args = [name, "--scale", "tiny", "--json-out", str(out_path)]
+        if name == "recover":
+            args += ["--workloads", "proj_1", "--cuts", "2"]
+        else:
+            args += ["--workloads", "hm_1"]
+        assert main(args) == 0
+        data = json.loads(out_path.read_text())
+        assert list(data) == ["kind", "result"]
+        assert data["kind"] == name
+        assert data["result"]
+
+    def test_json_out_creates_missing_parent_directories(self, tmp_path):
+        import json
+
+        out_path = tmp_path / "a" / "b.json"
+        args = ["breakdown", "--scale", "tiny", "--workloads", "hm_1"]
+        assert main(args + ["--json-out", str(out_path)]) == 0
+        assert json.loads(out_path.read_text())["kind"] == "breakdown"
+
+    def test_json_out_rejected_for_all(self):
+        with pytest.raises(SystemExit, match="single artifact"):
+            main(["all", "--scale", "tiny", "--json-out", "x.json"])
+
     def test_runs_one_artifact_quick(self, capsys):
         # Run one cheap artifact end to end through the CLI.
         code = main(["table4", "--scale", "quick", "--workloads", "proj_3"])
@@ -94,12 +122,8 @@ class TestFaultsCli:
         import json
 
         data = json.loads(out_path.read_text())
-        assert data["kind"] == "faults_artifact"
-        assert data["cells"]
-
-    def test_json_out_rejected_for_unsupported_artifact(self):
-        with pytest.raises(SystemExit):
-            main(["table4", "--scale", "tiny", "--json-out", "x.json"])
+        assert data["kind"] == "faults"
+        assert data["result"]["cells"]
 
     def test_keep_going_drops_failed_workload(self, capsys):
         code = main(
@@ -287,8 +311,8 @@ class TestHealthArtifactCli:
         assert "SLO breaches" in out
         assert "retry-rate [" in out
         data = json.loads(json_path.read_text())
-        assert data["kind"] == "health_artifact"
-        assert len(data["cells"]) == 4
+        assert data["kind"] == "health"
+        assert len(data["result"]["cells"]) == 4
         prom = prom_path.read_text()
         assert "# TYPE device_wear_p99_erases gauge" in prom
         assert 'condition="faulted"' in prom

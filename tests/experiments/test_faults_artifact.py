@@ -9,12 +9,12 @@ import pytest
 from repro.experiments.config import RunScale
 from repro.experiments.faults_artifact import (
     FaultsResult,
-    faults_to_json,
     format_faults,
     plan_for_cell,
     run_faults,
 )
 from repro.experiments.fig11_read_retry import DEFAULT_PHASES
+from repro.experiments.reporting import jsonable
 
 SCALE = RunScale.tiny()
 
@@ -91,11 +91,9 @@ class TestRendering:
         assert "average" in text
 
     def test_json_round_trips_and_carries_events(self, result):
-        data = faults_to_json(result)
-        assert data["kind"] == "faults_artifact"
+        data = jsonable(result)
+        assert json.loads(json.dumps(data, allow_nan=False)) == data
         assert data["densities"] == [0, 2]
         assert len(data["cells"]) == len(result.cells)
-        encoded = json.dumps(data, sort_keys=True)
-        assert json.loads(encoded) == json.loads(json.dumps(data, sort_keys=True))
         faulted = [c for c in data["cells"] if c["density"] == 2]
         assert any(c["baseline_events"] for c in faulted)

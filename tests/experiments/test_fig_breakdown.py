@@ -11,13 +11,12 @@ from repro.experiments.fig_breakdown import (
     COMPONENTS,
     BreakdownCell,
     BreakdownResult,
-    breakdown_to_json,
     format_fig_breakdown,
     run_fig_breakdown,
 )
 from repro.experiments.parallel import RunUnit, SweepExecutor, execute_unit
 from repro.obs import Instruments
-from repro.experiments.reporting import manifest_for_payload
+from repro.experiments.reporting import jsonable, manifest_for_payload
 from repro.experiments.systems import ida
 
 
@@ -69,13 +68,12 @@ class TestRunFigBreakdown:
         assert "mean improvement" in report
 
     def test_json_artifact_shape(self, result):
-        artifact = breakdown_to_json(result)
-        json.dumps(artifact)  # must be serialisable as-is
-        assert artifact["kind"] == "fig_breakdown"
-        assert artifact["components"] == list(COMPONENTS)
-        cell = artifact["workloads"]["usr_1"]["baseline"]
-        assert set(cell["components_us"]) == set(COMPONENTS)
-        assert "saved_us" in artifact["workloads"]["usr_1"]
+        artifact = jsonable(result)
+        json.dumps(artifact, allow_nan=False)  # must be serialisable as-is
+        assert artifact["cells"].keys() == {"hm_1", "usr_1"}
+        for per_system in artifact["cells"].values():
+            for cell in per_system.values():
+                assert set(cell["components_us"]) == set(COMPONENTS)
 
     def test_unprofiled_payload_rejected(self):
         from repro.experiments.fig_breakdown import _attribution_cell

@@ -12,12 +12,11 @@ from repro.experiments.fig11_read_retry import DEFAULT_PHASES
 from repro.experiments.health_artifact import (
     format_health,
     health_objectives,
-    health_to_json,
     health_to_prometheus,
     run_health,
 )
 from repro.experiments.parallel import SweepExecutor
-from repro.experiments.reporting import SCHEMA_VERSION, manifest_for_run
+from repro.experiments.reporting import SCHEMA_VERSION, jsonable, manifest_for_run
 from repro.experiments.runner import run_workload
 from repro.experiments.systems import ida
 from repro.obs import Instruments
@@ -96,8 +95,7 @@ class TestExports:
         assert "read-p99" in text
 
     def test_json_export_roundtrips(self, artifact):
-        payload = health_to_json(artifact)
-        assert payload["kind"] == "health_artifact"
+        payload = jsonable(artifact)
         assert len(payload["cells"]) == 4
         restored = json.loads(json.dumps(payload))
         assert restored == payload
@@ -120,8 +118,8 @@ class TestJobsParity:
             workload_names=["hm_1"],
             executor=SweepExecutor(jobs=4),
         )
-        assert json.dumps(health_to_json(pooled), sort_keys=True) == json.dumps(
-            health_to_json(artifact), sort_keys=True
+        assert json.dumps(jsonable(pooled), sort_keys=True) == json.dumps(
+            jsonable(artifact), sort_keys=True
         )
 
 
