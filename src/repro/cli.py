@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 from typing import Callable
 
 from .obs import (
@@ -198,6 +199,13 @@ def _snapshot_counts(stats: dict) -> str:
     )
 
 
+def _open_output(path: str):
+    """Open ``path`` for writing text, creating missing parent directories."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    return target.open("w", encoding="utf-8")
+
+
 def _run_one(
     name: str,
     scale: RunScale,
@@ -217,7 +225,7 @@ def _run_one(
     if json_out:
         write_run_manifest({"kind": name, "result": jsonable(result)}, json_out)
     if prom_out:
-        with open(prom_out, "w", encoding="utf-8") as handle:
+        with _open_output(prom_out) as handle:
             handle.write(health_to_prometheus(result))
     timing = f"[{name}: {elapsed:.1f}s]"
     if executor.snapshots:
@@ -471,13 +479,13 @@ def _cmd_profile(argv: list[str]) -> int:
             for problem in problems:
                 print(f"  trace problem: {problem}", file=sys.stderr)
             raise SystemExit("refusing to write an invalid Chrome trace")
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with _open_output(args.out) as handle:
             json.dump(trace, handle)
         print(f"  trace : {args.out} ({len(trace['traceEvents'])} events, "
               f"{aggregate['events_dropped']} dropped; "
               "open in https://ui.perfetto.dev)")
     if args.aggregate:
-        with open(args.aggregate, "w", encoding="utf-8") as handle:
+        with _open_output(args.aggregate) as handle:
             json.dump(aggregate, handle, indent=2, sort_keys=True)
         print(f"  aggregate: {args.aggregate}")
     return 0

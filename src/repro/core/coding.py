@@ -113,10 +113,6 @@ class GrayCoding:
         """Number of voltage states (``2**bits``)."""
         return len(self.states)
 
-    def bit_value(self, state: int, bit: int) -> int:
-        """Value of ``bit`` (0 = LSB) when the cell sits in ``state``."""
-        return self.states[state][bit]
-
     def state_for(self, bits: Sequence[int]) -> int:
         """Index of the unique state encoding the given bit tuple.
 

@@ -125,10 +125,6 @@ class IdaTransform:
     # ------------------------------------------------------------------
     # Programming-side structure
     # ------------------------------------------------------------------
-    def target_state(self, state: int) -> int:
-        """Where ISPP must drive a cell currently in ``state``."""
-        return self.move_map[state]
-
     def max_move_distance(self) -> int:
         """Largest rightward state jump the adjustment performs.
 

@@ -53,9 +53,6 @@ class Fig8Result:
         values = [per_wl[system_name] for per_wl in self.normalized.values()]
         return sum(values) / len(values) if values else 1.0
 
-    def average_improvement_pct(self, system_name: str) -> float:
-        return (1.0 - self.average(system_name)) * 100.0
-
 
 def run_fig8(
     scale: RunScale | None = None,

@@ -32,27 +32,24 @@ writers would interleave one file.
 Hardening
 ---------
 
-Long sweeps on shared machines die in three ways the original
+Long sweeps on shared machines die in two ways the original
 ``Pool.imap`` loop turned into a lost afternoon: a worker segfaults (OOM
-killer, native-extension crash), a unit hangs, or one unit raises and
-takes the other 69 results down with it.  :class:`SweepExecutor` now
-takes ``timeout_s`` (per-unit wall-clock budget), ``max_retries`` with
-exponential ``backoff_s`` (crashed/hung workers are retried on a fresh
-pool — unit determinism makes retries safe), and ``keep_going``
-(failures become :class:`SweepError` records *in* the result list
-instead of exceptions, so an artifact keeps every healthy workload).
-Deterministic unit exceptions are never retried — the same unit would
-fail the same way again.
+killer, native-extension crash), or one unit raises and takes the other
+69 results down with it.  :class:`SweepExecutor` contains both.  A
+crashed worker breaks the pool; the unit being waited on is charged with
+a :class:`SweepError`, results that already finished are salvaged, and
+the remaining units re-run on a fresh pool (unit determinism makes the
+re-run safe).  With ``keep_going``, failures become :class:`SweepError`
+records *in* the result list instead of exceptions, so an artifact keeps
+every healthy workload.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import logging
-import multiprocessing
 from concurrent.futures.process import BrokenProcessPool
 import pickle
-import random
 import time
 import traceback
 from dataclasses import dataclass
@@ -60,7 +57,6 @@ from typing import Callable, Sequence
 
 from ..faults.plan import FaultKind, FaultPlan
 from ..obs.instruments import Instruments
-from ..obs.metrics import MetricsRegistry
 from ..sim.snapshot import (
     SharedSnapshotRef,
     SnapshotStore,
@@ -93,11 +89,6 @@ __all__ = [
 ]
 
 _log = logging.getLogger(__name__)
-
-#: Resident warm states the executor's in-process store keeps.  Artifact
-#: sweeps iterate workload-major, so a small window covers the reuse
-#: pattern without pinning every distinct state of a long sweep in RAM.
-_SNAPSHOT_LRU_CAPACITY = 8
 
 #: Log-style progress callback: called once per completed unit.
 ProgressFn = Callable[[str], None]
@@ -194,8 +185,8 @@ class SweepError(RuntimeError):
 
     For deterministic unit exceptions the worker's original exception is
     chained as ``__cause__`` and its formatted worker-side traceback is
-    kept in ``details``; for crashes and timeouts ``details`` carries
-    what the executor observed.  In ``keep_going`` mode these objects
+    kept in ``details``; for a worker crash ``details`` carries what the
+    executor observed.  In ``keep_going`` mode these objects
     occupy the failed unit's slot in the result list — check with
     ``isinstance(outcome, SweepError)`` (or via :func:`prune_failed`).
     """
@@ -337,30 +328,10 @@ class SweepExecutor:
     Args:
         jobs: Worker count (1 = inline).
         progress: Per-completed-unit log callback.
-        mp_context: Multiprocessing context (tests inject one).
-        timeout_s: Per-unit wall-clock budget, measured from when the
-            executor turns to that unit's result (units run concurrently,
-            so time spent waiting on earlier units also covers later
-            ones — the budget bounds the *extra* wait per unit).  A
-            timeout kills the whole pool and re-runs the other in-flight
-            units on a fresh one; determinism makes that free.  Pool
-            mode only — an inline unit cannot be interrupted.
-        max_retries: How many times a unit whose worker *crashed or hung*
-            is retried (fresh pool, exponential backoff).  Deterministic
-            unit exceptions are never retried.
-        backoff_s: Base backoff.  Retry ``n`` sleeps a *full-jitter*
-            delay: uniform in ``[0, min(backoff_cap_s,
-            backoff_s * 2**(n-1)))``.  Jitter desynchronises the retry
-            stampede when several sweeps share a machine that just
-            OOM-killed their workers; the cap keeps deep retry budgets
-            from sleeping for minutes.  ``0`` disables sleeping.
-        backoff_cap_s: Ceiling on any single backoff delay.
-        registry: Optional :class:`~repro.obs.metrics.MetricsRegistry`;
-            when given, total slept backoff rides the
-            ``sweep_retry_backoff_seconds_total`` counter.
         keep_going: Instead of raising on the first failure, leave a
             :class:`SweepError` in the failed unit's result slot and
-            finish the rest of the sweep.
+            finish the rest of the sweep.  A unit whose worker crashed
+            fails once; it is not retried.
         snapshots: Reuse warmed device state across units that share a
             warm key (see :func:`warm_key_for_unit`).  Inline, units
             draw from one in-process :class:`SnapshotStore`; pooled, the
@@ -383,44 +354,14 @@ class SweepExecutor:
         self,
         jobs: int = 1,
         progress: ProgressFn | None = None,
-        mp_context=None,
-        timeout_s: float | None = None,
-        max_retries: int = 0,
-        backoff_s: float = 0.5,
-        backoff_cap_s: float = 30.0,
         keep_going: bool = False,
         snapshots: bool = False,
         snapshot_dir: str | None = None,
-        registry: MetricsRegistry | None = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError("timeout_s must be positive (or None)")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if backoff_s < 0:
-            raise ValueError("backoff_s must be >= 0")
-        if backoff_cap_s <= 0:
-            raise ValueError("backoff_cap_s must be positive")
         self.jobs = jobs
         self.progress = progress
-        self._mp_context = mp_context
-        self.timeout_s = timeout_s
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
-        self.backoff_cap_s = backoff_cap_s
-        # Fixed-seed jitter: retry *timing* may vary run to run without
-        # harm, but a seeded stream keeps tests and reruns repeatable.
-        self._backoff_rng = random.Random(0x5EE9)
-        self._backoff_total = (
-            registry.counter(
-                "sweep_retry_backoff_seconds_total",
-                "seconds slept backing off before sweep-unit retries",
-            ).unlabeled
-            if registry is not None
-            else None
-        )
         self.keep_going = keep_going
         self.snapshot_dir = snapshot_dir
         self.snapshots = bool(snapshots or snapshot_dir)
@@ -459,9 +400,7 @@ class SweepExecutor:
     def _map_inline(self, units):
         store = None
         if self.snapshots:
-            store = SnapshotStore(
-                capacity=_SNAPSHOT_LRU_CAPACITY, spill_dir=self.snapshot_dir
-            )
+            store = SnapshotStore(spill_dir=self.snapshot_dir)
         results = []
         total = len(units)
         for index, unit in enumerate(units):
@@ -503,15 +442,13 @@ class SweepExecutor:
             ``(refs, segments)`` — per-unit-index
             :class:`SharedSnapshotRef` pointers, and the parent-owned
             segments the caller must close + unlink when the fan-out
-            (including retry rounds) is over.
+            (including re-run rounds) is over.
         """
         groups: dict[str, list[int]] = {}
         for index, unit in enumerate(units):
             if unit.trace_path is None:  # traced units always warm up cold
                 groups.setdefault(warm_key_for_unit(unit), []).append(index)
-        store = SnapshotStore(
-            capacity=_SNAPSHOT_LRU_CAPACITY, spill_dir=self.snapshot_dir
-        )
+        store = SnapshotStore(spill_dir=self.snapshot_dir)
         refs: dict[int, SharedSnapshotRef] = {}
         segments = []
         try:
@@ -540,27 +477,26 @@ class SweepExecutor:
         return refs, segments
 
     def _map_pool(self, units):
-        """Round-based pool execution with crash/timeout containment.
+        """Round-based pool execution with crash containment.
 
         Each round submits every unresolved unit to a fresh
         ``ProcessPoolExecutor`` and waits on futures in submission order.
-        A worker crash or unit timeout breaks the pool: the culprit's
-        retry budget is charged, already-finished results are salvaged,
-        the pool is killed, and the next round re-runs the remainder.
-        Unit determinism (each worker rebuilds its simulator from the
-        unit description alone) is what makes re-running units safe.
+        A worker crash breaks the pool: the unit being waited on fails
+        with a :class:`SweepError`, already-finished results are
+        salvaged, the pool's processes are terminated, and the next round
+        re-runs the remainder.  Unit determinism (each worker rebuilds
+        its simulator from the unit description alone) is what makes
+        re-running units safe.
 
         With snapshots enabled, units sharing a warm key restore from
         one parent-published shared-memory segment instead of each
         repeating the preload (see :meth:`_publish_group_snapshots`).
-        Segments outlive retry rounds — a re-run unit re-attaches the
-        same state — and are released in a ``finally``.
+        Segments outlive re-run rounds (a re-run unit re-attaches the
+        same state) and are released in a ``finally``.
         """
-        context = self._mp_context or multiprocessing.get_context()
         total = len(units)
         results: list = [None] * total
         done = [False] * total
-        attempts = [0] * total
         completed = 0
         refs: dict[int, SharedSnapshotRef] = {}
         segments: list = []
@@ -572,20 +508,18 @@ class SweepExecutor:
             if isinstance(outcome, _WarmOutcome):
                 self.snapshot_stats[outcome.status] += 1
                 outcome = outcome.payload
-            elif self.snapshots and not isinstance(outcome, _WorkerFailure):
-                # No segment was fanned out for this unit: cold preload.
-                self.snapshot_stats["misses"] += 1
-            if isinstance(outcome, _WorkerFailure):
-                # Deterministic unit exception: never retried.
+            elif isinstance(outcome, _WorkerFailure):
                 error = SweepError(
                     units[index], str(outcome.exception), outcome.details
                 )
-                if not self.keep_going:
-                    raise error from outcome.exception
                 error.__cause__ = outcome.exception
-                results[index] = error
-            else:
-                results[index] = outcome
+                outcome = error
+            elif self.snapshots and not isinstance(outcome, SweepError):
+                # No segment was fanned out for this unit: cold preload.
+                self.snapshot_stats["misses"] += 1
+            if isinstance(outcome, SweepError) and not self.keep_going:
+                raise outcome
+            results[index] = outcome
             done[index] = True
             completed += 1
             self._emit(completed, total, units[index])
@@ -594,9 +528,9 @@ class SweepExecutor:
             while completed < total:
                 pending = [i for i in range(total) if not done[i]]
                 executor = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=min(self.jobs, len(pending)), mp_context=context
+                    max_workers=min(self.jobs, len(pending))
                 )
-                crashed: tuple[int, str] | None = None
+                crashed: int | None = None
                 try:
                     futures = {
                         i: executor.submit(_pool_worker, units[i], refs.get(i))
@@ -604,21 +538,16 @@ class SweepExecutor:
                     }
                     for i in pending:
                         try:
-                            outcome = futures[i].result(timeout=self.timeout_s)
-                        except concurrent.futures.TimeoutError:
-                            crashed = (
-                                i, f"timed out after {self.timeout_s:g}s"
-                            )
-                            break
+                            outcome = futures[i].result()
                         except BrokenProcessPool:
-                            crashed = (i, "worker process crashed (pool broken)")
+                            crashed = i
                             break
                         settle(i, outcome)
                     if crashed is not None:
                         # Salvage units that finished before the break: their
                         # futures already hold results and cost nothing.
                         for j in pending:
-                            if done[j] or j == crashed[0]:
+                            if done[j] or j == crashed:
                                 continue
                             future = futures[j]
                             if not future.done() or future.cancelled():
@@ -632,8 +561,8 @@ class SweepExecutor:
                             settle(j, outcome)
                 finally:
                     if crashed is not None:
-                        # A hung or crashed worker would make a graceful
-                        # shutdown block; cancel what is queued and terminate
+                        # A broken pool would make a graceful shutdown
+                        # block; cancel what is queued and terminate
                         # whatever processes remain.
                         executor.shutdown(wait=False, cancel_futures=True)
                         procs = getattr(executor, "_processes", None) or {}
@@ -641,44 +570,18 @@ class SweepExecutor:
                             proc.terminate()
                     else:
                         executor.shutdown(wait=True, cancel_futures=True)
-                if crashed is None:
-                    continue
-                index, reason = crashed
-                attempts[index] += 1
-                if attempts[index] > self.max_retries:
-                    error = SweepError(
-                        units[index],
-                        reason,
-                        f"gave up after {attempts[index]} attempt(s)",
+                if crashed is not None:
+                    settle(
+                        crashed,
+                        SweepError(
+                            units[crashed],
+                            "worker process crashed (pool broken)",
+                            "the worker died before returning a result",
+                        ),
                     )
-                    if not self.keep_going:
-                        raise error
-                    results[index] = error
-                    done[index] = True
-                    completed += 1
-                    self._emit(completed, total, units[index])
-                elif self.backoff_s > 0:
-                    delay = self._retry_delay(attempts[index])
-                    if delay > 0:
-                        time.sleep(delay)
         finally:
             _release_segments(segments)
         return results
-
-    def _retry_delay(self, attempt: int) -> float:
-        """Full-jitter delay for retry ``attempt`` (1-based), metered.
-
-        Uniform in ``[0, min(backoff_cap_s, backoff_s * 2**(attempt-1)))``
-        — the AWS "full jitter" scheme: the *ceiling* grows
-        exponentially, the draw spreads concurrent retriers out over it.
-        """
-        ceiling = min(
-            self.backoff_cap_s, self.backoff_s * (2 ** (attempt - 1))
-        )
-        delay = ceiling * self._backoff_rng.random()
-        if self._backoff_total is not None:
-            self._backoff_total.inc(delay)
-        return delay
 
 
 def failed_workloads(

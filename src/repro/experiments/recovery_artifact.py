@@ -36,8 +36,9 @@ cut unit replays, so an ordinal from the census cuts the same instant
 in the unit.
 
 Each cut is an independent :class:`~.parallel.RunUnit` in
-``mode="recover"``, so the sweep fans out across processes, retries,
-snapshots and keep-going exactly like every other artifact.
+``mode="recover"``, so the sweep fans out across processes, contains
+worker crashes, and uses snapshots and keep-going exactly like every
+other artifact.
 """
 
 from __future__ import annotations
@@ -405,10 +406,6 @@ class RecoveryResult:
     @property
     def clean(self) -> int:
         return sum(1 for c in self.cells if c.ok)
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.cells)
 
     def violations(self) -> list[str]:
         """Every broken guarantee, prefixed with its cut's coordinates."""

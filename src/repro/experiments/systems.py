@@ -50,9 +50,6 @@ class SystemSpec:
     def retry_model(self) -> ReadRetryModel:
         return ReadRetryModel(fail_prob=self.retry_fail_prob)
 
-    def with_device(self, device: str) -> "SystemSpec":
-        return replace(self, device=device)
-
     def with_retry(self, fail_prob: float) -> "SystemSpec":
         return replace(self, retry_fail_prob=fail_prob)
 

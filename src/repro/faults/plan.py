@@ -18,7 +18,7 @@ and they serialise to/from JSON for ``repro run --faults plan.json``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -242,9 +242,6 @@ class FaultPlan:
 
     def count(self, kind: FaultKind) -> int:
         return sum(1 for event in self.events if event.kind is kind)
-
-    def with_name(self, name: str) -> "FaultPlan":
-        return replace(self, name=name)
 
     # ------------------------------------------------------------------
     # Generation

@@ -4,7 +4,7 @@ from .block import CONVENTIONAL_WL, TORN_WL, Block, PageState, SenseTable
 from .cell import ERASED_STATE, WordlineCells
 from .chip import CellChip
 from .errors import AdjustDisturbModel, RberModel, ReadRetryModel
-from .geometry import Geometry, PhysicalPageAddress
+from .geometry import Geometry
 from .ispp import IsppModel
 from .plane import PlanePool
 from .timing import TimingSpec
@@ -23,7 +23,6 @@ __all__ = [
     "RberModel",
     "ReadRetryModel",
     "Geometry",
-    "PhysicalPageAddress",
     "IsppModel",
     "PlanePool",
     "TimingSpec",

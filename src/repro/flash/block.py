@@ -71,11 +71,9 @@ class SenseTable:
     def __init__(self, coding: GrayCoding) -> None:
         self.coding = coding
         self.conventional: tuple[int, ...] = coding.sense_counts()
-        self.transforms: dict[int, IdaTransform] = {}
         self._ida: dict[int, dict[int, int]] = {}
         for start in range(1, coding.bits):
             transform = IdaTransform(coding, tuple(range(start, coding.bits)))
-            self.transforms[start] = transform
             self._ida[start] = transform.sense_counts()
         self._lut: np.ndarray | None = None
 
@@ -98,10 +96,6 @@ class SenseTable:
                 "recovery must resolve its coding before reads"
             )
         return self._ida[wl_mode][bit]
-
-    def transform_for(self, start: int) -> IdaTransform:
-        """The IDA transform of the mode keeping bits ``start..b-1``."""
-        return self.transforms[start]
 
     def lut(self) -> np.ndarray:
         """The table as a dense ``(256, bits)`` array for batched lookup.
@@ -269,16 +263,6 @@ class Block:
     @property
     def is_full(self) -> bool:
         return self.state.next_page[self.slot] >= self.pages_per_block
-
-    @property
-    def free_pages(self) -> int:
-        return self.pages_per_block - self.state.next_page[self.slot]
-
-    @property
-    def invalid_count(self) -> int:
-        base = self._p0
-        column = self.state.page_state_np[base : base + self.pages_per_block]
-        return int(np.count_nonzero(column == _INVALID))
 
     def state_of(self, page: int) -> PageState:
         return PageState(self._ps[self._p0 + page])

@@ -2,36 +2,16 @@
 
 The paper's baseline device: 4 channels x 4 chips/channel, 2 dies/chip,
 2 planes/die, 5472 blocks/plane, 192 pages/block (64 TLC wordlines), 8 KiB
-pages.  The geometry object owns all address arithmetic: linear plane /
-block / page numbering, wordline and page-type decomposition, and the
-capacity math used by the experiment configs.
+pages.  The geometry object owns all address arithmetic: linear die /
+plane / block / page numbering and the derived counts the experiment
+configs use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Geometry", "PhysicalPageAddress"]
-
-
-@dataclass(frozen=True)
-class PhysicalPageAddress:
-    """Fully-decomposed address of one physical page."""
-
-    channel: int
-    chip: int
-    die: int
-    plane: int
-    block: int
-    page: int
-
-    def wordline(self, bits_per_cell: int) -> int:
-        """Wordline index of this page within its block."""
-        return self.page // bits_per_cell
-
-    def page_type(self, bits_per_cell: int) -> int:
-        """Bit position (0 = LSB) this page occupies in its wordline."""
-        return self.page % bits_per_cell
+__all__ = ["Geometry"]
 
 
 @dataclass(frozen=True)
@@ -103,14 +83,6 @@ class Geometry:
     def page_size_bytes(self) -> int:
         return self.page_size_kib * 1024
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.total_pages * self.page_size_bytes
-
-    @property
-    def capacity_gib(self) -> float:
-        return self.capacity_bytes / (1 << 30)
-
     # ------------------------------------------------------------------
     # Address math
     # ------------------------------------------------------------------
@@ -140,16 +112,6 @@ class Geometry:
         )
         return plane_index // per_channel
 
-    def decompose_plane(self, plane_index: int) -> tuple[int, int, int, int]:
-        """(channel, chip, die, plane) of a linear plane number."""
-        plane = plane_index % self.planes_per_die
-        rest = plane_index // self.planes_per_die
-        die = rest % self.dies_per_chip
-        rest //= self.dies_per_chip
-        chip = rest % self.chips_per_channel
-        channel = rest // self.chips_per_channel
-        return channel, chip, die, plane
-
     def block_index(self, plane_index: int, block: int) -> int:
         """Linear block number of block ``block`` in ``plane_index``."""
         return plane_index * self.blocks_per_plane + block
@@ -164,28 +126,3 @@ class Geometry:
     def decompose_page(self, ppn: int) -> tuple[int, int]:
         """(linear block number, page-in-block) of a PPN."""
         return divmod(ppn, self.pages_per_block)
-
-    def address_of(self, ppn: int) -> PhysicalPageAddress:
-        """Full physical address of a PPN."""
-        block_index, page = self.decompose_page(ppn)
-        plane_index, block = divmod(block_index, self.blocks_per_plane)
-        channel, chip, die, plane = self.decompose_plane(plane_index)
-        return PhysicalPageAddress(channel, chip, die, plane, block, page)
-
-    def wordline_pages(self, wordline: int) -> tuple[int, ...]:
-        """Page-in-block indices sharing ``wordline``."""
-        base = wordline * self.bits_per_cell
-        return tuple(range(base, base + self.bits_per_cell))
-
-    def scaled(self, blocks_per_plane: int) -> "Geometry":
-        """A copy with a reduced per-plane block count (test/bench scale)."""
-        return Geometry(
-            channels=self.channels,
-            chips_per_channel=self.chips_per_channel,
-            dies_per_chip=self.dies_per_chip,
-            planes_per_die=self.planes_per_die,
-            blocks_per_plane=blocks_per_plane,
-            pages_per_block=self.pages_per_block,
-            page_size_kib=self.page_size_kib,
-            bits_per_cell=self.bits_per_cell,
-        )

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..core.coding import GrayCoding
-from ..core.ida import IdaTransform
 from ..core.readpath import ReadLatencyModel
 
 __all__ = ["TimingSpec"]
@@ -63,14 +61,6 @@ class TimingSpec:
     def read_us(self, senses: int) -> float:
         """Memory-access time of a read needing ``senses`` senses."""
         return self.read_model.latency_us(senses)
-
-    def page_read_us(self, coding: GrayCoding, bit: int) -> float:
-        """Memory-access time of a conventional page read."""
-        return self.read_model.page_latency_us(coding, bit)
-
-    def ida_read_us(self, transform: IdaTransform, bit: int) -> float:
-        """Memory-access time of an IDA-reprogrammed page read."""
-        return self.read_model.ida_latency_us(transform, bit)
 
     def adjust_us(self) -> float:
         """Voltage-adjustment time for one wordline."""

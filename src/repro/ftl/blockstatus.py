@@ -96,11 +96,6 @@ class BlockStatusTable:
     def plane_of_block(self, block_index: int) -> PlanePool:
         return self.planes[self.geometry.plane_of_block(block_index)]
 
-    def senses_for_ppn(self, ppn: int) -> int:
-        """Memory senses a read of this physical page currently needs."""
-        block, page = self.block_of_ppn(ppn)
-        return block.senses_for(self.sense_table, page)
-
     # ------------------------------------------------------------------
     # Aggregates (array reductions over the columnar state)
     # ------------------------------------------------------------------

@@ -115,14 +115,6 @@ class RefreshReport:
         """Writes beyond the pages that had to move anyway (= N_error)."""
         return self.n_error
 
-    @property
-    def total_reads(self) -> int:
-        return self.n_valid + self.n_target
-
-    @property
-    def total_writes(self) -> int:
-        return self.n_moved + self.n_error
-
 
 @dataclass(frozen=True, eq=False)
 class RefreshPlan:

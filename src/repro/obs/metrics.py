@@ -70,9 +70,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class HistogramMetric:
     """A labeled handle wrapping one fixed-bucket :class:`Histogram`."""

@@ -43,10 +43,6 @@ class LatencyStats:
         return len(self._samples)
 
     @property
-    def total_us(self) -> float:
-        return self._total
-
-    @property
     def mean_us(self) -> float:
         return self._total / len(self._samples) if self._samples else 0.0
 

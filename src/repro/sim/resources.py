@@ -118,10 +118,6 @@ class Resource:
         ]
 
     @property
-    def is_busy(self) -> bool:
-        return self._on_done is not None
-
-    @property
     def queued(self) -> int:
         """Operations waiting (not counting the one in service)."""
         return sum(len(q) for q in self._queues)

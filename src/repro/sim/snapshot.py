@@ -16,13 +16,12 @@ module makes the warm state a first-class value:
   retry-pressure records, journal contents, and both RNG bit-generator
   states.  A restored run is byte-identical to a cold run — pinned by
   ``tests/experiments/test_snapshot_parity.py``.
-* :class:`SnapshotStore` — a content-addressed cache (in-process LRU,
-  optional on-disk spill) keyed by the warm-relevant slice of a run's
-  configuration (see ``warm_cache_key`` in the experiments layer).
-  Corrupted, truncated or stale-schema spill files *never* crash a run:
-  they fall back to a cold preload, bump ``stats.fallbacks`` (and the
-  ``snapshot_store_fallbacks_total`` counter when a metrics registry is
-  attached), and log a warning.
+* :class:`SnapshotStore` — a content-addressed cache (in-process LRU of
+  :data:`STORE_CAPACITY` states, optional on-disk spill) keyed by the
+  warm-relevant slice of a run's configuration (see ``warm_cache_key``
+  in the experiments layer).  Corrupted, truncated or stale-schema spill
+  files *never* crash a run: they fall back to a cold preload, bump
+  ``stats.fallbacks``, and log a warning.
 * :func:`publish_warm_state` / :func:`attach_warm_state` — one
   ``multiprocessing.shared_memory`` segment per distinct warm state, so
   pool workers map the bytes the parent serialized once instead of
@@ -66,6 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
+    "STORE_CAPACITY",
     "PlaneSnapshot",
     "WarmState",
     "capture_warm_state",
@@ -90,6 +90,11 @@ SNAPSHOT_SCHEMA = 2
 #: Spill-file magic: identifies the container before anything is parsed.
 _SPILL_MAGIC = b"IDASNAP1"
 _DIGEST_LEN = 32  # sha256
+
+#: Resident warm states a :class:`SnapshotStore` keeps.  Artifact sweeps
+#: iterate workload-major, so a small window covers the reuse pattern
+#: without pinning every distinct state of a long sweep in RAM.
+STORE_CAPACITY = 8
 
 
 @dataclass(frozen=True)
@@ -287,38 +292,23 @@ class SnapshotStore:
     """Content-addressed warm-state cache: in-process LRU + disk spill.
 
     Keys are opaque strings (the experiments layer hashes the
-    warm-relevant configuration slice into them).  The LRU bounds
-    resident memory; the optional ``spill_dir`` makes snapshots survive
-    the process and be shareable across invocations.
+    warm-relevant configuration slice into them).  The LRU keeps at most
+    :data:`STORE_CAPACITY` states resident; the optional ``spill_dir``
+    makes snapshots survive the process and be shareable across
+    invocations.
 
     Spill format: ``IDASNAP1`` magic, a sha256 digest of the payload,
     then the pickled :class:`WarmState`.  Loads verify magic, digest and
     schema before trusting a byte; any mismatch — truncation, bit rot,
     a stale schema, an unpicklable payload — is a *fallback*, never an
     exception: :meth:`get` returns ``None``, the caller preloads cold,
-    and ``stats.fallbacks`` (plus the ``snapshot_store_fallbacks_total``
-    registry counter, when one is attached) records the event.
+    and ``stats.fallbacks`` records the event.
     """
 
-    def __init__(
-        self,
-        capacity: int = 4,
-        spill_dir: str | Path | None = None,
-        registry=None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self, spill_dir: str | Path | None = None) -> None:
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         self.stats = SnapshotStats()
         self._entries: OrderedDict[str, WarmState] = OrderedDict()
-        self._fallback_counter = None
-        if registry is not None:
-            self._fallback_counter = registry.counter(
-                "snapshot_store_fallbacks_total",
-                "on-disk warm-state snapshots rejected as corrupted or "
-                "stale (run fell back to a cold preload)",
-            ).unlabeled
 
     def _spill_path(self, key: str) -> Path:
         assert self.spill_dir is not None
@@ -326,8 +316,6 @@ class SnapshotStore:
 
     def _note_fallback(self, key: str, reason: str) -> None:
         self.stats.fallbacks += 1
-        if self._fallback_counter is not None:
-            self._fallback_counter.inc()
         _log.warning(
             "snapshot %s unusable (%s); falling back to cold preload",
             key,
@@ -385,7 +373,7 @@ class SnapshotStore:
     def _insert(self, key: str, warm: WarmState) -> None:
         self._entries[key] = warm
         self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
+        while len(self._entries) > STORE_CAPACITY:
             self._entries.popitem(last=False)
 
     def _load_spilled(self, key: str) -> WarmState | None:

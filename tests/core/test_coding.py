@@ -118,8 +118,8 @@ class TestQueries:
             mlc.state_for((1, 1, 1))
 
     def test_bit_value(self, tlc):
-        assert tlc.bit_value(4, 2) == 1  # S5 MSB
-        assert tlc.bit_value(4, 0) == 0  # S5 LSB
+        assert tlc.decode(4)[2] == 1  # S5 MSB
+        assert tlc.decode(4)[0] == 0  # S5 LSB
 
     def test_boundaries_out_of_range(self, tlc):
         with pytest.raises(IndexError):

@@ -33,7 +33,7 @@ class TestFig5TlcLsbInvalid:
 
     def test_decode_preserves_surviving_bits(self, transform, tlc):
         for state in range(8):
-            target = transform.target_state(state)
+            target = transform.move_map[state]
             for bit in (1, 2):
                 assert transform.decode(target, bit) == tlc.states[state][bit]
 

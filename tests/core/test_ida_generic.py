@@ -104,7 +104,7 @@ class TestGenericMergeInvariants:
         coding, valid = case
         transform = IdaTransform(coding, valid)
         for state in range(coding.num_states):
-            target = transform.target_state(state)
+            target = transform.move_map[state]
             for bit in valid:
                 boundaries = transform.boundaries(bit)
                 crossed = sum(1 for b in boundaries if target >= b)

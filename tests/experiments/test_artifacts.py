@@ -52,12 +52,6 @@ class TestFig8:
         text = format_fig8(result)
         assert "ida-e0" in text and "average" in text
 
-    def test_average_improvement(self, quick_scale):
-        result = run_fig8(quick_scale, WORKLOADS, error_rates=(0.2,))
-        assert result.average_improvement_pct("ida-e20") == pytest.approx(
-            (1 - result.average("ida-e20")) * 100
-        )
-
     def test_average_of_missing_system_is_a_clear_error(self, quick_scale):
         result = run_fig8(quick_scale, WORKLOADS, error_rates=(0.2,))
         with pytest.raises(KeyError, match="ida-e80.*usr_1"):

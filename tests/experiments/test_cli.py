@@ -272,6 +272,23 @@ class TestProfileSubcommand:
         assert profile["requests"]["read"]["count"] > 0
         assert profile["max_residual_us"] <= 1e-6
 
+    def test_profile_out_creates_missing_parent_directories(self, tmp_path):
+        import json
+
+        trace = tmp_path / "a" / "t.json"
+        assert main(["profile", "--scale", "tiny", "--out", str(trace)]) == 0
+        assert json.loads(trace.read_text())["traceEvents"]
+
+    def test_profile_aggregate_creates_missing_parent_directories(
+        self, tmp_path
+    ):
+        import json
+
+        aggregate = tmp_path / "a" / "agg.json"
+        args = ["profile", "--scale", "tiny", "--aggregate", str(aggregate)]
+        assert main(args) == 0
+        assert json.loads(aggregate.read_text())["requests"]
+
     def test_profile_summary_only(self, capsys):
         assert main(["profile", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out
@@ -316,6 +333,12 @@ class TestHealthArtifactCli:
         prom = prom_path.read_text()
         assert "# TYPE device_wear_p99_erases gauge" in prom
         assert 'condition="faulted"' in prom
+
+    def test_prom_creates_missing_parent_directories(self, tmp_path):
+        prom_path = tmp_path / "a" / "b.prom"
+        args = ["health", "--scale", "tiny", "--workloads", "hm_1"]
+        assert main(args + ["--prom", str(prom_path)]) == 0
+        assert "# TYPE device_wear_p99_erases gauge" in prom_path.read_text()
 
     def test_prom_rejected_for_unsupported_artifact(self):
         with pytest.raises(SystemExit, match="--prom is not supported"):

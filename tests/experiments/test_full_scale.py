@@ -33,7 +33,8 @@ class TestFullTopologyState:
         assert geometry.total_planes == 64
         assert geometry.blocks_per_plane == 5472
         assert geometry.total_blocks == FULL_BLOCKS
-        assert 500 <= geometry.capacity_gib <= 520
+        capacity_gib = geometry.total_pages * geometry.page_size_bytes / (1 << 30)
+        assert 500 <= capacity_gib <= 520
 
     def test_columnar_state_fits_bounded_memory(self):
         geometry = RunScale.full().apply_topology(Geometry())

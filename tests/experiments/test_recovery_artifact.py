@@ -159,7 +159,6 @@ class TestRunRecoverySweep:
     def test_every_cut_is_clean(self, result):
         assert result.total == 8
         assert result.clean == 8
-        assert result.all_ok
         assert result.violations() == []
 
     def test_formatting_and_json_round_trip(self, result):

@@ -23,10 +23,9 @@ class TestBuilders:
         assert names == ["ida-e0", "ida-e10", "ida-e20", "ida-e40", "ida-e50", "ida-e80"]
 
     def test_with_modifiers(self):
-        spec = ida(0.2).with_dtr(70.0).with_retry(0.4).with_device("mlc")
+        spec = ida(0.2).with_dtr(70.0).with_retry(0.4)
         assert spec.dtr_us == 70.0
         assert spec.retry_fail_prob == 0.4
-        assert spec.device == "mlc"
         assert spec.error_rate == 0.2
 
     def test_retry_model(self):

@@ -287,8 +287,3 @@ class TestSerialisation:
         path.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(ValueError, match="JSON object"):
             load_plan(path)
-
-    def test_with_name(self):
-        plan = self._plan()
-        assert plan.with_name("renamed").name == "renamed"
-        assert plan.with_name("renamed").events == plan.events

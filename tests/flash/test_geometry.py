@@ -14,6 +14,25 @@ def table2():
     return Geometry()
 
 
+def _decompose_plane(geometry, plane_index):
+    """(channel, chip, die, plane) of a linear plane number: the inverse
+    of ``Geometry.plane_index``, computed digit by digit."""
+    plane = plane_index % geometry.planes_per_die
+    rest = plane_index // geometry.planes_per_die
+    die = rest % geometry.dies_per_chip
+    rest //= geometry.dies_per_chip
+    chip = rest % geometry.chips_per_channel
+    channel = rest // geometry.chips_per_channel
+    return channel, chip, die, plane
+
+
+def _address_of(geometry, ppn):
+    """(channel, chip, die, plane, block, page) of a PPN."""
+    block_index, page = geometry.decompose_page(ppn)
+    plane_index, block = divmod(block_index, geometry.blocks_per_plane)
+    return (*_decompose_plane(geometry, plane_index), block, page)
+
+
 class TestTableTwoNumbers:
     def test_derived_counts(self, table2):
         assert table2.total_chips == 16
@@ -23,7 +42,8 @@ class TestTableTwoNumbers:
 
     def test_capacity_is_half_terabyte(self, table2):
         # 350,208 blocks x 192 pages x 8 KiB ~ 512 GiB.
-        assert 500 < table2.capacity_gib < 525
+        capacity_gib = table2.total_pages * table2.page_size_bytes / (1 << 30)
+        assert 500 < capacity_gib < 525
 
     def test_wordlines_per_block(self, table2):
         assert table2.wordlines_per_block == 64
@@ -49,7 +69,7 @@ class TestAddressMath:
                 for die in range(table2.dies_per_chip):
                     for plane in range(table2.planes_per_die):
                         linear = table2.plane_index(channel, chip, die, plane)
-                        assert table2.decompose_plane(linear) == (
+                        assert _decompose_plane(table2, linear) == (
                             channel,
                             chip,
                             die,
@@ -68,14 +88,14 @@ class TestAddressMath:
 
     def test_die_of_plane_consistent(self, table2):
         for plane_index in range(table2.total_planes):
-            channel, chip, die, _ = table2.decompose_plane(plane_index)
+            channel, chip, die, _ = _decompose_plane(table2, plane_index)
             assert table2.die_of_plane(plane_index) == table2.die_index(
                 channel, chip, die
             )
 
     def test_channel_of_plane_consistent(self, table2):
         for plane_index in range(table2.total_planes):
-            channel, _, _, _ = table2.decompose_plane(plane_index)
+            channel, _, _, _ = _decompose_plane(table2, plane_index)
             assert table2.channel_of_plane(plane_index) == channel
 
     def test_page_number_roundtrip(self, table2):
@@ -84,34 +104,21 @@ class TestAddressMath:
 
     def test_address_of(self, table2):
         ppn = table2.page_number(table2.block_index(10, 3), 99)
-        addr = table2.address_of(ppn)
-        assert addr.block == 3
-        assert addr.page == 99
-        assert table2.plane_index(addr.channel, addr.chip, addr.die, addr.plane) == 10
+        channel, chip, die, plane, block, page = _address_of(table2, ppn)
+        assert (block, page) == (3, 99)
+        assert table2.plane_index(channel, chip, die, plane) == 10
 
     def test_wordline_and_page_type(self, table2):
-        addr = table2.address_of(table2.page_number(0, 100))
-        assert addr.wordline(3) == 33
-        assert addr.page_type(3) == 1  # page 100 = WL 33, CSB
-
-    def test_wordline_pages(self, table2):
-        assert table2.wordline_pages(0) == (0, 1, 2)
-        assert table2.wordline_pages(63) == (189, 190, 191)
-
-
-class TestScaled:
-    def test_scaled_changes_only_blocks(self, table2):
-        small = table2.scaled(10)
-        assert small.blocks_per_plane == 10
-        assert small.channels == table2.channels
-        assert small.pages_per_block == table2.pages_per_block
+        _, page = table2.decompose_page(table2.page_number(0, 100))
+        # page 100 = WL 33, CSB
+        assert divmod(page, table2.bits_per_cell) == (33, 1)
 
 
 class TestProperties:
     @given(st.integers(min_value=0, max_value=350_208 * 192 - 1))
     def test_ppn_roundtrips_through_full_address(self, ppn):
         geometry = Geometry()
-        addr = geometry.address_of(ppn)
-        plane = geometry.plane_index(addr.channel, addr.chip, addr.die, addr.plane)
-        block_index = geometry.block_index(plane, addr.block)
-        assert geometry.page_number(block_index, addr.page) == ppn
+        channel, chip, die, plane, block, page = _address_of(geometry, ppn)
+        plane_index = geometry.plane_index(channel, chip, die, plane)
+        block_index = geometry.block_index(plane_index, block)
+        assert geometry.page_number(block_index, page) == ppn

@@ -50,12 +50,12 @@ class TestCodingIntegration:
     def test_page_read_us(self):
         spec = TimingSpec.tlc_table2()
         tlc = conventional_tlc()
-        assert spec.page_read_us(tlc, 2) == 150.0
+        assert spec.read_model.page_latency_us(tlc, 2) == 150.0
 
     def test_ida_read_us(self):
         spec = TimingSpec.tlc_table2()
         transform = IdaTransform(conventional_tlc(), (1, 2))
-        assert spec.ida_read_us(transform, 2) == 100.0
+        assert spec.read_model.ida_latency_us(transform, 2) == 100.0
 
 
 class TestValidation:

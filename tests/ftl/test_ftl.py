@@ -225,5 +225,5 @@ class TestBlockStatusTable:
     def test_senses_for_ppn(self):
         ftl = _ftl()
         ftl.host_write(0, 0.0)
-        ppn = ftl.map.lookup(0)
-        assert ftl.table.senses_for_ppn(ppn) == 1
+        block, page = ftl.table.block_of_ppn(ftl.map.lookup(0))
+        assert block.senses_for(ftl.table.sense_table, page) == 1

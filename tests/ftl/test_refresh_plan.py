@@ -129,15 +129,12 @@ class TestIdaPlan:
 
 class TestReportArithmetic:
     def test_paper_overhead_formulas(self):
-        # Sec. III-C: extra reads = N_target, extra writes = N_error,
-        # total reads = N_valid + N_target, total writes = N_valid' + N_error.
+        # Sec. III-C: extra reads = N_target, extra writes = N_error.
         report = RefreshReport(
             block_index=0, n_valid=113, n_moved=55, n_target=58, n_error=12
         )
         assert report.extra_reads == 58
         assert report.extra_writes == 12
-        assert report.total_reads == 171
-        assert report.total_writes == 67
 
 
 class TestPolicy:

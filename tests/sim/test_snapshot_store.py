@@ -10,9 +10,9 @@ import pytest
 from repro.experiments.config import RunScale
 from repro.experiments.runner import prepare_warm_state
 from repro.experiments.systems import ida
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.snapshot import (
     SNAPSHOT_SCHEMA,
+    STORE_CAPACITY,
     SnapshotStore,
     WarmHandle,
     WarmState,
@@ -31,14 +31,16 @@ def warm() -> WarmState:
 
 class TestLru:
     def test_capacity_evicts_least_recent(self, warm):
-        store = SnapshotStore(capacity=2)
-        store.put("a", warm)
-        store.put("b", warm)
-        assert store.get("a") is warm  # refreshes "a"
-        store.put("c", warm)  # evicts "b"
-        assert store.get("b") is None
-        assert store.get("a") is warm
-        assert store.get("c") is warm
+        store = SnapshotStore()
+        keys = [f"k{i}" for i in range(STORE_CAPACITY)]
+        for key in keys:
+            store.put(key, warm)
+        assert store.get(keys[0]) is warm  # refreshes the oldest key
+        store.put("extra", warm)  # evicts keys[1], now least recent
+        assert store.get(keys[1]) is None
+        assert store.get(keys[0]) is warm
+        assert store.get("extra") is warm
+        assert all(store.get(key) is warm for key in keys[2:])
 
     def test_stats_count_hits_misses_stores(self, warm):
         store = SnapshotStore()
@@ -48,10 +50,6 @@ class TestLru:
         assert store.stats.misses == 1
         assert store.stats.hits == 1
         assert store.stats.stores == 1
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SnapshotStore(capacity=0)
 
 
 class TestSpill:
@@ -131,19 +129,6 @@ class TestSpillHardening:
         )
         assert store.get("key") is None
         assert store.stats.fallbacks == 1
-
-    def test_fallback_bumps_registry_counter(self, warm, tmp_path):
-        registry = MetricsRegistry()
-        store = SnapshotStore(spill_dir=tmp_path, registry=registry)
-        store.put("key", warm)
-        path = store._spill_path("key")
-        path.write_bytes(path.read_bytes()[:-1])
-        store._entries.clear()
-        assert store.get("key") is None
-        counter = registry.counter(
-            "snapshot_store_fallbacks_total", ""
-        ).unlabeled
-        assert counter.value == 1
 
     def test_missing_file_is_a_plain_miss_not_a_fallback(self, tmp_path):
         store = SnapshotStore(spill_dir=tmp_path)
