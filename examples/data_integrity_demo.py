@@ -15,21 +15,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import classify_validity, conventional_tlc
-from repro.ecc import DecodeStatus, EccEngine
-from repro.flash.chip import CellChip
+from repro.ecc import DecodeStatus, HammingCodec
+from repro.flash import WordlineCells
 
 
 def main() -> None:
     rng = np.random.default_rng(42)
-    chip = CellChip(conventional_tlc(), num_blocks=1, wordlines_per_block=6,
-                    cells_per_wordline=64)
-    engine = EccEngine(codec_data_bits=64)
+    block = [WordlineCells(conventional_tlc(), 64) for _ in range(6)]
+    codec = HammingCodec(64)
 
     # Program the block and remember what was written.
     written = {}
-    for wl in range(6):
-        pages = chip.random_pages(rng)
-        chip.program_wordline(0, wl, pages)
+    for wl, cells in enumerate(block):
+        pages = [rng.integers(0, 2, 64, dtype=np.int8) for _ in range(3)]
+        cells.program(pages)
         for bit in range(3):
             written[(wl, bit)] = pages[bit]
     print("programmed 6 wordlines (18 pages) with the conventional coding")
@@ -46,7 +45,7 @@ def main() -> None:
 
     # Fig. 7b steps 1-2: read everything valid and hold the ECC-encoded
     # copies in "DRAM".
-    dram = {key: engine.encode(page) for key, page in written.items()}
+    dram = {key: codec.encode(page) for key, page in written.items()}
 
     # Steps 3-4: classify and adjust.
     adjusted = []
@@ -55,22 +54,22 @@ def main() -> None:
         print(f"wordline {wl}: case {decision.case} -> {decision.action.value}"
               + (f", keep bits {decision.adjust_bits}" if decision.adjust_bits else ""))
         if decision.applies_ida:
-            chip.adjust_wordline(0, wl, decision.adjust_bits)
+            block[wl].apply_ida(decision.adjust_bits)
             adjusted.append((wl, decision.adjust_bits))
 
     # Step 5-6: verify every kept page bit-for-bit.
     clean = 0
     for wl, bits in adjusted:
         for bit in bits:
-            if np.array_equal(chip.read_page(0, wl, bit), written[(wl, bit)]):
+            if np.array_equal(block[wl].read_page(bit), written[(wl, bit)]):
                 clean += 1
     print(f"\nafter adjustment: {clean} kept pages read back bit-identical")
 
     # Now inject a disturb error into a kept page's stored codeword and
     # show the pipeline recovers (step 7-8 of Fig. 7b).
     target = (1, 2)  # wordline 1 MSB, kept through a case-2 adjustment
-    corrupted = engine.codec.inject_errors(dram[target], [13])
-    result = engine.decode(corrupted)
+    corrupted = codec.inject_errors(dram[target], [13])
+    result = codec.decode(corrupted)
     assert result.status is DecodeStatus.CORRECTED
     assert np.array_equal(result.data, written[target])
     print("injected a single-bit disturb into wordline 1's MSB codeword: "
@@ -82,7 +81,7 @@ def main() -> None:
         decision = classify_validity(validity[wl])
         for bit in decision.adjust_bits:
             name = ("LSB", "CSB", "MSB")[bit]
-            print(f"  wordline {wl} {name}: {chip.page_senses(0, wl, bit)} senses")
+            print(f"  wordline {wl} {name}: {block[wl].senses(bit)} senses")
 
 
 if __name__ == "__main__":

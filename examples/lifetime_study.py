@@ -2,8 +2,9 @@
 """Lifetime study: wear, RBER, read retry, and IDA (paper Sec. V-F).
 
 Part 1 traces the device physics: how RBER grows with program/erase wear
-and retention age, and what that does to LDPC decode failures and the
-expected extra sensing passes per read.
+and retention age, and what that does to the decode-failure probability
+the simulator draws retries from and the expected extra sensing passes
+per read.
 
 Part 2 runs the Fig. 11 experiment at quick scale: baseline vs IDA-E20
 early in the device lifetime (no retries) and late (frequent retries),
@@ -15,7 +16,6 @@ Run:  python examples/lifetime_study.py
 
 from __future__ import annotations
 
-from repro.ecc import LdpcModel
 from repro.experiments import RunScale, baseline, ida, run_workload
 from repro.experiments.reporting import ascii_table
 from repro.flash.errors import RberModel, ReadRetryModel
@@ -27,7 +27,6 @@ def part1_physics() -> None:
     print("1. RBER growth and read retries over the device lifetime")
     print("=" * 70)
     rber_model = RberModel()
-    ldpc = LdpcModel()
     rows = []
     for pe, retention in [(0, 1), (500, 7), (1500, 30), (2500, 60), (3000, 90)]:
         rber = rber_model.rber(pe, retention)
@@ -37,13 +36,13 @@ def part1_physics() -> None:
                 pe,
                 retention,
                 f"{rber:.2e}",
-                f"{ldpc.hard_failure_probability(rber):.3f}",
+                f"{retry.fail_prob:.3f}",
                 f"{retry.expected_retries():.2f}",
             ]
         )
     print(
         ascii_table(
-            ["P/E cycles", "retention (d)", "RBER", "P(hard decode fails)",
+            ["P/E cycles", "retention (d)", "RBER", "P(decode fails)",
              "E[extra passes]"],
             rows,
         )

@@ -8,7 +8,7 @@ Public API layers:
   (the paper's contribution, cell-exact);
 * :mod:`repro.flash` — flash device substrate (geometry, timing, cells,
   blocks, error models);
-* :mod:`repro.ecc` — ECC substrate (SEC-DED codec, LDPC retry model);
+* :mod:`repro.ecc` — ECC substrate (the SEC-DED codec);
 * :mod:`repro.ftl` — flash translation layer (mapping, allocation, GC,
   baseline + IDA-modified refresh);
 * :mod:`repro.sim` — event-driven SSD simulator;

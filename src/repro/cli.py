@@ -536,6 +536,8 @@ def _cmd_inspect(argv: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
+    from .workloads import workload
+
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "run":
         return _cmd_run(argv[1:])
@@ -552,6 +554,11 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit("--jobs must be >= 1")
     scale = _SCALES[args.scale]()
     workload_names = args.workloads.split(",") if args.workloads else None
+    for workload_name in workload_names or ():
+        try:
+            workload(workload_name)
+        except KeyError as exc:
+            raise SystemExit(exc.args[0]) from None
     targets = sorted(ARTIFACTS) if args.artifact == "all" else [args.artifact]
     if args.json_out and len(targets) != 1:
         raise SystemExit("--json-out needs a single artifact, not 'all'")

@@ -122,21 +122,6 @@ class IdaTransform:
         """Paper-style names of the read voltages used after the merge."""
         return tuple(f"V{i}" for i in self.boundaries(bit))
 
-    # ------------------------------------------------------------------
-    # Programming-side structure
-    # ------------------------------------------------------------------
-    def max_move_distance(self) -> int:
-        """Largest rightward state jump the adjustment performs.
-
-        The ISPP loop count — and so the adjustment latency — is
-        proportional to the voltage range it must sweep; the paper notes
-        the IDA adjustment sweeps about half the range of a full MSB
-        program (Sec. III-B, "Voltage Adjustment Feasibility").
-        """
-        return max(
-            self.move_map[s] - s for s in range(self.base.num_states)
-        )
-
     def decode(self, state: int, bit: int) -> int:
         """Value of valid ``bit`` for a cell at merged ``state``."""
         if bit not in self.valid_bits:

@@ -1,13 +1,9 @@
-"""ECC substrate: SEC-DED codec, LDPC retry statistics, engine front-end."""
+"""ECC substrate: the SEC-DED codec behind the bit-exact integrity checks."""
 
-from .engine import EccEngine
 from .hamming import DecodeResult, DecodeStatus, HammingCodec
-from .ldpc import LdpcModel
 
 __all__ = [
-    "EccEngine",
     "DecodeResult",
     "DecodeStatus",
     "HammingCodec",
-    "LdpcModel",
 ]

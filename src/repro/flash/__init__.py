@@ -2,13 +2,10 @@
 
 from .block import CONVENTIONAL_WL, TORN_WL, Block, PageState, SenseTable
 from .cell import ERASED_STATE, WordlineCells
-from .chip import CellChip
 from .errors import AdjustDisturbModel, RberModel, ReadRetryModel
 from .geometry import Geometry
-from .ispp import IsppModel
 from .plane import PlanePool
 from .timing import TimingSpec
-from .voltage import StateDistribution, VoltageModel
 
 __all__ = [
     "CONVENTIONAL_WL",
@@ -18,14 +15,10 @@ __all__ = [
     "SenseTable",
     "ERASED_STATE",
     "WordlineCells",
-    "CellChip",
     "AdjustDisturbModel",
     "RberModel",
     "ReadRetryModel",
     "Geometry",
-    "IsppModel",
     "PlanePool",
     "TimingSpec",
-    "StateDistribution",
-    "VoltageModel",
 ]

@@ -116,11 +116,6 @@ class WordlineCells:
         self.transform = transform
         return transform
 
-    def erase(self) -> None:
-        """Erase the wordline: all cells back to the erased state."""
-        self.states.fill(ERASED_STATE)
-        self.transform = None
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

@@ -26,6 +26,11 @@ import numpy as np
 
 __all__ = ["AdjustDisturbModel", "RberModel", "ReadRetryModel"]
 
+#: RBER at which a hard decode fails half the time (after [38]).
+DECODE_THRESHOLD_RBER = 2e-3
+#: Steepness of the logistic decode-failure ramp around that threshold.
+DECODE_SHARPNESS = 1500.0
+
 
 @dataclass(frozen=True)
 class AdjustDisturbModel:
@@ -107,14 +112,13 @@ class ReadRetryModel:
     ``fail_prob``.
 
     A page's raw errors accumulate per *sense boundary* (each read
-    voltage contributes its misclassification tail — see
-    :mod:`repro.flash.voltage`), so a page read with fewer senses fails
-    its decode less often.  ``fail_prob`` is calibrated for a
-    ``reference_senses``-sense page (the TLC MSB); an ``s``-sense page
-    fails with ``1 - (1 - p1)**s`` where ``p1`` is the per-sense failure
-    contribution.  This is the second half of the paper's Fig. 11
-    mechanism: IDA-coded pages retry less often *and* each retry re-runs
-    a cheaper memory access.
+    voltage contributes its misclassification tail), so a page read with
+    fewer senses fails its decode less often.  ``fail_prob`` is
+    calibrated for a ``reference_senses``-sense page (the TLC MSB); an
+    ``s``-sense page fails with ``1 - (1 - p1)**s`` where ``p1`` is the
+    per-sense failure contribution.  This is the second half of the
+    paper's Fig. 11 mechanism: IDA-coded pages retry less often *and*
+    each retry re-runs a cheaper memory access.
 
     Attributes:
         fail_prob: Probability each decode attempt fails for a
@@ -148,22 +152,18 @@ class ReadRetryModel:
         return 1.0 - (1.0 - per_sense) ** senses
 
     @classmethod
-    def for_rber(
-        cls, rber: float, threshold: float = 2e-3, sharpness: float = 1500.0
-    ) -> "ReadRetryModel":
+    def for_rber(cls, rber: float) -> "ReadRetryModel":
         """Retry model induced by an RBER level.
 
-        A logistic ramp around the ECC correction ``threshold``: well
-        below it decodes always succeed; well above it most reads need
-        retries.
+        A logistic ramp around the hard-decode correction threshold
+        (:data:`DECODE_THRESHOLD_RBER`): well below it decodes always
+        succeed; well above it most reads need retries.  The failure
+        probability is capped at 0.95, since ``fail_prob`` must stay below 1.
         """
         if rber < 0:
             raise ValueError("rber must be non-negative")
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if sharpness <= 0:
-            raise ValueError("sharpness must be positive")
-        fail = 1.0 / (1.0 + math.exp(-sharpness * (rber - threshold)))
+        x = DECODE_SHARPNESS * (rber - DECODE_THRESHOLD_RBER)
+        fail = 1.0 / (1.0 + math.exp(-x))
         return cls(fail_prob=min(0.95, fail))
 
     def sample_retries(self, rng: np.random.Generator, senses: int | None = None) -> int:

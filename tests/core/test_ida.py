@@ -37,9 +37,6 @@ class TestFig5TlcLsbInvalid:
             for bit in (1, 2):
                 assert transform.decode(target, bit) == tlc.states[state][bit]
 
-    def test_max_move_distance_is_full_range(self, transform):
-        assert transform.max_move_distance() == 7  # S1 -> S8
-
     def test_describe_mentions_moves(self, transform):
         assert "S1->S8" in transform.describe()
 

@@ -51,6 +51,19 @@ class TestCli:
         assert main(args + ["--json-out", str(out_path)]) == 0
         assert json.loads(out_path.read_text())["kind"] == "breakdown"
 
+    @pytest.mark.parametrize(
+        "names, bad", [("hm_1,nope", "'nope'"), ("hm_1,,", "''"), ("nope", "'nope'")]
+    )
+    def test_rejects_unknown_workload_before_any_unit_runs(
+        self, names, bad, monkeypatch
+    ):
+        def run_one(*args, **kwargs):
+            raise AssertionError("an artifact ran before --workloads was checked")
+
+        monkeypatch.setattr("repro.cli._run_one", run_one)
+        with pytest.raises(SystemExit, match=f"^unknown workload {bad}"):
+            main(["fig8", "--scale", "tiny", "--workloads", names])
+
     def test_json_out_rejected_for_all(self):
         with pytest.raises(SystemExit, match="single artifact"):
             main(["all", "--scale", "tiny", "--json-out", "x.json"])
@@ -125,27 +138,35 @@ class TestFaultsCli:
         assert data["kind"] == "faults"
         assert data["result"]["cells"]
 
-    def test_keep_going_drops_failed_workload(self, capsys):
+    @pytest.fixture
+    def usr_1_fails(self, monkeypatch):
+        # Unknown names never reach a unit (the CLI rejects them), so a
+        # catalog workload's units are made to fail instead.
+        import repro.experiments.parallel as parallel
+
+        execute_unit = parallel.execute_unit
+
+        def failing(unit, warm=None):
+            if unit.workload == "usr_1":
+                raise RuntimeError("injected unit failure")
+            return execute_unit(unit, warm=warm)
+
+        monkeypatch.setattr(parallel, "execute_unit", failing)
+
+    def test_keep_going_drops_failed_workload(self, capsys, usr_1_fails):
         code = main(
-            [
-                "fig8",
-                "--scale",
-                "tiny",
-                "--workloads",
-                "hm_1,no_such_trace",
-                "--keep-going",
-            ]
+            ["fig8", "--scale", "tiny", "--workloads", "hm_1,usr_1", "--keep-going"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "dropping workload 'no_such_trace'" in out
+        assert "dropping workload 'usr_1'" in out
         assert "hm_1" in out
 
-    def test_without_keep_going_failure_propagates(self):
+    def test_without_keep_going_failure_propagates(self, usr_1_fails):
         from repro.experiments.parallel import SweepError
 
-        with pytest.raises(SweepError):
-            main(["fig8", "--scale", "tiny", "--workloads", "hm_1,no_such_trace"])
+        with pytest.raises(SweepError, match="injected unit failure"):
+            main(["fig8", "--scale", "tiny", "--workloads", "hm_1,usr_1"])
 
 
 class TestRunSubcommand:

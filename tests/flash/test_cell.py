@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import conventional_qlc, conventional_tlc
-from repro.flash.cell import ERASED_STATE, WordlineCells
+from repro.flash.cell import WordlineCells
 
 
 def _random_pages(rng, bits, size):
@@ -85,15 +85,6 @@ class TestIdaAdjustment:
         cells.apply_ida((1, 2))
         with pytest.raises(RuntimeError, match="IDA wordline"):
             cells.program(_random_pages(rng, 3, 8))
-
-    def test_erase_resets_everything(self, tlc, rng):
-        cells = WordlineCells(tlc, 8)
-        cells.program(_random_pages(rng, 3, 8))
-        cells.apply_ida((1, 2))
-        cells.erase()
-        assert (cells.states == ERASED_STATE).all()
-        assert cells.transform is None
-        assert cells.senses(0) == 1  # back to conventional boundaries
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())

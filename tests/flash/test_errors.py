@@ -119,10 +119,17 @@ class TestReadRetryModel:
     def test_for_rber_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="rber"):
             ReadRetryModel.for_rber(-1e-4)
-        with pytest.raises(ValueError, match="threshold"):
-            ReadRetryModel.for_rber(1e-3, threshold=0.0)
-        with pytest.raises(ValueError, match="sharpness"):
-            ReadRetryModel.for_rber(1e-3, sharpness=0.0)
+
+    def test_for_rber_is_half_at_threshold(self):
+        assert ReadRetryModel.for_rber(2e-3).fail_prob == pytest.approx(0.5)
+
+    def test_for_rber_monotone_in_rber(self):
+        probs = [
+            ReadRetryModel.for_rber(r).fail_prob
+            for r in (1e-4, 1e-3, 2e-3, 3e-3, 5e-3)
+        ]
+        assert probs == sorted(probs)
+        assert len(set(probs)) == len(probs)
 
     def test_for_rber_boundaries_are_valid(self):
         # rber == 0 is a fresh device; fail_prob lands near zero but the

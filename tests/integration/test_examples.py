@@ -1,7 +1,7 @@
 """Smoke tests for the runnable examples (the cheap, simulation-free ones).
 
-The heavy examples (quickstart step 4, refresh_tradeoff, lifetime_study)
-run full simulations and are exercised through the experiments tests;
+The heavy examples (quickstart step 4, refresh_tradeoff, lifetime_study
+part 2) run full simulations and are exercised through the experiments tests;
 here we execute the coding-level walkthroughs end to end so the examples
 directory cannot rot.
 """
@@ -46,6 +46,14 @@ class TestCheapExamples:
         out = capsys.readouterr().out
         assert "150 us" in out
         assert "S5-S8" in out
+
+    def test_lifetime_study_physics_runs(self, capsys):
+        module = _load("lifetime_study")
+        module.part1_physics()
+        out = capsys.readouterr().out
+        assert "P(decode fails)" in out
+        # Late-life rows show the capped probability the simulator draws from.
+        assert "0.950" in out
 
     def test_all_examples_have_docstrings_and_main(self):
         for path in sorted(EXAMPLES.glob("*.py")):

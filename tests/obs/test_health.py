@@ -10,7 +10,6 @@ from repro.experiments.runner import run_workload
 from repro.experiments.systems import ida
 from repro.obs import Instruments, IntervalCollector, Telemetry
 from repro.obs.health import HEALTH_SCHEMA, HealthMonitor
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloObjective
 from repro.workloads import workload
 
@@ -136,32 +135,6 @@ class TestMonitoredRun(object):
         for snap in busy:
             lat = snap.read_latency
             assert lat["p50_us"] <= lat["p99_us"] <= lat["max_us"]
-
-
-class TestEccTelemetry:
-    def test_decode_outcomes_published(self):
-        import numpy as np
-
-        from repro.ecc.engine import EccEngine
-
-        registry = MetricsRegistry()
-        engine = EccEngine()
-        engine.bind_telemetry(registry)
-        data = np.zeros(engine.codec_data_bits, dtype=np.uint8)
-        clean = engine.encode(data)
-        engine.decode(clean)
-        flipped = clean.copy()
-        flipped[0] ^= 1
-        engine.decode(flipped)
-        double = clean.copy()
-        double[0] ^= 1
-        double[1] ^= 1
-        engine.decode(double)
-        snap = registry.snapshot()["metrics"]
-        assert snap["ecc_decodes_total"]["samples"][0]["value"] == 3
-        assert snap["ecc_corrected_total"]["samples"][0]["value"] == 1
-        assert snap["ecc_uncorrectable_total"]["samples"][0]["value"] == 1
-        assert (engine.decodes, engine.corrected, engine.uncorrectable) == (3, 1, 1)
 
 
 class TestWithoutRegistry:
