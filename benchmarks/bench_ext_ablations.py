@@ -11,21 +11,16 @@
 
 from __future__ import annotations
 
-from repro.experiments import (
-    format_ablation,
-    run_adjust_cost_ablation,
-    run_allocation_ablation,
-    run_refresh_frequency_ablation,
-)
+from repro.experiments import SUBSET_WORKLOADS, format_ablation, run_artifact
 
 from .conftest import run_once
 
-WORKLOADS = ["proj_1", "usr_1", "src2_0"]
+WORKLOADS = list(SUBSET_WORKLOADS)
 
 
 def test_ablation_adjust_cost(benchmark, macro_scale):
     result = run_once(
-        benchmark, run_adjust_cost_ablation, macro_scale, WORKLOADS,
+        benchmark, run_artifact, "ablation-adjust", macro_scale, WORKLOADS,
         fractions=(0.5, 1.0),
     )
     print()
@@ -36,7 +31,7 @@ def test_ablation_adjust_cost(benchmark, macro_scale):
 
 def test_ablation_refresh_frequency(benchmark, macro_scale):
     result = run_once(
-        benchmark, run_refresh_frequency_ablation, macro_scale, WORKLOADS,
+        benchmark, run_artifact, "ablation-refresh", macro_scale, WORKLOADS,
         cycles=(1.5, 3.0),
     )
     print()
@@ -46,7 +41,7 @@ def test_ablation_refresh_frequency(benchmark, macro_scale):
 
 def test_ablation_allocation(benchmark, macro_scale):
     result = run_once(
-        benchmark, run_allocation_ablation, macro_scale, WORKLOADS,
+        benchmark, run_artifact, "ablation-alloc", macro_scale, WORKLOADS,
         strategies=("cwdp", "pdwc"),
     )
     print()

@@ -7,16 +7,17 @@ most ~3% — IDA blocks are reclaimed promptly.
 
 from __future__ import annotations
 
-from repro.experiments.capacity_analysis import format_capacity, run_capacity_analysis
+from repro.experiments import SUBSET_WORKLOADS, run_artifact
+from repro.experiments.capacity_analysis import format_capacity
 
 from .conftest import run_once
 
-WORKLOADS = ["proj_1", "usr_1", "src2_0"]
+WORKLOADS = list(SUBSET_WORKLOADS)
 
 
 def test_ext_capacity(benchmark, macro_scale):
     results = run_once(
-        benchmark, run_capacity_analysis, macro_scale, WORKLOADS
+        benchmark, run_artifact, "capacity", macro_scale, WORKLOADS
     )
     print()
     print(format_capacity(results))

@@ -7,7 +7,7 @@ ordering of average improvements: qlc > tlc > tlc232 > 0-ish.
 
 from __future__ import annotations
 
-from repro.experiments import format_qlc, run_qlc_extension
+from repro.experiments import format_qlc, run_artifact
 
 from .conftest import bench_workloads, run_once
 
@@ -15,7 +15,8 @@ from .conftest import bench_workloads, run_once
 def test_ext_qlc_ordering(benchmark, macro_scale):
     result = run_once(
         benchmark,
-        run_qlc_extension,
+        run_artifact,
+        "qlc",
         macro_scale,
         bench_workloads(),
         devices=("tlc", "qlc", "tlc232"),

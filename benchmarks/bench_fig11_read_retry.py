@@ -6,13 +6,15 @@ when LDPC read-retries multiply every page's memory-access time.
 
 from __future__ import annotations
 
-from repro.experiments import format_fig11, run_fig11
+from repro.experiments import format_fig11, run_artifact
 
 from .conftest import bench_workloads, run_once
 
 
 def test_fig11_lifetime_phases(benchmark, macro_scale):
-    result = run_once(benchmark, run_fig11, macro_scale, bench_workloads())
+    result = run_once(
+        benchmark, run_artifact, "fig11", macro_scale, bench_workloads()
+    )
     print()
     print(format_fig11(result))
     early = result.average("early")

@@ -6,14 +6,19 @@ of MSB reads find their lower pages invalid.
 
 from __future__ import annotations
 
-from repro.experiments import format_fig4, run_fig4
+from repro.experiments import format_fig4, run_artifact
 
 from .conftest import bench_workloads, run_once
 
 
 def test_fig4_read_mix(benchmark, macro_scale):
     result = run_once(
-        benchmark, run_fig4, macro_scale, bench_workloads(), include_extra=False
+        benchmark,
+        run_artifact,
+        "fig4",
+        macro_scale,
+        bench_workloads(),
+        include_extra=False,
     )
     print()
     print(format_fig4(result))

@@ -6,7 +6,7 @@ E50: 20.2%, E80: <7%); benefit decreases monotonically with E.
 
 from __future__ import annotations
 
-from repro.experiments import format_fig8, run_fig8
+from repro.experiments import format_fig8, run_artifact
 
 from .conftest import bench_workloads, run_once
 
@@ -14,7 +14,8 @@ from .conftest import bench_workloads, run_once
 def test_fig8_error_rate_series(benchmark, macro_scale):
     result = run_once(
         benchmark,
-        run_fig8,
+        run_artifact,
+        "fig8",
         macro_scale,
         bench_workloads(),
         error_rates=(0.0, 0.2, 0.5, 0.8),

@@ -6,7 +6,7 @@ Paper: IDA-E20 improves read response by 14% at dtR=30us, 28% at 50us,
 
 from __future__ import annotations
 
-from repro.experiments import format_fig9, run_fig9
+from repro.experiments import format_fig9, run_artifact
 
 from .conftest import bench_workloads, run_once
 
@@ -14,7 +14,8 @@ from .conftest import bench_workloads, run_once
 def test_fig9_dtr_series(benchmark, macro_scale):
     result = run_once(
         benchmark,
-        run_fig9,
+        run_artifact,
+        "fig9",
         macro_scale,
         bench_workloads(),
         dtr_values=(30.0, 50.0, 70.0),

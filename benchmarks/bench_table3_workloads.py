@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import format_table3, run_table3
+from repro.experiments import format_table3, run_artifact
 
 from .conftest import bench_workloads, run_once
 
 
 def test_table3_characteristics(benchmark, macro_scale):
-    result = run_once(benchmark, run_table3, macro_scale, bench_workloads())
+    result = run_once(
+        benchmark, run_artifact, "table3", macro_scale, bench_workloads()
+    )
     print()
     print(format_table3(result))
     for row in result.rows:

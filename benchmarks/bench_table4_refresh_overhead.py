@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import format_table4, run_table4
+from repro.experiments import format_table4, run_artifact
 
 from .conftest import bench_workloads, run_once
 
 
 def test_table4_overheads(benchmark, macro_scale):
-    result = run_once(benchmark, run_table4, macro_scale, bench_workloads())
+    result = run_once(
+        benchmark, run_artifact, "table4", macro_scale, bench_workloads()
+    )
     print()
     print(format_table4(result))
     for row in result.rows:

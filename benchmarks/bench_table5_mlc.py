@@ -15,14 +15,19 @@ than a sign that noise can flip.
 
 from __future__ import annotations
 
-from repro.experiments import run_table5, format_table5
+from repro.experiments import format_table5, run_artifact
 
 from .conftest import bench_workloads, run_once
 
 
 def test_table5_mlc(benchmark, macro_scale):
     result = run_once(
-        benchmark, run_table5, macro_scale, bench_workloads(), device="mlc"
+        benchmark,
+        run_artifact,
+        "table5",
+        macro_scale,
+        bench_workloads(),
+        device="mlc",
     )
     print()
     print(format_table5(result))

@@ -14,6 +14,10 @@ Usage::
     ida-repro inspect /tmp/t.jsonl --last 20
     ida-repro inspect /tmp/t.jsonl --format json
 
+An artifact run (one artifact, or ``all`` of them) plans every unit it
+needs, runs each distinct unit once, and reduces each artifact from the
+shared results (see :mod:`repro.experiments.artifacts`).
+
 Every artifact (one at a time, not ``all``) accepts ``--json-out PATH``
 and writes ``{"kind": <artifact name>, "result": <result>}`` there;
 ``result`` is the artifact's return value encoded by
@@ -30,7 +34,6 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import Callable
 
 from .obs import (
     DEFAULT_READ_P99_SLO,
@@ -44,42 +47,14 @@ from .obs import (
 )
 
 from .experiments import (
+    ARTIFACTS,
     RunScale,
     RunUnit,
     SweepExecutor,
-    format_ablation,
-    format_capacity,
-    format_faults,
-    run_capacity_analysis,
-    run_faults,
-    format_health,
     health_to_prometheus,
-    run_health,
-    format_fig4,
-    format_fig8,
-    format_fig9,
-    format_fig10,
-    format_fig11,
-    format_fig_breakdown,
-    format_qlc,
-    format_recovery,
-    format_table3,
-    format_table4,
-    format_table5,
-    run_adjust_cost_ablation,
-    run_allocation_ablation,
-    run_fig4,
-    run_fig8,
-    run_fig9,
-    run_fig10,
-    run_fig11,
-    run_fig_breakdown,
-    run_qlc_extension,
-    run_recovery,
-    run_refresh_frequency_ablation,
-    run_table3,
-    run_table4,
-    run_table5,
+    plan_artifacts,
+    run_plans,
+    unit_union,
 )
 from .experiments.reporting import (
     jsonable,
@@ -88,27 +63,6 @@ from .experiments.reporting import (
 )
 
 __all__ = ["main", "ARTIFACTS"]
-
-#: artifact name -> (runner, formatter)
-ARTIFACTS: dict[str, tuple[Callable, Callable]] = {
-    "fig4": (run_fig4, format_fig4),
-    "fig8": (run_fig8, format_fig8),
-    "fig9": (run_fig9, format_fig9),
-    "fig10": (run_fig10, format_fig10),
-    "fig11": (run_fig11, format_fig11),
-    "breakdown": (run_fig_breakdown, format_fig_breakdown),
-    "table3": (run_table3, format_table3),
-    "table4": (run_table4, format_table4),
-    "table5": (run_table5, format_table5),
-    "qlc": (run_qlc_extension, format_qlc),
-    "faults": (run_faults, format_faults),
-    "health": (run_health, format_health),
-    "recover": (run_recovery, format_recovery),
-    "capacity": (run_capacity_analysis, format_capacity),
-    "ablation-adjust": (run_adjust_cost_ablation, format_ablation),
-    "ablation-refresh": (run_refresh_frequency_ablation, format_ablation),
-    "ablation-alloc": (run_allocation_ablation, format_ablation),
-}
 
 _SCALES = {
     "tiny": RunScale.tiny,
@@ -204,33 +158,6 @@ def _open_output(path: str):
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     return target.open("w", encoding="utf-8")
-
-
-def _run_one(
-    name: str,
-    scale: RunScale,
-    workload_names: list[str] | None,
-    executor: SweepExecutor,
-    json_out: str | None = None,
-    prom_out: str | None = None,
-    cuts: int | None = None,
-) -> str:
-    runner, formatter = ARTIFACTS[name]
-    extra = {"cuts": cuts} if cuts is not None else {}
-    started = time.time()
-    result = runner(
-        scale=scale, workload_names=workload_names, executor=executor, **extra
-    )
-    elapsed = time.time() - started
-    if json_out:
-        write_run_manifest({"kind": name, "result": jsonable(result)}, json_out)
-    if prom_out:
-        with _open_output(prom_out) as handle:
-            handle.write(health_to_prometheus(result))
-    timing = f"[{name}: {elapsed:.1f}s]"
-    if executor.snapshots:
-        timing += f" [snapshots: {_snapshot_counts(executor.snapshot_stats)}]"
-    return f"{formatter(result)}\n{timing}"
 
 
 def _parse_system(name: str):
@@ -573,26 +500,32 @@ def main(argv: list[str] | None = None) -> int:
             raise SystemExit("--cuts only applies to the 'recover' artifact")
         if args.cuts < 1:
             raise SystemExit("--cuts must be >= 1")
-    for name in targets:
-        executor = SweepExecutor(
-            jobs=args.jobs,
-            progress=print if (args.jobs > 1 or args.keep_going) else None,
-            keep_going=args.keep_going,
-            snapshots=args.snapshots,
-            snapshot_dir=args.snapshot_dir,
-        )
-        print(
-            _run_one(
-                name,
-                scale,
-                workload_names,
-                executor,
-                json_out=args.json_out,
-                prom_out=args.prom,
-                cuts=args.cuts,
-            )
-        )
-        print()
+    executor = SweepExecutor(
+        jobs=args.jobs,
+        progress=print if (args.jobs > 1 or args.keep_going) else None,
+        keep_going=args.keep_going,
+        snapshots=args.snapshots,
+        snapshot_dir=args.snapshot_dir,
+    )
+    axes = {"recover": {"cuts": args.cuts}} if args.cuts is not None else None
+    started = time.time()
+    plans = plan_artifacts(targets, scale, workload_names, axes=axes)
+    results = run_plans(plans, executor)
+    elapsed = time.time() - started
+    if args.json_out:
+        document = {"kind": args.artifact, "result": jsonable(results[args.artifact])}
+        write_run_manifest(document, args.json_out)
+    if args.prom:
+        with _open_output(args.prom) as handle:
+            handle.write(health_to_prometheus(results["health"]))
+    if args.artifact == "all":
+        timing = f"[all: {elapsed:.1f}s, {len(unit_union(plans))} unit(s)]"
+    else:
+        timing = f"[{args.artifact}: {elapsed:.1f}s]"
+    if executor.snapshots:
+        timing += f" [snapshots: {_snapshot_counts(executor.snapshot_stats)}]"
+    texts = [ARTIFACTS[name].format(result) for name, result in results.items()]
+    print("\n\n".join(texts) + f"\n{timing}\n")
     return 0
 
 

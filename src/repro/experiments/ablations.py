@@ -16,18 +16,22 @@ Three knobs the paper argues about but does not sweep:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
-from .config import RunScale
-from .parallel import RunUnit, SweepExecutor, failed_workloads
+from .config import SUBSET_WORKLOADS, RunScale
+from .parallel import RunUnit, ida_pairs
 from .reporting import ascii_table
-from .runner import improvement_pct
+from .runner import RunResultPayload, improvement_pct
 from .systems import SystemSpec, baseline, ida
 
 __all__ = [
     "AblationResult",
-    "run_adjust_cost_ablation",
-    "run_refresh_frequency_ablation",
-    "run_allocation_ablation",
+    "plan_adjust_cost",
+    "plan_refresh_frequency",
+    "plan_allocation",
+    "reduce_adjust_cost",
+    "reduce_refresh_frequency",
+    "reduce_allocation",
     "format_ablation",
 ]
 
@@ -44,124 +48,94 @@ class AblationResult:
         return sum(values) / len(values) if values else 0.0
 
 
-def _workloads(workload_names: list[str] | None) -> list[str]:
-    return workload_names or ["proj_1", "usr_1", "src2_0"]
-
-
-def _run_paired_sweep(
-    knob: str,
-    cells: list[tuple[str, str, SystemSpec, SystemSpec, RunScale]],
+def _paired_plan(
+    scale: RunScale,
+    workload_names: list[str] | None,
     seed: int,
-    executor: SweepExecutor | None,
-) -> AblationResult:
-    """Fan out (setting, workload, baseline, variant, scale) cells.
-
-    Each cell becomes one baseline unit and one variant unit; the
-    improvement is computed after the fan-out from the collected pairs.
-    With a keep-going executor, a failure prunes its workload across every
-    setting so the per-setting averages stay comparable.
-    """
-    units = []
-    for _, name, base_system, variant_system, scale in cells:
-        units.append(RunUnit(base_system, name, scale, seed=seed))
-        units.append(RunUnit(variant_system, name, scale, seed=seed))
-    executor = executor or SweepExecutor()
-    payloads = executor.map(units)
-    failed = failed_workloads(payloads, executor.progress)
-
-    result = AblationResult(knob=knob)
-    for index, (setting, name, *_) in enumerate(cells):
-        if name in failed:
-            continue
-        base, variant = payloads[2 * index : 2 * index + 2]
-        result.improvement_pct.setdefault(setting, {})[name] = improvement_pct(
-            variant, base
-        )
-    return result
+    settings: list[tuple[SystemSpec, SystemSpec, RunScale]],
+) -> list[RunUnit]:
+    """A baseline and a variant unit per (baseline, variant, scale) setting
+    and workload.  A baseline shared by several settings is one unit."""
+    return [
+        RunUnit(system, name, run_scale, seed=seed)
+        for base, variant, run_scale in settings
+        for name in workload_names or SUBSET_WORKLOADS
+        for system in (base, variant)
+    ]
 
 
-def run_adjust_cost_ablation(
-    scale: RunScale | None = None,
+def _paired_reduce(
+    knob: str, setting: Callable[[RunUnit], str]
+) -> Callable[[dict[RunUnit, RunResultPayload]], AblationResult]:
+    """A reduce that files each variant's improvement under its setting."""
+
+    def reduce(results: dict[RunUnit, RunResultPayload]) -> AblationResult:
+        result = AblationResult(knob=knob)
+        for unit, variant, base in ida_pairs(results):
+            result.improvement_pct.setdefault(setting(unit), {})[
+                unit.workload_name
+            ] = improvement_pct(variant, base)
+        return result
+
+    return reduce
+
+
+def plan_adjust_cost(
+    scale: RunScale,
     workload_names: list[str] | None = None,
+    seed: int = 11,
     fractions: tuple[float, ...] = (0.5, 1.0),
-    seed: int = 11,
-    executor: SweepExecutor | None = None,
-) -> AblationResult:
+) -> list[RunUnit]:
     """IDA benefit under proportional vs conservative adjustment cost."""
-    scale = scale or RunScale.bench()
-    cells = [
-        (
-            f"adjust={fraction:g}x",
-            name,
-            baseline(),
-            replace(ida(0.2), adjust_program_fraction=fraction),
-            scale,
-        )
+    settings = [
+        (baseline(), replace(ida(0.2), adjust_program_fraction=fraction), scale)
         for fraction in fractions
-        for name in _workloads(workload_names)
     ]
-    return _run_paired_sweep(
-        "adjust_program_fraction",
-        cells,
-        seed,
-        executor,
-    )
+    return _paired_plan(scale, workload_names, seed, settings)
 
 
-def run_refresh_frequency_ablation(
-    scale: RunScale | None = None,
+def plan_refresh_frequency(
+    scale: RunScale,
     workload_names: list[str] | None = None,
+    seed: int = 11,
     cycles: tuple[float, ...] = (1.5, 3.0, 6.0),
-    seed: int = 11,
-    executor: SweepExecutor | None = None,
-) -> AblationResult:
+) -> list[RunUnit]:
     """IDA benefit vs refresh cycles per trace (more cycles = fresher IDA)."""
-    scale = scale or RunScale.bench()
-    cells = [
-        (
-            f"cycles={value:g}",
-            name,
-            baseline(),
-            ida(0.2),
-            replace(scale, refresh_cycles=value),
-        )
+    settings = [
+        (baseline(), ida(0.2), replace(scale, refresh_cycles=value))
         for value in cycles
-        for name in _workloads(workload_names)
     ]
-    return _run_paired_sweep(
-        "refresh_cycles",
-        cells,
-        seed,
-        executor,
-    )
+    return _paired_plan(scale, workload_names, seed, settings)
 
 
-def run_allocation_ablation(
-    scale: RunScale | None = None,
+def plan_allocation(
+    scale: RunScale,
     workload_names: list[str] | None = None,
-    strategies: tuple[str, ...] = ("cwdp", "pdwc"),
     seed: int = 11,
-    executor: SweepExecutor | None = None,
-) -> AblationResult:
+    strategies: tuple[str, ...] = ("cwdp", "pdwc"),
+) -> list[RunUnit]:
     """IDA benefit under different static allocation stripe orders."""
-    scale = scale or RunScale.bench()
-    cells = [
+    settings = [
         (
-            f"alloc={strategy}",
-            name,
             replace(baseline(), allocation=strategy),
             replace(ida(0.2), allocation=strategy),
             scale,
         )
         for strategy in strategies
-        for name in _workloads(workload_names)
     ]
-    return _run_paired_sweep(
-        "allocation",
-        cells,
-        seed,
-        executor,
-    )
+    return _paired_plan(scale, workload_names, seed, settings)
+
+
+reduce_adjust_cost = _paired_reduce(
+    "adjust_program_fraction",
+    lambda unit: f"adjust={unit.system.adjust_program_fraction:g}x",
+)
+reduce_refresh_frequency = _paired_reduce(
+    "refresh_cycles", lambda unit: f"cycles={unit.scale.refresh_cycles:g}"
+)
+reduce_allocation = _paired_reduce(
+    "allocation", lambda unit: f"alloc={unit.system.allocation}"
+)
 
 
 def format_ablation(result: AblationResult) -> str:

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import RunScale
-from .parallel import RunUnit, SweepExecutor, prune_failed
+from .config import SUBSET_WORKLOADS, RunScale
+from .parallel import RunUnit
 from .reporting import ascii_table
 from .runner import CapacityCensus
 from .systems import baseline, ida
 
-__all__ = ["CapacityResult", "run_capacity_analysis", "format_capacity"]
+__all__ = ["CapacityResult", "plan", "reduce", "format_capacity"]
 
 
 @dataclass
@@ -78,32 +78,27 @@ def _row_from_census(system_name: str, census: CapacityCensus) -> CapacityRow:
     )
 
 
-def run_capacity_analysis(
-    scale: RunScale | None = None,
+def plan(
+    scale: RunScale,
     workload_names: list[str] | None = None,
     seed: int = 11,
-    executor: SweepExecutor | None = None,
-) -> list[CapacityResult]:
-    """Compare block census and GC cost, baseline vs IDA-E20."""
-    scale = scale or RunScale.bench()
-    names = workload_names or ["proj_1", "usr_1", "src2_0"]
-    units = []
-    for name in names:
-        for system in (baseline(), ida(0.2)):
-            units.append(RunUnit(system, name, scale, seed=seed, mode="capacity"))
-    executor = executor or SweepExecutor()
-    censuses = executor.map(units)
-    names, units, censuses, _ = prune_failed(names, units, censuses, executor.progress)
+) -> list[RunUnit]:
+    """Baseline and IDA-E20 read-then-write phase pairs, per workload."""
+    return [
+        RunUnit(system, name, scale, seed=seed, mode="capacity")
+        for name in workload_names or SUBSET_WORKLOADS
+        for system in (baseline(), ida(0.2))
+    ]
 
-    results = []
-    for index, name in enumerate(names):
-        result = CapacityResult(workload=name)
-        for unit, census in zip(
-            units[2 * index : 2 * index + 2], censuses[2 * index : 2 * index + 2]
-        ):
-            result.rows.append(_row_from_census(unit.system.name, census))
-        results.append(result)
-    return results
+
+def reduce(results: dict[RunUnit, CapacityCensus]) -> list[CapacityResult]:
+    """Compare block census and GC cost, baseline vs IDA-E20."""
+    per_workload: dict[str, CapacityResult] = {}
+    for unit, census in results.items():
+        name = unit.workload_name
+        result = per_workload.setdefault(name, CapacityResult(workload=name))
+        result.rows.append(_row_from_census(unit.system.name, census))
+    return list(per_workload.values())
 
 
 def format_capacity(results: list[CapacityResult]) -> str:

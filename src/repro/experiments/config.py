@@ -20,7 +20,7 @@ from ..core.tlc import conventional_tlc, tlc_232
 from ..flash.geometry import Geometry
 from ..flash.timing import TimingSpec
 
-__all__ = ["DeviceConfig", "RunScale", "device"]
+__all__ = ["DeviceConfig", "RunScale", "SUBSET_WORKLOADS", "device"]
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,12 @@ def device(name: str, blocks_per_plane: int = 64) -> DeviceConfig:
         )
         return DeviceConfig("qlc", geometry, TimingSpec.qlc_spec(), conventional_qlc())
     raise ValueError(f"unknown device {name!r}; choose tlc/tlc232/mlc/qlc")
+
+
+#: The workloads the ablations and the capacity, faults and recovery
+#: sweeps default to: the paper's best cases (proj_1, usr_1) and a
+#: median one (src2_0).
+SUBSET_WORKLOADS: tuple[str, ...] = ("proj_1", "usr_1", "src2_0")
 
 
 @dataclass(frozen=True)

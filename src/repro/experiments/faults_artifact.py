@@ -19,20 +19,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..faults.plan import FaultPlan
+from ..faults.plan import FaultKind, FaultPlan
 from ..workloads.msr import workload as _catalog_workload
-from .config import RunScale
-from .fig11_read_retry import DEFAULT_PHASES, LifetimePhase
-from .parallel import RunUnit, SweepExecutor, failed_workloads
+from .config import SUBSET_WORKLOADS, RunScale
+from .fig11_read_retry import DEFAULT_PHASES, LifetimePhase, lifetime_phase
+from .parallel import RunUnit, ida_pairs
 from .reporting import ascii_table
-from .runner import _build_device, improvement_pct
+from .runner import RunResultPayload, _build_device, improvement_pct
 from .systems import baseline, ida
 
 __all__ = [
     "DEFAULT_DENSITIES",
     "FaultCell",
     "FaultsResult",
-    "run_faults",
+    "density_of",
+    "plan",
+    "reduce",
     "format_faults",
     "plan_for_cell",
 ]
@@ -125,62 +127,58 @@ def plan_for_cell(
     )
 
 
-def run_faults(
-    scale: RunScale | None = None,
+def density_of(faults: FaultPlan | None) -> int:
+    """The density :func:`plan_for_cell` built ``faults`` at (0 = faults off)."""
+    if faults is None:
+        return 0
+    return sum(event.kind is FaultKind.GROWN_BAD for event in faults.events)
+
+
+def plan(
+    scale: RunScale,
     workload_names: list[str] | None = None,
+    seed: int = 11,
     phases: tuple[LifetimePhase, ...] = DEFAULT_PHASES,
     densities: tuple[int, ...] = DEFAULT_DENSITIES,
     error_rate: float = 0.2,
-    seed: int = 11,
-    executor: SweepExecutor | None = None,
-) -> FaultsResult:
-    """Sweep the (workload x lifetime phase x fault density) grid."""
-    scale = scale or RunScale.bench()
-    names = workload_names or ["proj_1", "usr_1", "src2_0"]
-    cells = [
-        (name, phase_index, density)
-        for name in names
-        for phase_index in range(len(phases))
-        for density in densities
-    ]
+) -> list[RunUnit]:
+    """Baseline and IDA-E{error_rate} under one shared fault plan, per
+    (workload x lifetime phase x fault density) cell."""
     units = []
-    for name, phase_index, density in cells:
-        phase = phases[phase_index]
-        plan = plan_for_cell(name, phase_index, density, scale, seed)
-        units.append(
-            RunUnit(
-                baseline().with_retry(phase.retry_fail_prob),
-                name,
-                scale,
-                seed=seed,
-                faults=plan,
-            )
-        )
-        units.append(
-            RunUnit(
-                ida(error_rate).with_retry(phase.retry_fail_prob),
-                name,
-                scale,
-                seed=seed,
-                faults=plan,
-            )
-        )
-    executor = executor or SweepExecutor()
-    payloads = executor.map(units)
-    failed = failed_workloads(payloads, executor.progress)
+    for name in workload_names or SUBSET_WORKLOADS:
+        for phase_index, phase in enumerate(phases):
+            for density in densities:
+                faults = plan_for_cell(name, phase_index, density, scale, seed)
+                units += [
+                    RunUnit(
+                        system.with_retry(phase.retry_fail_prob),
+                        name,
+                        scale,
+                        seed=seed,
+                        faults=faults,
+                    )
+                    for system in (baseline(), ida(error_rate))
+                ]
+    return units
 
-    result = FaultsResult(phases=phases, densities=densities)
-    for index, (name, phase_index, density) in enumerate(cells):
-        if name in failed:
-            continue
-        base, variant = payloads[2 * index : 2 * index + 2]
+
+def reduce(results: dict[RunUnit, RunResultPayload]) -> FaultsResult:
+    """Pair each IDA run with the baseline of its cell."""
+    pairs = list(ida_pairs(results))
+    result = FaultsResult(
+        phases=tuple(
+            dict.fromkeys(lifetime_phase(u.system.retry_fail_prob) for u, *_ in pairs)
+        ),
+        densities=tuple(dict.fromkeys(density_of(u.faults) for u, *_ in pairs)),
+    )
+    for unit, variant, base in pairs:
         base_faults = base.faults or {}
         variant_faults = variant.faults or {}
         result.cells.append(
             FaultCell(
-                workload=name,
-                phase=phases[phase_index].name,
-                density=density,
+                workload=unit.workload_name,
+                phase=lifetime_phase(unit.system.retry_fail_prob).name,
+                density=density_of(unit.faults),
                 baseline_rt_us=base.mean_read_response_us,
                 ida_rt_us=variant.mean_read_response_us,
                 improvement_pct=improvement_pct(variant, base),

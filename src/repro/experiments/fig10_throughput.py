@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 from ..workloads.msr import TABLE3_WORKLOADS
 from .config import RunScale
-from .parallel import RunUnit, SweepExecutor, prune_failed
+from .parallel import RunUnit, ida_pairs
 from .reporting import ascii_table
+from .runner import RunResultPayload
 from .systems import baseline, ida
 
-__all__ = ["Fig10Result", "run_fig10", "format_fig10"]
+__all__ = ["Fig10Result", "plan", "reduce", "format_fig10"]
 
 
 @dataclass
@@ -32,40 +33,30 @@ class Fig10Result:
         return sum(values) / len(values) if values else 1.0
 
 
-def run_fig10(
-    scale: RunScale | None = None,
+def plan(
+    scale: RunScale,
     workload_names: list[str] | None = None,
+    seed: int = 11,
     error_rate: float = 0.2,
     queue_depth: int = 32,
-    seed: int = 11,
-    executor: SweepExecutor | None = None,
-) -> Fig10Result:
-    """Closed-loop throughput comparison, baseline vs IDA-E{error_rate}."""
-    scale = scale or RunScale.bench()
-    names = workload_names or list(TABLE3_WORKLOADS)
-    units = []
-    for name in names:
-        for system in (baseline(), ida(error_rate)):
-            units.append(
-                RunUnit(
-                    system,
-                    name,
-                    scale,
-                    seed=seed,
-                    mode="closed",
-                    queue_depth=queue_depth,
-                )
-            )
-    executor = executor or SweepExecutor()
-    payloads = executor.map(units)
-    names, units, payloads, _ = prune_failed(names, units, payloads, executor.progress)
+) -> list[RunUnit]:
+    """Closed-loop baseline and IDA-E{error_rate} runs, per workload."""
+    return [
+        RunUnit(
+            system, name, scale, seed=seed, mode="closed", queue_depth=queue_depth
+        )
+        for name in workload_names or TABLE3_WORKLOADS
+        for system in (baseline(), ida(error_rate))
+    ]
 
+
+def reduce(results: dict[RunUnit, RunResultPayload]) -> Fig10Result:
+    """IDA throughput over its workload's baseline throughput."""
     result = Fig10Result()
-    for index, name in enumerate(names):
-        base, variant = payloads[2 * index : 2 * index + 2]
+    for unit, variant, base in ida_pairs(results):
         base_tp = base.throughput_mb_s
-        result.baseline_mb_s[name] = base_tp
-        result.normalized[name] = (
+        result.baseline_mb_s[unit.workload_name] = base_tp
+        result.normalized[unit.workload_name] = (
             variant.throughput_mb_s / base_tp if base_tp > 0 else 1.0
         )
     return result

@@ -13,12 +13,20 @@ from dataclasses import dataclass, field
 
 from ..workloads.msr import TABLE3_WORKLOADS
 from .config import RunScale
-from .parallel import RunUnit, SweepExecutor, prune_failed
+from .parallel import RunUnit, ida_pairs
 from .reporting import ascii_table
-from .runner import normalized_read_response
+from .runner import RunResultPayload, normalized_read_response
 from .systems import baseline, ida
 
-__all__ = ["LifetimePhase", "Fig11Result", "run_fig11", "format_fig11", "DEFAULT_PHASES"]
+__all__ = [
+    "LifetimePhase",
+    "Fig11Result",
+    "lifetime_phase",
+    "plan",
+    "reduce",
+    "format_fig11",
+    "DEFAULT_PHASES",
+]
 
 
 @dataclass(frozen=True)
@@ -49,49 +57,47 @@ class Fig11Result:
         return sum(values) / len(values) if values else 1.0
 
 
-def run_fig11(
-    scale: RunScale | None = None,
+def lifetime_phase(retry_fail_prob: float) -> LifetimePhase:
+    """The phase a run's retry probability places it in.
+
+    A probability outside :data:`DEFAULT_PHASES` gets a phase named
+    after it.
+    """
+    for phase in DEFAULT_PHASES:
+        if phase.retry_fail_prob == retry_fail_prob:
+            return phase
+    return LifetimePhase(f"retry={retry_fail_prob:g}", retry_fail_prob)
+
+
+def plan(
+    scale: RunScale,
     workload_names: list[str] | None = None,
+    seed: int = 11,
     phases: tuple[LifetimePhase, ...] = DEFAULT_PHASES,
     error_rate: float = 0.2,
-    seed: int = 11,
-    executor: SweepExecutor | None = None,
-) -> Fig11Result:
-    """Compare IDA-E20 vs baseline in each lifetime phase."""
-    scale = scale or RunScale.bench()
-    names = workload_names or list(TABLE3_WORKLOADS)
-    units = []
-    for name in names:
-        for phase in phases:
-            units.append(
-                RunUnit(
-                    baseline().with_retry(phase.retry_fail_prob),
-                    name,
-                    scale,
-                    seed=seed,
-                )
-            )
-            units.append(
-                RunUnit(
-                    ida(error_rate).with_retry(phase.retry_fail_prob),
-                    name,
-                    scale,
-                    seed=seed,
-                )
-            )
-    executor = executor or SweepExecutor()
-    payloads = executor.map(units)
-    names, units, payloads, _ = prune_failed(names, units, payloads, executor.progress)
+) -> list[RunUnit]:
+    """Baseline and IDA-E{error_rate} in each lifetime phase, per workload."""
+    return [
+        RunUnit(system.with_retry(phase.retry_fail_prob), name, scale, seed=seed)
+        for name in workload_names or TABLE3_WORKLOADS
+        for phase in phases
+        for system in (baseline(), ida(error_rate))
+    ]
 
-    result = Fig11Result(phases=phases)
-    pairs = iter(zip(payloads[::2], payloads[1::2]))
-    for name in names:
-        result.normalized[name] = {}
-        for phase in phases:
-            base, variant = next(pairs)
-            result.normalized[name][phase.name] = normalized_read_response(
-                variant, base
-            )
+
+def reduce(results: dict[RunUnit, RunResultPayload]) -> Fig11Result:
+    """Normalize each IDA run against the baseline in the same phase."""
+    pairs = list(ida_pairs(results))
+    result = Fig11Result(
+        phases=tuple(
+            dict.fromkeys(lifetime_phase(u.system.retry_fail_prob) for u, *_ in pairs)
+        )
+    )
+    for unit, variant, base in pairs:
+        phase = lifetime_phase(unit.system.retry_fail_prob)
+        result.normalized.setdefault(unit.workload_name, {})[phase.name] = (
+            normalized_read_response(variant, base)
+        )
     return result
 
 

@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 
 from ..workloads.msr import EXTRA_WORKLOADS, TABLE3_WORKLOADS
 from .config import RunScale
-from .parallel import RunUnit, SweepExecutor, failed_workloads
+from .parallel import RunUnit
 from .reporting import ascii_table, format_pct
 from .runner import RunResultPayload
 from .systems import baseline
 
-__all__ = ["Fig4Row", "Fig4Result", "run_fig4", "format_fig4"]
+__all__ = ["Fig4Row", "Fig4Result", "plan", "reduce", "format_fig4"]
 
 
 @dataclass(frozen=True)
@@ -65,37 +65,25 @@ def _row_from_payload(name: str, payload: RunResultPayload) -> Fig4Row:
     )
 
 
-def run_fig4(
-    scale: RunScale | None = None,
+def plan(
+    scale: RunScale,
     workload_names: list[str] | None = None,
-    include_extra: bool = True,
     seed: int = 11,
-    executor: SweepExecutor | None = None,
-) -> Fig4Result:
-    """Measure the read mix for the main and extra workload panels."""
-    scale = scale or RunScale.bench()
-    main_names = workload_names or list(TABLE3_WORKLOADS)
-    extra_names = (
-        list(EXTRA_WORKLOADS) if include_extra and workload_names is None else []
-    )
-    units = [
-        RunUnit(baseline(), name, scale, seed=seed)
-        for name in main_names + extra_names
-    ]
-    executor = executor or SweepExecutor()
-    payloads = executor.map(units)
-    # Both panels draw from one flat unit list, so prune each panel's
-    # name list against the combined failure set rather than re-slicing.
-    failed = failed_workloads(payloads, executor.progress)
-    outcome_of = dict(zip(main_names + extra_names, payloads))
+    include_extra: bool = True,
+) -> list[RunUnit]:
+    """One baseline run per workload of the main (and extra) panel."""
+    names = list(workload_names or TABLE3_WORKLOADS)
+    if include_extra and workload_names is None:
+        names += EXTRA_WORKLOADS
+    return [RunUnit(baseline(), name, scale, seed=seed) for name in names]
 
+
+def reduce(results: dict[RunUnit, RunResultPayload]) -> Fig4Result:
+    """One read-mix row per run; the nine extra workloads fill the right panel."""
     result = Fig4Result()
-    for name in main_names:
-        if name not in failed:
-            result.main.append(_row_from_payload(name, outcome_of[name]))
-    for name in extra_names:
-        if name not in failed:
-            result.extra.append(_row_from_payload(name, outcome_of[name]))
+    for unit, payload in results.items():
+        panel = result.extra if unit.workload_name in EXTRA_WORKLOADS else result.main
+        panel.append(_row_from_payload(unit.workload_name, payload))
     return result
 
 

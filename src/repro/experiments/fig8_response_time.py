@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 
 from ..workloads.msr import TABLE3_WORKLOADS
 from .config import RunScale
-from .parallel import RunUnit, SweepExecutor, prune_failed
+from .parallel import RunUnit, ida_pairs
 from .reporting import ascii_table
-from .runner import normalized_read_response
+from .runner import RunResultPayload, normalized_read_response
 from .systems import baseline, ida
 
-__all__ = ["Fig8Result", "run_fig8", "format_fig8", "DEFAULT_ERROR_RATES"]
+__all__ = ["Fig8Result", "plan", "reduce", "format_fig8", "DEFAULT_ERROR_RATES"]
 
 #: The paper's Fig. 8 sweep points.
 DEFAULT_ERROR_RATES: tuple[float, ...] = (0.0, 0.1, 0.2, 0.4, 0.5, 0.8)
@@ -54,35 +54,32 @@ class Fig8Result:
         return sum(values) / len(values) if values else 1.0
 
 
-def run_fig8(
-    scale: RunScale | None = None,
+def plan(
+    scale: RunScale,
     workload_names: list[str] | None = None,
-    error_rates: tuple[float, ...] = DEFAULT_ERROR_RATES,
     seed: int = 11,
-    executor: SweepExecutor | None = None,
-) -> Fig8Result:
-    """Run the Fig. 8 sweep; ``executor`` may fan the runs out over processes."""
-    scale = scale or RunScale.bench()
-    names = workload_names or list(TABLE3_WORKLOADS)
-    units = []
-    for name in names:
-        units.append(RunUnit(baseline(), name, scale, seed=seed))
-        units.extend(
-            RunUnit(ida(rate), name, scale, seed=seed) for rate in error_rates
-        )
-    executor = executor or SweepExecutor()
-    payloads = executor.map(units)
-    names, units, payloads, _ = prune_failed(names, units, payloads, executor.progress)
+    error_rates: tuple[float, ...] = DEFAULT_ERROR_RATES,
+) -> list[RunUnit]:
+    """Baseline plus one IDA-E{x} run per error rate, per workload."""
+    return [
+        RunUnit(system, name, scale, seed=seed)
+        for name in workload_names or TABLE3_WORKLOADS
+        for system in [baseline()] + [ida(rate) for rate in error_rates]
+    ]
 
-    result = Fig8Result(error_rates=error_rates)
-    stride = 1 + len(error_rates)
-    for index, name in enumerate(names):
-        base, *variants = payloads[index * stride : (index + 1) * stride]
+
+def reduce(results: dict[RunUnit, RunResultPayload]) -> Fig8Result:
+    """Normalize each IDA run against its workload's baseline."""
+    pairs = list(ida_pairs(results))
+    result = Fig8Result(
+        error_rates=tuple(dict.fromkeys(unit.system.error_rate for unit, *_ in pairs))
+    )
+    for unit, variant, base in pairs:
+        name = unit.workload_name
         result.baseline_rt_us[name] = base.mean_read_response_us
-        result.normalized[name] = {
-            variant.system.name: normalized_read_response(variant, base)
-            for variant in variants
-        }
+        result.normalized.setdefault(name, {})[unit.system.name] = (
+            normalized_read_response(variant, base)
+        )
     return result
 
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..workloads.msr import TABLE3_WORKLOADS
-from .config import RunScale
-from .parallel import RunUnit, SweepExecutor, prune_failed
+from .config import RunScale, device
+from .parallel import RunUnit, ida_pairs
 from .reporting import ascii_table
-from .runner import normalized_read_response
-from .systems import baseline, ida
+from .runner import RunResultPayload, normalized_read_response
+from .systems import SystemSpec, baseline, ida
 
-__all__ = ["Fig9Result", "run_fig9", "format_fig9", "DEFAULT_DTR_SWEEP"]
+__all__ = ["Fig9Result", "plan", "reduce", "format_fig9", "DEFAULT_DTR_SWEEP"]
 
 #: The paper's Fig. 9 sweep, in microseconds.
 DEFAULT_DTR_SWEEP: tuple[float, ...] = (30.0, 40.0, 50.0, 60.0, 70.0)
@@ -35,35 +35,39 @@ class Fig9Result:
         return sum(values) / len(values) if values else 1.0
 
 
-def run_fig9(
-    scale: RunScale | None = None,
+def plan(
+    scale: RunScale,
     workload_names: list[str] | None = None,
+    seed: int = 11,
     dtr_values: tuple[float, ...] = DEFAULT_DTR_SWEEP,
     error_rate: float = 0.2,
-    seed: int = 11,
-    executor: SweepExecutor | None = None,
-) -> Fig9Result:
-    """Run the dtR sweep; baseline and IDA share each dtR setting."""
-    scale = scale or RunScale.bench()
-    names = workload_names or list(TABLE3_WORKLOADS)
-    units = []
-    for name in names:
-        for dtr in dtr_values:
-            units.append(RunUnit(baseline().with_dtr(dtr), name, scale, seed=seed))
-            units.append(
-                RunUnit(ida(error_rate).with_dtr(dtr), name, scale, seed=seed)
-            )
-    executor = executor or SweepExecutor()
-    payloads = executor.map(units)
-    names, units, payloads, _ = prune_failed(names, units, payloads, executor.progress)
+) -> list[RunUnit]:
+    """Baseline and IDA-E{error_rate} at each dtR, per workload."""
+    return [
+        RunUnit(system.with_dtr(dtr), name, scale, seed=seed)
+        for name in workload_names or TABLE3_WORKLOADS
+        for dtr in dtr_values
+        for system in (baseline(), ida(error_rate))
+    ]
 
-    result = Fig9Result(dtr_values=dtr_values)
-    pairs = iter(zip(payloads[::2], payloads[1::2]))
-    for name in names:
-        result.normalized[name] = {}
-        for dtr in dtr_values:
-            base, variant = next(pairs)
-            result.normalized[name][dtr] = normalized_read_response(variant, base)
+
+def _dtr_us(system: SystemSpec) -> float:
+    # ``with_dtr`` leaves ``dtr_us`` unset at the device's own step.
+    if system.dtr_us is None:
+        return device(system.device).timing.read_model.dtr_us
+    return system.dtr_us
+
+
+def reduce(results: dict[RunUnit, RunResultPayload]) -> Fig9Result:
+    """Normalize each IDA run against the baseline at the same dtR."""
+    pairs = list(ida_pairs(results))
+    result = Fig9Result(
+        dtr_values=tuple(dict.fromkeys(_dtr_us(unit.system) for unit, *_ in pairs))
+    )
+    for unit, variant, base in pairs:
+        result.normalized.setdefault(unit.workload_name, {})[
+            _dtr_us(unit.system)
+        ] = normalized_read_response(variant, base)
     return result
 
 

@@ -24,14 +24,16 @@ from dataclasses import dataclass, field
 from ..obs.instruments import Instruments
 from ..workloads.msr import TABLE3_WORKLOADS
 from .config import RunScale
-from .parallel import RunUnit, SweepExecutor, prune_failed
+from .parallel import RunUnit
 from .reporting import ascii_table
+from .runner import RunResultPayload
 from .systems import baseline, ida
 
 __all__ = [
     "BreakdownCell",
     "BreakdownResult",
-    "run_fig_breakdown",
+    "plan",
+    "reduce",
     "format_fig_breakdown",
 ]
 
@@ -128,44 +130,38 @@ def _attribution_cell(payload, workload: str, tolerance_us: float) -> BreakdownC
     return cell
 
 
-def run_fig_breakdown(
-    scale: RunScale | None = None,
+def plan(
+    scale: RunScale,
     workload_names: list[str] | None = None,
-    error_rate: float = 0.2,
     seed: int = 11,
-    executor: SweepExecutor | None = None,
-    tolerance_us: float = 1e-6,
-) -> BreakdownResult:
-    """Run Baseline vs IDA with profiling and build the attribution table.
+    error_rate: float = 0.2,
+) -> list[RunUnit]:
+    """Profiled baseline and IDA-E{error_rate} runs, per workload.
 
-    Each run's per-stage attribution is self-checked against the
-    independently measured mean read response (see module docstring);
-    a pooled ``executor`` fans runs out with aggregate-only worker
-    profilers.
+    Pooled workers build aggregate-only profilers, so the plan fans out
+    like any other.
     """
-    scale = scale or RunScale.bench()
-    names = workload_names or list(TABLE3_WORKLOADS)
-    systems = (baseline(), ida(error_rate))
     profiled = Instruments(profile=True)
-    units = [
+    return [
         RunUnit(system, name, scale, seed=seed, instruments=profiled)
-        for name in names
-        for system in systems
+        for name in workload_names or TABLE3_WORKLOADS
+        for system in (baseline(), ida(error_rate))
     ]
-    executor = executor or SweepExecutor()
-    payloads = executor.map(units)
-    names, units, payloads, _ = prune_failed(names, units, payloads, executor.progress)
 
+
+def reduce(results: dict[RunUnit, RunResultPayload]) -> BreakdownResult:
+    """Build the attribution table, self-checking every run.
+
+    Each run's per-stage attribution is checked against the
+    independently measured mean read response (see module docstring).
+    """
     result = BreakdownResult(
-        system_names=(systems[0].name, systems[1].name),
-        tolerance_us=tolerance_us,
+        system_names=tuple(dict.fromkeys(u.system.name for u in results))
+        or ("baseline", "ida-e20")
     )
-    for index, name in enumerate(names):
-        base_payload, variant_payload = payloads[2 * index : 2 * index + 2]
-        result.cells[name] = {
-            payload.system.name: _attribution_cell(payload, name, tolerance_us)
-            for payload in (base_payload, variant_payload)
-        }
+    for unit, payload in results.items():
+        cell = _attribution_cell(payload, unit.workload_name, result.tolerance_us)
+        result.cells.setdefault(unit.workload_name, {})[cell.system] = cell
     return result
 
 

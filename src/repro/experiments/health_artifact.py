@@ -23,15 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..ftl.refresh import RefreshMode
 from ..obs.instruments import Instruments
 from ..obs.metrics import labeled_snapshots_to_prometheus
 from ..obs.slo import SloObjective
 from ..workloads.msr import workload as _catalog_workload
 from .config import RunScale
-from .faults_artifact import plan_for_cell
+from .faults_artifact import density_of, plan_for_cell
 from .fig11_read_retry import DEFAULT_PHASES
-from .parallel import RunUnit, SweepExecutor, failed_workloads
+from .parallel import RunUnit
 from .reporting import ascii_table
+from .runner import RunResultPayload
 from .systems import baseline, ida
 
 __all__ = [
@@ -39,7 +41,8 @@ __all__ = [
     "HealthCell",
     "HealthArtifactResult",
     "health_objectives",
-    "run_health",
+    "plan",
+    "reduce",
     "format_health",
     "health_to_prometheus",
 ]
@@ -116,9 +119,9 @@ class HealthArtifactResult:
     """All cells plus the axes that generated them."""
 
     workloads: list[str]
-    error_rate: float
-    density: int
-    retry_fail_prob: float
+    error_rate: float = 0.2
+    density: int = DEFAULT_HEALTH_DENSITY
+    retry_fail_prob: float = DEFAULT_PHASES[_LATE_PHASE_INDEX].retry_fail_prob
     cells: list[HealthCell] = field(default_factory=list)
 
     def cell(self, workload: str, system: str, condition: str) -> HealthCell:
@@ -132,62 +135,55 @@ class HealthArtifactResult:
         raise KeyError(f"no cell ({workload}, {system}, {condition})")
 
 
-def run_health(
-    scale: RunScale | None = None,
+def plan(
+    scale: RunScale,
     workload_names: list[str] | None = None,
+    seed: int = 11,
     error_rate: float = 0.2,
     density: int = DEFAULT_HEALTH_DENSITY,
-    seed: int = 11,
-    executor: SweepExecutor | None = None,
-) -> HealthArtifactResult:
-    """Sweep (workload x {baseline, ida} x {healthy, faulted}) with health on."""
-    scale = scale or RunScale.bench()
-    names = workload_names or ["hm_1", "proj_1"]
+) -> list[RunUnit]:
+    """(workload x {baseline, ida} x {healthy, faulted}) with health on."""
     late = DEFAULT_PHASES[_LATE_PHASE_INDEX]
-
-    conditions = []  # (workload, system_name, condition) per unit
     units = []
-    for name in names:
+    for name in workload_names or ["hm_1", "proj_1"]:
         spec = _catalog_workload(name).scaled(
             scale.num_requests, scale.footprint_pages
         )
         health = Instruments(health=True, slo=health_objectives(spec.duration_us))
-        plan = plan_for_cell(name, _LATE_PHASE_INDEX, density, scale, seed)
-        for spec_sys in (baseline(), ida(error_rate)):
-            conditions.append((name, spec_sys.name, "healthy"))
+        faults = plan_for_cell(name, _LATE_PHASE_INDEX, density, scale, seed)
+        for system in (baseline(), ida(error_rate)):
             units.append(
-                RunUnit(spec_sys, name, scale, seed=seed, instruments=health)
+                RunUnit(system, name, scale, seed=seed, instruments=health)
             )
-            conditions.append((name, spec_sys.name, "faulted"))
             units.append(
                 RunUnit(
-                    spec_sys.with_retry(late.retry_fail_prob),
+                    system.with_retry(late.retry_fail_prob),
                     name,
                     scale,
                     seed=seed,
-                    faults=plan,
+                    faults=faults,
                     instruments=health,
                 )
             )
+    return units
 
-    executor = executor or SweepExecutor()
-    payloads = executor.map(units)
-    failed = failed_workloads(payloads, executor.progress)
 
+def reduce(results: dict[RunUnit, RunResultPayload]) -> HealthArtifactResult:
+    """One health cell per run; a run with a fault plan is ``faulted``."""
     result = HealthArtifactResult(
-        workloads=[n for n in names if n not in failed],
-        error_rate=error_rate,
-        density=density,
-        retry_fail_prob=late.retry_fail_prob,
+        workloads=list(dict.fromkeys(unit.workload_name for unit in results))
     )
-    for (name, system_name, condition), payload in zip(conditions, payloads):
-        if name in failed:
-            continue
+    for unit, payload in results.items():
+        if unit.system.refresh_mode is RefreshMode.IDA:
+            result.error_rate = unit.system.error_rate
+        if unit.faults is not None:
+            result.density = density_of(unit.faults)
+            result.retry_fail_prob = unit.system.retry_fail_prob
         result.cells.append(
             HealthCell(
-                workload=name,
-                system=system_name,
-                condition=condition,
+                workload=unit.workload_name,
+                system=unit.system.name,
+                condition="healthy" if unit.faults is None else "faulted",
                 mean_read_us=payload.mean_read_response_us,
                 health=payload.telemetry["health"],
             )

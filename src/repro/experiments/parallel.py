@@ -1,10 +1,11 @@
 """Parallel sweep execution: process-pool fan-out over independent runs.
 
 Every reproduced figure and table is a sweep of fully independent
-``(system, workload, scale, seed)`` simulations — ``run_fig8`` alone is
-11 workloads x 7 systems.  This module turns such a sweep into a list of
-declarative :class:`RunUnit` descriptions and executes them on a process
-pool, with results returned **in submission order**.
+``(system, workload, scale, seed)`` simulations — Fig. 8 alone is
+11 workloads x 7 systems.  Each artifact plans its sweep as a list of
+declarative :class:`RunUnit` descriptions (see
+:mod:`repro.experiments.artifacts`) and this module executes them, inline
+or on a process pool, with results returned **in submission order**.
 
 The determinism contract
 ------------------------
@@ -40,8 +41,8 @@ crashed worker breaks the pool; the unit being waited on is charged with
 a :class:`SweepError`, results that already finished are salvaged, and
 the remaining units re-run on a fresh pool (unit determinism makes the
 re-run safe).  With ``keep_going``, failures become :class:`SweepError`
-records *in* the result list instead of exceptions, so an artifact keeps
-every healthy workload.
+records *in* the result list instead of exceptions, so an artifact run
+can drop the failed workloads and keep every healthy one.
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ from concurrent.futures.process import BrokenProcessPool
 import pickle
 import time
 import traceback
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterator, Sequence
 
 from ..faults.plan import FaultKind, FaultPlan
+from ..ftl.refresh import RefreshMode
 from ..obs.instruments import Instruments
 from ..sim.snapshot import (
     SharedSnapshotRef,
@@ -76,15 +78,14 @@ from .runner import (
     run_workload_closed_loop,
     warm_cache_key,
 )
-from .systems import SystemSpec
+from .systems import SystemSpec, baseline
 
 __all__ = [
     "RunUnit",
     "SweepError",
     "SweepExecutor",
     "execute_unit",
-    "failed_workloads",
-    "prune_failed",
+    "ida_pairs",
     "warm_key_for_unit",
 ]
 
@@ -188,7 +189,7 @@ class SweepError(RuntimeError):
     kept in ``details``; for a worker crash ``details`` carries what the
     executor observed.  In ``keep_going`` mode these objects
     occupy the failed unit's slot in the result list — check with
-    ``isinstance(outcome, SweepError)`` (or via :func:`prune_failed`).
+    ``isinstance(outcome, SweepError)``.
     """
 
     def __init__(self, unit: RunUnit, message: str, details: str = ""):
@@ -198,6 +199,27 @@ class SweepError(RuntimeError):
         )
         self.unit = unit
         self.details = details
+
+
+def ida_pairs(results: dict[RunUnit, Any]) -> Iterator[tuple[RunUnit, Any, Any]]:
+    """``(unit, payload, baseline payload)`` for each IDA unit, in order.
+
+    A variant's baseline is the same unit (workload, scale, seed, mode,
+    fault plan, instruments) on the same device, dtR, lifetime phase,
+    allocation and policy, with the conventional refresh flow and the
+    default adjustment charge; it must be a key of ``results`` too.
+    """
+    for unit, payload in results.items():
+        system = unit.system
+        if system.refresh_mode is RefreshMode.IDA:
+            twin = replace(
+                baseline(system.device),
+                dtr_us=system.dtr_us,
+                retry_fail_prob=system.retry_fail_prob,
+                allocation=system.allocation,
+                policy=system.policy,
+            )
+            yield unit, payload, results[replace(unit, system=twin)]
 
 
 def warm_key_for_unit(unit: RunUnit) -> str:
@@ -582,51 +604,3 @@ class SweepExecutor:
         finally:
             _release_segments(segments)
         return results
-
-
-def failed_workloads(
-    outcomes: Sequence, progress: ProgressFn | None = None
-) -> set[str]:
-    """Workload names with at least one :class:`SweepError` outcome.
-
-    Each dropped workload is reported once through ``progress``.
-    """
-    failed = {
-        outcome.unit.workload_name
-        for outcome in outcomes
-        if isinstance(outcome, SweepError)
-    }
-    if progress is not None:
-        for name in sorted(failed):
-            progress(f"keep-going: dropping workload {name!r} (unit failed)")
-    return failed
-
-
-def prune_failed(
-    names: Sequence[str],
-    units: Sequence[RunUnit],
-    outcomes: Sequence,
-    progress: ProgressFn | None = None,
-):
-    """Drop every workload group touched by a failed unit (keep-going).
-
-    Artifact runners build their unit lists grouped per workload, and
-    their post-processing consumes fixed-size groups (baseline/variant
-    pairs, error-rate fans).  When one unit of a group failed the whole
-    group is unusable, so pruning happens at workload granularity: the
-    surviving ``(names, units, outcomes)`` triple keeps its grouping
-    intact and downstream slicing logic works unchanged.
-
-    Returns:
-        ``(kept_names, kept_units, kept_outcomes, errors)``.
-    """
-    errors = [o for o in outcomes if isinstance(o, SweepError)]
-    if not errors:
-        return list(names), list(units), list(outcomes), []
-    failed = failed_workloads(errors, progress)
-    kept_names = [name for name in names if name not in failed]
-    kept_units = [u for u in units if u.workload_name not in failed]
-    kept_outcomes = [
-        o for u, o in zip(units, outcomes) if u.workload_name not in failed
-    ]
-    return kept_names, kept_units, kept_outcomes, errors

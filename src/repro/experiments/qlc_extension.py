@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 from ..workloads.msr import TABLE3_WORKLOADS
 from .config import RunScale
-from .parallel import RunUnit, SweepExecutor, failed_workloads
+from .parallel import RunUnit, ida_pairs
 from .reporting import ascii_table
-from .runner import improvement_pct
+from .runner import RunResultPayload, improvement_pct
 from .systems import baseline, ida
 
-__all__ = ["QlcResult", "run_qlc_extension", "format_qlc"]
+__all__ = ["QlcResult", "plan", "reduce", "format_qlc"]
 
 
 @dataclass
@@ -33,36 +33,29 @@ class QlcResult:
         return sum(values) / len(values) if values else 0.0
 
 
-def run_qlc_extension(
-    scale: RunScale | None = None,
+def plan(
+    scale: RunScale,
     workload_names: list[str] | None = None,
+    seed: int = 11,
     devices: tuple[str, ...] = ("tlc", "qlc", "tlc232"),
     error_rate: float = 0.2,
-    seed: int = 11,
-    executor: SweepExecutor | None = None,
-) -> QlcResult:
-    """Compare IDA benefit across cell densities / codings."""
-    scale = scale or RunScale.bench()
-    names = workload_names or list(TABLE3_WORKLOADS)
-    cells = [(dev, name) for dev in devices for name in names]
-    units = []
-    for dev, name in cells:
-        units.append(RunUnit(baseline(dev), name, scale, seed=seed))
-        units.append(RunUnit(ida(error_rate, dev), name, scale, seed=seed))
-    executor = executor or SweepExecutor()
-    payloads = executor.map(units)
-    # A failure prunes the workload across every device family so the
-    # cross-family comparison always covers one consistent workload set.
-    failed = failed_workloads(payloads, executor.progress)
+) -> list[RunUnit]:
+    """Baseline and IDA-E{error_rate} per device family and workload."""
+    return [
+        RunUnit(system, name, scale, seed=seed)
+        for dev in devices
+        for name in workload_names or TABLE3_WORKLOADS
+        for system in (baseline(dev), ida(error_rate, dev))
+    ]
 
+
+def reduce(results: dict[RunUnit, RunResultPayload]) -> QlcResult:
+    """Each IDA run's improvement over the same family's baseline."""
     result = QlcResult()
-    for index, (dev, name) in enumerate(cells):
-        if name in failed:
-            continue
-        base, variant = payloads[2 * index : 2 * index + 2]
-        result.improvement_pct.setdefault(dev, {})[name] = improvement_pct(
-            variant, base
-        )
+    for unit, variant, base in ida_pairs(results):
+        result.improvement_pct.setdefault(unit.system.device, {})[
+            unit.workload_name
+        ] = improvement_pct(variant, base)
     return result
 
 

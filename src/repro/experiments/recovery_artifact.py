@@ -36,9 +36,9 @@ cut unit replays, so an ordinal from the census cuts the same instant
 in the unit.
 
 Each cut is an independent :class:`~.parallel.RunUnit` in
-``mode="recover"``, so the sweep fans out across processes, contains
-worker crashes, and uses snapshots and keep-going exactly like every
-other artifact.
+``mode="recover"`` whose fault plan names the cut's phase, so the sweep
+fans out across processes, contains worker crashes, and uses snapshots
+and keep-going exactly like every other artifact.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from ..ftl.recovery import mount_device
 from ..sim.snapshot import WarmHandle
 from ..sim.ssd import SsdSimulator
 from ..workloads.synthetic import generate_workload
-from .config import RunScale
-from .parallel import RunUnit, SweepError, SweepExecutor
+from .config import SUBSET_WORKLOADS, RunScale
+from .parallel import RunUnit
 from .reporting import ascii_table
 from .runner import (
     _background_batches,
@@ -71,8 +71,9 @@ __all__ = [
     "RecoveryResult",
     "choose_cut_ordinals",
     "format_recovery",
+    "plan",
     "probe_census",
-    "run_recovery",
+    "reduce",
     "run_recovery_unit",
 ]
 
@@ -417,41 +418,33 @@ class RecoveryResult:
         ]
 
 
-def run_recovery(
-    scale: RunScale | None = None,
+def plan(
+    scale: RunScale,
     workload_names: list[str] | None = None,
+    seed: int = 11,
     cuts: int = DEFAULT_CUTS,
     error_rate: float = 0.2,
-    seed: int = 11,
-    executor: SweepExecutor | None = None,
-) -> RecoveryResult:
-    """Sweep ``cuts`` power-cut points across workloads and phases.
+) -> list[RunUnit]:
+    """Spread ``cuts`` power-cut units across workloads and phases.
 
     One census probe per workload classifies every dispatch ordinal into
     write / GC / refresh / ADJUST / read phases; the cut budget is split
     over the workloads (the first ``cuts % len(workloads)`` get one
     extra, so the shares sum to ``cuts``) and, within each workload,
-    across the phases.  Every cut then runs as an independent
-    ``mode="recover"`` unit through the standard sweep executor.
+    across the phases.  Each cut's plan is named after its phase.
     """
-    scale = scale or RunScale.bench()
-    executor = executor or SweepExecutor()
-    names = workload_names or ["proj_1", "usr_1", "src2_0"]
+    names = workload_names or SUBSET_WORKLOADS
     system = ida(error_rate)
     base, extra = divmod(cuts, len(names))
-
     units: list[RunUnit] = []
-    cells: list[tuple[str, str]] = []
     for wl_index, name in enumerate(names):
         share = base + int(wl_index < extra)
         if share == 0:
             continue
-        if executor.progress is not None:
-            executor.progress(f"census probe: {name}")
         census = probe_census(system, name, scale, seed=seed)
         fold = seed + 997 * (wl_index + 1)
         for ordinal, phase in choose_cut_ordinals(census, share, fold):
-            plan = FaultPlan(
+            faults = FaultPlan(
                 events=(
                     FaultEvent(kind=FaultKind.POWER_CUT, op_ordinal=ordinal),
                 ),
@@ -460,24 +453,26 @@ def run_recovery(
             )
             units.append(
                 RunUnit(
-                    system, name, scale, seed=seed, mode="recover", faults=plan
+                    system, name, scale, seed=seed, mode="recover", faults=faults
                 )
             )
-            cells.append((name, phase))
+    return units
 
-    payloads = executor.map(units)
-    result = RecoveryResult()
-    dropped = 0
-    for (name, phase), payload in zip(cells, payloads):
-        if isinstance(payload, SweepError):
-            dropped += 1
-            continue
-        result.cells.append(
-            CutOutcome.from_payload(name, phase, payload)
-        )
-    if dropped and executor.progress is not None:
-        executor.progress(f"keep-going: dropped {dropped} failed cut unit(s)")
-    return result
+
+def reduce(results: dict[RunUnit, dict]) -> RecoveryResult:
+    """One verified cut per unit, labelled with the phase it planned."""
+    # Plans are named "<workload>-<phase>-cut@<ordinal>" and no phase
+    # label holds a "-".
+    return RecoveryResult(
+        cells=[
+            CutOutcome.from_payload(
+                unit.workload_name,
+                unit.faults.name.rsplit("-cut@", 1)[0].rsplit("-", 1)[1],
+                payload,
+            )
+            for unit, payload in results.items()
+        ]
+    )
 
 
 def format_recovery(result: RecoveryResult) -> str:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from ..flash.errors import ReadRetryModel
 from ..ftl.refresh import RefreshMode
 from ..sim.policy import make_policy
+from .config import device
 
 __all__ = ["SystemSpec", "baseline", "ida", "error_rate_sweep"]
 
@@ -54,6 +55,13 @@ class SystemSpec:
         return replace(self, retry_fail_prob=fail_prob)
 
     def with_dtr(self, dtr_us: float) -> "SystemSpec":
+        """Same system at read-latency step ``dtr_us``.
+
+        The device's own step clears the override, so a sweep point at
+        the default builds (and compares equal to) the default system.
+        """
+        if dtr_us == device(self.device).timing.read_model.dtr_us:
+            return replace(self, dtr_us=None)
         return replace(self, dtr_us=dtr_us)
 
     def with_policy(self, policy: str) -> "SystemSpec":

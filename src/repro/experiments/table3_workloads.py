@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 from ..workloads.msr import TABLE3_REFERENCE, TABLE3_WORKLOADS
 from ..workloads.synthetic import generate_workload
 from .config import RunScale
-from .parallel import RunUnit, SweepExecutor, prune_failed
+from .parallel import RunUnit
 from .reporting import ascii_table
+from .runner import RunResultPayload
 from .systems import baseline
 
-__all__ = ["Table3Row", "Table3Result", "run_table3", "format_table3"]
+__all__ = ["Table3Row", "Table3Result", "plan", "reduce", "format_table3"]
 
 
 @dataclass(frozen=True)
@@ -36,36 +37,33 @@ class Table3Result:
     rows: list[Table3Row] = field(default_factory=list)
 
 
-def run_table3(
-    scale: RunScale | None = None,
+def plan(
+    scale: RunScale,
     workload_names: list[str] | None = None,
     seed: int = 11,
-    executor: SweepExecutor | None = None,
-) -> Table3Result:
-    """Measure the Table III columns for the synthetic clones."""
-    scale = scale or RunScale.bench()
-    names = workload_names or list(TABLE3_WORKLOADS)
-    units = [RunUnit(baseline(), name, scale, seed=seed) for name in names]
-    executor = executor or SweepExecutor()
-    payloads = executor.map(units)
-    names, units, payloads, _ = prune_failed(names, units, payloads, executor.progress)
+) -> list[RunUnit]:
+    """One baseline run per workload (for the MSB-invalid column)."""
+    return [
+        RunUnit(baseline(), name, scale, seed=seed)
+        for name in workload_names or TABLE3_WORKLOADS
+    ]
 
+
+def reduce(results: dict[RunUnit, RunResultPayload]) -> Table3Result:
+    """Measure the Table III columns for the synthetic clones."""
     result = Table3Result()
-    for name, payload in zip(names, payloads):
+    for unit, payload in results.items():
         # Trace shape statistics come from the (deterministic) generator,
         # not the simulation, so they are recomputed here in the parent.
-        spec = TABLE3_WORKLOADS[name].scaled(
-            scale.num_requests, scale.footprint_pages
-        )
-        trace = generate_workload(spec).trace
+        trace = generate_workload(unit.scaled_workload()).trace
         result.rows.append(
             Table3Row(
-                workload=name,
+                workload=unit.workload_name,
                 read_ratio_pct=trace.read_ratio() * 100,
                 read_size_kb=trace.mean_read_size_kb(),
                 read_data_pct=trace.read_data_ratio() * 100,
                 msb_invalid_pct=payload.read_mix.msb_invalid_fraction(2) * 100,
-                paper=TABLE3_REFERENCE[name],
+                paper=TABLE3_REFERENCE[unit.workload_name],
             )
         )
     return result

@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 from ..workloads.msr import TABLE3_WORKLOADS
 from .config import RunScale
-from .parallel import RunUnit, SweepExecutor, prune_failed
+from .parallel import RunUnit
 from .reporting import ascii_table
+from .runner import RunResultPayload
 from .systems import ida
 
-__all__ = ["Table4Row", "Table4Result", "run_table4", "format_table4"]
+__all__ = ["Table4Row", "Table4Result", "plan", "reduce", "format_table4"]
 
 
 @dataclass(frozen=True)
@@ -37,23 +38,24 @@ class Table4Result:
     rows: list[Table4Row] = field(default_factory=list)
 
 
-def run_table4(
-    scale: RunScale | None = None,
+def plan(
+    scale: RunScale,
     workload_names: list[str] | None = None,
-    error_rate: float = 0.2,
     seed: int = 11,
-    executor: SweepExecutor | None = None,
-) -> Table4Result:
-    """Measure per-block refresh overheads under IDA-E{error_rate}."""
-    scale = scale or RunScale.bench()
-    names = workload_names or list(TABLE3_WORKLOADS)
-    units = [RunUnit(ida(error_rate), name, scale, seed=seed) for name in names]
-    executor = executor or SweepExecutor()
-    payloads = executor.map(units)
-    names, units, payloads, _ = prune_failed(names, units, payloads, executor.progress)
+    error_rate: float = 0.2,
+) -> list[RunUnit]:
+    """One IDA-E{error_rate} run per workload."""
+    return [
+        RunUnit(ida(error_rate), name, scale, seed=seed)
+        for name in workload_names or TABLE3_WORKLOADS
+    ]
 
+
+def reduce(results: dict[RunUnit, RunResultPayload]) -> Table4Result:
+    """Average the per-block refresh overheads of each run."""
     result = Table4Result()
-    for name, payload in zip(names, payloads):
+    for unit, payload in results.items():
+        name = unit.workload_name
         # Only refreshes that actually applied IDA carry adjustment
         # overhead; full-move reclaims of old IDA blocks are the baseline
         # flow and add nothing (the paper's Table IV is per modified

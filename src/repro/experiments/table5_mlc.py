@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 
 from ..workloads.msr import TABLE3_WORKLOADS
 from .config import RunScale
-from .parallel import RunUnit, SweepExecutor, prune_failed
+from .parallel import RunUnit, ida_pairs
 from .reporting import ascii_table
-from .runner import improvement_pct
+from .runner import RunResultPayload, improvement_pct
 from .systems import baseline, ida
 
-__all__ = ["Table5Result", "run_table5", "format_table5"]
+__all__ = ["Table5Result", "plan", "reduce", "format_table5"]
 
 
 @dataclass
@@ -33,29 +33,27 @@ class Table5Result:
         return sum(values) / len(values) if values else 0.0
 
 
-def run_table5(
-    scale: RunScale | None = None,
+def plan(
+    scale: RunScale,
     workload_names: list[str] | None = None,
+    seed: int = 11,
     device: str = "mlc",
     error_rate: float = 0.2,
-    seed: int = 11,
-    executor: SweepExecutor | None = None,
-) -> Table5Result:
-    """Measure IDA-E{error_rate} improvements on the given device family."""
-    scale = scale or RunScale.bench()
-    names = workload_names or list(TABLE3_WORKLOADS)
-    units = []
-    for name in names:
-        units.append(RunUnit(baseline(device), name, scale, seed=seed))
-        units.append(RunUnit(ida(error_rate, device), name, scale, seed=seed))
-    executor = executor or SweepExecutor()
-    payloads = executor.map(units)
-    names, units, payloads, _ = prune_failed(names, units, payloads, executor.progress)
+) -> list[RunUnit]:
+    """Baseline and IDA-E{error_rate} on ``device``, per workload."""
+    return [
+        RunUnit(system, name, scale, seed=seed)
+        for name in workload_names or TABLE3_WORKLOADS
+        for system in (baseline(device), ida(error_rate, device))
+    ]
 
-    result = Table5Result(device=device)
-    for index, name in enumerate(names):
-        base, variant = payloads[2 * index : 2 * index + 2]
-        result.improvement_pct[name] = improvement_pct(variant, base)
+
+def reduce(results: dict[RunUnit, RunResultPayload]) -> Table5Result:
+    """Each IDA run's improvement over its workload's baseline."""
+    result = Table5Result(device="mlc")
+    for unit, variant, base in ida_pairs(results):
+        result.device = unit.system.device
+        result.improvement_pct[unit.workload_name] = improvement_pct(variant, base)
     return result
 
 

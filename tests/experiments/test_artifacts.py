@@ -1,8 +1,9 @@
 """Smoke tests for every artifact harness at tiny scale.
 
-Each paper artifact's runner must execute end to end and its formatter
-must produce a table; shape assertions are kept loose here (the
-integration suite asserts the paper-level trends at a larger scale).
+Each paper artifact must plan, run and reduce end to end through
+``run_artifact`` and its formatter must produce a table; shape
+assertions are kept loose here (the integration suite asserts the
+paper-level trends at a larger scale).
 """
 
 from __future__ import annotations
@@ -20,16 +21,7 @@ from repro.experiments import (
     format_table3,
     format_table4,
     format_table5,
-    run_adjust_cost_ablation,
-    run_fig4,
-    run_fig8,
-    run_fig9,
-    run_fig10,
-    run_fig11,
-    run_qlc_extension,
-    run_table3,
-    run_table4,
-    run_table5,
+    run_artifact,
 )
 
 WORKLOADS = ["usr_1"]
@@ -37,7 +29,7 @@ WORKLOADS = ["usr_1"]
 
 class TestFig4:
     def test_runs_and_formats(self, quick_scale):
-        result = run_fig4(quick_scale, WORKLOADS, include_extra=False)
+        result = run_artifact("fig4", quick_scale, WORKLOADS, include_extra=False)
         assert len(result.main) == 1
         row = result.main[0]
         assert row.lsb_share + row.csb_share + row.msb_share == pytest.approx(1.0)
@@ -47,27 +39,27 @@ class TestFig4:
 
 class TestFig8:
     def test_runs_and_formats(self, quick_scale):
-        result = run_fig8(quick_scale, WORKLOADS, error_rates=(0.0, 0.5))
+        result = run_artifact("fig8", quick_scale, WORKLOADS, error_rates=(0.0, 0.5))
         assert set(result.normalized["usr_1"]) == {"ida-e0", "ida-e50"}
         text = format_fig8(result)
         assert "ida-e0" in text and "average" in text
 
     def test_average_of_missing_system_is_a_clear_error(self, quick_scale):
-        result = run_fig8(quick_scale, WORKLOADS, error_rates=(0.2,))
+        result = run_artifact("fig8", quick_scale, WORKLOADS, error_rates=(0.2,))
         with pytest.raises(KeyError, match="ida-e80.*usr_1"):
             result.average("ida-e80")
 
 
 class TestFig9:
     def test_runs_and_formats(self, quick_scale):
-        result = run_fig9(quick_scale, WORKLOADS, dtr_values=(30.0, 70.0))
+        result = run_artifact("fig9", quick_scale, WORKLOADS, dtr_values=(30.0, 70.0))
         assert set(result.normalized["usr_1"]) == {30.0, 70.0}
         assert "dtR=30us" in format_fig9(result)
 
 
 class TestFig10:
     def test_runs_and_formats(self, quick_scale):
-        result = run_fig10(quick_scale, WORKLOADS, queue_depth=8)
+        result = run_artifact("fig10", quick_scale, WORKLOADS, queue_depth=8)
         assert result.baseline_mb_s["usr_1"] > 0
         assert result.normalized["usr_1"] > 0
         assert "usr_1" in format_fig10(result)
@@ -75,14 +67,14 @@ class TestFig10:
 
 class TestFig11:
     def test_runs_and_formats(self, quick_scale):
-        result = run_fig11(quick_scale, WORKLOADS)
+        result = run_artifact("fig11", quick_scale, WORKLOADS)
         assert set(result.normalized["usr_1"]) == {"early", "late"}
         assert "early" in format_fig11(result)
 
 
 class TestTable3:
     def test_runs_and_formats(self, quick_scale):
-        result = run_table3(quick_scale, WORKLOADS)
+        result = run_artifact("table3", quick_scale, WORKLOADS)
         row = result.rows[0]
         assert row.read_ratio_pct == pytest.approx(row.paper[0], abs=3.0)
         assert "usr_1" in format_table3(result)
@@ -90,7 +82,7 @@ class TestTable3:
 
 class TestTable4:
     def test_runs_and_formats(self, quick_scale):
-        result = run_table4(quick_scale, WORKLOADS)
+        result = run_artifact("table4", quick_scale, WORKLOADS)
         row = result.rows[0]
         assert row.refreshes > 0
         assert 0 < row.avg_valid_pages <= 192
@@ -105,20 +97,20 @@ class TestTable4:
 
 class TestTable5:
     def test_runs_and_formats(self, quick_scale):
-        result = run_table5(quick_scale, WORKLOADS, device="mlc")
+        result = run_artifact("table5", quick_scale, WORKLOADS, device="mlc")
         assert "usr_1" in result.improvement_pct
         assert "MLC" in format_table5(result)
 
 
 class TestQlcExtension:
     def test_runs_and_formats(self, quick_scale):
-        result = run_qlc_extension(quick_scale, WORKLOADS, devices=("qlc",))
+        result = run_artifact("qlc", quick_scale, WORKLOADS, devices=("qlc",))
         assert result.average("qlc") != 0.0
         assert "qlc" in format_qlc(result)
 
 
 class TestAblation:
     def test_adjust_cost_runs(self, quick_scale):
-        result = run_adjust_cost_ablation(quick_scale, WORKLOADS, fractions=(1.0,))
+        result = run_artifact("ablation-adjust", quick_scale, WORKLOADS, fractions=(1.0,))
         assert "adjust=1x" in result.improvement_pct
         assert "Ablation" in format_ablation(result)

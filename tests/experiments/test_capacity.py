@@ -8,8 +8,8 @@ from repro.experiments.capacity_analysis import (
     CapacityResult,
     CapacityRow,
     format_capacity,
-    run_capacity_analysis,
 )
+from repro.experiments.artifacts import run_artifact
 
 
 class TestCapacityRows:
@@ -46,7 +46,7 @@ class TestCapacityRows:
 
 class TestEndToEnd:
     def test_quick_run(self, quick_scale):
-        results = run_capacity_analysis(quick_scale, ["proj_3"])
+        results = run_artifact("capacity", quick_scale, ["proj_3"])
         (result,) = results
         base = result.row("baseline")
         variant = result.row("ida-e20")

@@ -15,8 +15,9 @@ class TestCli:
             assert name in out
 
     def test_every_artifact_has_runner_and_formatter(self):
-        for name, (runner, formatter) in ARTIFACTS.items():
-            assert callable(runner), name
+        for name, (plan, reduce, formatter) in ARTIFACTS.items():
+            assert callable(plan), name
+            assert callable(reduce), name
             assert callable(formatter), name
 
     def test_rejects_unknown_artifact(self):
@@ -57,10 +58,10 @@ class TestCli:
     def test_rejects_unknown_workload_before_any_unit_runs(
         self, names, bad, monkeypatch
     ):
-        def run_one(*args, **kwargs):
+        def plan_artifacts(*args, **kwargs):
             raise AssertionError("an artifact ran before --workloads was checked")
 
-        monkeypatch.setattr("repro.cli._run_one", run_one)
+        monkeypatch.setattr("repro.cli.plan_artifacts", plan_artifacts)
         with pytest.raises(SystemExit, match=f"^unknown workload {bad}"):
             main(["fig8", "--scale", "tiny", "--workloads", names])
 

@@ -11,8 +11,8 @@ from repro.experiments.faults_artifact import (
     FaultsResult,
     format_faults,
     plan_for_cell,
-    run_faults,
 )
+from repro.experiments.artifacts import run_artifact
 from repro.experiments.fig11_read_retry import DEFAULT_PHASES
 from repro.experiments.reporting import jsonable
 
@@ -21,7 +21,8 @@ SCALE = RunScale.tiny()
 
 @pytest.fixture(scope="module")
 def result() -> FaultsResult:
-    return run_faults(
+    return run_artifact(
+        "faults",
         scale=SCALE,
         workload_names=["hm_1"],
         densities=(0, 2),

@@ -12,8 +12,8 @@ from repro.experiments.fig_breakdown import (
     BreakdownCell,
     BreakdownResult,
     format_fig_breakdown,
-    run_fig_breakdown,
 )
+from repro.experiments.artifacts import run_artifact
 from repro.experiments.parallel import RunUnit, SweepExecutor, execute_unit
 from repro.obs import Instruments
 from repro.experiments.reporting import jsonable, manifest_for_payload
@@ -22,8 +22,8 @@ from repro.experiments.systems import ida
 
 @pytest.fixture(scope="module")
 def result():
-    return run_fig_breakdown(
-        scale=RunScale.tiny(), workload_names=["hm_1", "usr_1"]
+    return run_artifact(
+        "breakdown", scale=RunScale.tiny(), workload_names=["hm_1", "usr_1"]
     )
 
 
@@ -144,13 +144,14 @@ class TestProfileTransport:
         assert manifest["profile"]["requests"]["read"]["count"] > 0
 
     def test_run_fig_breakdown_through_pool(self):
-        pooled = run_fig_breakdown(
+        pooled = run_artifact(
+            "breakdown",
             scale=RunScale.tiny(),
             workload_names=["usr_1"],
             executor=SweepExecutor(jobs=2),
         )
-        inline = run_fig_breakdown(
-            scale=RunScale.tiny(), workload_names=["usr_1"]
+        inline = run_artifact(
+            "breakdown", scale=RunScale.tiny(), workload_names=["usr_1"]
         )
         for system in pooled.system_names:
             assert (

@@ -13,8 +13,8 @@ from repro.experiments.health_artifact import (
     format_health,
     health_objectives,
     health_to_prometheus,
-    run_health,
 )
+from repro.experiments.artifacts import run_artifact
 from repro.experiments.parallel import SweepExecutor
 from repro.experiments.reporting import SCHEMA_VERSION, jsonable, manifest_for_run
 from repro.experiments.runner import run_workload
@@ -30,7 +30,7 @@ def health_scale() -> RunScale:
 
 @pytest.fixture(scope="module")
 def artifact(request):
-    return run_health(scale=health_scale(), workload_names=["hm_1"])
+    return run_artifact("health", scale=health_scale(), workload_names=["hm_1"])
 
 
 class TestObjectives:
@@ -113,7 +113,8 @@ class TestExports:
 
 class TestJobsParity:
     def test_health_series_identical_inline_vs_pool(self, artifact):
-        pooled = run_health(
+        pooled = run_artifact(
+            "health",
             scale=health_scale(),
             workload_names=["hm_1"],
             executor=SweepExecutor(jobs=4),

@@ -17,17 +17,16 @@ import time
 import pytest
 
 import repro.experiments.parallel as parallel
+from repro.experiments.artifacts import ARTIFACTS, plan_artifacts, run_plans
 from repro.experiments.config import RunScale
 from repro.experiments.parallel import (
     RunUnit,
     SweepError,
     SweepExecutor,
-    failed_workloads,
-    prune_failed,
     warm_key_for_unit,
 )
 from repro.experiments.runner import RunResultPayload
-from repro.experiments.systems import baseline
+from repro.experiments.systems import baseline, ida
 
 SCALE = RunScale.tiny()
 
@@ -157,48 +156,36 @@ class TestConstructorValidation:
 
 
 class TestPruneHelpers:
-    def _outcomes(self):
-        units = [_unit("w1"), _unit("w2"), _unit("w1"), _unit("w2")]
-        outcomes = [
-            "r0",
-            SweepError(units[1], "boom"),
-            "r2",
-            "r3",
-        ]
-        return units, outcomes
+    """Keep-going through ``run_plans``: a failed unit drops its workload."""
 
-    def test_failed_workloads(self):
-        units, outcomes = self._outcomes()
-        assert failed_workloads(outcomes) == {"w2"}
-        assert failed_workloads(["a", "b"]) == set()
+    FAILING = RunUnit(ida(0.2), "usr_1", SCALE)
 
-    def test_failed_workloads_reports_each_drop_once(self):
-        units, outcomes = self._outcomes()
+    @pytest.fixture
+    def sweep(self, monkeypatch):
+        def execute(unit, warm=None):
+            if unit == self.FAILING:
+                raise ValueError("boom")
+            return f"ok:{unit.workload}"
+
+        monkeypatch.setattr(parallel, "execute_unit", execute)
+        monkeypatch.setitem(ARTIFACTS, "fig8", ARTIFACTS["fig8"]._replace(reduce=dict))
+        plans = plan_artifacts(["fig8"], SCALE, ["hm_1", "usr_1"])
         messages: list[str] = []
-        outcomes.append(SweepError(units[3], "boom again"))
-        assert failed_workloads(outcomes, messages.append) == {"w2"}
-        assert messages == [
-            "keep-going: dropping workload 'w2' (unit failed)"
+        executor = SweepExecutor(keep_going=True, progress=messages.append)
+        return plans["fig8"], run_plans(plans, executor)["fig8"], messages
+
+    def test_failed_workloads(self, sweep):
+        plan, kept, messages = sweep
+        assert {u.workload_name for u in plan} == {"hm_1", "usr_1"}
+        assert {u.workload_name for u in kept} == {"hm_1"}
+        assert [m for m in messages if m.startswith("keep-going")] == [
+            "keep-going: dropping workload 'usr_1' (unit failed)"
         ]
 
-    def test_prune_drops_whole_workload_groups(self):
-        units, outcomes = self._outcomes()
-        names = ["w1", "w2", "w1", "w2"]
-        messages: list[str] = []
-        kept_names, kept_units, kept_outcomes, errors = prune_failed(
-            names, units, outcomes, messages.append
-        )
-        # Both w2 slots go — the failed one *and* its healthy sibling —
-        # so fixed-stride group slicing downstream stays aligned.
-        assert kept_names == ["w1", "w1"]
-        assert [u.workload for u in kept_units] == ["w1", "w1"]
-        assert kept_outcomes == ["r0", "r2"]
-        assert len(errors) == 1 and isinstance(errors[0], SweepError)
-        assert any("w2" in message for message in messages)
-
-    def test_prune_noop_when_all_succeed(self):
-        units = [_unit("w1"), _unit("w2")]
-        names = ["w1", "w2"]
-        outcomes = ["r0", "r1"]
-        kept = prune_failed(names, units, outcomes)
-        assert kept == (names, units, outcomes, [])
+    def test_prune_drops_whole_workload_groups(self, sweep):
+        plan, kept, _ = sweep
+        # Every usr_1 unit goes — the failed one *and* its healthy
+        # siblings — while each hm_1 unit keeps its own payload.
+        assert list(kept) == [u for u in plan if u.workload_name == "hm_1"]
+        assert len(kept) == 7
+        assert all(payload == "ok:hm_1" for payload in kept.values())

@@ -8,7 +8,7 @@ pins enforce it:
   ``tests/golden/fig8_tiny.json`` snapshots the sequential simulator is
   pinned to — so a parallel run is transitively pinned to the
   pre-pipeline float;
-* a full ``run_fig8`` sweep at ``jobs=1`` vs ``jobs=2`` must render
+* a full Fig. 8 sweep at ``jobs=1`` vs ``jobs=2`` must render
   byte-identical output and carry exactly equal normalised curves.
 """
 
@@ -20,7 +20,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.config import RunScale
-from repro.experiments.fig8_response_time import format_fig8, run_fig8
+from repro.experiments.artifacts import run_artifact
+from repro.experiments.fig8_response_time import format_fig8
 from repro.experiments.parallel import RunUnit, SweepExecutor
 from repro.experiments.systems import baseline, ida
 from repro.faults import FaultPlan
@@ -87,8 +88,8 @@ def test_fig8_sweep_parity_across_job_counts() -> None:
         error_rates=(0.2,),
         seed=SEED,
     )
-    sequential = run_fig8(executor=SweepExecutor(jobs=1), **kwargs)
-    parallel = run_fig8(executor=SweepExecutor(jobs=2), **kwargs)
+    sequential = run_artifact("fig8", executor=SweepExecutor(jobs=1), **kwargs)
+    parallel = run_artifact("fig8", executor=SweepExecutor(jobs=2), **kwargs)
     assert parallel.normalized == sequential.normalized
     assert format_fig8(parallel) == format_fig8(sequential)
 

@@ -16,9 +16,9 @@ from repro.experiments.recovery_artifact import (
     choose_cut_ordinals,
     format_recovery,
     probe_census,
-    run_recovery,
     run_recovery_unit,
 )
+from repro.experiments.artifacts import run_artifact
 from repro.experiments.reporting import jsonable
 from repro.experiments.systems import ida
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
@@ -149,7 +149,8 @@ class TestRunRecoveryUnit:
 class TestRunRecoverySweep:
     @pytest.fixture(scope="class")
     def result(self) -> RecoveryResult:
-        return run_recovery(
+        return run_artifact(
+            "recover",
             scale=SCALE,
             workload_names=["proj_1"],
             cuts=8,
@@ -195,7 +196,8 @@ class TestCutSplit:
                 ]
 
         names = ["proj_1", "usr_1", "src2_0"]
-        result = run_recovery(
+        result = run_artifact(
+            "recover",
             scale=SCALE,
             workload_names=names,
             cuts=13,

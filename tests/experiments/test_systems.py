@@ -28,6 +28,13 @@ class TestBuilders:
         assert spec.retry_fail_prob == 0.4
         assert spec.error_rate == 0.2
 
+    def test_with_dtr_at_the_device_step_is_the_default_system(self):
+        # Fig. 9's 50 us column then shares Fig. 8's units.
+        assert baseline().with_dtr(50.0) == baseline()
+        assert ida(0.2, "mlc").with_dtr(50.0) == ida(0.2, "mlc")
+        assert ida(0.2).with_dtr(70.0).with_dtr(50.0) == ida(0.2)
+        assert baseline().with_dtr(30.0).dtr_us == 30.0
+
     def test_retry_model(self):
         assert baseline().retry_model().fail_prob == 0.0
         assert ida(0.2).with_retry(0.45).retry_model().fail_prob == 0.45
