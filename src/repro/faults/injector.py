@@ -127,7 +127,7 @@ class FaultInjector:
                 )
 
     # ------------------------------------------------------------------
-    # Triggering (called from SsdSimulator._issue, faults-enabled only)
+    # Triggering (called at op dispatch, faults-enabled only)
     # ------------------------------------------------------------------
     def on_dispatch(self, op, host_read: bool) -> FaultedOp | None:
         """Count a dispatched op; return a context if the plan fails it.
@@ -164,7 +164,7 @@ class FaultInjector:
         """Completion callback running recovery before the original one."""
 
         def completion(start_us: float, end_us: float) -> None:
-            self._recover(ctx, end_us)
+            self.recover(ctx, end_us)
             inner(start_us, end_us)
 
         return completion
@@ -185,7 +185,9 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Recovery routing
     # ------------------------------------------------------------------
-    def _recover(self, ctx: FaultedOp, now_us: float) -> None:
+    def recover(self, ctx: FaultedOp, now_us: float) -> None:
+        """A faulted op completed: hand it to the FTL's degradation
+        handler, record the fault and issue the relocation work."""
         event, op = ctx.event, ctx.op
         ftl = self.sim.ftl
         kind = event.kind

@@ -20,13 +20,16 @@ stream of ``n`` sets the mark to ``max(mark - n, len(heap))``; each
 fired stream event adds one to it; and ``peak_pending`` is the mark
 plus the stream events left.
 
-The stage machine's own completions (resource service ends, latency-only
-pipeline stages, throttled internal chains) schedule through
-:meth:`SimEngine.push`, an unchecked variant of :meth:`SimEngine.at` for
-targets that cannot lie in the past.  It consumes sequence numbers and
-tracks ``peak_pending`` exactly as ``at`` does, so event order is
-unchanged.  ``processed`` is not counted per event: it is derived as
-events scheduled minus events pending.
+:meth:`SimEngine.push` is an unchecked variant of :meth:`SimEngine.at`
+for targets that cannot lie in the past; it consumes sequence numbers
+and tracks ``peak_pending`` exactly as ``at`` does.  The stage machine's
+per-op completions (resource service ends in
+:mod:`repro.sim.resources`, latency-only stages in
+:mod:`repro.sim.pipeline`) inline those same three steps onto
+``_queue``, ``_sequence`` and ``_peak_mark`` instead of calling it, so
+every event keeps its ``(time, seq)`` slot; ``push`` itself schedules
+the throttled internal chain's gaps.  ``processed`` is not counted per
+event: it is derived as events scheduled minus events pending.
 """
 
 from __future__ import annotations
@@ -102,16 +105,7 @@ class SimEngine:
         Raises:
             ValueError: if ``time`` lies genuinely in the past.
         """
-        if time < self.now:
-            if self.now - time <= max(
-                self.PAST_TOLERANCE_US, abs(self.now) * 1e-12
-            ):
-                time = self.now
-            else:
-                raise ValueError(
-                    f"cannot schedule at {time} (now is {self.now})"
-                )
-        heapq.heappush(self._queue, (time, self._sequence, callback))
+        heapq.heappush(self._queue, (self._clamped(time), self._sequence, callback))
         self._sequence += 1
         if len(self._queue) > self._peak_mark:
             self._peak_mark = len(self._queue)
@@ -251,8 +245,8 @@ class SimEngine:
     def step(self) -> bool:
         """Fire exactly one event; returns False when the queue is empty."""
         if self._stream_pos < len(self._stream):
-            head = stream_head = self._stream[self._stream_pos]
-            if self._queue and self._queue[0] < stream_head:
+            head = self._stream[self._stream_pos]
+            if self._queue and self._queue[0] < head:
                 time, _, callback = heapq.heappop(self._queue)
             else:
                 time, _, callback = head

@@ -17,8 +17,12 @@ simulator compiles each tuple once into an :class:`OpPlan` — one or two
 resource stages plus an optional trailing latency-only stage (the
 deeply pipelined hardware ECC decoder adds delay without queueing) — and
 an :class:`OpPipeline` runs one op through it.  Each stage boundary is a
-bound method that submits the next stage directly, with no generic
-stage walk in between.
+bound method that submits the next stage directly (or pushes the
+latency stage's event straight onto the engine heap), with no generic
+stage walk in between.  A host page op gets a fresh pipeline; an
+internal GC / refresh chain is one pipeline re-armed for each of its
+ops (``plan`` and ``obs`` set anew, then :meth:`OpPipeline.start`), so
+both run the same boundary methods.
 
 Observation attaches at those boundaries through one
 :class:`StageObservers` slot: a :class:`PageRecord` noting queue wait and
@@ -31,6 +35,7 @@ order of this machine to the float.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Callable
 
 from ..flash.timing import TimingSpec
@@ -387,7 +392,12 @@ class OpPipeline:
         self._last_start_us = start_us
         engine = self.engine
         now = self._submit_us = engine.now
-        engine.push(now + plan.latency_us, self._latency_done)
+        # ``SimEngine.push`` inlined (same seq and peak accounting).
+        heap = engine._queue
+        heappush(heap, (now + plan.latency_us, engine._sequence, self._latency_done))
+        engine._sequence += 1
+        if len(heap) > engine._peak_mark:
+            engine._peak_mark = len(heap)
 
     def _latency_done(self) -> None:
         """End of the latency stage: it started at submission and its

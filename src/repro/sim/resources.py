@@ -14,18 +14,23 @@ Service is the simulator's hottest path, so :meth:`Resource.submit`
 starts an op in place when the resource is idle with every queue empty.
 Enqueue-then-dispatch could only have picked that very op, so the fast
 start schedules the same completion event in the same ``(time, seq)``
-slot and reorders nothing.  An op that does wait is queued as a plain
-tuple, and the wait-class snapshot it carries is built only when
-profiling asked for it.  Completions all go through one pre-bound
-:meth:`Resource._finish`, which empties the in-service slot *before*
-calling back, so a finished op (and the pipeline graph its callback
-reaches) is never kept alive by the resource that served it.
+slot and reorders nothing.  Both service starts (the fast start and
+:meth:`Resource._dispatch_next`) push that completion straight onto the
+engine heap, with the sequence number and ``peak_pending`` update
+:meth:`SimEngine.push` would make, instead of calling it.  An op that
+does wait is queued as a plain tuple, and the wait-class snapshot it
+carries is built only when profiling asked for it.  Completions all go
+through one pre-bound :meth:`Resource._finish`, which empties the
+in-service slot *before* calling back, so a finished op (and the
+pipeline graph its callback reaches) is never kept alive by the
+resource that served it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from enum import IntEnum
+from heapq import heappush
 from typing import Callable
 
 from .engine import SimEngine
@@ -161,7 +166,8 @@ class Resource:
         if self._on_done is None and not (queues[0] or queues[1] or queues[2]):
             # Idle fast start: enqueue-then-dispatch would pick this very
             # op, with zero wait and nothing to snapshot for profiling.
-            now = self.engine.now
+            engine = self.engine
+            now = engine.now
             end = now + duration
             self.busy_us += duration
             self._ops_served[priority] += 1
@@ -170,7 +176,12 @@ class Resource:
             self._on_done = on_done
             self._start_us = now
             self._end_us = end
-            self.engine.push(end, self._finish_event)
+            # ``SimEngine.push`` inlined (same seq and peak accounting).
+            heap = engine._queue
+            heappush(heap, (end, engine._sequence, self._finish_event))
+            engine._sequence += 1
+            if len(heap) > engine._peak_mark:
+                engine._peak_mark = len(heap)
             return
         # Otherwise enqueue, then dispatch: a submission arriving while
         # the resource is momentarily idle (from a completion callback
@@ -202,7 +213,8 @@ class Resource:
                 break
         else:
             return
-        start = self.engine.now
+        engine = self.engine
+        start = engine.now
         end = start + duration
         self.busy_us += duration
         self._ops_served[klass] += 1
@@ -229,7 +241,11 @@ class Resource:
         self._on_done = on_done
         self._start_us = start
         self._end_us = end
-        self.engine.push(end, self._finish_event)
+        heap = engine._queue
+        heappush(heap, (end, engine._sequence, self._finish_event))
+        engine._sequence += 1
+        if len(heap) > engine._peak_mark:
+            engine._peak_mark = len(heap)
 
     def _finish(self) -> None:
         """Completion event of the op in service."""

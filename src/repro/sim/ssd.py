@@ -10,7 +10,11 @@ The simulator is a thin conductor over the layered architecture (see
   (read-first by default, Table II);
 * **op pipeline** — :mod:`repro.sim.pipeline` runs each physical op
   through a plan compiled from its declarative stages (sense/transfer/ECC
-  for reads, transfer/program for writes, adjust/erase for internal ops);
+  for reads, transfer/program for writes, adjust/erase for internal ops).
+  Each host page op goes through ``SsdSimulator._issue`` into a fresh
+  pipeline; a GC / refresh pass is one ``_InternalChain``, a pipeline
+  re-armed for each of its ops, which also commits clean adjusts and
+  routes faulted ops to recovery as they end;
 * **resources** — contended dies and channels, where all queueing
   behaviour comes from;
 * **FTL** — reached only through the :class:`FlashTranslation` protocol
@@ -73,30 +77,71 @@ _READ = OpKind.READ
 _WRITE = OpKind.WRITE
 _ADJUST = OpKind.ADJUST
 _HOST_READ = IoPriority.HOST_READ
+_INTERNAL = IoPriority.INTERNAL
 
 
-class _InternalChain:
-    """One GC / refresh pass issuing its ops one after another.
+class _InternalChain(OpPipeline):
+    """One GC / refresh pass: an op pipeline re-armed for each of its ops.
 
-    Each op is submitted when the previous one completes; a throttling
-    policy's idle gap sits between them.
+    A chain has exactly one op in flight, so it is itself the pipeline
+    its ops run through: :meth:`issue_next` sets the inherited ``plan``
+    and ``obs`` slots for the next op and calls :meth:`OpPipeline.start`,
+    and the op's stages advance through the same boundary methods a host
+    op's do.  When an op ends, :meth:`_op_done` runs its fault recovery
+    or commits a clean adjust, then issues the next op — at once, or
+    after a throttling policy's idle gap.
     """
 
-    __slots__ = ("sim", "ops", "gap_us")
+    __slots__ = ("sim", "ops", "gap_us", "op")
 
     def __init__(self, sim: "SsdSimulator", ops: list[PhysOp], gap_us: float) -> None:
+        super().__init__(
+            sim.engine, None, _INTERNAL, sim._queue_of[_INTERNAL], self._op_done
+        )
         self.sim = sim
         self.ops = deque(ops)
         self.gap_us = gap_us
+        self.op: PhysOp | None = None
 
     def issue_next(self) -> None:
-        self.sim._issue(self.ops.popleft(), IoPriority.INTERNAL, self._op_done)
+        """Dispatch the chain's next op (the injector may fail it)."""
+        sim = self.sim
+        op = self.op = self.ops.popleft()
+        fault = sim.faults.on_dispatch(op, False) if sim.faults is not None else None
+        self.plan = sim._plan_of(op, 0)
+        sim.ops_dispatched += 1
+        profiler = sim.profiler
+        if profiler is not None or fault is not None:
+            self.obs = StageObservers(
+                None,
+                None,
+                profiler.begin_op(_INTERNAL, None) if profiler is not None else None,
+                fault,
+            )
+        else:
+            self.obs = None
+        self.start()
 
     def _op_done(self, start_us: float, end_us: float) -> None:
+        """The op in flight ended: recover or commit it, then go on."""
+        sim = self.sim
+        obs = self.obs
+        op = self.op
+        if obs is not None and obs.fault is not None:
+            sim.faults.recover(obs.fault, end_us)
+        elif op.kind is _ADJUST:
+            # A clean adjust writes its on-flash commit record and
+            # retires any torn-recovery journal intent.  This runs with
+            # or without a fault plan: the SPOR journal columns are
+            # always maintained, so a crash-free run leaves no stale
+            # intents behind for a later mount to misread.
+            sim.ftl.commit_adjust(op.block_index, op.wordline)
         if not self.ops:
+            # Drop the self-reference so the finished chain is freed now.
+            self.on_done = None
             return
         if self.gap_us > 0.0:
-            engine = self.sim.engine
+            engine = sim.engine
             engine.push(engine.now + self.gap_us, self.issue_next)
         else:
             # With no gap the next op issues synchronously inside the
@@ -384,55 +429,41 @@ class SsdSimulator:
         op: PhysOp,
         klass: IoPriority,
         on_done,
-        span: RequestSpan | None = None,
-        prof_ctx=None,
+        span: RequestSpan | None,
+        prof_ctx,
     ) -> None:
-        """Run one physical op through its compiled plan."""
-        plane = op.block_index // self._blocks_per_plane
+        """Run one host page op through its compiled plan."""
         host_read = klass is _HOST_READ
         fault = (
             self.faults.on_dispatch(op, host_read)
             if self.faults is not None
             else None
         )
-        kind = op.kind
         retries = 0
-        if kind is _READ:
+        if host_read:
             # Retention-induced read retries hit long-stored data, i.e.
             # host reads.  Refresh-internal reads either target data
             # about to be rewritten anyway or verify *freshly
             # reprogrammed* pages whose RBER is far below the retry
-            # threshold, so they decode hard.
-            if host_read:
-                retries = self.retry_model.sample_retries(
-                    self._host_retry_rng, senses=op.senses
-                )
-                if fault is not None:
-                    # Retry-ladder exhaustion: the CRN draws above are
-                    # consumed exactly as usual (paired runs stay in
-                    # step), then the ladder is forced to its full
-                    # length — the read decodes only via outer
-                    # protection, handled at completion.
-                    retries = self.retry_model.max_retries
-                if retries:
-                    self.metrics.read_retries += retries
-                    if self.retry_counter is not None:
-                        self.retry_counter.inc(retries)
-                    if self.faults is not None:
-                        self.faults.note_read_retries(op, retries)
-            key = (plane, op.senses, retries)
-            plan = self._read_plans.get(key)
-            if plan is None:
-                die, channel = self._plane_resources[plane]
-                plan = self._read_plans[key] = OpPlan(
-                    read_stages(die, channel, self.timing, op.senses, 1 + retries)
-                )
-        elif kind is _WRITE:
-            plan = self._write_plans[plane]
-        elif kind is _ADJUST:
-            plan = self._adjust_plans[plane]
-        else:
-            plan = self._erase_plans[plane]
+            # threshold, so they decode hard (an internal chain plans
+            # every read with no retries).
+            retries = self.retry_model.sample_retries(
+                self._host_retry_rng, senses=op.senses
+            )
+            if fault is not None:
+                # Retry-ladder exhaustion: the CRN draws above are
+                # consumed exactly as usual (paired runs stay in step),
+                # then the ladder is forced to its full length — the
+                # read decodes only via outer protection, handled at
+                # completion.
+                retries = self.retry_model.max_retries
+            if retries:
+                self.metrics.read_retries += retries
+                if self.retry_counter is not None:
+                    self.retry_counter.inc(retries)
+                if self.faults is not None:
+                    self.faults.note_read_retries(op, retries)
+        plan = self._plan_of(op, retries)
         self.ops_dispatched += 1
         obs = None
         if span is not None or self.profiler is not None or fault is not None:
@@ -453,25 +484,28 @@ class SsdSimulator:
             obs = StageObservers(span, record, profile, fault)
         if fault is not None:
             on_done = self.faults.wrap_completion(fault, on_done)
-        elif kind is _ADJUST:
-            # Clean adjust completions write their on-flash commit
-            # record and retire any torn-recovery journal intent.  This
-            # runs with or without a fault plan: the SPOR journal
-            # columns are always maintained, so a crash-free run leaves
-            # no stale intents behind for a later mount to misread.
-            on_done = self._wrap_adjust_commit(op, on_done)
         OpPipeline(
             self.engine, plan, klass, self._queue_of[klass], on_done, obs
         ).start()
 
-    def _wrap_adjust_commit(self, op: PhysOp, inner):
-        """Completion callback committing a clean adjust durably."""
-
-        def completion(start_us: float, end_us: float) -> None:
-            self.ftl.commit_adjust(op.block_index, op.wordline)
-            inner(start_us, end_us)
-
-        return completion
+    def _plan_of(self, op: PhysOp, retries: int) -> OpPlan:
+        """The compiled plan ``op`` runs; a read senses ``1 + retries`` times."""
+        plane = op.block_index // self._blocks_per_plane
+        kind = op.kind
+        if kind is _READ:
+            key = (plane, op.senses, retries)
+            plan = self._read_plans.get(key)
+            if plan is None:
+                die, channel = self._plane_resources[plane]
+                plan = self._read_plans[key] = OpPlan(
+                    read_stages(die, channel, self.timing, op.senses, 1 + retries)
+                )
+            return plan
+        if kind is _WRITE:
+            return self._write_plans[plane]
+        if kind is _ADJUST:
+            return self._adjust_plans[plane]
+        return self._erase_plans[plane]
 
     # ------------------------------------------------------------------
     # Bookkeeping
