@@ -37,9 +37,13 @@ Run:  python benchmarks/bench_obs_overhead.py [--scale quick] [--reps 5]
                                               [--baseline PATH]
 
 With ``--check`` the process exits non-zero when the null-tracer or
-health-disabled best-of-reps time exceeds the untraced one by more
-than ``--threshold`` percent, or the profiler-disabled time exceeds it
-by more than ``--profiler-threshold`` percent.  ``--record`` /
+health-disabled variant's overhead exceeds ``--threshold`` percent, or
+the profiler-disabled variant's exceeds ``--profiler-threshold``
+percent.  A variant's overhead is the median, over rounds, of its time
+divided by the same round's ``untraced`` time: a round runs every
+variant back to back, so the ratio cancels the machine-speed drift
+that makes best-of-reps times of different variants disagree by more
+than the thresholds on a shared host.  ``--record`` /
 ``--baseline`` mirror ``bench_pipeline.py``: record times on a
 reference tree (committed as ``benchmarks/BENCH_obs.json`` and, with
 the health variants, ``benchmarks/BENCH_health.json``), then
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -85,17 +90,13 @@ VARIANTS = {
 }
 
 
-def time_variants(scale: RunScale, reps: int) -> dict[str, float]:
-    """Best (minimum) wall seconds per variant, interleaved round-robin.
+def time_variants(scale: RunScale, reps: int) -> dict[str, list[float]]:
+    """Wall seconds per variant and round, interleaved round-robin.
 
     Variants are interleaved (one rep of each, then the next round)
     rather than timed in sequential blocks, so slow machine drift —
     thermal throttling, a noisy CI neighbour — lands on every variant
-    equally instead of inflating whichever happened to run last.  The
-    best-of-reps time is reported rather than the median: scheduler and
-    allocator noise only ever adds time, so the minimum is the tightest
-    (and by far the most repeatable) estimate of each variant's true
-    cost, which a percent-level overhead gate needs.
+    equally instead of inflating whichever happened to run last.
     """
     spec = workload("usr_1")
     duration_us = spec.scaled(scale.num_requests, scale.footprint_pages).duration_us
@@ -106,7 +107,17 @@ def time_variants(scale: RunScale, reps: int) -> dict[str, float]:
             started = time.perf_counter()
             run_workload(ida(0.2), spec, scale, seed=11, telemetry=telemetry)
             times[name].append(time.perf_counter() - started)
-    return {name: min(seq) for name, seq in times.items()}
+    return times
+
+
+def round_overheads(times: dict[str, list[float]]) -> dict[str, float]:
+    """Per variant, the median over rounds of its time over the same
+    round's ``untraced`` time, as percent overhead."""
+    base = times["untraced"]
+    return {
+        name: (statistics.median(t / b for t, b in zip(seq, base)) - 1.0) * 100.0
+        for name, seq in times.items()
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -130,7 +141,11 @@ def main(argv: list[str] | None = None) -> int:
     # Warm-up: first run pays numpy / allocator warm caches.
     time_variants(scale, 1)
 
-    best = time_variants(scale, args.reps)
+    times = time_variants(scale, args.reps)
+    # Best-of-reps seconds for the report and the baseline comparison:
+    # scheduler and allocator noise only ever adds time.
+    best = {name: min(seq) for name, seq in times.items()}
+    overhead = round_overheads(times)
     untraced = best["untraced"]
 
     def pct(value: float) -> float:
@@ -147,12 +162,14 @@ def main(argv: list[str] | None = None) -> int:
         "health_disabled": "no health ",
         "health_enabled": "health mon",
     }
-    print(f"scale={args.scale} reps={args.reps} (best-of-reps wall seconds)")
+    print(f"scale={args.scale} reps={args.reps} (best-of-reps wall seconds; "
+          "overhead = median per-round ratio to untraced)")
     print(f"  untraced    : {untraced:.3f} s")
     for name, value in best.items():
         if name == "untraced":
             continue
-        print(f"  {labels[name]} : {value:.3f} s  ({pct(value):+.1f}%)")
+        print(f"  {labels[name]} : {value:.3f} s  ({pct(value):+.1f}% best-of, "
+              f"{overhead[name]:+.1f}% per round)")
 
     if args.record:
         path = Path(args.record)
@@ -176,9 +193,9 @@ def main(argv: list[str] | None = None) -> int:
             failed = failed or delta > args.profiler_threshold
 
     if args.check:
-        null_overhead = pct(best["null_tracer"])
-        disabled_overhead = pct(best["profiler_disabled"])
-        health_overhead = pct(best["health_disabled"])
+        null_overhead = overhead["null_tracer"]
+        disabled_overhead = overhead["profiler_disabled"]
+        health_overhead = overhead["health_disabled"]
         if null_overhead > args.threshold:
             print(f"FAIL: null-tracer overhead {null_overhead:.1f}% "
                   f"> {args.threshold:.1f}%")

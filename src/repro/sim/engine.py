@@ -28,8 +28,17 @@ per-op completions (resource service ends in
 :mod:`repro.sim.pipeline`) inline those same three steps onto
 ``_queue``, ``_sequence`` and ``_peak_mark`` instead of calling it, so
 every event keeps its ``(time, seq)`` slot; ``push`` itself schedules
-the throttled internal chain's gaps.  ``processed`` is not counted per
-event: it is derived as events scheduled minus events pending.
+the throttled internal chain's gaps and quiet runs' resume events.
+``processed`` is not counted per event: it is derived as events
+scheduled minus events pending.
+
+:meth:`SimEngine.horizon` is the time of the earliest pending event.
+An internal GC / refresh chain (:mod:`repro.sim.ssd`) uses it to serve a
+*quiet run*: every op that would end strictly before the horizon is
+timed in one loop and the run posts one event at its end, so an op
+served that way fires no event of its own and ``processed`` counts the
+whole run as one.  A run may carry the clock past a ``run(until=…)``
+bound; no simulator caller passes one.
 """
 
 from __future__ import annotations
@@ -38,6 +47,8 @@ import heapq
 from typing import Callable, Iterable
 
 __all__ = ["SimEngine"]
+
+_INF = float("inf")
 
 
 class SimEngine:
@@ -83,6 +94,22 @@ class SimEngine:
         had been scheduled with :meth:`at`.
         """
         return self._peak_mark + len(self._stream) - self._stream_pos
+
+    def horizon(self) -> float:
+        """Time of the earliest pending event (heap top or stream head).
+
+        ``inf`` when nothing is pending.  Until then no other event can
+        fire, which is what lets an internal chain serve a quiet run of
+        ops ending strictly before it in one loop.
+        """
+        queue = self._queue
+        pos = self._stream_pos
+        if pos < len(self._stream):
+            head = self._stream[pos][0]
+            if queue and queue[0][0] < head:
+                return queue[0][0]
+            return head
+        return queue[0][0] if queue else _INF
 
     def _clamped(self, time: float) -> float:
         """Validate a target time against the clock (shared with at())."""

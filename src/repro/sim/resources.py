@@ -199,6 +199,22 @@ class Resource:
         )
         self._dispatch_next()
 
+    def credit(self, priority: IoPriority, start_us: float, duration: float) -> None:
+        """Serve a window ``[start_us, start_us + duration]`` with no event.
+
+        Accounts the service exactly as :meth:`submit`'s idle fast start
+        would, and leaves the resource idle, as if the window's completion
+        had already fired.  Only for an internal chain's quiet run, which
+        has checked that the resource is idle with nothing queued and that
+        no event is due before the window ends.
+        """
+        self.busy_us += duration
+        self._ops_served[priority] += 1
+        self.busy_us_by_class[priority] += duration
+        self._klass = priority
+        self._start_us = start_us
+        self._end_us = start_us + duration
+
     def enable_wait_profile(self) -> None:
         """Turn on the wait-class breakdown for subsequent submissions."""
         self.profile_waits = True

@@ -14,7 +14,10 @@ The simulator is a thin conductor over the layered architecture (see
   Each host page op goes through ``SsdSimulator._issue`` into a fresh
   pipeline; a GC / refresh pass is one ``_InternalChain``, a pipeline
   re-armed for each of its ops, which also commits clean adjusts and
-  routes faulted ops to recovery as they end;
+  routes faulted ops to recovery as they end.  Where nothing else is due
+  before its ops would end, a chain serves them as one *quiet run*: one
+  loop times them and one event resumes the chain (see
+  :class:`_InternalChain`);
 * **resources** — contended dies and channels, where all queueing
   behaviour comes from;
 * **FTL** — reached only through the :class:`FlashTranslation` protocol
@@ -87,9 +90,24 @@ class _InternalChain(OpPipeline):
     its ops run through: :meth:`issue_next` sets the inherited ``plan``
     and ``obs`` slots for the next op and calls :meth:`OpPipeline.start`,
     and the op's stages advance through the same boundary methods a host
-    op's do.  When an op ends, :meth:`_op_done` runs its fault recovery
-    or commits a clean adjust, then issues the next op — at once, or
-    after a throttling policy's idle gap.
+    op's do.  When an op ends, :meth:`_complete` runs its fault recovery
+    or commits a clean adjust, and the chain goes on — at once, or after
+    a throttling policy's idle gap.
+
+    **Quiet runs.**  At a *safe point* — see :meth:`_op_done` — the chain
+    may serve its next ops in one loop instead (:meth:`_serve_run`):
+    while an op's die and channel are idle with nothing queued and the op
+    would end strictly before :meth:`SimEngine.horizon`, no other event
+    can fire before it ends, so its every stage is a resource's idle fast
+    start and its times are known now.  The run credits each stage with
+    :meth:`Resource.credit`, feeds the op's observers and
+    :meth:`_complete` the calls and floats the per-op path would, and
+    posts one event at the last op's end (plus the gap, if ops remain)
+    that resumes the chain.  A chain's first op is always issued per op:
+    the caller of :meth:`SsdSimulator.issue_internal_sequence` may still
+    schedule work at this instant.  A bound fault plan keeps runs from
+    starting, since the injector counts, fails or cuts power at each op's
+    own dispatch instant.
     """
 
     __slots__ = ("sim", "ops", "gap_us", "op")
@@ -123,30 +141,129 @@ class _InternalChain(OpPipeline):
         self.start()
 
     def _op_done(self, start_us: float, end_us: float) -> None:
-        """The op in flight ended: recover or commit it, then go on."""
-        sim = self.sim
+        """The op in flight ended: account for it, then go on.
+
+        The op's end is a safe point unless its last stage ran on a
+        resource with ops queued: ``Resource._finish`` starts the next of
+        them once this returns, and a run planned now would not see that
+        op's events.
+        """
+        self._complete(self.op, start_us, end_us)
+        if not self.ops:
+            # Drop the self-reference so the finished chain is freed now.
+            self.on_done = None
+            return
+        if self.gap_us > 0.0:
+            engine = self.sim.engine
+            engine.push(engine.now + self.gap_us, self._resume)
+            return
+        plan = self.plan
+        if plan.latency_us is None:
+            queues = (plan.first if plan.second is None else plan.second)._queues
+            if queues[0] or queues[1] or queues[2]:
+                # Not a safe point: issue the next op synchronously inside
+                # the completion callback, as the per-op chain does.
+                self.issue_next()
+                return
+        self._resume()
+
+    def _complete(self, op: PhysOp, start_us: float, end_us: float) -> None:
+        """One op ended: run its fault recovery or commit a clean adjust.
+
+        Every internal op's completion passes here, from the per-op path
+        and from quiet runs alike.
+        """
         obs = self.obs
-        op = self.op
         if obs is not None and obs.fault is not None:
-            sim.faults.recover(obs.fault, end_us)
+            self.sim.faults.recover(obs.fault, end_us)
         elif op.kind is _ADJUST:
             # A clean adjust writes its on-flash commit record and
             # retires any torn-recovery journal intent.  This runs with
             # or without a fault plan: the SPOR journal columns are
             # always maintained, so a crash-free run leaves no stale
             # intents behind for a later mount to misread.
-            sim.ftl.commit_adjust(op.block_index, op.wordline)
-        if not self.ops:
-            # Drop the self-reference so the finished chain is freed now.
-            self.on_done = None
-            return
-        if self.gap_us > 0.0:
-            engine = sim.engine
-            engine.push(engine.now + self.gap_us, self.issue_next)
-        else:
-            # With no gap the next op issues synchronously inside the
-            # completion callback — same event ordering as a direct chain.
+            self.sim.ftl.commit_adjust(op.block_index, op.wordline)
+
+    def _resume(self) -> None:
+        """At a safe point: serve a quiet run, or else issue the next op.
+
+        Also the event a finished chain's last run posts, where it does
+        nothing.
+        """
+        if self.ops and (self.sim.faults is not None or not self._serve_run()):
             self.issue_next()
+
+    def _serve_run(self) -> bool:
+        """Serve every next op that ends before the horizon, in one loop.
+
+        Returns ``False``, having changed nothing, when not even the next
+        op fits; otherwise posts the event that resumes the chain.
+        """
+        sim = self.sim
+        engine = sim.engine
+        horizon = engine.horizon()
+        ops = self.ops
+        gap_us = self.gap_us
+        plan_of = sim._plan_of
+        profiler = sim.profiler
+        start = engine.now
+        end = start
+        served = 0
+        # Nothing fires before the horizon, so a resource idle with empty
+        # queues now stays so until then, but for this run's own stages
+        # (which leave it idle: ``credit`` posts no completion).
+        while ops:
+            op = ops[0]
+            plan = plan_of(op, 0)
+            first = plan.first
+            queues = first._queues
+            if first._on_done is not None or queues[0] or queues[1] or queues[2]:
+                break
+            mid = start + plan.first_us
+            second = plan.second
+            if second is None:
+                last_start = start
+                done = mid
+            else:
+                queues = second._queues
+                if second._on_done is not None or queues[0] or queues[1] or queues[2]:
+                    break
+                last_start = mid
+                done = mid + plan.second_us
+            latency_us = plan.latency_us
+            stop = done if latency_us is None else done + latency_us
+            if not stop < horizon:
+                break
+            ops.popleft()
+            first.credit(_INTERNAL, start, plan.first_us)
+            if second is not None:
+                second.credit(_INTERNAL, mid, plan.second_us)
+            if profiler is not None:
+                obs = self.obs = StageObservers(
+                    None, None, profiler.begin_op(_INTERNAL, None), None
+                )
+                bounds = [start, mid]
+                if second is not None:
+                    bounds.append(done)
+                if latency_us is not None:
+                    bounds.append(stop)
+                for i, stage in enumerate(plan.stages):
+                    obs.note_stage(stage, bounds[i], bounds[i], bounds[i + 1])
+                obs.complete(stop)
+            self._complete(op, last_start, stop)
+            served += 1
+            end = stop
+            start = stop + gap_us
+        if not served:
+            return False
+        sim.ops_dispatched += served
+        if not ops:
+            self.on_done = None
+        # The resume event: at the next op's issue instant, or at the
+        # last op's end when the chain is done (so the clock and
+        # ``elapsed_us`` land where the per-op path leaves them).
+        engine.push(start if ops else end, self._resume)
+        return True
 
 
 class SsdSimulator:
@@ -419,7 +536,9 @@ class SsdSimulator:
         instead of flooding every die queue at the scan instant.  Host
         reads still overtake each queued internal op via priority; a
         throttling policy additionally inserts an idle gap between the
-        chained ops.
+        chained ops.  The first op is issued here on the per-op path;
+        later ones may be served in quiet runs (see
+        :class:`_InternalChain`).
         """
         if ops:
             _InternalChain(self, ops, self.policy.internal_gap_us).issue_next()

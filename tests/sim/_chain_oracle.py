@@ -13,7 +13,8 @@ simulator's own path on both sides.  Nothing in ``src/`` imports it.
 
 The oracle also notes what the differential test's coverage checks
 need: each chain's ops with their dies and completion windows, and the
-idle gaps a throttling policy put between them.
+idle gaps a throttling policy put between them.  It knows nothing of
+quiet runs: every internal op here fires its own events.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ class OracleChain:
         die = self.sim._plane_resources[op.block_index // self.sim._blocks_per_plane][0]
         self.done.append((op, die.index, start_us, end_us))
         self.sim.internal_log.append((self.serial, op, start_us, end_us))
+        if self.sim.on_internal_done is not None:
+            self.sim.on_internal_done(op, start_us, end_us)
         if not self.ops:
             return
         if self.gap_us > 0.0:
@@ -70,6 +73,9 @@ class OracleSimulator(SsdSimulator):
         self.chains: list[OracleChain] = []
         #: ``(chain serial, op, start_us, end_us)`` in completion order.
         self.internal_log: list[tuple] = []
+        #: Optional ``fn(op, start_us, end_us)`` called at each internal
+        #: op's completion, after its recovery or adjust commit.
+        self.on_internal_done = None
         self._oracle_read_plans: dict[tuple[int, int], OpPlan] = {}
 
     def issue_internal_sequence(self, ops: list[PhysOp]) -> None:

@@ -188,3 +188,66 @@ class TestPeakPending:
         engine.run()
         assert engine.peak_pending == 11
         assert engine.processed == 11
+
+
+class TestHorizon:
+    """``horizon()``: the earliest pending time, heap top or stream head."""
+
+    def test_empty_engine_has_an_infinite_horizon(self):
+        engine = SimEngine()
+        assert engine.horizon() == float("inf")
+        engine.at(1.0, lambda: None)
+        engine.run()
+        assert engine.horizon() == float("inf")
+
+    def test_heap_only(self):
+        engine = SimEngine()
+        engine.at(5.0, lambda: None)
+        engine.at(2.0, lambda: None)
+        engine.push(3.0, lambda: None)
+        assert engine.horizon() == 2.0
+
+    def test_stream_only(self):
+        engine = SimEngine()
+        engine.add_stream([(4.0, lambda: None), (6.0, lambda: None)])
+        assert engine.horizon() == 4.0
+
+    @pytest.mark.parametrize(
+        "heap_at, expected", [(1.0, 1.0), (4.0, 4.0), (9.0, 4.0)]
+    )
+    def test_heap_and_stream(self, heap_at, expected):
+        engine = SimEngine()
+        engine.add_stream([(4.0, lambda: None), (6.0, lambda: None)])
+        engine.at(heap_at, lambda: None)
+        assert engine.horizon() == expected
+
+    def test_mid_drain_sees_what_is_still_pending(self):
+        """Inside a callback the firing event is no longer pending."""
+        engine = SimEngine()
+        seen: list[tuple[str, float]] = []
+
+        def note(tag: str):
+            return lambda: seen.append((tag, engine.horizon()))
+
+        engine.add_stream([(1.0, note("s1")), (3.0, note("s3")), (3.0, note("s3b"))])
+        engine.at(2.0, note("h2"))
+        engine.at(5.0, note("h5"))
+        engine.at(0.5, lambda: engine.push(4.0, note("pushed4")))
+        engine.run()
+        assert seen == [
+            ("s1", 2.0),
+            ("h2", 3.0),
+            ("s3", 3.0),
+            ("s3b", 4.0),
+            ("pushed4", 5.0),
+            ("h5", float("inf")),
+        ]
+
+    def test_step_publishes_the_stream_position_first(self):
+        engine = SimEngine()
+        seen: list[float] = []
+        engine.add_stream(
+            [(1.0, lambda: seen.append(engine.horizon())), (2.0, lambda: None)]
+        )
+        assert engine.step()
+        assert seen == [2.0]

@@ -325,3 +325,31 @@ class TestCompletedOpRelease:
             assert watched() is None
         finally:
             gc.enable()
+
+
+class TestCredit:
+    """``credit`` accounts a window exactly as an idle fast start does."""
+
+    def test_matches_fast_start_accounting_without_an_event(self):
+        served, credited = SimEngine(), SimEngine()
+        a = Resource(served, "a")
+        b = Resource(credited, "b")
+        a.enable_wait_profile()
+        b.enable_wait_profile()
+        for klass, duration in ((IoPriority.INTERNAL, 2.5), (IoPriority.HOST_READ, 0.1)):
+            a.submit(klass, duration, lambda s, e: None)
+            served.run()
+            b.credit(klass, credited.now, duration)
+            assert b._end_us == served.now
+            credited.now = b._end_us
+        assert credited.pending == 0 and credited.processed == 0
+        assert b.busy_us == a.busy_us
+        assert b.busy_us_by_class == a.busy_us_by_class
+        assert b.queue_wait_stats() == a.queue_wait_stats()
+        assert (b._klass, b._start_us, b._end_us) == (a._klass, a._start_us, a._end_us)
+        # A later queued op sees the credited window as the last service.
+        for engine, resource in ((served, a), (credited, b)):
+            resource.submit(IoPriority.INTERNAL, 1.0, lambda s, e: None)
+            resource.submit(IoPriority.HOST_READ, 1.0, lambda s, e: None)
+            engine.run()
+        assert b.wait_class_breakdown() == a.wait_class_breakdown()
