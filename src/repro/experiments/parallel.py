@@ -48,9 +48,10 @@ can drop the failed workloads and keep every healthy one.
 from __future__ import annotations
 
 import concurrent.futures
-import logging
+import contextlib
 from concurrent.futures.process import BrokenProcessPool
 import pickle
+import tempfile
 import time
 import traceback
 from dataclasses import dataclass, replace
@@ -59,13 +60,7 @@ from typing import Any, Callable, Iterator, Sequence
 from ..faults.plan import FaultKind, FaultPlan
 from ..ftl.refresh import RefreshMode
 from ..obs.instruments import Instruments
-from ..sim.snapshot import (
-    SharedSnapshotRef,
-    SnapshotStore,
-    WarmHandle,
-    attach_warm_state,
-    publish_warm_state,
-)
+from ..sim.snapshot import SnapshotStore, WarmHandle
 from ..workloads.msr import workload as _catalog_workload
 from ..workloads.synthetic import WorkloadSpec
 from .config import RunScale
@@ -88,8 +83,6 @@ __all__ = [
     "ida_pairs",
     "warm_key_for_unit",
 ]
-
-_log = logging.getLogger(__name__)
 
 #: Log-style progress callback: called once per completed unit.
 ProgressFn = Callable[[str], None]
@@ -228,8 +221,7 @@ def warm_key_for_unit(unit: RunUnit) -> str:
     Units that differ only in swept parameters the warm-up cannot observe
     (refresh mode, error rate, DTR, retry model, policy, queue depth,
     mode, fault plan, observability) map to the same key and share one
-    snapshot — the grouping :class:`SweepExecutor` fans shared-memory
-    segments out by.
+    snapshot — the grouping :class:`SweepExecutor` warms pooled units by.
     """
     return warm_cache_key(
         unit.system, unit.scaled_workload(), unit.scale, unit.seed
@@ -281,43 +273,27 @@ class _WorkerFailure:
         self.details = details
 
 
-class _WarmOutcome:
-    """A pool result plus what the worker did with its warm state.
+def _pool_worker(unit: RunUnit, spill: tuple[str, str] | None = None):
+    """Run one unit in a pool worker.
 
-    ``status`` is a ``snapshot_stats`` key: ``"hits"`` (restored from
-    shared memory), or ``"fallbacks"`` (the segment was unusable and the
-    unit preloaded cold — degraded wall-clock, identical results).
+    ``spill`` is ``(spill_dir, key)`` when the parent warmed the unit's
+    state into a spill file.  The unit then restores through its own
+    :class:`SnapshotStore`, exactly as an inline unit does: a rejected
+    file is a cold preload, never a failed unit.
+
+    Returns:
+        ``(payload, outcome, fallbacks)`` — the unit's payload, its
+        :attr:`WarmHandle.outcome` (``None`` without a spill) and the
+        spill files its store rejected — or a :class:`_WorkerFailure`.
     """
-
-    def __init__(self, payload, status: str):
-        self.payload = payload
-        self.status = status
-
-
-def _pool_worker(unit: RunUnit, shm_ref: SharedSnapshotRef | None = None):
     try:
         warm = None
-        status = None
-        if shm_ref is not None:
-            # Any attach problem (parent died and the segment is gone, a
-            # checksum or schema mismatch) degrades to a cold preload —
-            # a snapshot must never turn into a failed unit.
-            try:
-                warm = WarmHandle(state=attach_warm_state(shm_ref))
-                status = "hits"
-            except Exception as exc:
-                status = "fallbacks"
-                _log.warning(
-                    "unit %s could not attach warm state %s (%s); "
-                    "preloading cold",
-                    unit.describe(),
-                    shm_ref.name,
-                    exc,
-                )
-        result = execute_unit(unit, warm=warm)
-        if status is not None:
-            return _WarmOutcome(result, status)
-        return result
+        if spill is not None:
+            warm = WarmHandle(SnapshotStore(spill[0]), spill[1])
+        payload = execute_unit(unit, warm=warm)
+        if warm is None:
+            return payload, None, 0
+        return payload, warm.outcome, warm.store.stats.fallbacks
     except Exception as exc:
         details = traceback.format_exc()
         try:
@@ -325,19 +301,6 @@ def _pool_worker(unit: RunUnit, shm_ref: SharedSnapshotRef | None = None):
         except Exception:
             exc = RuntimeError(f"unpicklable worker exception: {exc!r}")
         return _WorkerFailure(exc, details)
-
-
-def _release_segments(segments) -> None:
-    """Close and unlink parent-owned shared-memory segments (idempotent)."""
-    for shm in segments:
-        try:
-            shm.close()
-        except OSError:
-            pass
-        try:
-            shm.unlink()
-        except (OSError, FileNotFoundError):
-            pass
 
 
 class SweepExecutor:
@@ -358,18 +321,20 @@ class SweepExecutor:
             warm key (see :func:`warm_key_for_unit`).  Inline, units
             draw from one in-process :class:`SnapshotStore`; pooled, the
             executor groups units by key, warms each group's state once
-            in the parent, and fans it out through shared memory.  A
-            pure wall-clock knob: results are byte-identical either way
-            (pinned by ``tests/experiments/test_snapshot_parity.py``).
+            in the parent into a spill file, and every worker of the
+            group restores from that file.  A pure wall-clock knob:
+            results are byte-identical either way (pinned by
+            ``tests/experiments/test_snapshot_parity.py``).
         snapshot_dir: Spill directory for warm states (implies
             ``snapshots``); snapshots then survive the process and are
-            shared across invocations.
+            shared across invocations.  Without it, a pooled sweep
+            spills into a temporary directory that lives for the sweep.
 
     After :meth:`map` returns, ``snapshot_stats`` holds the sweep's
     cache accounting: ``hits`` (units restored from a snapshot),
     ``misses`` (cold preloads, including the one per pooled group the
-    parent performs) and ``fallbacks`` (corrupt/stale snapshots that
-    degraded to a cold preload).
+    parent performs) and ``fallbacks`` (spill files rejected as corrupt
+    or stale, each of which degraded to a cold preload).
     """
 
     def __init__(
@@ -440,63 +405,54 @@ class SweepExecutor:
                 results.append(error)
             else:
                 if warm is not None:
-                    # A traced unit never fetches (``warm_device``): it
-                    # preloads cold, a miss.
-                    key = "hits" if warm.outcome == "hit" else "misses"
-                    self.snapshot_stats[key] += 1
+                    self._tally(warm.outcome)
             self._emit(index + 1, total, unit, time.perf_counter() - started)
         if store is not None:
             self.snapshot_stats["fallbacks"] += store.stats.fallbacks
         return results
 
-    def _publish_group_snapshots(self, units):
-        """Warm one state per shared key and publish it to shared memory.
+    def _tally(self, outcome: str | None, fallbacks: int = 0) -> None:
+        """Count one finished unit: a hit when it restored, else a miss.
+
+        A traced unit never fetches (``warm_device``): it preloads
+        cold, a miss.
+        """
+        self.snapshot_stats["hits" if outcome == "hit" else "misses"] += 1
+        self.snapshot_stats["fallbacks"] += fallbacks
+
+    def _spill_groups(self, units, spill_dir: str) -> dict[int, tuple[str, str]]:
+        """Warm one state per shared key into ``spill_dir``.
 
         Units are grouped by warm key; every group of two or more (and,
         when a spill directory is configured, singletons too — their
         state may already be on disk, or will pay off next invocation)
-        gets one parent-side warm state: pulled from the store when
-        cached, otherwise preloaded cold exactly once.  Each state is
-        serialized into a single ``multiprocessing.shared_memory``
-        segment that every worker of the group attaches.
+        gets one parent-side warm state: found in the spill directory,
+        otherwise preloaded cold exactly once and spilled.
 
         Returns:
-            ``(refs, segments)`` — per-unit-index
-            :class:`SharedSnapshotRef` pointers, and the parent-owned
-            segments the caller must close + unlink when the fan-out
-            (including re-run rounds) is over.
+            Per-unit-index ``(spill_dir, key)`` pairs for
+            :func:`_pool_worker`; units without one preload cold.
         """
         groups: dict[str, list[int]] = {}
         for index, unit in enumerate(units):
             if unit.trace_path is None:  # traced units always warm up cold
                 groups.setdefault(warm_key_for_unit(unit), []).append(index)
-        store = SnapshotStore(spill_dir=self.snapshot_dir)
-        refs: dict[int, SharedSnapshotRef] = {}
-        segments = []
-        try:
-            for key, members in groups.items():
-                if len(members) < 2 and self.snapshot_dir is None:
-                    continue  # nothing shares it; the worker preloads cold
+        store = SnapshotStore(spill_dir)
+        spills: dict[int, tuple[str, str]] = {}
+        for key, members in groups.items():
+            if len(members) < 2 and self.snapshot_dir is None:
+                continue  # nothing shares it; the worker preloads cold
+            if store.get(key) is None:
                 unit = units[members[0]]
-                warm = store.get(key)
-                if warm is None:
-                    warm = prepare_warm_state(
-                        unit.system,
-                        unit.resolve_workload(),
-                        unit.scale,
-                        seed=unit.seed,
-                    )
-                    store.put(key, warm)
-                    self.snapshot_stats["misses"] += 1
-                ref, shm = publish_warm_state(warm)
-                segments.append(shm)
-                for index in members:
-                    refs[index] = ref
-        except BaseException:
-            _release_segments(segments)
-            raise
+                warm = prepare_warm_state(
+                    unit.system, unit.resolve_workload(), unit.scale, seed=unit.seed
+                )
+                store.put(key, warm)
+                self.snapshot_stats["misses"] += 1
+            for index in members:
+                spills[index] = (spill_dir, key)
         self.snapshot_stats["fallbacks"] += store.stats.fallbacks
-        return refs, segments
+        return spills
 
     def _map_pool(self, units):
         """Round-based pool execution with crash containment.
@@ -511,34 +467,28 @@ class SweepExecutor:
         re-running units safe.
 
         With snapshots enabled, units sharing a warm key restore from
-        one parent-published shared-memory segment instead of each
-        repeating the preload (see :meth:`_publish_group_snapshots`).
-        Segments outlive re-run rounds (a re-run unit re-attaches the
-        same state) and are released in a ``finally``.
+        one parent-written spill file instead of each repeating the
+        preload (see :meth:`_spill_groups`).  Without ``snapshot_dir``
+        the files live in a temporary directory that outlives the re-run
+        rounds and is removed when the sweep ends, raised or not.
         """
         total = len(units)
         results: list = [None] * total
         done = [False] * total
         completed = 0
-        refs: dict[int, SharedSnapshotRef] = {}
-        segments: list = []
-        if self.snapshots:
-            refs, segments = self._publish_group_snapshots(units)
 
         def settle(index: int, outcome) -> None:
             nonlocal completed
-            if isinstance(outcome, _WarmOutcome):
-                self.snapshot_stats[outcome.status] += 1
-                outcome = outcome.payload
-            elif isinstance(outcome, _WorkerFailure):
+            if isinstance(outcome, _WorkerFailure):
                 error = SweepError(
                     units[index], str(outcome.exception), outcome.details
                 )
                 error.__cause__ = outcome.exception
                 outcome = error
-            elif self.snapshots and not isinstance(outcome, SweepError):
-                # No segment was fanned out for this unit: cold preload.
-                self.snapshot_stats["misses"] += 1
+            elif not isinstance(outcome, SweepError):
+                outcome, warm_outcome, fallbacks = outcome
+                if self.snapshots:
+                    self._tally(warm_outcome, fallbacks)
             if isinstance(outcome, SweepError) and not self.keep_going:
                 raise outcome
             results[index] = outcome
@@ -546,7 +496,13 @@ class SweepExecutor:
             completed += 1
             self._emit(completed, total, units[index])
 
-        try:
+        scope = (
+            tempfile.TemporaryDirectory(prefix="repro-warm-")
+            if self.snapshots and self.snapshot_dir is None
+            else contextlib.nullcontext(self.snapshot_dir)
+        )
+        with scope as spill_dir:
+            spills = self._spill_groups(units, spill_dir) if self.snapshots else {}
             while completed < total:
                 pending = [i for i in range(total) if not done[i]]
                 executor = concurrent.futures.ProcessPoolExecutor(
@@ -554,11 +510,18 @@ class SweepExecutor:
                 )
                 crashed: int | None = None
                 try:
-                    futures = {
-                        i: executor.submit(_pool_worker, units[i], refs.get(i))
-                        for i in pending
-                    }
-                    for i in pending:
+                    futures = {}
+                    try:
+                        for i in pending:
+                            futures[i] = executor.submit(
+                                _pool_worker, units[i], spills.get(i)
+                            )
+                    except BrokenProcessPool:
+                        # A worker died before every unit was submitted:
+                        # the crash surfaces on a submitted unit's future
+                        # below, and the rest wait for the next round.
+                        pass
+                    for i in futures:
                         try:
                             outcome = futures[i].result()
                         except BrokenProcessPool:
@@ -568,7 +531,7 @@ class SweepExecutor:
                     if crashed is not None:
                         # Salvage units that finished before the break: their
                         # futures already hold results and cost nothing.
-                        for j in pending:
+                        for j in futures:
                             if done[j] or j == crashed:
                                 continue
                             future = futures[j]
@@ -601,6 +564,4 @@ class SweepExecutor:
                             "the worker died before returning a result",
                         ),
                     )
-        finally:
-            _release_segments(segments)
         return results

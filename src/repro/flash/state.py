@@ -137,10 +137,10 @@ class DeviceStateSnapshot:
     """Frozen byte-level copy of every :class:`DeviceState` column.
 
     Geometry plus one immutable ``bytes`` blob per column — nothing else.
-    Snapshots are picklable by construction (the warm-state cache and the
-    shared-memory sweep transport both lean on that) and carry no live
-    views, so holding one costs exactly :meth:`nbytes` and can never
-    alias a running device.
+    Snapshots are picklable by construction (the warm-state cache's
+    spill files, which pooled sweeps read too, rely on that) and carry
+    no live views, so holding one costs exactly :meth:`nbytes` and can
+    never alias a running device.
     """
 
     __slots__ = ("num_blocks", "pages_per_block", "bits_per_cell", "columns")

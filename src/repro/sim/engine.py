@@ -37,8 +37,8 @@ An internal GC / refresh chain (:mod:`repro.sim.ssd`) uses it to serve a
 *quiet run*: every op that would end strictly before the horizon is
 timed in one loop and the run posts one event at its end, so an op
 served that way fires no event of its own and ``processed`` counts the
-whole run as one.  A run may carry the clock past a ``run(until=…)``
-bound; no simulator caller passes one.
+whole run as one.  :meth:`SimEngine.run` always drains everything
+pending, so a run never has to stop at a time bound.
 """
 
 from __future__ import annotations
@@ -203,43 +203,25 @@ class SimEngine:
         self._peak_mark = max(self._peak_mark - len(stream), len(self._queue))
         return len(stream)
 
-    def run(self, until: float | None = None) -> None:
-        """Fire events until the queue empties (or simulated ``until``).
-
-        With ``until`` set, events at times strictly greater are left in
-        the queue and ``now`` advances to ``until``.
-        """
+    def run(self) -> None:
+        """Fire events until nothing is pending."""
         if self._stream_pos < len(self._stream):
-            self._run_merged(until)
-            if self._stream_pos < len(self._stream):
-                return  # stopped at ``until`` with stream left over
+            self._run_merged()
             self._stream = []
             self._stream_pos = 0
         # Hot loop: the queue list and heappop are bound to locals, and
-        # the unbounded drain pops directly instead of peek-then-pop
-        # (callbacks mutate the queue in place via ``at``, never rebind
-        # it, so the local alias stays valid).
+        # the drain pops directly instead of peek-then-pop (callbacks
+        # mutate the queue in place via ``at``, never rebind it, so the
+        # local alias stays valid).
         queue = self._queue
         heappop = heapq.heappop
-        if until is None:
-            while queue:
-                time, _, callback = heappop(queue)
-                self._prev_now = self.now
-                self.now = time
-                callback()
-            return
         while queue:
-            time, _, callback = queue[0]
-            if time > until:
-                break
-            heappop(queue)
+            time, _, callback = heappop(queue)
             self._prev_now = self.now
             self.now = time
             callback()
-        if until > self.now:
-            self.now = until
 
-    def _run_merged(self, until: float | None) -> None:
+    def _run_merged(self) -> None:
         """Drain heap and admitted stream in (time, seq) order."""
         queue = self._queue
         heappop = heapq.heappop
@@ -249,14 +231,9 @@ class SimEngine:
         while pos < end:
             head = stream[pos]
             if queue and queue[0] < head:
-                time, _, callback = queue[0]
-                if until is not None and time > until:
-                    break
-                heappop(queue)
+                time, _, callback = heappop(queue)
             else:
                 time, _, callback = head
-                if until is not None and time > until:
-                    break
                 pos += 1
                 # Published before the callback runs: ``processed`` is
                 # derived from the pending count, which callbacks
@@ -266,30 +243,6 @@ class SimEngine:
             self._prev_now = self.now
             self.now = time
             callback()
-        if until is not None and pos < end and until > self.now:
-            self.now = until
-
-    def step(self) -> bool:
-        """Fire exactly one event; returns False when the queue is empty."""
-        if self._stream_pos < len(self._stream):
-            head = self._stream[self._stream_pos]
-            if self._queue and self._queue[0] < head:
-                time, _, callback = heapq.heappop(self._queue)
-            else:
-                time, _, callback = head
-                self._stream_pos += 1
-                self._peak_mark += 1
-            self._prev_now = self.now
-            self.now = time
-            callback()
-            return True
-        if not self._queue:
-            return False
-        time, _, callback = heapq.heappop(self._queue)
-        self._prev_now = self.now
-        self.now = time
-        callback()
-        return True
 
     def rewind_to_previous_event(self) -> None:
         """Roll the clock back to the event before the current one.

@@ -22,15 +22,15 @@ module makes the warm state a first-class value:
   in the experiments layer).  Corrupted, truncated or stale-schema spill
   files *never* crash a run: they fall back to a cold preload, bump
   ``stats.fallbacks``, and log a warning.
-* :func:`publish_warm_state` / :func:`attach_warm_state` — one
-  ``multiprocessing.shared_memory`` segment per distinct warm state, so
-  pool workers map the bytes the parent serialized once instead of
-  receiving hundreds of MB through the pickle pipe per unit.  The parent
-  owns the segment (created before the fan-out, closed and unlinked in a
-  ``finally``); workers attach read-only, copy out, and detach.  On
-  Python < 3.13 the attach helper keeps the segment out of the worker's
-  ``resource_tracker`` entirely (see :func:`_attach_untracked`) — the
-  tracker would otherwise unlink a parent-owned segment prematurely.
+* :class:`WarmHandle` — one run's connection to a store: it fetches the
+  run's warm state by key and offers a cold warm-up's capture back.
+
+The spill file is also the only transport between processes.  A pooled
+sweep warms each shared state once in the parent, spills it, and hands
+every worker the spill directory and key; the worker reads the file
+through its own :class:`SnapshotStore`, so a pooled unit restores
+exactly as an inline or ``--snapshot-dir`` run does, under the same
+magic, digest, type and schema checks.
 
 Restore-equivalence argument (why a fresh simulator plus a restored warm
 state equals a cold warmed simulator): the warm-up runs entirely through
@@ -73,9 +73,6 @@ __all__ = [
     "WarmHandle",
     "SnapshotStats",
     "SnapshotStore",
-    "SharedSnapshotRef",
-    "publish_warm_state",
-    "attach_warm_state",
 ]
 
 _log = logging.getLogger(__name__)
@@ -235,33 +232,26 @@ def restore_warm_state(sim: "SsdSimulator", warm: WarmState) -> None:
 
 
 class WarmHandle:
-    """One run's connection to the snapshot layer.
+    """One run's connection to a :class:`SnapshotStore`.
 
-    Two flavours: a *cache* handle (``store`` + ``key``) fetches from /
-    publishes to a :class:`SnapshotStore`, while a *resolved* handle
-    (``state``) carries a warm state that was transported some other way
-    — the shared-memory fan-out path.  ``outcome`` records what the run
-    actually did (``"hit"`` / ``"miss"``) for executor accounting.
+    The handle fetches the run's warm state from ``store`` under ``key``
+    and publishes a cold warm-up's capture back.  ``outcome`` records
+    what the run actually did (``"hit"`` / ``"miss"``) for executor
+    accounting; it stays ``None`` when the run never fetched (a traced
+    run warms up cold).
     """
 
-    __slots__ = ("store", "key", "state", "outcome")
+    __slots__ = ("store", "key", "outcome")
 
     def __init__(
-        self,
-        store: "SnapshotStore | None" = None,
-        key: str | None = None,
-        state: WarmState | None = None,
+        self, store: "SnapshotStore | None" = None, key: str | None = None
     ) -> None:
         self.store = store
         self.key = key
-        self.state = state
         self.outcome: str | None = None
 
     def fetch(self) -> WarmState | None:
         """The warm state this run should restore from, if any."""
-        if self.state is not None:
-            self.outcome = "hit"
-            return self.state
         if self.store is not None and self.key is not None:
             warm = self.store.get(self.key)
             if warm is not None:
@@ -279,13 +269,11 @@ class WarmHandle:
 @dataclass
 class SnapshotStats:
     """Cache accounting: ``hits``/``misses`` are per :meth:`~SnapshotStore.get`,
-    ``fallbacks`` counts spill files rejected as corrupt or stale, and
-    ``stores`` counts :meth:`~SnapshotStore.put` calls."""
+    and ``fallbacks`` counts spill files rejected as corrupt or stale."""
 
     hits: int = 0
     misses: int = 0
     fallbacks: int = 0
-    stores: int = 0
 
 
 class SnapshotStore:
@@ -294,8 +282,8 @@ class SnapshotStore:
     Keys are opaque strings (the experiments layer hashes the
     warm-relevant configuration slice into them).  The LRU keeps at most
     :data:`STORE_CAPACITY` states resident; the optional ``spill_dir``
-    makes snapshots survive the process and be shareable across
-    invocations.
+    makes snapshots survive the process and be shareable across pool
+    workers and invocations.
 
     Spill format: ``IDASNAP1`` magic, a sha256 digest of the payload,
     then the pickled :class:`WarmState`.  Loads verify magic, digest and
@@ -345,7 +333,6 @@ class SnapshotStore:
         the cache is an accelerator, never a correctness dependency.
         """
         self._insert(key, warm)
-        self.stats.stores += 1
         if self.spill_dir is None:
             return
         payload = pickle.dumps(warm, protocol=pickle.HIGHEST_PROTOCOL)
@@ -409,94 +396,3 @@ class SnapshotStore:
             )
             return None
         return warm
-
-
-# ----------------------------------------------------------------------
-# Shared-memory transport (pool fan-out)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SharedSnapshotRef:
-    """Picklable pointer to a parent-owned shared-memory warm state."""
-
-    name: str
-    size: int
-    digest: bytes
-
-
-def publish_warm_state(warm: WarmState):
-    """Serialize ``warm`` into a fresh shared-memory segment.
-
-    Returns ``(ref, shm)``: ship ``ref`` to workers; keep ``shm`` and
-    ``close()`` + ``unlink()`` it when the fan-out is done (the caller
-    owns the segment's lifetime — do it in a ``finally`` so a crashed
-    sweep does not leak ``/dev/shm`` space).
-    """
-    from multiprocessing import shared_memory
-
-    payload = pickle.dumps(warm, protocol=pickle.HIGHEST_PROTOCOL)
-    shm = shared_memory.SharedMemory(create=True, size=len(payload))
-    shm.buf[: len(payload)] = payload
-    ref = SharedSnapshotRef(
-        name=shm.name,
-        size=len(payload),
-        digest=hashlib.sha256(payload).digest(),
-    )
-    return ref, shm
-
-
-def _attach_untracked(name: str):
-    """Attach a ``SharedMemory`` segment without tracker registration.
-
-    Python < 3.13 registers *every* ``SharedMemory`` — including plain
-    attaches — with a resource tracker that unlinks the segment when its
-    owner exits.  A pool worker merely mapping a parent-owned segment
-    must not involve the tracker at all: under ``spawn`` the worker's
-    own tracker would tear the segment down when the worker exits, and
-    under ``fork`` (a shared tracker) an unregister from one worker
-    clobbers the parent's registration.  Python 3.13+ has ``track=``
-    for exactly this; on older versions the registration hook is
-    no-oped around the attach.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no ``track`` parameter
-        pass
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-
-    def _register_skip_shm(rname, rtype):
-        if rtype != "shared_memory":
-            original(rname, rtype)
-
-    resource_tracker.register = _register_skip_shm
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-def attach_warm_state(ref: SharedSnapshotRef) -> WarmState:
-    """Materialise a :class:`WarmState` from a shared-memory reference.
-
-    Copies the payload out and detaches immediately — the worker holds
-    no mapping afterwards, so segment lifetime stays entirely with the
-    publishing parent.
-
-    Raises:
-        ValueError: checksum mismatch or stale schema (callers treat any
-            exception as "run cold").
-    """
-    shm = _attach_untracked(ref.name)
-    try:
-        payload = bytes(shm.buf[: ref.size])
-    finally:
-        shm.close()
-    if hashlib.sha256(payload).digest() != ref.digest:
-        raise ValueError("shared-memory snapshot failed its checksum")
-    warm = pickle.loads(payload)
-    if not isinstance(warm, WarmState) or warm.schema != SNAPSHOT_SCHEMA:
-        raise ValueError("shared-memory snapshot carries a stale schema")
-    return warm

@@ -10,9 +10,12 @@ contain and attribute.
 
 from __future__ import annotations
 
+import concurrent.futures
 import multiprocessing
 import os
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
@@ -25,8 +28,9 @@ from repro.experiments.parallel import (
     SweepExecutor,
     warm_key_for_unit,
 )
-from repro.experiments.runner import RunResultPayload
+from repro.experiments.runner import RunResultPayload, prepare_warm_state
 from repro.experiments.systems import baseline, ida
+from repro.sim.snapshot import SnapshotStore
 
 SCALE = RunScale.tiny()
 
@@ -69,6 +73,25 @@ class TestWorkerCrash:
         with pytest.raises(SweepError, match="crash"):
             executor.map([_unit("a"), _unit("crash")])
 
+    def test_crash_during_submission_is_contained(
+        self, fake_worker, monkeypatch
+    ):
+        # Each submit waits for its unit to finish, so the first unit's
+        # crash breaks the pool before the next unit is submitted.
+        pool = concurrent.futures.ProcessPoolExecutor
+        real_submit = pool.submit
+
+        def submit_and_wait(self, fn, *args):
+            future = real_submit(self, fn, *args)
+            concurrent.futures.wait([future])
+            return future
+
+        monkeypatch.setattr(pool, "submit", submit_and_wait)
+        executor = SweepExecutor(jobs=2, keep_going=True)
+        results = executor.map([_unit("crash"), _unit("a"), _unit("b")])
+        assert isinstance(results[0], SweepError)
+        assert results[1:] == ["ok:a", "ok:b"]
+
     def test_pool_is_cleaned_up_after_crash(self, fake_worker):
         executor = SweepExecutor(jobs=2, keep_going=True)
         executor.map([_unit("crash"), _unit("a")])
@@ -78,39 +101,42 @@ class TestWorkerCrash:
         assert multiprocessing.active_children() == []
 
 
-class TestSharedMemoryRelease:
+class TestSpillDirectoryRelease:
     # Queue depth is invisible to the warm-up, so every unit below shares
-    # one warm key (one published segment) while the fake worker can
-    # still single one out to crash.  The crashing unit comes first: the
+    # one warm key (one spill file) while the fake worker can still
+    # single one out to crash.  The crashing unit comes first: the
     # executor charges a broken pool to the unit it is waiting on, and
-    # the healthy units then re-run on a fresh pool from the same
-    # segment.
+    # the healthy units then re-run on a fresh pool from the same file.
     CRASH_DEPTH = 13
 
-    def test_segments_are_released_after_a_crashed_sweep(self, monkeypatch):
-        from multiprocessing import shared_memory
-
+    def test_spill_directory_is_removed_after_a_crashed_sweep(
+        self, monkeypatch, tmp_path
+    ):
         real_execute_unit = parallel.execute_unit
-        real_publish = parallel.publish_warm_state
-        published: list[str] = []
+        real_spill_groups = SweepExecutor._spill_groups
+        spilled: list[list[str]] = []
 
         def crash_on_depth(unit, warm=None):
             if unit.queue_depth == self.CRASH_DEPTH:
                 os._exit(1)
             return real_execute_unit(unit, warm=warm)
 
-        def recording_publish(warm):
-            ref, shm = real_publish(warm)
-            published.append(shm.name)
-            return ref, shm
+        def recording_spill_groups(executor, units, spill_dir):
+            spills = real_spill_groups(executor, units, spill_dir)
+            spilled.append(sorted(p.name for p in Path(spill_dir).iterdir()))
+            return spills
 
         monkeypatch.setattr(parallel, "execute_unit", crash_on_depth)
-        monkeypatch.setattr(parallel, "publish_warm_state", recording_publish)
+        monkeypatch.setattr(
+            SweepExecutor, "_spill_groups", recording_spill_groups
+        )
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         units = [
             RunUnit(baseline(), "hm_1", SCALE, queue_depth=depth)
             for depth in (self.CRASH_DEPTH, 32, 16)
         ]
-        assert len({warm_key_for_unit(unit) for unit in units}) == 1
+        key = warm_key_for_unit(units[0])
+        assert {warm_key_for_unit(unit) for unit in units} == {key}
 
         executor = SweepExecutor(jobs=2, snapshots=True, keep_going=True)
         results = executor.map(units)
@@ -118,10 +144,42 @@ class TestSharedMemoryRelease:
         assert isinstance(results[0], SweepError)
         assert isinstance(results[1], RunResultPayload)
         assert isinstance(results[2], RunResultPayload)
-        assert len(published) == 1
-        for name in published:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        assert spilled == [[f"{key}.snap"]]
+        assert list(tmp_path.iterdir()) == []
+        assert executor.snapshot_stats == {
+            "hits": 2,
+            "misses": 1,
+            "fallbacks": 0,
+        }
+
+
+class TestPoolWorker:
+    """``_pool_worker`` restores through the inline store path."""
+
+    def test_corrupted_spill_file_runs_cold(self, tmp_path):
+        unit = RunUnit(baseline(), "hm_1", SCALE)
+        key = warm_key_for_unit(unit)
+        store = SnapshotStore(tmp_path)
+        store.put(
+            key,
+            prepare_warm_state(
+                unit.system, unit.resolve_workload(), SCALE, seed=unit.seed
+            ),
+        )
+        path = store._spill_path(key)
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0x01
+        path.write_bytes(bytes(blob))
+
+        payload, outcome, fallbacks = parallel._pool_worker(
+            unit, (str(tmp_path), key)
+        )
+
+        cold = parallel.execute_unit(unit)
+        assert outcome == "miss"
+        assert fallbacks == 1
+        assert payload.metrics_summary() == cold.metrics_summary()
+        assert payload.elapsed_us == cold.elapsed_us
 
 
 class TestDeterministicFailures:

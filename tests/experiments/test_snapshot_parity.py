@@ -34,7 +34,7 @@ from repro.experiments.runner import (
 from repro.experiments.systems import baseline, ida
 from repro.faults import FaultPlan
 from repro.obs import JsonlSink, Telemetry, Tracer
-from repro.sim.snapshot import WarmHandle
+from repro.sim.snapshot import SnapshotStore, WarmHandle
 from repro.workloads import TABLE3_WORKLOADS
 
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "fig8_tiny.json"
@@ -89,6 +89,13 @@ def _fault_plan() -> FaultPlan:
     )
 
 
+def _restoring_handle(system, spec) -> WarmHandle:
+    """A handle on a store that already holds the prepared warm state."""
+    store = SnapshotStore()
+    store.put("warm", prepare_warm_state(system, spec, SCALE, seed=SEED))
+    return WarmHandle(store, "warm")
+
+
 class TestRestoredRunEquivalence:
     """restore_warm_state(fresh sim) == the cold warm-up, exactly."""
 
@@ -97,9 +104,7 @@ class TestRestoredRunEquivalence:
         system = ida(0.2).with_policy(policy)
         spec = TABLE3_WORKLOADS["usr_1"]
         cold = run_workload(system, spec, SCALE, seed=SEED).to_payload()
-        warm = WarmHandle(
-            state=prepare_warm_state(system, spec, SCALE, seed=SEED)
-        )
+        warm = _restoring_handle(system, spec)
         restored = run_workload(
             system, spec, SCALE, seed=SEED, warm=warm
         ).to_payload()
@@ -116,9 +121,7 @@ class TestRestoredRunEquivalence:
         cold = run_workload(
             system, spec, SCALE, seed=SEED, faults=plan
         ).to_payload()
-        warm = WarmHandle(
-            state=prepare_warm_state(system, spec, SCALE, seed=SEED)
-        )
+        warm = _restoring_handle(system, spec)
         restored = run_workload(
             system, spec, SCALE, seed=SEED, faults=plan, warm=warm
         ).to_payload()
@@ -129,9 +132,7 @@ class TestRestoredRunEquivalence:
         system = baseline()
         spec = TABLE3_WORKLOADS["usr_1"]
         cold = run_workload(system, spec, SCALE, seed=SEED).to_payload()
-        warm = WarmHandle(
-            state=prepare_warm_state(system, spec, SCALE, seed=SEED)
-        )
+        warm = _restoring_handle(system, spec)
         restored = run_workload(
             system, spec, SCALE, seed=SEED, warm=warm
         ).to_payload()
@@ -144,8 +145,8 @@ class TestRestoredRunEquivalence:
         system = ida(0.2)
         spec = TABLE3_WORKLOADS["usr_1"]
         paths = [tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"]
-        state = prepare_warm_state(system, spec, SCALE, seed=SEED)
-        for path, warm in zip(paths, (None, WarmHandle(state=state))):
+        handles = (None, _restoring_handle(system, spec))
+        for path, warm in zip(paths, handles):
             telemetry = Telemetry(tracer=Tracer(JsonlSink(str(path))))
             run_workload(
                 system, spec, SCALE, seed=SEED, telemetry=telemetry, warm=warm
@@ -227,16 +228,19 @@ class TestExecutorParity:
                 assert a == b
             else:
                 assert _canon(a) == _canon(b)
-        # Every unit attached the one parent-published segment; the
-        # parent's single cold preload is the lone miss.
+        # Every unit restored from the one parent-written spill file;
+        # the parent's single cold preload is the lone miss.
         assert executor.snapshot_stats["hits"] == len(units)
         assert executor.snapshot_stats["misses"] == 1
 
-    def test_spill_dir_reuses_across_executors(self, units, tmp_path) -> None:
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_spill_dir_reuses_across_executors(
+        self, units, tmp_path, jobs
+    ) -> None:
         first = SweepExecutor(jobs=1, snapshot_dir=str(tmp_path))
         first.map(units[:2])
         assert first.snapshot_stats["misses"] == 1
-        second = SweepExecutor(jobs=1, snapshot_dir=str(tmp_path))
+        second = SweepExecutor(jobs=jobs, snapshot_dir=str(tmp_path))
         second.map(units[:2])
         assert second.snapshot_stats["misses"] == 0
         assert second.snapshot_stats["hits"] == 2

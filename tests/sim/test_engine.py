@@ -112,27 +112,6 @@ class TestRewind:
         assert seen == [True]
 
 
-class TestRunUntil:
-    def test_until_leaves_later_events(self):
-        engine = SimEngine()
-        fired = []
-        engine.at(10.0, lambda: fired.append(1))
-        engine.at(30.0, lambda: fired.append(2))
-        engine.run(until=20.0)
-        assert fired == [1]
-        assert engine.now == 20.0
-        assert engine.pending == 1
-        engine.run()
-        assert fired == [1, 2]
-
-    def test_step(self):
-        engine = SimEngine()
-        engine.at(1.0, lambda: None)
-        assert engine.step() is True
-        assert engine.step() is False
-        assert engine.processed == 1
-
-
 class TestDeterminism:
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=40))
     def test_any_schedule_fires_sorted(self, times):

