@@ -20,6 +20,7 @@ working unchanged.
 from __future__ import annotations
 
 from enum import IntEnum
+from itertools import product
 
 import numpy as np
 
@@ -76,6 +77,12 @@ class SenseTable:
             transform = IdaTransform(coding, tuple(range(start, coding.bits)))
             self._ida[start] = transform.sense_counts()
         self._lut: np.ndarray | None = None
+        #: Wordline validity (the Table I input) keyed by the wordline's
+        #: page-state bytes, for every combination of page states.
+        self.validity: dict[bytes, tuple[bool, ...]] = {
+            bytes(states): tuple(state == _VALID for state in states)
+            for states in product(range(len(PageState)), repeat=coding.bits)
+        }
 
     def senses(self, wl_mode: int, bit: int) -> int:
         """Senses to read page type ``bit`` under wordline mode ``wl_mode``.
@@ -455,6 +462,28 @@ class Block:
         state.summary_wl_mode[gw] = state.wl_mode[gw]
         state.journal_bit[gw] = 0
         state.journal_kept[gw] = 0
+
+    def read_view(
+        self, table: SenseTable, page: int
+    ) -> tuple[int, int, tuple[bool, ...], bool]:
+        """What a host read of ``page`` needs, from one look at its wordline.
+
+        Returns ``(senses, bit, wordline validity, from_ida)``: equal to
+        :meth:`senses_for`, :meth:`bit_of`, :meth:`wordline_validity` and
+        ``wl_mode != CONVENTIONAL_WL``, composed.
+
+        Raises:
+            KeyError: as :meth:`SenseTable.senses` does, for a torn
+                wordline or a bit its IDA mode evicted.
+        """
+        bits = self.bits_per_cell
+        wordline, bit = divmod(page, bits)
+        mode = self._wl[self._w0 + wordline]
+        base = self._p0 + wordline * bits
+        validity = table.validity[bytes(self._ps[base : base + bits])]
+        if mode == CONVENTIONAL_WL:
+            return table.conventional[bit], bit, validity, False
+        return table.senses(mode, bit), bit, validity, True
 
     def senses_for(self, table: SenseTable, page: int) -> int:
         """Senses a read of ``page`` needs given the wordline's mode."""

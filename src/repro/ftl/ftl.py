@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.coding import GrayCoding
-from ..flash.block import CONVENTIONAL_WL, Block, PageState
+from ..flash.block import Block, PageState
 from ..flash.errors import AdjustDisturbModel
 from ..flash.geometry import Geometry
 from ..flash.state import FLAG_IS_IDA
@@ -43,6 +43,7 @@ __all__ = ["Ftl"]
 
 _VALID = int(PageState.VALID)
 _INVALID = int(PageState.INVALID)
+_READ = OpKind.READ
 
 
 class Ftl:
@@ -158,18 +159,12 @@ class Ftl:
             self._program_page(lpn, now_us, [])
             ppn = self.map.lookup(lpn)
             assert ppn is not None
-        block, page = self.table.block_of_ppn(ppn)
-        wordline = block.wordline_of(page)
-        mode = block.wl_mode(wordline)
-        return PhysOp(
-            kind=OpKind.READ,
-            block_index=block.index,
-            page=page,
-            senses=block.senses_for(self.table.sense_table, page),
-            bit=block.bit_of(page),
-            wl_validity=block.wordline_validity(wordline),
-            from_ida=mode != CONVENTIONAL_WL,
+        table = self.table
+        block_index, page = divmod(ppn, self.geometry.pages_per_block)
+        senses, bit, validity, from_ida = table.blocks[block_index].read_view(
+            table.sense_table, page
         )
+        return PhysOp(_READ, block_index, page, senses, bit, validity, from_ida)
 
     def host_write(self, lpn: int, now_us: float) -> WriteResult:
         """Apply one host page write; returns the implied physical work."""

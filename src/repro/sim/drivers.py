@@ -35,6 +35,38 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["run_open_loop", "run_closed_loop"]
 
 
+def _check_lpns(
+    sim: "SsdSimulator",
+    requests: list[HostRequest],
+    background_updates: list[tuple[float, list[int]]] | None,
+) -> None:
+    """Reject any LPN outside the device's page space before the run.
+
+    An out-of-range LPN would otherwise fail deep inside the FTL: a
+    negative one with an ``IndexError`` from the forward map, a huge one
+    by growing the map to that many entries.
+
+    Raises:
+        ValueError: naming the first request (or background batch) that
+            holds an LPN outside ``0 <= lpn < geometry.total_pages``.
+    """
+    total = sim.geometry.total_pages
+
+    def reject(where: str, lpns) -> None:
+        bad = next(lpn for lpn in lpns if not 0 <= lpn < total)
+        raise ValueError(
+            f"{where}: LPN {bad} is outside the device's 0 <= lpn < {total}"
+        )
+
+    for request in requests:
+        lpns = request.lpns
+        if min(lpns) < 0 or max(lpns) >= total:
+            reject(f"request {request.request_id}", lpns)
+    for time_us, lpns in background_updates or []:
+        if len(lpns) and (min(lpns) < 0 or max(lpns) >= total):
+            reject(f"background batch at {time_us} us", lpns)
+
+
 def _schedule_background(
     sim: "SsdSimulator",
     background_updates: list[tuple[float, list[int]]] | None,
@@ -70,6 +102,7 @@ def run_open_loop(
     """
     if not requests:
         raise ValueError("empty request stream")
+    _check_lpns(sim, requests, background_updates)
     ordered = sorted(requests, key=lambda r: r.arrival_us)
 
     def make_dispatch(request: HostRequest):
@@ -122,6 +155,7 @@ def run_closed_loop(
         raise ValueError("empty request stream")
     if queue_depth < 1:
         raise ValueError("queue_depth must be >= 1")
+    _check_lpns(sim, requests, background_updates)
     pending = deque(requests)
     total = len(pending)
     completed = 0

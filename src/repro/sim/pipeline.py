@@ -6,7 +6,9 @@ Every physical flash operation moves through a fixed sequence of
 * **read**:  queue -> ``sense`` (die) -> ``transfer`` (channel) ->
   ``ecc`` (latency-only) — the host-interface overhead is a fixed
   per-request constant added at completion accounting, not a queued
-  stage;
+  stage; an unobserved host read request runs each page's sense and
+  transfer only (its plan's ``head``) and completes with one
+  request-level ECC event;
 * **write**: queue -> ``transfer`` (channel) -> ``program`` (die);
 * **adjust** (IDA voltage adjustment): ``adjust`` (die);
 * **erase**: ``erase`` (die).
@@ -278,13 +280,27 @@ class OpPlan:
     erase: die).  Compiling the tuple once pulls each stage's resource and
     duration into a slot, so running an op does no per-stage lookups.
 
+    A plan with a latency-only stage also compiles its ``head``: the
+    plan of its resource stages alone, which a host read request whose
+    ECC decodes are folded into one request-level event runs per page
+    (see :meth:`repro.sim.ssd.SsdSimulator.dispatch_read`).  ``head`` is
+    ``None`` on a plan without a latency stage.
+
     Raises:
         ValueError: For any other shape — no stages, a latency-only
             stage first or in the middle, or more than two resource
             stages.
     """
 
-    __slots__ = ("stages", "first", "first_us", "second", "second_us", "latency_us")
+    __slots__ = (
+        "stages",
+        "first",
+        "first_us",
+        "second",
+        "second_us",
+        "latency_us",
+        "head",
+    )
 
     def __init__(self, stages: tuple[Stage, ...]) -> None:
         stages = tuple(stages)
@@ -304,6 +320,9 @@ class OpPlan:
         self.second_us = stages[1].duration_us if served == 2 else 0.0
         self.latency_us: float | None = (
             stages[-1].duration_us if len(stages) > served else None
+        )
+        self.head: OpPlan | None = (
+            None if self.latency_us is None else OpPlan(stages[:served])
         )
 
 

@@ -12,9 +12,12 @@ The simulator is a thin conductor over the layered architecture (see
   through a plan compiled from its declarative stages (sense/transfer/ECC
   for reads, transfer/program for writes, adjust/erase for internal ops).
   Each host page op goes through ``SsdSimulator._issue`` into a fresh
-  pipeline; a GC / refresh pass is one ``_InternalChain``, a pipeline
-  re-armed for each of its ops, which also commits clean adjusts and
-  routes faulted ops to recovery as they end.  Where nothing else is due
+  pipeline, except that the pages of an unobserved read request with one
+  retry count run only to their transfer and the request completes with
+  one ECC event (see ``SsdSimulator._launch_request``); a GC / refresh
+  pass is one ``_InternalChain``, a pipeline re-armed for each of its
+  ops, which also commits clean adjusts and routes faulted ops to
+  recovery as they end.  Where nothing else is due
   before its ops would end, a chain serves them as one *quiet run*: one
   loop times them and one event resumes the chain (see
   :class:`_InternalChain`);
@@ -442,12 +445,19 @@ class SsdSimulator:
     # Host dispatch
     # ------------------------------------------------------------------
     def dispatch_read(self, request: HostRequest, on_request_done=None) -> None:
-        """Fan one host read out into per-page read pipelines."""
+        """Fan one host read out into per-page read pipelines.
+
+        An unobserved request whose pages all drew the same retry count
+        runs folded: its pages run only their sense and transfer stages,
+        and the last transfer posts the one ECC event that completes the
+        request (see :meth:`_launch_request`).
+        """
         now = self.engine.now
-        ops = [self.ftl.host_read(lpn, now) for lpn in request.lpns]
+        host_read = self.ftl.host_read
+        ops = [host_read(lpn, now) for lpn in request.lpns]
+        record = self.metrics.read_mix.record
         for op in ops:
-            assert op.bit is not None and op.wl_validity is not None
-            self.metrics.read_mix.record(op.bit, op.wl_validity, op.from_ida)
+            record(op.bit, op.wl_validity, op.from_ida)
         self._launch_request(
             request, ops, _HOST_READ, "read_span", on_request_done
         )
@@ -472,6 +482,21 @@ class SsdSimulator:
         span_kind: str,
         on_request_done,
     ) -> None:
+        """Issue one host request's page ops and track its completion.
+
+        **Request-level ECC.**  A read request is *folded* when nothing
+        observes its pages (no trace span, no profiler, no fault plan)
+        and every page drew the same retry count.  Every page then has
+        the same ECC latency, so the page whose transfer ends last is the
+        page whose decode ends last (equal transfer ends keep their seq
+        order).  The pages run their plans' resource-stage ``head``; the
+        completion counter counts transfers, and the last one pushes one
+        event at ``end + ecc latency``, at the same point of the same
+        callback and with the same float as the per-page path's last ECC
+        event.  That event completes the request, so every remaining
+        event keeps its ``(time, seq)`` order; only the other pages'
+        no-op decode events are gone.
+        """
         span = RequestSpan(request) if self.tracer.enabled else None
         prof_ctx = (
             self.profiler.begin_request(
@@ -516,13 +541,56 @@ class SsdSimulator:
             if on_request_done is not None:
                 on_request_done()
 
+        if klass is not _HOST_READ:
+            retries = [0] * len(ops)
+        elif self.faults is not None:
+            # Drawn at each page's own dispatch, after the injector has
+            # counted it (a power cut may fire there).
+            retries = [None] * len(ops)
+        else:
+            retries = self._draw_retries(ops)
+            if (
+                span is None
+                and prof_ctx is None
+                and retries.count(retries[0]) == len(ops)
+            ):
+                self._launch_folded(request, ops, retries[0], complete)
+                return
+
         outstanding = OutstandingRequest(request, len(ops), complete)
 
         def page_done(start_us: float, end_us: float) -> None:
             outstanding.page_done(end_us)
 
-        for op in ops:
-            self._issue(op, klass, page_done, span=span, prof_ctx=prof_ctx)
+        for op, op_retries in zip(ops, retries):
+            self._issue(op, klass, page_done, span, prof_ctx, op_retries)
+
+    def _launch_folded(
+        self,
+        request: HostRequest,
+        ops: list[PhysOp],
+        retries: int,
+        complete,
+    ) -> None:
+        """Run a folded read request: pages to transfer, one ECC event."""
+        engine = self.engine
+        plans = [self._plan_of(op, retries) for op in ops]
+        latency_us = plans[0].latency_us
+
+        def decode(req: HostRequest, transfer_end_us: float) -> None:
+            engine.push(
+                transfer_end_us + latency_us, lambda: complete(req, engine.now)
+            )
+
+        outstanding = OutstandingRequest(request, len(ops), decode)
+
+        def transfer_done(start_us: float, end_us: float) -> None:
+            outstanding.page_done(end_us)
+
+        queue = self._queue_of[_HOST_READ]
+        self.ops_dispatched += len(ops)
+        for plan in plans:
+            OpPipeline(engine, plan.head, _HOST_READ, queue, transfer_done).start()
 
     # ------------------------------------------------------------------
     # Op issue (policy + pipeline)
@@ -550,38 +618,21 @@ class SsdSimulator:
         on_done,
         span: RequestSpan | None,
         prof_ctx,
+        retries: int | None,
     ) -> None:
-        """Run one host page op through its compiled plan."""
-        host_read = klass is _HOST_READ
+        """Run one host page op through its compiled plan.
+
+        ``retries`` is the read's drawn retry count (``0`` for a write),
+        or ``None`` for a host read under a fault plan, which draws it
+        here, after the injector has seen the op.
+        """
         fault = (
-            self.faults.on_dispatch(op, host_read)
+            self.faults.on_dispatch(op, klass is _HOST_READ)
             if self.faults is not None
             else None
         )
-        retries = 0
-        if host_read:
-            # Retention-induced read retries hit long-stored data, i.e.
-            # host reads.  Refresh-internal reads either target data
-            # about to be rewritten anyway or verify *freshly
-            # reprogrammed* pages whose RBER is far below the retry
-            # threshold, so they decode hard (an internal chain plans
-            # every read with no retries).
-            retries = self.retry_model.sample_retries(
-                self._host_retry_rng, senses=op.senses
-            )
-            if fault is not None:
-                # Retry-ladder exhaustion: the CRN draws above are
-                # consumed exactly as usual (paired runs stay in step),
-                # then the ladder is forced to its full length — the
-                # read decodes only via outer protection, handled at
-                # completion.
-                retries = self.retry_model.max_retries
-            if retries:
-                self.metrics.read_retries += retries
-                if self.retry_counter is not None:
-                    self.retry_counter.inc(retries)
-                if self.faults is not None:
-                    self.faults.note_read_retries(op, retries)
+        if retries is None:
+            retries = self._read_retries(op, fault)
         plan = self._plan_of(op, retries)
         self.ops_dispatched += 1
         obs = None
@@ -606,6 +657,39 @@ class SsdSimulator:
         OpPipeline(
             self.engine, plan, klass, self._queue_of[klass], on_done, obs
         ).start()
+
+    def _draw_retries(self, ops: list[PhysOp]) -> list[int]:
+        """Retry counts of a host read request's pages, drawn in page order."""
+        if not self.retry_model.fail_prob:
+            # ``sample_retries`` draws nothing and returns 0.
+            return [0] * len(ops)
+        return [self._read_retries(op, None) for op in ops]
+
+    def _read_retries(self, op: PhysOp, fault) -> int:
+        """Draw one host page read's retry count and account for it.
+
+        Retention-induced read retries hit long-stored data, i.e. host
+        reads.  Refresh-internal reads either target data about to be
+        rewritten anyway or verify *freshly reprogrammed* pages whose
+        RBER is far below the retry threshold, so they decode hard (an
+        internal chain plans every read with no retries).
+        """
+        retries = self.retry_model.sample_retries(
+            self._host_retry_rng, senses=op.senses
+        )
+        if fault is not None:
+            # Retry-ladder exhaustion: the CRN draws above are consumed
+            # exactly as usual (paired runs stay in step), then the
+            # ladder is forced to its full length — the read decodes
+            # only via outer protection, handled at completion.
+            retries = self.retry_model.max_retries
+        if retries:
+            self.metrics.read_retries += retries
+            if self.retry_counter is not None:
+                self.retry_counter.inc(retries)
+            if self.faults is not None:
+                self.faults.note_read_retries(op, retries)
+        return retries
 
     def _plan_of(self, op: PhysOp, retries: int) -> OpPlan:
         """The compiled plan ``op`` runs; a read senses ``1 + retries`` times."""

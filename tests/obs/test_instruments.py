@@ -8,14 +8,18 @@ import pytest
 
 from repro.experiments.config import RunScale
 from repro.experiments.parallel import RunUnit, SweepExecutor
+from repro.experiments.runner import run_workload
 from repro.experiments.systems import ida
 from repro.obs import (
     DEFAULT_READ_P99_SLO,
     HealthMonitor,
     Instruments,
     IntervalCollector,
+    NullTracer,
+    SimProfiler,
     Telemetry,
 )
+from repro.workloads import workload
 
 SCALE = RunScale.tiny()
 
@@ -114,3 +118,49 @@ class TestInlineVsPooled:
         inline_trace = (tmp_path / "inline.jsonl").read_bytes()
         assert inline_trace
         assert (tmp_path / "pooled.jsonl").read_bytes() == inline_trace
+
+
+class TestPassiveHooksFoldReads:
+    """The passive variants CI's overhead gate times against a bare run
+    (``benchmarks/bench_obs_overhead.py``) must take the same folded read
+    path, or the gate would compare unlike work: a null tracer or a
+    health monitor leaves read requests folded, a profiler unfolds them."""
+
+    @staticmethod
+    def _events(monkeypatch, telemetry) -> int:
+        """Events the run fired, not counting interval-collector ticks."""
+        seen: dict[str, int] = {"ticks": 0}
+        end_run = Telemetry.end_run
+        tick = IntervalCollector._tick
+
+        def counted_tick(collector):
+            seen["ticks"] += 1
+            tick(collector)
+
+        def recorded_end(self, sim):
+            seen["processed"] = sim.engine.processed
+            end_run(self, sim)
+
+        monkeypatch.setattr(IntervalCollector, "_tick", counted_tick)
+        monkeypatch.setattr(Telemetry, "end_run", recorded_end)
+        spec = workload("usr_1")
+        run_workload(ida(0.2), spec, SCALE, seed=11, telemetry=telemetry)
+        monkeypatch.undo()
+        return seen["processed"] - seen["ticks"]
+
+    def test_passive_variants_fire_the_bare_runs_events(self, monkeypatch):
+        bare = self._events(monkeypatch, None)
+        null = self._events(monkeypatch, Telemetry(tracer=NullTracer()))
+        duration_us = workload("usr_1").scaled(
+            SCALE.num_requests, SCALE.footprint_pages
+        ).duration_us
+        health = self._events(
+            monkeypatch,
+            Instruments(health=True, slo=(DEFAULT_READ_P99_SLO,)).build(duration_us),
+        )
+        profiled = self._events(
+            monkeypatch, Telemetry(profiler=SimProfiler(keep_events=False))
+        )
+        assert null == bare
+        assert health == bare
+        assert profiled > bare

@@ -185,6 +185,43 @@ class TestAccounting:
             _simulator().run_requests([])
 
 
+class TestLpnBounds:
+    """LPNs outside ``0 <= lpn < total_pages`` fail at the run boundary."""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_open_loop_rejects_out_of_range_reads(self, offset):
+        sim = _simulator()
+        lpn = -1 if offset < 0 else sim.geometry.total_pages + offset
+        requests = [_read(0, 0.0, [0]), _read(7, 10.0, [1, lpn])]
+        with pytest.raises(ValueError, match=f"request 7: LPN {lpn} "):
+            sim.run_requests(requests)
+        assert sim.engine.pending == 0
+        assert sim.metrics.read_mix.total == 0
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_closed_loop_rejects_out_of_range_writes(self, offset):
+        sim = _simulator()
+        lpn = sim.geometry.total_pages + offset
+        with pytest.raises(ValueError, match=f"request 3: LPN {lpn} "):
+            sim.run_closed_loop([_write(3, 0.0, [lpn])], queue_depth=2)
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_background_batches_are_checked(self, offset):
+        sim = _simulator()
+        lpn = sim.geometry.total_pages + offset
+        background = [(50.0, [1, 2]), (90.0, [3, lpn])]
+        with pytest.raises(ValueError, match=f"batch at 90.0 us: LPN {lpn} "):
+            sim.run_requests([_read(0, 0.0, [0])], background_updates=background)
+        with pytest.raises(ValueError, match="batch at 90.0 us"):
+            sim.run_closed_loop([_read(0, 0.0, [0])], background_updates=background)
+
+    def test_last_page_is_accepted(self):
+        sim = _simulator()
+        last = sim.geometry.total_pages - 1
+        metrics = sim.run_requests([_read(0, 0.0, [last])])
+        assert metrics.read_response.count == 1
+
+
 class TestRefreshDaemonTiming:
     def test_refresh_runs_during_trace(self):
         sim = _simulator(RefreshMode.IDA, period_us=1000.0)
