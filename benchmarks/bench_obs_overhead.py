@@ -23,12 +23,11 @@ profiler section
   * ``full``      — ``SimProfiler()`` retaining Chrome-trace slices.
 
 telemetry section
-  * ``disabled``  — no health monitor (the default): the FTL / ECC /
-    host instrument points all hit their ``is None`` guards and nothing
-    else;
-  * ``enabled``   — ``Instruments(health=True)``: a full
-    :class:`HealthMonitor` with metrics registry and SLO engine attached
-    (sampled 16 times per run).
+  * ``disabled``  — no health monitor (the default): the simulator's
+    passive hooks all hit their ``is None`` guards and nothing else;
+  * ``enabled``   — ``Instruments(health=True, slo=...)``: a
+    :class:`HealthMonitor` with its SLO engine, sampling on an interval
+    collector 16 times per run.
 
 Run:  python benchmarks/bench_obs_overhead.py [--scale quick] [--reps 5]
                                               [--check] [--threshold 3.0]

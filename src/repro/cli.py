@@ -6,7 +6,7 @@ Usage::
     ida-repro fig8  [--scale quick|bench|full] [--workloads usr_1,proj_1]
     ida-repro table4 --scale bench
     ida-repro all --scale quick
-    ida-repro health --scale bench --json-out health.json --prom health.prom
+    ida-repro health --scale bench --json-out health.json
     ida-repro run --scale tiny --policy fcfs --trace /tmp/t.jsonl --report /tmp/run.json
     ida-repro run --scale tiny --health --report /tmp/run.json
     ida-repro profile --system ida-e20 --workload usr_1 --out /tmp/trace.json
@@ -51,7 +51,6 @@ from .experiments import (
     RunScale,
     RunUnit,
     SweepExecutor,
-    health_to_prometheus,
     plan_artifacts,
     run_plans,
     unit_union,
@@ -136,13 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "{\"kind\": <artifact>, \"result\": <result>} "
              "(any single artifact)",
     )
-    parser.add_argument(
-        "--prom",
-        metavar="PATH",
-        default=None,
-        help="also write a Prometheus text exposition to PATH "
-             "(supported by: health)",
-    )
     return parser
 
 
@@ -204,7 +196,7 @@ def _build_run_parser() -> argparse.ArgumentParser:
                              "into the run")
     parser.add_argument("--health", action="store_true",
                         help="attach the device-health monitor (SMART-style "
-                             "snapshots + metrics registry + default SLOs); "
+                             "snapshots + default SLOs); "
                              "the manifest gains a 'health' key")
     parser.add_argument("--snapshots", action="store_true",
                         help="draw the run's warmed device state from the "
@@ -489,12 +481,6 @@ def main(argv: list[str] | None = None) -> int:
     targets = sorted(ARTIFACTS) if args.artifact == "all" else [args.artifact]
     if args.json_out and len(targets) != 1:
         raise SystemExit("--json-out needs a single artifact, not 'all'")
-    if args.prom and len(targets) != 1:
-        raise SystemExit("--prom needs a single artifact, not 'all'")
-    if args.prom and targets != ["health"]:
-        raise SystemExit(
-            f"--prom is not supported for {targets[0]!r}; use 'health'"
-        )
     if args.cuts is not None:
         if targets != ["recover"]:
             raise SystemExit("--cuts only applies to the 'recover' artifact")
@@ -515,9 +501,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.json_out:
         document = {"kind": args.artifact, "result": jsonable(results[args.artifact])}
         write_run_manifest(document, args.json_out)
-    if args.prom:
-        with _open_output(args.prom) as handle:
-            handle.write(health_to_prometheus(results["health"]))
     if args.artifact == "all":
         timing = f"[all: {elapsed:.1f}s, {len(unit_union(plans))} unit(s)]"
     else:

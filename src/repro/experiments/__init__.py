@@ -19,7 +19,6 @@ from .health_artifact import (
     HealthCell,
     format_health,
     health_objectives,
-    health_to_prometheus,
 )
 from .fig_breakdown import BreakdownCell, BreakdownResult, format_fig_breakdown
 from .parallel import RunUnit, SweepError, SweepExecutor, execute_unit
@@ -88,7 +87,6 @@ __all__ = [
     "HealthCell",
     "format_health",
     "health_objectives",
-    "health_to_prometheus",
     "BreakdownCell",
     "BreakdownResult",
     "format_fig_breakdown",

@@ -12,11 +12,9 @@ accounting.
 Within a workload the faulted cells of both systems share one
 :class:`~repro.faults.FaultPlan` (same placement, same schedule), so the
 health divergence isolates the coding scheme, mirroring the pairing
-discipline of the faults artifact.  Every cell carries full health
-payloads — snapshot series, SLO summary, and the run's metrics-registry
-state — so the JSON export is a complete health record and the
-Prometheus export is one merged scrape file distinguished by
-``system`` / ``condition`` labels.
+discipline of the faults artifact.  Every cell carries its full health
+payload — snapshot series, summary and SLO accounting — so the JSON
+export is a complete health record.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from dataclasses import dataclass, field
 
 from ..ftl.refresh import RefreshMode
 from ..obs.instruments import Instruments
-from ..obs.metrics import labeled_snapshots_to_prometheus
 from ..obs.slo import SloObjective
 from ..workloads.msr import workload as _catalog_workload
 from .config import RunScale
@@ -44,7 +41,6 @@ __all__ = [
     "plan",
     "reduce",
     "format_health",
-    "health_to_prometheus",
 ]
 
 #: Fault density of the degraded cells (same scale as the faults
@@ -93,8 +89,8 @@ class HealthCell:
     system: str
     condition: str  # "healthy" | "faulted"
     mean_read_us: float
-    #: The run's full health payload: summary, snapshot series, SLO
-    #: accounting and registry snapshot (see HealthMonitor.to_payload).
+    #: The run's full health payload: summary, snapshot series and SLO
+    #: accounting (see HealthMonitor.to_payload).
     health: dict = field(default_factory=dict)
 
     @property
@@ -255,25 +251,3 @@ def format_health(result: HealthArtifactResult) -> str:
         lines.append(f"  {'':<40} read-p99   [{_sparkline(p99)}]")
     return "\n".join(lines)
 
-
-def health_to_prometheus(result: HealthArtifactResult) -> str:
-    """One Prometheus exposition for the whole sweep.
-
-    Each cell's registry snapshot contributes its samples tagged with
-    ``workload`` / ``system`` / ``condition`` labels; families are
-    declared once.  Cells without a registry (shouldn't happen — health
-    units always carry one) are skipped rather than failing the export.
-    """
-    labeled = [
-        (
-            {
-                "workload": cell.workload,
-                "system": cell.system,
-                "condition": cell.condition,
-            },
-            cell.health["registry"],
-        )
-        for cell in result.cells
-        if cell.health.get("registry")
-    ]
-    return labeled_snapshots_to_prometheus(labeled)

@@ -96,46 +96,6 @@ class Ftl:
         )
         self._read_reclaim_threshold: int | None = None
         self._retry_pressure: dict[int, int] = {}
-        # Live telemetry handles, bound by the simulator when a metrics
-        # registry is active; ``None`` (the default) costs one check per
-        # GC / refresh / retirement pass — never per page.
-        self.telemetry: dict | None = None
-
-    def bind_telemetry(self, registry) -> None:
-        """Publish FTL activity counters into a metrics registry.
-
-        Increments happen at *pass* granularity (one GC reclaim, one
-        block refresh, one retirement), so the per-op hot path stays
-        untouched; per-page counts ride as bulk ``inc(n)`` calls.
-        """
-        self.telemetry = {
-            "gc_passes": registry.counter(
-                "ftl_gc_passes_total", "GC victim blocks reclaimed"
-            ).unlabeled,
-            "gc_moves": registry.counter(
-                "ftl_gc_page_moves_total", "pages relocated by garbage collection"
-            ).unlabeled,
-            "erases": registry.counter(
-                "ftl_block_erases_total", "block erase operations"
-            ).unlabeled,
-            "refresh_passes": registry.counter(
-                "ftl_refresh_passes_total", "blocks taken through a refresh flow"
-            ).unlabeled,
-            "refresh_moves": registry.counter(
-                "ftl_refresh_page_moves_total",
-                "pages rewritten by refresh (moves plus disturb write-backs)",
-            ).unlabeled,
-            "adjusts": registry.counter(
-                "ftl_ida_adjusted_wordlines_total",
-                "wordlines voltage-adjusted into an IDA coding",
-            ).unlabeled,
-            "retired": registry.counter(
-                "ftl_blocks_retired_total", "blocks grown bad and retired"
-            ).unlabeled,
-            "reclaims": registry.counter(
-                "ftl_read_reclaims_total", "read-retry-pressure block reclaims"
-            ).unlabeled,
-        }
 
     @property
     def scan_interval_us(self) -> float:
@@ -463,13 +423,6 @@ class Ftl:
         finally:
             block.locked = False
         self.refresh_reports.append(report)
-        if self.telemetry is not None:
-            self.telemetry["refresh_passes"].inc()
-            moved = report.n_moved + report.n_error
-            if moved:
-                self.telemetry["refresh_moves"].inc(moved)
-            if report.n_adjusted_wordlines:
-                self.telemetry["adjusts"].inc(report.n_adjusted_wordlines)
         if self.tracer.enabled:
             self.tracer.emit(
                 now_us,
@@ -639,8 +592,6 @@ class Ftl:
             pool.retire(in_plane)
             self.grown_bad.append(block_index)
             self.counters.grown_bad_blocks += 1
-            if self.telemetry is not None:
-                self.telemetry["retired"].inc()
         ops: list[PhysOp] = []
         # Replay the failed page itself: its data is still buffered in the
         # controller, so no read is charged, just the fresh program.
@@ -674,8 +625,6 @@ class Ftl:
         pool.retire(in_plane)
         self.grown_bad.append(block_index)
         self.counters.grown_bad_blocks += 1
-        if self.telemetry is not None:
-            self.telemetry["retired"].inc()
         ops: list[PhysOp] = []
         for page in block.valid_pages():
             ops.append(self._internal_read_op(block, page))
@@ -752,8 +701,6 @@ class Ftl:
             return []
         self._retry_pressure[block_index] = 0
         self.counters.read_reclaims += 1
-        if self.telemetry is not None:
-            self.telemetry["reclaims"].inc()
         ops: list[PhysOp] = []
         block.locked = True
         try:
@@ -908,12 +855,6 @@ class Ftl:
         pool.release(in_plane)
         ops.append(PhysOp(kind=OpKind.ERASE, block_index=victim.index))
         self.counters.block_erases += 1
-        if self.telemetry is not None:
-            self.telemetry["gc_passes"].inc()
-            self.telemetry["gc_moves"].inc(
-                self.counters.gc_page_moves - moves_before
-            )
-            self.telemetry["erases"].inc()
         if self.tracer.enabled:
             self.tracer.emit(
                 now_us,

@@ -26,13 +26,6 @@ from .inspect import (
 )
 from .instruments import Instruments, Telemetry
 from .interval import IntervalCollector, IntervalSnapshot
-from .metrics import (
-    METRICS_SCHEMA,
-    MetricsRegistry,
-    labeled_snapshots_to_prometheus,
-    merge_snapshots,
-    snapshot_to_prometheus,
-)
 from .slo import DEFAULT_READ_P99_SLO, SloEngine, SloObjective
 from .tracer import (
     NULL_TRACER,
@@ -60,11 +53,6 @@ __all__ = [
     "IntervalSnapshot",
     "Instruments",
     "Telemetry",
-    "METRICS_SCHEMA",
-    "MetricsRegistry",
-    "merge_snapshots",
-    "snapshot_to_prometheus",
-    "labeled_snapshots_to_prometheus",
     "HEALTH_SCHEMA",
     "HealthMonitor",
     "HealthSnapshot",

@@ -16,10 +16,10 @@ costs one check).  Its output is plain JSON dicts, so a run's health
 series rides the pickle-safe pool payload unchanged and ``--jobs N``
 produces byte-identical series to an inline run.
 
-The monitor optionally publishes into a
-:class:`~repro.obs.metrics.MetricsRegistry` (for Prometheus / JSON
-export) and feeds an :class:`~repro.obs.slo.SloEngine` (for error-budget
-breach events); both are themselves optional.
+The monitor optionally feeds an :class:`~repro.obs.slo.SloEngine` (for
+error-budget breach events).  Every count it reports as an interval
+delta (GC, refresh, retries, reclaims) is also an end-of-run total in
+:class:`~repro.sim.metrics.SimMetrics`, and the series sums to it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..flash.errors import RberModel, ReadRetryModel
-from .metrics import MetricsRegistry
 from .slo import SloEngine
 
 __all__ = ["HEALTH_SCHEMA", "HealthSnapshot", "HealthMonitor"]
@@ -94,8 +93,6 @@ class HealthMonitor:
     read :meth:`series` / :meth:`summary` / :meth:`to_payload` after.
 
     Args:
-        registry: Optional metrics registry the monitor publishes each
-            sample into (gauges for censuses, counters for deltas).
         slo: Optional SLO engine fed one value dict per sample.
         block_groups: How many equal-size block groups the RBER trend is
             reported over (die-sized groups tell the story; per-block
@@ -106,7 +103,6 @@ class HealthMonitor:
 
     def __init__(
         self,
-        registry: MetricsRegistry | None = None,
         slo: SloEngine | None = None,
         block_groups: int = 8,
         rber_model: RberModel | None = None,
@@ -114,7 +110,6 @@ class HealthMonitor:
     ) -> None:
         if block_groups < 1:
             raise ValueError("block_groups must be >= 1")
-        self.registry = registry
         self.slo = slo
         self.block_groups = block_groups
         self.rber_model = rber_model or RberModel(rated_pe_cycles=rated_pe_cycles)
@@ -122,7 +117,6 @@ class HealthMonitor:
         self.snapshots: list[HealthSnapshot] = []
         self._sim = None
         self._last: dict[str, int] = {}
-        self._gauges: dict = {}
 
     # ------------------------------------------------------------------
     # Simulator wiring
@@ -133,38 +127,6 @@ class HealthMonitor:
         self._last = {}
         if self.slo is not None:
             self.slo.bind_tracer(sim.tracer)
-        if self.registry is not None:
-            self._declare_metrics()
-
-    def _declare_metrics(self) -> None:
-        reg = self.registry
-        g = self._gauges
-        g["wear_p99"] = reg.gauge(
-            "device_wear_p99_erases", "p99 of per-block erase counts"
-        ).unlabeled
-        g["wear_max"] = reg.gauge(
-            "device_wear_max_erases", "most-worn block's erase count"
-        ).unlabeled
-        g["retired"] = reg.gauge(
-            "device_retired_blocks", "blocks permanently out of rotation"
-        ).unlabeled
-        g["free"] = reg.gauge("device_free_blocks", "erased blocks available").unlabeled
-        g["ida_exposure"] = reg.gauge(
-            "device_ida_exposure", "fraction of in-use blocks carrying IDA wordlines"
-        ).unlabeled
-        g["refresh_backlog"] = reg.gauge(
-            "device_refresh_backlog_blocks", "full blocks past the refresh period"
-        ).unlabeled
-        g["rber"] = reg.gauge(
-            "device_estimated_rber",
-            "estimated raw bit error rate per block group",
-            labels=("block_group",),
-        )
-        g["queue_depth"] = reg.gauge(
-            "device_queue_depth",
-            "instantaneous queued ops per resource kind and request class",
-            labels=("resource", "request_class"),
-        )
 
     # ------------------------------------------------------------------
     # Sampling (driven by IntervalCollector._close_interval)
@@ -248,8 +210,6 @@ class HealthMonitor:
             snap.read_latency = read_hist.summary()
 
         self.snapshots.append(snap)
-        if self.registry is not None:
-            self._publish(snap)
         if self.slo is not None:
             self.slo.observe(start_us, end_us, self._slo_values(snap))
         return snap
@@ -319,28 +279,6 @@ class HealthMonitor:
             out[kind] = merged
         return out
 
-    def _publish(self, snap: HealthSnapshot) -> None:
-        """Mirror the snapshot's censuses into registry gauges.
-
-        Counters (retries, GC, refresh, retirement) are owned by the
-        instrument points themselves (simulator, FTL, ECC); the monitor
-        only publishes the sampled state nobody else observes live.
-        """
-        g = self._gauges
-        g["wear_p99"].set(snap.wear["p99"])
-        g["wear_max"].set(snap.wear["max"])
-        g["retired"].set(snap.retired_blocks)
-        g["free"].set(snap.free_blocks)
-        g["ida_exposure"].set(snap.ida_exposure)
-        g["refresh_backlog"].set(snap.refresh_backlog)
-        for group in snap.rber_groups:
-            g["rber"].labels(block_group=group["group"]).set(group["est_rber"])
-        for kind, depths in snap.queue_depth.items():
-            for cls, depth in depths.items():
-                if cls == "total":
-                    continue
-                g["queue_depth"].labels(resource=kind, request_class=cls).set(depth)
-
     def _slo_values(self, snap: HealthSnapshot) -> dict:
         values = {
             "read_retry_rate": snap.read_retry_rate,
@@ -401,6 +339,4 @@ class HealthMonitor:
         }
         if self.slo is not None:
             payload["slo"] = self.slo.summary()
-        if self.registry is not None:
-            payload["registry"] = self.registry.snapshot()
         return payload

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 
 from .health import HealthMonitor
 from .interval import IntervalCollector
-from .metrics import MetricsRegistry
 from .slo import SloEngine, SloObjective
 from .tracer import NULL_TRACER, JsonlSink, Tracer
 
@@ -40,8 +39,8 @@ class Instruments:
         trace_path: Write a JSONL event trace here (one file per unit).
         interval_us: Interval time-series cadence, simulated us.
         profile: Attach an aggregate-only sim-time profiler.
-        health: Attach a health monitor with its own metrics registry;
-            without ``interval_us`` it samples 16 times per run.
+        health: Attach a health monitor; without ``interval_us`` it
+            samples 16 times per run.
         slo: Objectives evaluated on the health trajectory.
     """
 
@@ -68,7 +67,7 @@ class Instruments:
         health = None
         if self.health:
             slo = SloEngine(self.slo) if self.slo else None
-            health = HealthMonitor(registry=MetricsRegistry(), slo=slo)
+            health = HealthMonitor(slo=slo)
         return Telemetry(
             tracer=Tracer(JsonlSink(self.trace_path)) if self.trace_path else None,
             collector=IntervalCollector(interval_us) if interval_us else None,
@@ -87,9 +86,7 @@ class Telemetry:
         collector: Interval collector; its cadence also drives the
             profiler's timelines and the health monitor's snapshots.
         profiler: Sim-time profiler fed stage boundaries.
-        health: Device-health monitor (needs ``collector``).  Its
-            registry also receives per-class latency, read retries and
-            FTL activity.
+        health: Device-health monitor (needs ``collector``).
         trace_path: Where the tracer writes, recorded in the payload.
         series: Publish the collector's series in the payload; off when
             the collector is only the health monitor's cadence.
@@ -116,48 +113,22 @@ class Telemetry:
         self.health = health
         self.trace_path = trace_path
         self.series = series
-        self._lat_read = self._lat_write = None
 
     def bind(self, sim) -> None:
         """Wire the instruments into ``sim``, setting the passive hooks
-        they need: ``sim.profiler``, ``sim.completion_observer`` (this
-        object) and ``sim.retry_counter``."""
+        they need: ``sim.profiler`` and ``sim.completion_observer`` (the
+        interval collector, which records each host completion)."""
         if self.profiler is not None:
             self.profiler.bind(sim.engine, sim.dies, sim.channels)
             sim.profiler = self.profiler
         if self.collector is not None:
             self.collector.bind(sim.engine, sim.dies, sim.channels)
-            sim.completion_observer = self
+            sim.completion_observer = self.collector
             if self.profiler is not None:
                 self.collector.attach_profiler(self.profiler)
         if self.health is not None:
             self.health.bind(sim)
             self.collector.attach_health(self.health)
-            registry = self.health.registry
-            if registry is not None:
-                latency = registry.histogram(
-                    "host_latency_us",
-                    "host request response time",
-                    labels=("request_class",),
-                )
-                self._lat_read = latency.labels(request_class="read")
-                self._lat_write = latency.labels(request_class="write")
-                sim.retry_counter = registry.counter(
-                    "flash_read_retries_total",
-                    "extra sensing passes forced by failed LDPC decodes",
-                ).unlabeled
-                sim.ftl.bind_telemetry(registry)
-
-    # Host completions, as the simulator's completion observer.
-    def host_read(self, response_us: float, nbytes: int) -> None:
-        self.collector.record_read(response_us, nbytes)
-        if self._lat_read is not None:
-            self._lat_read.observe(response_us)
-
-    def host_write(self, response_us: float, nbytes: int) -> None:
-        self.collector.record_write(response_us, nbytes)
-        if self._lat_write is not None:
-            self._lat_write.observe(response_us)
 
     def begin_run(self, sim, mode: str, n_requests: int) -> None:
         if self.collector is not None:

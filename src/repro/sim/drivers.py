@@ -35,36 +35,35 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["run_open_loop", "run_closed_loop"]
 
 
-def _check_lpns(
-    sim: "SsdSimulator",
-    requests: list[HostRequest],
-    background_updates: list[tuple[float, list[int]]] | None,
-) -> None:
-    """Reject any LPN outside the device's page space before the run.
+def check_lpns(where: str, lpns, total: int) -> None:
+    """Reject any of ``lpns`` outside the device's page space.
 
     An out-of-range LPN would otherwise fail deep inside the FTL: a
     negative one with an ``IndexError`` from the forward map, a huge one
     by growing the map to that many entries.
 
     Raises:
-        ValueError: naming the first request (or background batch) that
-            holds an LPN outside ``0 <= lpn < geometry.total_pages``.
+        ValueError: naming ``where`` and the first LPN outside
+            ``0 <= lpn < total``.
     """
-    total = sim.geometry.total_pages
-
-    def reject(where: str, lpns) -> None:
+    if len(lpns) and (min(lpns) < 0 or max(lpns) >= total):
         bad = next(lpn for lpn in lpns if not 0 <= lpn < total)
         raise ValueError(
             f"{where}: LPN {bad} is outside the device's 0 <= lpn < {total}"
         )
 
+
+def _check_lpns(
+    sim: "SsdSimulator",
+    requests: list[HostRequest],
+    background_updates: list[tuple[float, list[int]]] | None,
+) -> None:
+    """Check every request and background batch before the run starts."""
+    total = sim.geometry.total_pages
     for request in requests:
-        lpns = request.lpns
-        if min(lpns) < 0 or max(lpns) >= total:
-            reject(f"request {request.request_id}", lpns)
+        check_lpns(f"request {request.request_id}", request.lpns, total)
     for time_us, lpns in background_updates or []:
-        if len(lpns) and (min(lpns) < 0 or max(lpns) >= total):
-            reject(f"background batch at {time_us} us", lpns)
+        check_lpns(f"background batch at {time_us} us", lpns, total)
 
 
 def _schedule_background(

@@ -52,7 +52,7 @@ from ..ftl.gc import GcPolicy
 from ..ftl.ops import FlashTranslation, OpKind, PhysOp
 from ..ftl.refresh import RefreshPolicy
 from ..obs.instruments import Telemetry
-from .drivers import run_closed_loop, run_open_loop
+from .drivers import check_lpns, run_closed_loop, run_open_loop
 from .engine import SimEngine
 from .metrics import SimMetrics
 from .pipeline import (
@@ -397,7 +397,6 @@ class SsdSimulator:
         # needs them; each costs one ``is None`` check when off.
         self.profiler = None
         self.completion_observer = None
-        self.retry_counter = None
         self.telemetry.bind(self)
 
     # ------------------------------------------------------------------
@@ -409,8 +408,12 @@ class SsdSimulator:
         Spreading program times over ``[start_us, end_us)`` (typically one
         refresh period before the trace starts) staggers block refresh
         ages so refresh events do not all fire at once.
+
+        Raises:
+            ValueError: if an LPN lies outside ``0 <= lpn < total_pages``.
         """
         lpn_list = list(lpns)
+        check_lpns("preload", lpn_list, self.geometry.total_pages)
         if not lpn_list:
             return
         step = (end_us - start_us) / len(lpn_list)
@@ -418,8 +421,14 @@ class SsdSimulator:
         self.ftl.apply_untimed_batch(lpn_list, times)
 
     def age(self, lpns: Iterable[int], pseudo_now_us: float) -> None:
-        """Untimed update writes — creates the invalid lower pages IDA needs."""
-        self.ftl.apply_untimed_batch(list(lpns), pseudo_now_us)
+        """Untimed update writes — creates the invalid lower pages IDA needs.
+
+        Raises:
+            ValueError: if an LPN lies outside ``0 <= lpn < total_pages``.
+        """
+        lpn_list = list(lpns)
+        check_lpns("age", lpn_list, self.geometry.total_pages)
+        self.ftl.apply_untimed_batch(lpn_list, pseudo_now_us)
 
     # ------------------------------------------------------------------
     # Trace execution (delegates to the workload drivers)
@@ -516,7 +525,9 @@ class SsdSimulator:
         observe = (
             None
             if observer is None
-            else (observer.host_read if klass is _HOST_READ else observer.host_write)
+            else (
+                observer.record_read if klass is _HOST_READ else observer.record_write
+            )
         )
 
         def complete(req: HostRequest, now_us: float) -> None:
@@ -685,8 +696,6 @@ class SsdSimulator:
             retries = self.retry_model.max_retries
         if retries:
             self.metrics.read_retries += retries
-            if self.retry_counter is not None:
-                self.retry_counter.inc(retries)
             if self.faults is not None:
                 self.faults.note_read_retries(op, retries)
         return retries

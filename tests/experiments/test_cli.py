@@ -327,11 +327,10 @@ class TestProfileSubcommand:
 
 
 class TestHealthArtifactCli:
-    def test_health_artifact_with_json_and_prom(self, capsys, tmp_path):
+    def test_health_artifact_with_json(self, capsys, tmp_path):
         import json
 
         json_path = tmp_path / "health.json"
-        prom_path = tmp_path / "health.prom"
         code = main(
             [
                 "health",
@@ -341,8 +340,6 @@ class TestHealthArtifactCli:
                 "hm_1",
                 "--json-out",
                 str(json_path),
-                "--prom",
-                str(prom_path),
             ]
         )
         assert code == 0
@@ -351,24 +348,11 @@ class TestHealthArtifactCli:
         assert "retry-rate [" in out
         data = json.loads(json_path.read_text())
         assert data["kind"] == "health"
-        assert len(data["result"]["cells"]) == 4
-        prom = prom_path.read_text()
-        assert "# TYPE device_wear_p99_erases gauge" in prom
-        assert 'condition="faulted"' in prom
-
-    def test_prom_creates_missing_parent_directories(self, tmp_path):
-        prom_path = tmp_path / "a" / "b.prom"
-        args = ["health", "--scale", "tiny", "--workloads", "hm_1"]
-        assert main(args + ["--prom", str(prom_path)]) == 0
-        assert "# TYPE device_wear_p99_erases gauge" in prom_path.read_text()
-
-    def test_prom_rejected_for_unsupported_artifact(self):
-        with pytest.raises(SystemExit, match="--prom is not supported"):
-            main(["faults", "--scale", "tiny", "--prom", "x.prom"])
-
-    def test_prom_rejected_for_all(self):
-        with pytest.raises(SystemExit, match="single artifact"):
-            main(["all", "--scale", "tiny", "--prom", "x.prom"])
+        cells = data["result"]["cells"]
+        assert len(cells) == 4
+        for cell in cells:
+            assert set(cell["health"]) == {"schema", "summary", "series", "slo"}
+            assert cell["health"]["series"][-1]["wear"]["p99"] >= 0
 
 
 class TestRunHealthFlag:
@@ -390,7 +374,7 @@ class TestRunHealthFlag:
         health = manifest["health"]
         assert health["summary"]["samples"] > 0
         assert health["slo"]["objectives"]
-        assert health["registry"]["metrics"]
+        assert set(health) == {"schema", "summary", "series", "slo"}
 
     def test_run_health_pool_matches_inline(self, capsys, tmp_path):
         import json

@@ -12,7 +12,6 @@ from repro.experiments.fig11_read_retry import DEFAULT_PHASES
 from repro.experiments.health_artifact import (
     format_health,
     health_objectives,
-    health_to_prometheus,
 )
 from repro.experiments.artifacts import run_artifact
 from repro.experiments.parallel import SweepExecutor
@@ -63,7 +62,7 @@ class TestArtifactStructure:
     def test_every_cell_carries_full_health_payload(self, artifact):
         for cell in artifact.cells:
             assert cell.series, cell
-            assert cell.health["registry"]["metrics"]
+            assert set(cell.health) == {"schema", "summary", "series", "slo"}
             assert cell.slo["objectives"]
             assert cell.mean_read_us > 0
 
@@ -100,16 +99,6 @@ class TestExports:
         restored = json.loads(json.dumps(payload))
         assert restored == payload
 
-    def test_prometheus_export_labels_every_cell(self, artifact):
-        text = health_to_prometheus(artifact)
-        assert text.count("# TYPE device_wear_p99_erases gauge") == 1
-        for cell in artifact.cells:
-            needle = (
-                f'condition="{cell.condition}",system="{cell.system}",'
-                f'workload="{cell.workload}"'
-            )
-            assert needle in text, needle
-
 
 class TestJobsParity:
     def test_health_series_identical_inline_vs_pool(self, artifact):
@@ -127,7 +116,7 @@ class TestJobsParity:
 class TestEndToEndBreach:
     def test_breach_reaches_tracer_and_manifest(self, tmp_path):
         # One faulted IDA run with everything attached: the SLO breach
-        # must appear in the registry-backed payload, in the trace as an
+        # must appear in the health payload, in the trace as an
         # ``slo_breach`` event, and in the run manifest.
         scale = health_scale()
         name = "hm_1"

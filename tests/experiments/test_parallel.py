@@ -73,7 +73,6 @@ class TestRunUnit:
         )
         assert pickle.loads(pickle.dumps(unit)) == unit
         monitor = unit.instruments.build(unit.scaled_workload().duration_us).health
-        assert monitor.registry is not None
         assert monitor.slo.objectives == (DEFAULT_READ_P99_SLO,)
         assert Instruments().build(1.0).health is None
 

@@ -159,13 +159,6 @@ def refresh_block(ftl: Ftl, block: Block, now_us: float) -> list[PhysOp]:
         block.programmed_at_us = now_us
     block.locked = False
     ftl.refresh_reports.append(report)
-    if ftl.telemetry is not None:
-        ftl.telemetry["refresh_passes"].inc()
-        moved = report.n_moved + report.n_error
-        if moved:
-            ftl.telemetry["refresh_moves"].inc(moved)
-        if report.n_adjusted_wordlines:
-            ftl.telemetry["adjusts"].inc(report.n_adjusted_wordlines)
     if ftl.tracer.enabled:
         ftl.tracer.emit(
             now_us,

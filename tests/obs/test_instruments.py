@@ -70,7 +70,6 @@ class TestSpec:
     def test_health_without_interval_samples_sixteen_times(self):
         telemetry = Instruments(health=True).build(1_600.0)
         assert telemetry.collector.interval_us == 100.0
-        assert telemetry.health.registry is not None
         assert telemetry.health.slo is None
         # The cadence collector serves the monitor only: no series.
         assert telemetry.payload()["time_series"] is None

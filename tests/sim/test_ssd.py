@@ -221,6 +221,30 @@ class TestLpnBounds:
         metrics = sim.run_requests([_read(0, 0.0, [last])])
         assert metrics.read_response.count == 1
 
+    @staticmethod
+    def _warm_up(sim, how, lpns):
+        if how == "preload":
+            sim.preload(lpns, -2000.0, -1500.0)
+        else:
+            sim.age(lpns, pseudo_now_us=-1500.0)
+
+    @pytest.mark.parametrize("how", ["preload", "age"])
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_warm_up_rejects_out_of_range(self, how, offset):
+        sim = _simulator()
+        lpn = -1 if offset < 0 else sim.geometry.total_pages + offset
+        with pytest.raises(ValueError, match=f"{how}: LPN {lpn} "):
+            self._warm_up(sim, how, [0, lpn])
+        # Nothing was written: the check runs before the FTL sees a page.
+        assert sim.ftl.map.lookup(0) is None
+
+    @pytest.mark.parametrize("how", ["preload", "age"])
+    def test_warm_up_accepts_last_page(self, how):
+        sim = _simulator()
+        last = sim.geometry.total_pages - 1
+        self._warm_up(sim, how, [last])
+        assert sim.ftl.map.lookup(last) is not None
+
 
 class TestRefreshDaemonTiming:
     def test_refresh_runs_during_trace(self):
