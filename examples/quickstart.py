@@ -23,7 +23,7 @@ from repro.experiments import (
     RunScale,
     baseline,
     ida,
-    manifest_for_run,
+    manifest_for_payload,
     run_workload,
     write_run_manifest,
 )
@@ -111,7 +111,7 @@ def step4_end_to_end() -> None:
     # Every run can leave a structured artifact behind: config hash, seed,
     # metrics summary — the input to regression tracking and plots.
     out = Path(tempfile.mkdtemp()) / "quickstart_run.json"
-    manifest = manifest_for_run(fast)
+    manifest = manifest_for_payload(fast.to_payload())
     write_run_manifest(manifest, out)
     print(f"run manifest written to {out} (config {manifest['config_hash']})")
 

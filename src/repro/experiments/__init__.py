@@ -35,7 +35,6 @@ from .reporting import (
     config_hash,
     format_pct,
     manifest_for_payload,
-    manifest_for_run,
     metrics_summary,
     write_run_manifest,
 )
@@ -49,7 +48,7 @@ from .runner import (
     run_workload,
     run_workload_closed_loop,
 )
-from .systems import SystemSpec, baseline, error_rate_sweep, ida
+from .systems import SystemSpec, baseline, ida
 from .table3_workloads import Table3Result, format_table3
 from .table4_refresh_overhead import Table4Result, format_table4
 from .table5_mlc import Table5Result, format_table5
@@ -105,7 +104,6 @@ __all__ = [
     "build_run_manifest",
     "config_hash",
     "manifest_for_payload",
-    "manifest_for_run",
     "metrics_summary",
     "write_run_manifest",
     "CapacityCensus",
@@ -118,7 +116,6 @@ __all__ = [
     "run_workload_closed_loop",
     "SystemSpec",
     "baseline",
-    "error_rate_sweep",
     "ida",
     "Table3Result",
     "format_table3",

@@ -23,7 +23,7 @@ from ..sim.metrics import SimMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.metrics import ReadMixCounters
-    from .runner import RunResult, RunResultPayload
+    from .runner import RunResultPayload
 
 __all__ = [
     "ascii_table",
@@ -34,7 +34,6 @@ __all__ = [
     "counters_dict",
     "metrics_summary",
     "build_run_manifest",
-    "manifest_for_run",
     "manifest_for_payload",
     "write_run_manifest",
 ]
@@ -163,8 +162,9 @@ def build_run_manifest(
     seed, trace file, ...); it is hashed verbatim.  ``metrics`` is a
     :class:`SimMetrics` or its :func:`metrics_summary`.  ``telemetry`` is
     a :meth:`~repro.obs.instruments.Telemetry.payload` dict (any subset
-    of its keys).  Use :func:`manifest_for_run` when you have a full
-    :class:`RunResult`.
+    of its keys).  Use :func:`manifest_for_payload` when you have a
+    :class:`~repro.experiments.runner.RunResultPayload` (a full
+    ``RunResult`` gives one through ``result.to_payload()``).
     """
     if isinstance(metrics, SimMetrics):
         metrics = metrics_summary(metrics)
@@ -199,15 +199,6 @@ def build_run_manifest(
     if extra:
         manifest.update(jsonable(extra))  # type: ignore[arg-type]
     return manifest
-
-
-def manifest_for_run(result: "RunResult") -> dict:
-    """Manifest for one :class:`~repro.experiments.runner.RunResult`.
-
-    The same manifest as its payload's (payloads carry exactly the
-    summary the manifest records).
-    """
-    return manifest_for_payload(result.to_payload())
 
 
 def manifest_for_payload(

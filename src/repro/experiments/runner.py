@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from ..faults.plan import FaultPlan
 from ..ftl.gc import GcPolicy
 from ..ftl.refresh import RefreshPolicy, RefreshReport
-from ..obs.histogram import Histogram
 from ..obs.instruments import Telemetry
 from ..sim.metrics import ReadMixCounters, SimMetrics
 from ..sim.scheduler import HostRequest
@@ -104,11 +103,12 @@ class RunResultPayload:
 
     This is what crosses the process boundary in a parallel sweep: the
     raw ``SimMetrics`` sample lists and per-block ``RefreshReport``
-    objects are collapsed to summary dicts, fixed-bucket histograms and
-    refresh aggregates — a few KB regardless of run size — while keeping
-    everything the artifact post-processing (normalisation, Table IV
-    averages, manifests) consumes.  Inline sweeps return the same
-    type, so a sweep's output is identical at any job count.
+    objects are collapsed to latency summary dicts (count, mean,
+    percentiles, max) and refresh aggregates — a few KB regardless of
+    run size — while keeping everything the artifact post-processing
+    (normalisation, Table IV averages, manifests) consumes.  Inline
+    sweeps return the same type, so a sweep's output is identical at
+    any job count.
     """
 
     system: SystemSpec
@@ -117,8 +117,6 @@ class RunResultPayload:
     seed: int
     read_response: dict
     write_response: dict
-    read_hist: Histogram
-    write_hist: Histogram
     throughput_mb_s: float
     read_throughput_mb_s: float
     elapsed_us: float
@@ -177,8 +175,6 @@ class RunResultPayload:
             seed=result.seed,
             read_response=metrics.read_response.summary(),
             write_response=metrics.write_response.summary(),
-            read_hist=metrics.read_response.histogram(),
-            write_hist=metrics.write_response.histogram(),
             throughput_mb_s=metrics.throughput_mb_s(),
             read_throughput_mb_s=metrics.read_throughput_mb_s(),
             elapsed_us=metrics.elapsed_us,

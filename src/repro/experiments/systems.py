@@ -15,7 +15,7 @@ from ..ftl.refresh import RefreshMode
 from ..sim.policy import make_policy
 from .config import device
 
-__all__ = ["SystemSpec", "baseline", "ida", "error_rate_sweep"]
+__all__ = ["SystemSpec", "baseline", "ida"]
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,3 @@ def ida(error_rate: float = 0.2, device: str = "tlc") -> SystemSpec:
         device=device,
     )
 
-
-def error_rate_sweep() -> list[SystemSpec]:
-    """The Fig. 8 sweep: IDA-E0, E10, E20, E40, E50, E80."""
-    return [ida(rate) for rate in (0.0, 0.1, 0.2, 0.4, 0.5, 0.8)]

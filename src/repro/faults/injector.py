@@ -1,8 +1,8 @@
 """The fault injector: arms a :class:`FaultPlan` against a simulator.
 
-The injector hooks the simulator exactly the way the profiler does —
-one ``is None`` check per op dispatch and per stage boundary — so a run
-without a plan pays nothing (the fig8 golden parity test pins this).
+The injector hooks the simulator at op dispatch — one ``is None`` check
+per dispatched op — so a run without a plan pays nothing (the fig8
+golden parity test pins this).
 With a plan bound it does three things:
 
 * **trigger** — counts dispatched ops per kind and matches them against
@@ -12,9 +12,10 @@ With a plan bound it does three things:
   graceful-degradation handler and issues whatever relocation work that
   returns as internal background ops;
 * **record** — appends one JSON-able record per fired fault (including
-  the faulted op's per-stage timing, captured zero-copy at the pipeline
-  stage boundaries) to a deterministic event stream that flows into run
-  manifests and, when tracing is on, the structured tracer.
+  the faulted op's per-stage timing, read from the op's
+  :class:`~repro.sim.pipeline.OpRecord`, which the tracer and profiler
+  share) to a deterministic event stream that flows into run manifests
+  and, when tracing is on, the structured tracer.
 
 Everything here is duck-typed against the simulator (``bind(sim)``)
 rather than imported from :mod:`repro.sim`, keeping the package free of
@@ -54,25 +55,20 @@ class PowerCutError(RuntimeError):
 
 
 class FaultedOp:
-    """Per-op context for an op the plan marked as failing.
+    """The plan's verdict on one dispatched op: it fails with ``event``.
 
-    The op pipeline calls :meth:`note_stage` at every stage boundary
-    (mirroring the profiler hook), so the fault record shows exactly
-    where the doomed op spent its time before the failure surfaced.
+    The simulator puts it on the op's
+    :class:`~repro.sim.pipeline.OpRecord`, whose stage timings become
+    the fault record's, so the record shows exactly where the doomed op
+    spent its time before the failure surfaced.
     """
 
-    __slots__ = ("event", "op", "dispatch_us", "stages")
+    __slots__ = ("event", "op", "dispatch_us")
 
     def __init__(self, event: FaultEvent, op, dispatch_us: float) -> None:
         self.event = event
         self.op = op
         self.dispatch_us = dispatch_us
-        self.stages: list[tuple[str, float, float]] = []
-
-    def note_stage(
-        self, stage, submit_us: float, start_us: float, end_us: float
-    ) -> None:
-        self.stages.append((stage.name, start_us, end_us))
 
 
 class FaultInjector:
@@ -160,11 +156,15 @@ class FaultInjector:
             return None
         return FaultedOp(event, op, self.sim.engine.now)
 
-    def wrap_completion(self, ctx: FaultedOp, inner):
-        """Completion callback running recovery before the original one."""
+    def wrap_completion(self, record, inner):
+        """Completion callback running recovery before the original one.
+
+        ``record`` is the faulted op's
+        :class:`~repro.sim.pipeline.OpRecord`.
+        """
 
         def completion(start_us: float, end_us: float) -> None:
-            self.recover(ctx, end_us)
+            self.recover(record, end_us)
             inner(start_us, end_us)
 
         return completion
@@ -185,10 +185,14 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Recovery routing
     # ------------------------------------------------------------------
-    def recover(self, ctx: FaultedOp, now_us: float) -> None:
+    def recover(self, record, now_us: float) -> None:
         """A faulted op completed: hand it to the FTL's degradation
-        handler, record the fault and issue the relocation work."""
-        event, op = ctx.event, ctx.op
+        handler, record the fault and issue the relocation work.
+
+        ``record`` is the op's :class:`~repro.sim.pipeline.OpRecord`,
+        carrying this injector's :class:`FaultedOp`.
+        """
+        event, op = record.fault.event, record.fault.op
         ftl = self.sim.ftl
         kind = event.kind
         if kind is FaultKind.PROGRAM_FAIL:
@@ -207,7 +211,7 @@ class FaultInjector:
             page=op.page,
             wordline=op.wordline,
             recovery_ops=len(ops),
-            stages=ctx.stages,
+            stages=[(stage.name, start, end) for stage, _, start, end in record.stages],
         )
         if ops:
             self.sim.issue_internal_sequence(ops)

@@ -60,8 +60,6 @@ __all__ = [
     "SloObjective",
     "DEFAULT_READ_P99_SLO",
     "SimProfiler",
-    "ProfiledOp",
-    "ProfiledRequest",
     "validate_chrome_trace",
     "TraceSummary",
     "TraceLoadError",
@@ -77,9 +75,7 @@ __all__ = [
 # imports the simulator, which imports the FTL, which imports this
 # package.  Loading the profiler lazily (PEP 562) keeps that loop open
 # so ``import repro.ftl`` works on its own in a fresh interpreter.
-_PROFILER_NAMES = frozenset(
-    {"SimProfiler", "ProfiledOp", "ProfiledRequest", "validate_chrome_trace"}
-)
+_PROFILER_NAMES = frozenset({"SimProfiler", "validate_chrome_trace"})
 
 
 def __getattr__(name: str):

@@ -115,9 +115,9 @@ class IntervalCollector:
     def attach_profiler(self, profiler) -> None:
         """Drive a profiler's timeline from this collector's cadence.
 
-        Each closed interval also closes one profiler timeline sample,
-        so utilization/queue-depth timelines share the run's sampling
-        grid instead of inventing a second clock.
+        Each closed :class:`IntervalSnapshot` also closes one profiler
+        timeline sample, so the profiler's utilisation and queue-depth
+        timeline is this series' numbers on this series' grid.
         """
         self._profiler = profiler
 
@@ -186,8 +186,6 @@ class IntervalCollector:
     def _close_interval(self) -> None:
         now = self._engine.now
         elapsed = now - self._interval_start
-        if self._profiler is not None:
-            self._profiler.sample_interval(self._interval_start, now)
         if self._health is not None:
             # Sampled before the interval histogram resets so the health
             # snapshot sees this interval's read-latency distribution.
@@ -199,24 +197,25 @@ class IntervalCollector:
                 return 0.0
             return min(1.0, (busy - baseline) / (n * elapsed))
 
-        self.snapshots.append(
-            IntervalSnapshot(
-                start_us=self._interval_start,
-                end_us=now,
-                reads_completed=self._reads,
-                writes_completed=self._writes,
-                bytes_read=self._bytes_read,
-                bytes_written=self._bytes_written,
-                read_latency=self._read_hist.summary(),
-                die_utilisation=util(die_busy, self._busy_baseline[0], len(self._dies)),
-                channel_utilisation=util(
-                    chan_busy, self._busy_baseline[1], len(self._channels)
-                ),
-                die_queue_depth=sum(r.queued for r in self._dies),
-                channel_queue_depth=sum(r.queued for r in self._channels),
-                events_processed=self._engine.processed - self._processed_baseline,
-            )
+        snapshot = IntervalSnapshot(
+            start_us=self._interval_start,
+            end_us=now,
+            reads_completed=self._reads,
+            writes_completed=self._writes,
+            bytes_read=self._bytes_read,
+            bytes_written=self._bytes_written,
+            read_latency=self._read_hist.summary(),
+            die_utilisation=util(die_busy, self._busy_baseline[0], len(self._dies)),
+            channel_utilisation=util(
+                chan_busy, self._busy_baseline[1], len(self._channels)
+            ),
+            die_queue_depth=sum(r.queued for r in self._dies),
+            channel_queue_depth=sum(r.queued for r in self._channels),
+            events_processed=self._engine.processed - self._processed_baseline,
         )
+        self.snapshots.append(snapshot)
+        if self._profiler is not None:
+            self._profiler.sample_interval(snapshot)
         self._reset_interval_counters(now)
         self._busy_baseline = (die_busy, chan_busy)
         self._processed_baseline = self._engine.processed

@@ -2,8 +2,8 @@
 
 The paper's headline claim — IDA coding cuts read response ~28% by
 removing senses — is a claim about *time attribution*: sense service vs
-queue wait vs transfer vs ECC.  This module turns the stage-boundary
-hooks the op pipeline already fires into that attribution story:
+queue wait vs transfer vs ECC.  This module turns the stage records the
+op pipeline already keeps into that attribution story:
 
 * **per-request latency attribution** — queue wait vs service time,
   split by stage (``sense`` / ``transfer`` / ``ecc`` / ``program`` /
@@ -25,10 +25,24 @@ hooks the op pipeline already fires into that attribution story:
   :meth:`SimProfiler.aggregate` that run manifests embed and parallel
   sweeps transport.
 
+Every observed op keeps one :class:`~repro.sim.pipeline.OpRecord` of
+its ``(stage, submit, start, end)`` boundaries, and every observed host
+request one :class:`~repro.sim.pipeline.RequestRecord` of its ops in
+completion order.  The op's record hands each stage to
+:meth:`SimProfiler.on_stage` as it ends (the per-stage and per-class
+sums), and the request's completion hands its record to
+:meth:`SimProfiler.end_request` (the critical-path attribution and the
+request's flow); the tracer and the fault injector read the same
+records.  The timeline samples ride the interval collector: each closed
+:class:`~repro.obs.interval.IntervalSnapshot` supplies the busy
+fractions and queue depths, and the profiler adds the per-class die
+split.
+
 Profiling is *passive*: hooks read clocks and counters, never schedule
 events or touch RNG streams, so a profiled run produces byte-identical
-metrics to an unprofiled one.  A run without a profiler pays only a
-``profile is None`` check per stage boundary.  The profiler itself is
+metrics to an unprofiled one.  A run without a profiler or other
+observer builds no records and pays one ``obs is None`` check per stage
+boundary.  The profiler itself is
 picklable (live engine/resource references are dropped and replaced by
 their captured summaries), so aggregated profiles survive the
 ``RunResultPayload`` transport of ``--jobs`` sweeps.
@@ -45,79 +59,23 @@ from ..sim.resources import (
 
 __all__ = [
     "SimProfiler",
-    "ProfiledOp",
-    "ProfiledRequest",
     "validate_chrome_trace",
 ]
 
 #: Profile aggregate schema version (bumped on breaking shape changes).
 PROFILE_SCHEMA = 1
 
-_STAGE_NAMES = ("sense", "transfer", "ecc", "program", "adjust", "erase")
+#: ``IoPriority`` -> the class label stage cells are keyed by.
+_CLASS_NAMES = tuple(klass.name.lower() for klass in IoPriority)
 
 
-class ProfiledOp:
-    """Per-op stage collector handed to one :class:`OpPipeline`.
-
-    The pipeline calls :meth:`note_stage` at every stage boundary with
-    the stage object and the boundary clocks; the op extracts resource
-    identity (``kind``/``index``) from the stage's resource and records
-    a primitive tuple per stage — nothing here holds simulator state,
-    so completed ops are trivially picklable.
-    """
-
-    __slots__ = ("profiler", "ctx", "klass", "stages")
-
-    def __init__(
-        self,
-        profiler: "SimProfiler",
-        ctx: "ProfiledRequest | None",
-        klass: str,
-    ) -> None:
-        self.profiler = profiler
-        self.ctx = ctx
-        self.klass = klass
-        #: ``(stage, res_kind, res_index, wait_us, start_us, end_us)``
-        self.stages: list[tuple[str, str, int, float, float, float]] = []
-
-    def note_stage(
-        self, stage, submit_us: float, start_us: float, end_us: float
-    ) -> None:
-        """Record one completed stage (called by the pipeline)."""
-        resource = stage.resource
-        if resource is not None:
-            kind, index = resource.kind, resource.index
-        else:
-            kind, index = "pipeline", 0
-        wait = start_us - submit_us
-        self.stages.append((stage.name, kind, index, wait, start_us, end_us))
-        self.profiler._on_stage(
-            self.klass, stage.name, kind, index, wait, start_us, end_us,
-            self.ctx.request_id if self.ctx is not None else None,
-        )
-
-    def complete(self, end_us: float) -> None:
-        """The pipeline finished; join the owning request, if any.
-
-        Ops append in *completion* order, mirroring
-        :class:`RequestSpan.add_page`: when the request completes, the
-        last appended op is the critical-path op whose stages tile the
-        dispatch -> completion window exactly.
-        """
-        if self.ctx is not None:
-            self.ctx.ops.append(self)
-
-
-class ProfiledRequest:
-    """Profiling context of one in-flight host request."""
-
-    __slots__ = ("request_id", "arrival_us", "kind", "ops")
-
-    def __init__(self, request_id: int, arrival_us: float, kind: str) -> None:
-        self.request_id = request_id
-        self.arrival_us = arrival_us
-        self.kind = kind  # "read" | "write"
-        self.ops: list[ProfiledOp] = []
+def _where(stage) -> tuple[str, int]:
+    """``(resource kind, index)`` a stage ran on; ``("pipeline", 0)``
+    for a latency-only stage."""
+    resource = stage.resource
+    if resource is None:
+        return "pipeline", 0
+    return resource.kind, resource.index
 
 
 def _new_stage_cell() -> dict:
@@ -135,7 +93,7 @@ def _new_request_cell() -> dict:
 
 
 class SimProfiler:
-    """Zero-copy consumer of the pipeline's stage-boundary hooks.
+    """Consumer of the pipeline's per-op stage records.
 
     Args:
         keep_events: Retain per-stage slice events for the Chrome trace
@@ -147,8 +105,8 @@ class SimProfiler:
             bounding memory on long runs.
 
     Lifecycle (all calls made by the simulator/driver layers):
-    ``bind`` -> ``start_run`` -> {``begin_request`` / ``begin_op`` /
-    ``end_request`` / ``sample_interval``}* -> ``finish_run``.
+    ``bind`` -> ``start_run`` -> {``on_stage`` / ``end_request`` /
+    ``sample_interval``}* -> ``finish_run``.
     """
 
     def __init__(self, keep_events: bool = True, max_events: int = 200_000) -> None:
@@ -172,7 +130,6 @@ class SimProfiler:
         # Flow endpoints: (phase "s"/"f", res_kind, res_index, ts, request_id)
         self._flows: list[tuple] = []
         self._timeline: list[dict] = []
-        self._busy_base: dict[str, float] = {"die": 0.0, "channel": 0.0}
         self._die_class_base = [0.0] * len(IoPriority)
         self._run: dict = {"start_us": None, "end_us": None, "elapsed_us": 0.0}
         self._resources_summary: dict | None = None
@@ -190,10 +147,6 @@ class SimProfiler:
 
     def start_run(self, now_us: float) -> None:
         self._run["start_us"] = now_us
-        self._busy_base = {
-            "die": sum(r.busy_us for r in self._dies),
-            "channel": sum(r.busy_us for r in self._channels),
-        }
         self._die_class_base = [
             sum(r.busy_us_by_class[k] for r in self._dies) for k in IoPriority
         ]
@@ -206,102 +159,97 @@ class SimProfiler:
     # ------------------------------------------------------------------
     # Hooks (hot path)
     # ------------------------------------------------------------------
-    def begin_request(
-        self, request_id: int, arrival_us: float, kind: str
-    ) -> ProfiledRequest:
-        return ProfiledRequest(request_id, arrival_us, kind)
-
-    def begin_op(self, klass: IoPriority, ctx: ProfiledRequest | None) -> ProfiledOp:
-        return ProfiledOp(self, ctx, klass.name.lower())
-
-    def _on_stage(
-        self,
-        klass: str,
-        stage: str,
-        res_kind: str,
-        res_index: int,
-        wait_us: float,
-        start_us: float,
-        end_us: float,
-        request_id: int | None,
+    def on_stage(
+        self, record, stage, submit_us: float, start_us: float, end_us: float
     ) -> None:
-        cell = self._stages.get((klass, stage, res_kind))
+        """One stage of a profiled op ended (called by its
+        :class:`~repro.sim.pipeline.OpRecord`)."""
+        res_kind, res_index = _where(stage)
+        wait_us = start_us - submit_us
+        key = (_CLASS_NAMES[record.klass], stage.name, res_kind)
+        cell = self._stages.get(key)
         if cell is None:
-            cell = self._stages[(klass, stage, res_kind)] = _new_stage_cell()
+            cell = self._stages[key] = _new_stage_cell()
         cell["count"] += 1
         cell["wait_us"] += wait_us
         cell["service_us"] += end_us - start_us
         if self.keep_events:
             if len(self._events) < self.max_events:
+                request = record.request
                 self._events.append(
-                    (stage, res_kind, res_index, start_us, end_us - start_us,
-                     request_id)
+                    (stage.name, res_kind, res_index, start_us, end_us - start_us,
+                     None if request is None else request.request.request_id)
                 )
             else:
                 self.events_dropped += 1
 
     def end_request(
-        self, ctx: ProfiledRequest, complete_us: float, host_overhead_us: float
+        self, record, kind: str, complete_us: float, host_overhead_us: float
     ) -> None:
-        """Fold one completed request into the attribution aggregates."""
-        response = complete_us - ctx.arrival_us + host_overhead_us
-        cell = self._requests.get(ctx.kind)
+        """Fold one completed request into the attribution aggregates.
+
+        ``record`` is the request's
+        :class:`~repro.sim.pipeline.RequestRecord`; its last op is the
+        critical path.  ``kind`` is ``"read"`` or ``"write"``.
+        """
+        request = record.request
+        response = complete_us - request.arrival_us + host_overhead_us
+        cell = self._requests.get(kind)
         if cell is None:
-            cell = self._requests[ctx.kind] = _new_request_cell()
+            cell = self._requests[kind] = _new_request_cell()
         cell["count"] += 1
         cell["response_us"] += response
         cell["host_overhead_us"] += host_overhead_us
         attributed = host_overhead_us
-        if ctx.ops:
-            critical = ctx.ops[-1]
+        ops = record.ops
+        if ops:
             service = cell["service_us"]
-            for stage, _kind, _index, wait, start, end in critical.stages:
+            for stage, submit, start, end in ops[-1].stages:
+                wait = start - submit
                 cell["queue_wait_us"] += wait
-                service[stage] = service.get(stage, 0.0) + (end - start)
+                service[stage.name] = service.get(stage.name, 0.0) + (end - start)
                 attributed += wait + (end - start)
         self.max_residual_us = max(self.max_residual_us, abs(response - attributed))
-        if self.keep_events and ctx.ops:
-            first = ctx.ops[0].stages
-            last = ctx.ops[-1].stages
+        if self.keep_events and ops:
+            first = ops[0].stages
+            last = ops[-1].stages
             if first and last:
-                _, kind0, idx0, _, start0, _ = first[0]
-                _, kind1, idx1, _, start1, _ = last[-1]
-                self._flows.append(("s", kind0, idx0, start0, ctx.request_id))
-                self._flows.append(("f", kind1, idx1, start1, ctx.request_id))
+                request_id = request.request_id
+                self._flows.append(("s", *_where(first[0][0]), first[0][2], request_id))
+                self._flows.append(("f", *_where(last[-1][0]), last[-1][2], request_id))
 
-    def sample_interval(self, start_us: float, end_us: float) -> None:
-        """Close one timeline sample (driven by the interval collector)."""
-        elapsed = end_us - start_us
-        die_busy = sum(r.busy_us for r in self._dies)
-        chan_busy = sum(r.busy_us for r in self._channels)
+    def sample_interval(self, snapshot) -> None:
+        """Close one timeline sample at an interval the collector closed.
+
+        Busy fractions and queue depths are the collector's
+        :class:`~repro.obs.interval.IntervalSnapshot`'s; only the die
+        busy split per dispatch class is measured here.
+        """
+        elapsed = snapshot.end_us - snapshot.start_us
+        n_dies = len(self._dies)
         die_class = [
             sum(r.busy_us_by_class[k] for r in self._dies) for k in IoPriority
         ]
 
-        def frac(busy: float, base: float, n: int) -> float:
-            if elapsed <= 0 or n == 0:
+        def frac(busy: float, base: float) -> float:
+            if elapsed <= 0 or n_dies == 0:
                 return 0.0
-            return min(1.0, (busy - base) / (n * elapsed))
+            return min(1.0, (busy - base) / (n_dies * elapsed))
 
         self._timeline.append(
             {
-                "start_us": start_us,
-                "end_us": end_us,
-                "die_busy_frac": frac(die_busy, self._busy_base["die"], len(self._dies)),
-                "channel_busy_frac": frac(
-                    chan_busy, self._busy_base["channel"], len(self._channels)
-                ),
+                "start_us": snapshot.start_us,
+                "end_us": snapshot.end_us,
+                "die_busy_frac": snapshot.die_utilisation,
+                "channel_busy_frac": snapshot.channel_utilisation,
                 "die_busy_by_class": {
-                    k.name.lower(): frac(
-                        die_class[k], self._die_class_base[k], len(self._dies)
-                    )
+                    k.name.lower(): frac(die_class[k], self._die_class_base[k])
                     for k in IoPriority
                 },
-                "die_queue_depth": sum(r.queued for r in self._dies),
-                "channel_queue_depth": sum(r.queued for r in self._channels),
+                "die_queue_depth": snapshot.die_queue_depth,
+                "channel_queue_depth": snapshot.channel_queue_depth,
             }
         )
-        self._busy_base = {"die": die_busy, "channel": chan_busy}
         self._die_class_base = die_class
 
     # ------------------------------------------------------------------

@@ -6,10 +6,9 @@ from .metrics import LatencyStats, ReadMixCounters, SimMetrics
 from .pipeline import (
     OpPipeline,
     OpPlan,
-    PageRecord,
-    RequestSpan,
+    OpRecord,
+    RequestRecord,
     Stage,
-    StageObservers,
     adjust_stages,
     erase_stages,
     read_stages,
@@ -36,10 +35,9 @@ __all__ = [
     "run_closed_loop",
     "OpPipeline",
     "OpPlan",
-    "PageRecord",
-    "RequestSpan",
+    "OpRecord",
+    "RequestRecord",
     "Stage",
-    "StageObservers",
     "read_stages",
     "write_stages",
     "adjust_stages",

@@ -10,11 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.histogram import Histogram
-
 __all__ = ["LatencyStats", "ReadMixCounters", "SimMetrics"]
 
 
@@ -77,20 +72,6 @@ class LatencyStats:
             "p99_us": self.percentile(99),
             "max_us": self.max_us,
         }
-
-    def histogram(self, bounds: Sequence[float] | None = None) -> "Histogram":
-        """Fold the samples into a fixed-bucket :class:`Histogram`.
-
-        The compact form results ship across process boundaries: a few
-        hundred integers regardless of sample count, with exact count /
-        mean / max and bucket-quantised percentiles.
-        """
-        from ..obs.histogram import Histogram
-
-        hist = Histogram(bounds)
-        for value in self._samples:
-            hist.add(value)
-        return hist
 
 
 @dataclass

@@ -26,12 +26,14 @@ internal GC / refresh chain is one pipeline re-armed for each of its
 ops (``plan`` and ``obs`` set anew, then :meth:`OpPipeline.start`), so
 both run the same boundary methods.
 
-Observation attaches at those boundaries through one
-:class:`StageObservers` slot: a :class:`PageRecord` noting queue wait and
-service time per stage, the profiler's op context and the fault
-injector's op context all sit behind it, and an unobserved op pays one
-``is None`` check per boundary.  Golden-parity tests pin the event
-order of this machine to the float.
+Observation attaches at those boundaries through one slot, ``obs``: an
+:class:`OpRecord` of the op's ``(stage, submit, start, end)`` tuples,
+which joins its host request's :class:`RequestRecord` when the op ends
+and hands each stage to a profiler, if one is attached.  The tracer's
+request span, the profiler's attribution and the fault injector's
+record are all read from these two records, and an unobserved op builds
+none and pays one ``is None`` check per boundary.  Golden-parity tests
+pin the event order of this machine to the float.
 """
 
 from __future__ import annotations
@@ -48,9 +50,8 @@ __all__ = [
     "Stage",
     "OpPlan",
     "OpPipeline",
-    "StageObservers",
-    "PageRecord",
-    "RequestSpan",
+    "OpRecord",
+    "RequestRecord",
     "read_stages",
     "write_stages",
     "adjust_stages",
@@ -118,157 +119,126 @@ def erase_stages(die: Resource, timing: TimingSpec) -> tuple[Stage, ...]:
     return (Stage(die, timing.erase_us, "erase"),)
 
 
-class PageRecord:
-    """Stage timings of one observed page op as it moves through the pipe."""
-
-    __slots__ = (
-        "block",
-        "page",
-        "senses",
-        "retries",
-        "submit_us",
-        "queue_wait_us",
-        "sense_us",
-        "transfer_us",
-        "ecc_us",
-        "program_us",
-        "end_us",
-    )
-
-    def __init__(
-        self, block: int, page: int, senses: int, retries: int, submit_us: float
-    ) -> None:
-        self.block = block
-        self.page = page
-        self.senses = senses
-        self.retries = retries
-        self.submit_us = submit_us
-        self.queue_wait_us = 0.0  # die wait + channel wait, accumulated
-        self.sense_us = 0.0
-        self.transfer_us = 0.0
-        self.ecc_us = 0.0
-        self.program_us = 0.0
-        self.end_us = 0.0
-
-    def note_stage(
-        self, name: str, wait_us: float, start_us: float, end_us: float
-    ) -> None:
-        """Record one completed stage (called by the pipeline)."""
-        self.queue_wait_us += wait_us
-        duration = end_us - start_us
-        if name == "sense":
-            self.sense_us = duration
-        elif name == "transfer":
-            self.transfer_us = duration
-        elif name == "ecc":
-            self.ecc_us = duration
-        elif name == "program":
-            self.program_us = duration
-        self.end_us = end_us
-
-    def to_dict(self) -> dict:
-        return {
-            "block": self.block,
-            "page": self.page,
-            "senses": self.senses,
-            "retries": self.retries,
-            "queue_wait_us": self.queue_wait_us,
-            "sense_us": self.sense_us,
-            "transfer_us": self.transfer_us,
-            "ecc_us": self.ecc_us,
-            "program_us": self.program_us,
-            "end_us": self.end_us,
-        }
+#: Stage names a traced page entry reports a service time for.
+_SPAN_STAGES = ("sense", "transfer", "ecc", "program")
 
 
-class RequestSpan:
-    """Collects per-page stage records for one traced host request.
+class OpRecord:
+    """The stage timings of one observed op, noted as its pipeline runs.
 
-    Page records are appended as their pipelines complete, so when the
-    request's last page op finishes (triggering completion) the final
-    record is the critical-path page: its stages, by construction, tile
-    the whole ``arrival -> completion`` window.
+    ``stages`` holds one ``(stage, submit_us, start_us, end_us)`` tuple
+    per finished stage, in order: the stage was submitted at
+    ``submit_us`` and served over ``[start_us, end_us]``.  The tracer's
+    request span, the profiler's request attribution and the fault
+    injector's record all read it.  An op that belongs to an observed
+    host request joins its :class:`RequestRecord` when it completes; a
+    profiler, when attached, is also handed each stage as it ends.
+
+    Attributes:
+        op: The :class:`~repro.ftl.ops.PhysOp` being timed.
+        retries: Read-retry count the op drew (``0`` for other ops).
+        klass: Its dispatch class.
+        request: The owning :class:`RequestRecord`, or ``None``.
+        profiler: The attached :class:`~repro.obs.profiler.SimProfiler`,
+            or ``None``.
+        fault: The injector's :class:`~repro.faults.injector.FaultedOp`
+            when the plan fails this op, else ``None``.
     """
 
-    __slots__ = ("request", "pages")
-
-    def __init__(self, request) -> None:
-        self.request = request
-        self.pages: list[PageRecord] = []
-
-    def add_page(self, record: PageRecord) -> None:
-        self.pages.append(record)
-
-    def emit(
-        self,
-        tracer,
-        kind: str,
-        complete_us: float,
-        host_overhead_us: float,
-    ) -> None:
-        critical = self.pages[-1] if self.pages else None
-        payload: dict = {
-            "request_id": self.request.request_id,
-            "arrival_us": self.request.arrival_us,
-            "response_us": complete_us - self.request.arrival_us + host_overhead_us,
-            "pages": len(self.pages),
-        }
-        if critical is not None:
-            payload["critical"] = {
-                "queue_wait_us": critical.queue_wait_us,
-                "sense_us": critical.sense_us,
-                "transfer_us": critical.transfer_us,
-                "ecc_us": critical.ecc_us,
-                "program_us": critical.program_us,
-                "host_overhead_us": host_overhead_us,
-            }
-        payload["stages"] = [page.to_dict() for page in self.pages]
-        tracer.emit(complete_us, kind, **payload)
-
-
-class StageObservers:
-    """Everything watching one op's stage boundaries, behind one slot.
-
-    An op may be traced (a :class:`PageRecord` joining a
-    :class:`RequestSpan`), profiled (a
-    :class:`~repro.obs.profiler.ProfiledOp`) and fault-marked (a
-    :class:`~repro.faults.injector.FaultedOp`) at once.  The simulator
-    builds this fan-out only when at least one of them is present, so an
-    unobserved op pays one ``obs is None`` check per boundary.
-    """
-
-    __slots__ = ("span", "record", "profile", "fault")
+    __slots__ = ("op", "retries", "klass", "request", "profiler", "fault", "stages")
 
     def __init__(
         self,
-        span: RequestSpan | None = None,
-        record: PageRecord | None = None,
-        profile=None,
+        op,
+        retries: int,
+        klass: IoPriority,
+        request: "RequestRecord | None" = None,
+        profiler=None,
         fault=None,
     ) -> None:
-        self.span = span
-        self.record = record
-        self.profile = profile
+        self.op = op
+        self.retries = retries
+        self.klass = klass
+        self.request = request
+        self.profiler = profiler
         self.fault = fault
+        self.stages: list[tuple[Stage, float, float, float]] = []
 
     def note_stage(
         self, stage: Stage, submit_us: float, start_us: float, end_us: float
     ) -> None:
-        """One stage finished: it was submitted at ``submit_us`` and
-        served over ``[start_us, end_us]``."""
-        if self.record is not None:
-            self.record.note_stage(stage.name, start_us - submit_us, start_us, end_us)
-        if self.profile is not None:
-            self.profile.note_stage(stage, submit_us, start_us, end_us)
-        if self.fault is not None:
-            self.fault.note_stage(stage, submit_us, start_us, end_us)
+        """One stage finished (called by the pipeline)."""
+        self.stages.append((stage, submit_us, start_us, end_us))
+        if self.profiler is not None:
+            self.profiler.on_stage(self, stage, submit_us, start_us, end_us)
 
-    def complete(self, end_us: float) -> None:
+    def complete(self) -> None:
         """The op's last stage finished (called before ``on_done``)."""
-        if self.record is not None and self.span is not None:
-            self.span.add_page(self.record)
-        if self.profile is not None:
-            self.profile.complete(end_us)
+        if self.request is not None:
+            self.request.ops.append(self)
+
+    def to_dict(self) -> dict:
+        """The op's entry in a traced request span."""
+        op = self.op
+        entry = {
+            "block": op.block_index,
+            "page": op.page if op.page is not None else -1,
+            "senses": op.senses,
+            "retries": self.retries,
+            "queue_wait_us": 0.0,  # die wait + channel wait, accumulated
+            "sense_us": 0.0,
+            "transfer_us": 0.0,
+            "ecc_us": 0.0,
+            "program_us": 0.0,
+            "end_us": 0.0,
+        }
+        for stage, submit_us, start_us, end_us in self.stages:
+            entry["queue_wait_us"] += start_us - submit_us
+            if stage.name in _SPAN_STAGES:
+                entry[stage.name + "_us"] = end_us - start_us
+            entry["end_us"] = end_us
+        return entry
+
+
+class RequestRecord:
+    """One observed host request and its ops' records.
+
+    Ops append as their pipelines complete, so when the request's last
+    op finishes (triggering completion) the final record is the
+    critical-path op: its stages, by construction, tile the whole
+    ``arrival -> completion`` window.
+    """
+
+    __slots__ = ("request", "ops")
+
+    def __init__(self, request) -> None:
+        self.request = request
+        self.ops: list[OpRecord] = []
+
+    def emit(
+        self, tracer, kind: str, complete_us: float, host_overhead_us: float
+    ) -> None:
+        """Emit the request's span event (``read_span`` / ``write_span``)."""
+        request = self.request
+        pages = [record.to_dict() for record in self.ops]
+        payload: dict = {
+            "request_id": request.request_id,
+            "arrival_us": request.arrival_us,
+            "response_us": complete_us - request.arrival_us + host_overhead_us,
+            "pages": len(pages),
+        }
+        if pages:
+            critical = pages[-1]
+            payload["critical"] = {
+                "queue_wait_us": critical["queue_wait_us"],
+                "sense_us": critical["sense_us"],
+                "transfer_us": critical["transfer_us"],
+                "ecc_us": critical["ecc_us"],
+                "program_us": critical["program_us"],
+                "host_overhead_us": host_overhead_us,
+            }
+        payload["stages"] = pages
+        tracer.emit(complete_us, kind, **payload)
 
 
 class OpPlan:
@@ -345,8 +315,8 @@ class OpPipeline:
             stage and ``end_us`` the pipeline end (including a trailing
             latency-only stage) — the contract every completion sink
             (request trackers, internal chains) consumes.
-        obs: Optional :class:`StageObservers` fed every stage boundary
-            and the op's completion.
+        obs: Optional :class:`OpRecord` fed every stage boundary and
+            the op's completion.
     """
 
     __slots__ = (
@@ -367,7 +337,7 @@ class OpPipeline:
         klass: IoPriority,
         queue: IoPriority,
         on_done: Callable[[float, float], None],
-        obs: StageObservers | None = None,
+        obs: OpRecord | None = None,
     ) -> None:
         self.engine = engine
         self.plan = plan
@@ -426,7 +396,7 @@ class OpPipeline:
         if obs is not None:
             submit_us = self._submit_us
             obs.note_stage(self.plan.stages[-1], submit_us, submit_us, end_us)
-            obs.complete(end_us)
+            obs.complete()
         self.on_done(self._last_start_us, end_us)
 
     def _done(self, start_us: float, end_us: float) -> None:
@@ -434,5 +404,5 @@ class OpPipeline:
         obs = self.obs
         if obs is not None:
             obs.note_stage(self.plan.stages[-1], self._submit_us, start_us, end_us)
-            obs.complete(end_us)
+            obs.complete()
         self.on_done(start_us, end_us)

@@ -51,10 +51,6 @@ class SchedulingPolicy:
         """Resource queue the given dispatch class waits in."""
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        """Manifest-ready description of this policy."""
-        return {"name": self.name, "internal_gap_us": self.internal_gap_us}
-
 
 class ReadFirstPolicy(SchedulingPolicy):
     """The paper's Table II default: reads > writes > internal."""
@@ -78,9 +74,6 @@ class FcfsPolicy(SchedulingPolicy):
 
     def queue_class(self, klass: IoPriority) -> IoPriority:
         return IoPriority.HOST_READ
-
-    def describe(self) -> dict:
-        return {"name": self.name, "single_queue": True}
 
 
 class ThrottledInternalPolicy(SchedulingPolicy):

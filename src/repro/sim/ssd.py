@@ -58,9 +58,8 @@ from .metrics import SimMetrics
 from .pipeline import (
     OpPipeline,
     OpPlan,
-    PageRecord,
-    RequestSpan,
-    StageObservers,
+    OpRecord,
+    RequestRecord,
     adjust_stages,
     erase_stages,
     read_stages,
@@ -103,7 +102,7 @@ class _InternalChain(OpPipeline):
     would end strictly before :meth:`SimEngine.horizon`, no other event
     can fire before it ends, so its every stage is a resource's idle fast
     start and its times are known now.  The run credits each stage with
-    :meth:`Resource.credit`, feeds the op's observers and
+    :meth:`Resource.credit`, feeds the op's record (when profiled) and
     :meth:`_complete` the calls and floats the per-op path would, and
     posts one event at the last op's end (plus the gap, if ops remain)
     that resumes the chain.  A chain's first op is always issued per op:
@@ -133,12 +132,7 @@ class _InternalChain(OpPipeline):
         sim.ops_dispatched += 1
         profiler = sim.profiler
         if profiler is not None or fault is not None:
-            self.obs = StageObservers(
-                None,
-                None,
-                profiler.begin_op(_INTERNAL, None) if profiler is not None else None,
-                fault,
-            )
+            self.obs = OpRecord(op, 0, _INTERNAL, None, profiler, fault)
         else:
             self.obs = None
         self.start()
@@ -178,7 +172,7 @@ class _InternalChain(OpPipeline):
         """
         obs = self.obs
         if obs is not None and obs.fault is not None:
-            self.sim.faults.recover(obs.fault, end_us)
+            self.sim.faults.recover(obs, end_us)
         elif op.kind is _ADJUST:
             # A clean adjust writes its on-flash commit record and
             # retires any torn-recovery journal intent.  This runs with
@@ -242,17 +236,16 @@ class _InternalChain(OpPipeline):
             if second is not None:
                 second.credit(_INTERNAL, mid, plan.second_us)
             if profiler is not None:
-                obs = self.obs = StageObservers(
-                    None, None, profiler.begin_op(_INTERNAL, None), None
-                )
+                # No request or fault to join: the record only feeds the
+                # profiler each stage.
+                record = OpRecord(op, 0, _INTERNAL, None, profiler)
                 bounds = [start, mid]
                 if second is not None:
                     bounds.append(done)
                 if latency_us is not None:
                     bounds.append(stop)
                 for i, stage in enumerate(plan.stages):
-                    obs.note_stage(stage, bounds[i], bounds[i], bounds[i + 1])
-                obs.complete(stop)
+                    record.note_stage(stage, bounds[i], bounds[i], bounds[i + 1])
             self._complete(op, last_start, stop)
             served += 1
             end = stop
@@ -494,7 +487,7 @@ class SsdSimulator:
         """Issue one host request's page ops and track its completion.
 
         **Request-level ECC.**  A read request is *folded* when nothing
-        observes its pages (no trace span, no profiler, no fault plan)
+        observes its pages (no tracer, no profiler, no fault plan)
         and every page drew the same retry count.  Every page then has
         the same ECC latency, so the page whose transfer ends last is the
         page whose decode ends last (equal transfer ends keep their seq
@@ -506,14 +499,10 @@ class SsdSimulator:
         event keeps its ``(time, seq)`` order; only the other pages'
         no-op decode events are gone.
         """
-        span = RequestSpan(request) if self.tracer.enabled else None
-        prof_ctx = (
-            self.profiler.begin_request(
-                request.request_id,
-                request.arrival_us,
-                "read" if klass is _HOST_READ else "write",
-            )
-            if self.profiler is not None
+        tracer, profiler = self.tracer, self.profiler
+        record = (
+            RequestRecord(request)
+            if tracer.enabled or profiler is not None
             else None
         )
         stats = (
@@ -539,12 +528,17 @@ class SsdSimulator:
                 self.metrics.bytes_written += req.size_bytes
             if observe is not None:
                 observe(response, req.size_bytes)
-            if span is not None:
-                span.emit(self.tracer, span_kind, now_us, self.timing.host_overhead_us)
-            if prof_ctx is not None:
-                self.profiler.end_request(
-                    prof_ctx, now_us, self.timing.host_overhead_us
-                )
+            if record is not None:
+                overhead_us = self.timing.host_overhead_us
+                if tracer.enabled:
+                    record.emit(tracer, span_kind, now_us, overhead_us)
+                if profiler is not None:
+                    profiler.end_request(
+                        record,
+                        "read" if klass is _HOST_READ else "write",
+                        now_us,
+                        overhead_us,
+                    )
             if self.on_host_request_complete is not None:
                 self.on_host_request_complete(
                     req, klass is _HOST_READ
@@ -560,11 +554,7 @@ class SsdSimulator:
             retries = [None] * len(ops)
         else:
             retries = self._draw_retries(ops)
-            if (
-                span is None
-                and prof_ctx is None
-                and retries.count(retries[0]) == len(ops)
-            ):
+            if record is None and retries.count(retries[0]) == len(ops):
                 self._launch_folded(request, ops, retries[0], complete)
                 return
 
@@ -574,7 +564,7 @@ class SsdSimulator:
             outstanding.page_done(end_us)
 
         for op, op_retries in zip(ops, retries):
-            self._issue(op, klass, page_done, span, prof_ctx, op_retries)
+            self._issue(op, klass, page_done, record, op_retries)
 
     def _launch_folded(
         self,
@@ -627,15 +617,16 @@ class SsdSimulator:
         op: PhysOp,
         klass: IoPriority,
         on_done,
-        span: RequestSpan | None,
-        prof_ctx,
+        request: RequestRecord | None,
         retries: int | None,
     ) -> None:
         """Run one host page op through its compiled plan.
 
-        ``retries`` is the read's drawn retry count (``0`` for a write),
-        or ``None`` for a host read under a fault plan, which draws it
-        here, after the injector has seen the op.
+        ``request`` is the observed request's record (``None`` when no
+        tracer or profiler watches).  ``retries`` is the read's drawn
+        retry count (``0`` for a write), or ``None`` for a host read
+        under a fault plan, which draws it here, after the injector has
+        seen the op.
         """
         fault = (
             self.faults.on_dispatch(op, klass is _HOST_READ)
@@ -647,24 +638,11 @@ class SsdSimulator:
         plan = self._plan_of(op, retries)
         self.ops_dispatched += 1
         obs = None
-        if span is not None or self.profiler is not None or fault is not None:
-            record = None
-            if span is not None:
-                record = PageRecord(
-                    op.block_index,
-                    op.page if op.page is not None else -1,
-                    op.senses,
-                    retries,
-                    submit_us=self.engine.now,
-                )
-            profile = (
-                self.profiler.begin_op(klass, prof_ctx)
-                if self.profiler is not None
-                else None
-            )
-            obs = StageObservers(span, record, profile, fault)
-        if fault is not None:
-            on_done = self.faults.wrap_completion(fault, on_done)
+        # A profiler always comes with a request record.
+        if request is not None or fault is not None:
+            obs = OpRecord(op, retries, klass, request, self.profiler, fault)
+            if fault is not None:
+                on_done = self.faults.wrap_completion(obs, on_done)
         OpPipeline(
             self.engine, plan, klass, self._queue_of[klass], on_done, obs
         ).start()

@@ -15,7 +15,7 @@ from repro.experiments.health_artifact import (
 )
 from repro.experiments.artifacts import run_artifact
 from repro.experiments.parallel import SweepExecutor
-from repro.experiments.reporting import SCHEMA_VERSION, jsonable, manifest_for_run
+from repro.experiments.reporting import SCHEMA_VERSION, jsonable, manifest_for_payload
 from repro.experiments.runner import run_workload
 from repro.experiments.systems import ida
 from repro.obs import Instruments
@@ -146,7 +146,7 @@ class TestEndToEndBreach:
         assert len(events) == monitor.slo.breach_count
         assert events[0]["objective"] in ("read-retry-rate", "read-p99")
 
-        manifest = manifest_for_run(result)
+        manifest = manifest_for_payload(result.to_payload())
         assert manifest["schema_version"] == SCHEMA_VERSION
         assert manifest["health"]["slo"]["breaches"] == monitor.slo.breach_count
         assert manifest["health"]["summary"]["read_retries"] > 0

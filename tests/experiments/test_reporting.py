@@ -170,15 +170,15 @@ class TestRunManifest:
         assert path.exists()
         assert json.loads(path.read_text()) == manifest
 
-    def test_manifest_for_run_end_to_end(self):
-        from repro.experiments import RunScale, baseline, manifest_for_run
+    def test_manifest_for_payload_end_to_end(self):
+        from repro.experiments import RunScale, baseline, manifest_for_payload
         from repro.experiments.runner import run_workload
         from repro.workloads import workload
 
         result = run_workload(
             baseline(), workload("usr_1"), RunScale.tiny(), seed=11
         )
-        manifest = manifest_for_run(result)
+        manifest = manifest_for_payload(result.to_payload())
         assert manifest["config"]["seed"] == 11
         assert manifest["config"]["workload"]["name"] == "usr_1"
         assert manifest["metrics"]["read_response"]["count"] > 0

@@ -52,14 +52,6 @@ def _canon(payload) -> str:
             "blocks": [payload.in_use_blocks, payload.ida_blocks],
             "utilisation": payload.utilisation,
             "queue_wait": payload.queue_wait,
-            "read_hist": [
-                list(payload.read_hist.bounds),
-                payload.read_hist.counts,
-            ],
-            "write_hist": [
-                list(payload.write_hist.bounds),
-                payload.write_hist.counts,
-            ],
             "throughput": [
                 payload.throughput_mb_s,
                 payload.read_throughput_mb_s,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments.systems import baseline, error_rate_sweep, ida
+from repro.experiments.systems import baseline, ida
 from repro.ftl.refresh import RefreshMode
 
 
@@ -17,10 +17,6 @@ class TestBuilders:
         assert ida(0.2).name == "ida-e20"
         assert ida(0.0).name == "ida-e0"
         assert ida(0.8).name == "ida-e80"
-
-    def test_error_rate_sweep_matches_fig8(self):
-        names = [s.name for s in error_rate_sweep()]
-        assert names == ["ida-e0", "ida-e10", "ida-e20", "ida-e40", "ida-e50", "ida-e80"]
 
     def test_with_modifiers(self):
         spec = ida(0.2).with_dtr(70.0).with_retry(0.4)

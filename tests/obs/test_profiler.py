@@ -16,7 +16,7 @@ import pytest
 from repro.experiments import (
     RunScale,
     ida,
-    manifest_for_run,
+    manifest_for_payload,
     run_workload,
 )
 from repro.obs import (
@@ -152,8 +152,10 @@ class TestPassivity:
     def test_unprofiled_manifest_is_byte_identical(self, run_and_profiler):
         profiled, _ = run_and_profiler
         bare = run_workload(ida(0.2), workload("usr_1"), RunScale.tiny(), seed=11)
-        bare_manifest = json.dumps(manifest_for_run(bare), sort_keys=True)
-        profiled_manifest = manifest_for_run(profiled)
+        bare_manifest = json.dumps(
+            manifest_for_payload(bare.to_payload()), sort_keys=True
+        )
+        profiled_manifest = manifest_for_payload(profiled.to_payload())
         assert "profile" in profiled_manifest
         del profiled_manifest["profile"]
         assert json.dumps(profiled_manifest, sort_keys=True) == bare_manifest

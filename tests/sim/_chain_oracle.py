@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.ftl.ops import OpKind, PhysOp
-from repro.sim.pipeline import OpPipeline, OpPlan, StageObservers, read_stages
+from repro.sim.pipeline import OpPipeline, OpPlan, OpRecord, read_stages
 from repro.sim.resources import IoPriority
 from repro.sim.ssd import SsdSimulator
 
@@ -105,14 +105,9 @@ class OracleSimulator(SsdSimulator):
         self.ops_dispatched += 1
         obs = None
         if self.profiler is not None or fault is not None:
-            profile = (
-                self.profiler.begin_op(_INTERNAL, None)
-                if self.profiler is not None
-                else None
-            )
-            obs = StageObservers(None, None, profile, fault)
+            obs = OpRecord(op, 0, _INTERNAL, None, self.profiler, fault)
         if fault is not None:
-            on_done = self.faults.wrap_completion(fault, on_done)
+            on_done = self.faults.wrap_completion(obs, on_done)
         elif kind is OpKind.ADJUST:
             on_done = self._wrap_adjust_commit(op, on_done)
         OpPipeline(

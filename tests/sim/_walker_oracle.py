@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.sim.engine import SimEngine
-from repro.sim.pipeline import PageRecord, RequestSpan, Stage
+from repro.sim.pipeline import OpRecord, Stage
 from repro.sim.resources import IoPriority, Resource
 
 
@@ -109,10 +109,7 @@ class WalkerPipeline:
         "klass",
         "queue",
         "on_done",
-        "span",
-        "record",
-        "profile",
-        "fault",
+        "obs",
         "_index",
         "_submit_us",
         "_last_start_us",
@@ -125,10 +122,7 @@ class WalkerPipeline:
         klass: IoPriority,
         queue: IoPriority,
         on_done: Callable[[float, float], None],
-        span: RequestSpan | None = None,
-        record: PageRecord | None = None,
-        profile=None,
-        fault=None,
+        obs: OpRecord | None = None,
     ) -> None:
         if not stages:
             raise ValueError("a pipeline needs at least one stage")
@@ -137,10 +131,7 @@ class WalkerPipeline:
         self.klass = klass
         self.queue = queue
         self.on_done = on_done
-        self.span = span
-        self.record = record
-        self.profile = profile
-        self.fault = fault
+        self.obs = obs
         self._index = 0
         self._submit_us = 0.0
         self._last_start_us = 0.0
@@ -163,22 +154,14 @@ class WalkerPipeline:
 
     def _stage_done(self, start_us: float, end_us: float) -> None:
         stage = self.stages[self._index]
-        if self.record is not None:
-            self.record.note_stage(
-                stage.name, start_us - self._submit_us, start_us, end_us
-            )
-        if self.profile is not None:
-            self.profile.note_stage(stage, self._submit_us, start_us, end_us)
-        if self.fault is not None:
-            self.fault.note_stage(stage, self._submit_us, start_us, end_us)
+        if self.obs is not None:
+            self.obs.note_stage(stage, self._submit_us, start_us, end_us)
         if stage.resource is not None:
             self._last_start_us = start_us
         self._index += 1
         if self._index < len(self.stages):
             self._dispatch()
             return
-        if self.record is not None and self.span is not None:
-            self.span.add_page(self.record)
-        if self.profile is not None:
-            self.profile.complete(end_us)
+        if self.obs is not None:
+            self.obs.complete()
         self.on_done(self._last_start_us, end_us)

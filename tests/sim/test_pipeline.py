@@ -5,14 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.flash.timing import TimingSpec
+from repro.ftl.ops import OpKind, PhysOp
 from repro.sim.engine import SimEngine
 from repro.sim.pipeline import (
     OpPipeline,
     OpPlan,
-    PageRecord,
-    RequestSpan,
+    OpRecord,
+    RequestRecord,
     Stage,
-    StageObservers,
     adjust_stages,
     erase_stages,
     read_stages,
@@ -79,17 +79,25 @@ def _resources(engine):
 
 
 class _Notes:
-    """Stands in for the profiler's and the fault injector's op context."""
+    """Stands in for the profiler an op record hands each stage to."""
 
-    def __init__(self, log: list, tag: str) -> None:
+    def __init__(self, log: list) -> None:
         self.log = log
-        self.tag = tag
 
-    def note_stage(self, stage, submit_us, start_us, end_us) -> None:
-        self.log.append((self.tag, stage.name, submit_us, start_us, end_us))
+    def on_stage(self, record, stage, submit_us, start_us, end_us) -> None:
+        self.log.append(("profile", stage.name, submit_us, start_us, end_us))
 
-    def complete(self, end_us) -> None:
-        self.log.append((self.tag, "complete", end_us))
+
+def _record(
+    kind=OpKind.READ,
+    block=0,
+    page=0,
+    senses=1,
+    klass=IoPriority.HOST_READ,
+    request=None,
+    profiler=None,
+) -> OpRecord:
+    return OpRecord(PhysOp(kind, block, page, senses), 0, klass, request, profiler)
 
 
 def _run(engine, plan, klass=IoPriority.HOST_READ, obs=None):
@@ -205,32 +213,41 @@ class TestOpPipeline:
 
     def test_record_notes_each_stage(self, engine, timing):
         die, chan = _resources(engine)
-        record = PageRecord(block=1, page=2, senses=1, retries=0, submit_us=0.0)
+        record = _record(block=1, page=2)
         plan = OpPlan(read_stages(die, chan, timing, senses=1))
-        _run(engine, plan, obs=StageObservers(record=record))
-        assert record.sense_us == timing.read_us(1)
-        assert record.transfer_us == timing.transfer_us
-        assert record.ecc_us == timing.ecc_decode_us
-        assert record.queue_wait_us == 0.0  # idle device: no waiting
-        assert record.end_us == (
-            timing.read_us(1) + timing.transfer_us + timing.ecc_decode_us
-        )
+        _run(engine, plan, obs=record)
+        sense = timing.read_us(1)
+        moved = sense + timing.transfer_us
+        end = moved + timing.ecc_decode_us
+        assert [(stage.name, *times) for stage, *times in record.stages] == [
+            ("sense", 0.0, 0.0, sense),
+            ("transfer", sense, sense, moved),
+            ("ecc", moved, moved, end),
+        ]
+        entry = record.to_dict()
+        assert (entry["block"], entry["page"], entry["senses"]) == (1, 2, 1)
+        assert entry["sense_us"] == timing.read_us(1)
+        assert entry["transfer_us"] == timing.transfer_us
+        assert entry["ecc_us"] == timing.ecc_decode_us
+        assert entry["queue_wait_us"] == 0.0  # idle device: no waiting
+        assert entry["end_us"] == end
 
     def test_record_notes_write_stages(self, engine, timing):
         die, chan = _resources(engine)
-        record = PageRecord(block=0, page=0, senses=0, retries=0, submit_us=0.0)
+        record = _record(OpKind.WRITE, senses=0, klass=IoPriority.HOST_WRITE)
         plan = OpPlan(write_stages(die, chan, timing))
-        _run(engine, plan, IoPriority.HOST_WRITE, StageObservers(record=record))
-        assert record.transfer_us == timing.transfer_us
-        assert record.program_us == timing.program_us
-        assert record.end_us == timing.transfer_us + timing.program_us
+        _run(engine, plan, IoPriority.HOST_WRITE, record)
+        entry = record.to_dict()
+        assert entry["transfer_us"] == timing.transfer_us
+        assert entry["program_us"] == timing.program_us
+        assert entry["end_us"] == timing.transfer_us + timing.program_us
 
     def test_record_accumulates_queue_wait_under_contention(
         self, engine, timing
     ):
         die, chan = _resources(engine)
-        first = PageRecord(0, 0, 1, 0, submit_us=0.0)
-        second = PageRecord(0, 1, 1, 0, submit_us=0.0)
+        first = _record(page=0)
+        second = _record(page=1)
         plan = OpPlan(read_stages(die, chan, timing, senses=1))
         done: list[float] = []
         for record in (first, second):
@@ -240,22 +257,24 @@ class TestOpPipeline:
                 IoPriority.HOST_READ,
                 IoPriority.HOST_READ,
                 lambda s, e: done.append(e),
-                StageObservers(record=record),
+                record,
             ).start()
         engine.run()
-        assert first.queue_wait_us == 0.0
+        assert first.to_dict()["queue_wait_us"] == 0.0
         # The second op waits out the first's sense on the die; the
         # channel is free again by the time its transfer is ready.
-        assert second.queue_wait_us == pytest.approx(timing.read_us(1))
+        assert second.to_dict()["queue_wait_us"] == pytest.approx(timing.read_us(1))
 
     def test_busy_channel_delays_the_transfer(self, engine, timing):
         die, chan = _resources(engine)
         chan.submit(IoPriority.INTERNAL, 1000.0, lambda s, e: None)
-        record = PageRecord(0, 0, 1, 0, submit_us=0.0)
+        record = _record()
         plan = OpPlan(read_stages(die, chan, timing, senses=1))
-        done = _run(engine, plan, obs=StageObservers(record=record))
+        done = _run(engine, plan, obs=record)
         assert done == [(1000.0, 1000.0 + timing.transfer_us + timing.ecc_decode_us)]
-        assert record.queue_wait_us == pytest.approx(1000.0 - timing.read_us(1))
+        assert record.to_dict()["queue_wait_us"] == pytest.approx(
+            1000.0 - timing.read_us(1)
+        )
 
     def test_busy_die_delays_the_program(self, engine, timing):
         die, chan = _resources(engine)
@@ -268,16 +287,15 @@ class TestOpPipeline:
     def test_observers_see_every_boundary_before_on_done(self, engine, timing):
         die, chan = _resources(engine)
         log: list = []
-        obs = StageObservers(
-            profile=_Notes(log, "profile"), fault=_Notes(log, "fault")
-        )
+        request = RequestRecord(request=None)
+        obs = _record(request=request, profiler=_Notes(log))
         plan = OpPlan(read_stages(die, chan, timing, senses=1))
         OpPipeline(
             engine,
             plan,
             IoPriority.HOST_READ,
             IoPriority.HOST_READ,
-            lambda s, e: log.append(("on_done", s, e)),
+            lambda s, e: log.append(("on_done", s, e, list(request.ops))),
             obs,
         ).start()
         engine.run()
@@ -289,20 +307,21 @@ class TestOpPipeline:
             ("transfer", sense, sense, moved),
             ("ecc", moved, moved, end),
         ]
-        expected = []
-        for boundary in boundaries:
-            expected += [("profile",) + boundary, ("fault",) + boundary]
-        expected += [("profile", "complete", end), ("on_done", sense, end)]
+        expected = [("profile",) + boundary for boundary in boundaries]
+        # The record joins its request before ``on_done`` runs.
+        expected.append(("on_done", sense, end, [obs]))
         assert log == expected
 
     def test_span_collects_the_record_at_completion(self, engine, timing):
         die, chan = _resources(engine)
-        span = RequestSpan(request=None)
-        record = PageRecord(0, 0, 0, 0, submit_us=0.0)
+        request = RequestRecord(request=None)
+        record = _record(
+            OpKind.ADJUST, senses=0, klass=IoPriority.INTERNAL, request=request
+        )
         plan = OpPlan(adjust_stages(die, timing))
-        _run(engine, plan, IoPriority.INTERNAL, StageObservers(span, record))
-        assert span.pages == [record]
-        assert record.end_us == timing.adjust_us()
+        _run(engine, plan, IoPriority.INTERNAL, record)
+        assert request.ops == [record]
+        assert record.to_dict()["end_us"] == timing.adjust_us()
 
     def test_rejects_empty_stage_tuple(self, engine):
         with pytest.raises(ValueError):

@@ -3,15 +3,18 @@
 Seeded random op mixes — every op kind and plan shape, read retries,
 all three dispatch classes, read-first or FCFS queueing, bursts of equal
 submit times, follow-up ops issued from completion callbacks, with and
-without observers and wait-class profiling — run on twin engines.  One
+without an op record (and a profiler it feeds) and wait-class profiling
+— run on twin engines.  One
 side uses :class:`~repro.sim.pipeline.OpPipeline` over compiled
 :class:`~repro.sim.pipeline.OpPlan` objects and the tuple queue records
 of :class:`~repro.sim.resources.Resource`; the other the pre-compilation
 stage walker and dataclass queue records kept in ``_walker_oracle.py``.
 Everything observable must match exactly: each completion's
 ``(start, end)`` and firing order, the engine's event count and queue
-high-water mark, every stage note, queue depths sampled mid-run, and the
-resources' busy, queue-wait and wait-class accounting.
+high-water mark, every stage tuple each op record holds and every
+request record's op order, every stage the records hand the profiler,
+queue depths sampled mid-run, and the resources' busy, queue-wait and
+wait-class accounting.
 """
 
 from __future__ import annotations
@@ -21,14 +24,14 @@ import random
 import pytest
 
 from repro.flash.timing import TimingSpec
+from repro.ftl.ops import OpKind, PhysOp
 from repro.sim.engine import SimEngine
 from repro.sim.pipeline import (
     OpPipeline,
     OpPlan,
-    PageRecord,
-    RequestSpan,
+    OpRecord,
+    RequestRecord,
     Stage,
-    StageObservers,
     adjust_stages,
     erase_stages,
     read_stages,
@@ -43,22 +46,24 @@ DIES_PER_CHANNEL = 2
 KINDS = ("read", "read", "read", "write", "write", "adjust", "erase", "sense_ecc")
 
 
+REQUESTS = 7  # observed ops are spread over this many request records
+
+
+def _stage_row(stage: Stage, submit_us: float, start_us: float, end_us: float):
+    resource = stage.resource.name if stage.resource is not None else None
+    return (stage.name, resource, submit_us, start_us, end_us)
+
+
 class _Notes:
-    """Profiler / fault op context stand-in: logs every boundary."""
+    """Profiler stand-in: logs every stage an op record hands it."""
 
-    def __init__(self, log: list, op_id: int, tag: str) -> None:
+    def __init__(self, log: list) -> None:
         self.log = log
-        self.op_id = op_id
-        self.tag = tag
 
-    def note_stage(self, stage, submit_us, start_us, end_us) -> None:
-        resource = stage.resource.name if stage.resource is not None else None
+    def on_stage(self, record, stage, submit_us, start_us, end_us) -> None:
         self.log.append(
-            (self.tag, self.op_id, stage.name, resource, submit_us, start_us, end_us)
+            (record.op.page, *_stage_row(stage, submit_us, start_us, end_us))
         )
-
-    def complete(self, end_us) -> None:
-        self.log.append((self.tag, self.op_id, "complete", end_us))
 
 
 def _stages(kind: str, die: Resource, channel: Resource, senses: int, retries: int):
@@ -123,7 +128,8 @@ def _simulate(seed: int, compiled: bool) -> dict:
     plans: dict[tuple, OpPlan] = {}
     fired: list = []
     notes: list = []
-    records: list = []
+    profiler = _Notes(notes)
+    requests = [RequestRecord(request=None) for _ in range(REQUESTS)]
     depths: list = []
 
     def issue(op_id: int, spec: dict, klass: IoPriority) -> None:
@@ -139,28 +145,22 @@ def _simulate(seed: int, compiled: bool) -> dict:
                 # simulator's internal chains.
                 issue(-1 - op_id, dict(spec, kind="adjust"), IoPriority.INTERNAL)
 
-        span = record = profile = fault = None
+        obs = None
         if spec["observed"]:
-            span = RequestSpan(request=None)
-            record = PageRecord(spec["die"], op_id, spec["senses"], spec["retries"], engine.now)
-            records.append((op_id, span, record))
-            profile = _Notes(notes, op_id, "profile")
-            fault = _Notes(notes, op_id, "fault") if op_id % 3 == 0 else None
+            op = PhysOp(OpKind.READ, spec["die"], op_id, spec["senses"])
+            obs = OpRecord(
+                op, spec["retries"], klass, requests[op_id % REQUESTS], profiler
+            )
         if compiled:
             plan = plans.get(shape)
             if plan is None:
                 plan = plans[shape] = OpPlan(
                     _stages(spec["kind"], die, channel, spec["senses"], spec["retries"])
                 )
-            obs = None
-            if span is not None or profile is not None or fault is not None:
-                obs = StageObservers(span, record, profile, fault)
             OpPipeline(engine, plan, klass, queue, on_done, obs).start()
         else:
             stages = _stages(spec["kind"], die, channel, spec["senses"], spec["retries"])
-            WalkerPipeline(
-                engine, stages, klass, queue, on_done, span, record, profile, fault
-            ).start()
+            WalkerPipeline(engine, stages, klass, queue, on_done, obs).start()
 
     for op_id, spec in enumerate(ops):
         engine.at(spec["t"], lambda i=op_id, s=spec: issue(i, s, s["klass"]))
@@ -181,9 +181,16 @@ def _simulate(seed: int, compiled: bool) -> dict:
         "peak_pending": engine.peak_pending,
         "now": engine.now,
         "notes": notes,
-        "records": [
-            (op_id, [page.to_dict() for page in span.pages], record.to_dict())
-            for op_id, span, record in records
+        "requests": [
+            [
+                (
+                    record.op.page,
+                    record.to_dict(),
+                    [_stage_row(*row) for row in record.stages],
+                )
+                for record in request.ops
+            ]
+            for request in requests
         ],
         "depths": depths,
         "busy": [(r.busy_us, list(r.busy_us_by_class)) for r in resources],
@@ -198,6 +205,7 @@ def test_compiled_programs_match_the_walker(seed):
     walker = _simulate(seed, compiled=False)
     assert len(compiled["fired"]) > 400  # every op and its follow-ups ran
     assert compiled["notes"]
+    assert all(compiled["requests"])  # every request record collected ops
     for key in walker:
         assert compiled[key] == walker[key], key
 

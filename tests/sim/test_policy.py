@@ -36,11 +36,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="read-first"):
             make_policy("sjf")
 
-    def test_describe_is_json_ready(self):
-        for cls in POLICIES.values():
-            desc = cls().describe()
-            assert desc["name"] == cls().name
-
 
 class TestQueueMapping:
     def test_read_first_keeps_one_queue_per_class(self):

@@ -126,6 +126,54 @@ def test_stage_machine_matches_golden_exactly(golden: dict, cell: str) -> None:
     assert _run_cell(cell) == golden[cell]
 
 
+OP_COUPLED_FAULTS = ("program_fail", "uncorrectable_read", "adjust_interrupt")
+
+
+def test_faults_cell_with_every_observer(golden: dict) -> None:
+    """Tracer, profiler and fault plan on one run share each op's record.
+
+    Observing the faults cell changes none of its numbers, every
+    op-coupled ``fault`` trace event carries the stage timings the
+    injector recorded, and the profiler's attribution still closes.
+    """
+    cell = golden["faults/usr_1/ida-e20/read-first"]
+    sink = MemorySink()
+    profiler = SimProfiler(keep_events=False)
+    result = run_workload(
+        SYSTEMS["ida-e20"]().with_policy("read-first"),
+        workload("usr_1"),
+        scale=RunScale.tiny(),
+        seed=SEED,
+        faults=_fault_plan(),
+        telemetry=Telemetry(tracer=Tracer(sink), profiler=profiler),
+    )
+    observed = json.loads(
+        json.dumps(
+            {
+                "metrics": metrics_summary(result.metrics),
+                "phys_ops_dispatched": result.metrics.phys_ops_dispatched,
+                "queue_wait": result.queue_wait,
+                "faults": result.faults,
+            },
+            sort_keys=True,
+        )
+    )
+    assert observed == cell
+    recorded = [
+        event["stages"]
+        for event in result.faults["events"]
+        if event["kind"] in OP_COUPLED_FAULTS
+    ]
+    traced = [
+        event["stages"]
+        for event in sink.by_kind("fault")
+        if event["fault_kind"] in OP_COUPLED_FAULTS
+    ]
+    assert recorded and all(recorded)
+    assert traced == recorded
+    assert profiler.max_residual_us <= 1e-6
+
+
 def _regenerate() -> None:
     payload = {cell: _run_cell(cell) for cell in _cell_ids()}
     with GOLDEN_PATH.open("w") as fh:
