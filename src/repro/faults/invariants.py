@@ -1,16 +1,17 @@
 """Post-run coding and mapping invariants the fault paths must preserve.
 
-The central one is the *torn-reprogram* invariant (ISSUE 5): an IDA
-voltage adjustment interrupted mid-refresh must leave the wordline in
-either the old or the new coding — never the in-between
+The central one is the *torn-reprogram* invariant: an IDA voltage
+adjustment interrupted mid-refresh must leave the wordline in either the
+old or the new coding — never the in-between
 :data:`~repro.flash.block.TORN_WL` state, whose cells straddle two
-codings and cannot be sensed.  Recovery rolls *forward* (the journaled
-intent names the target mode and the pages riding on the wordline), so
-at rest no wordline is ever torn.  The checker also pins the supporting
-invariants graceful degradation relies on: every valid page is readable
-under its wordline's mode, the page map only points at valid pages,
-retired (grown-bad) blocks hold no live data, and no adjust-journal
-intent is left uncommitted.
+codings and cannot be sensed.  Recovery rolls *forward* (the on-flash
+journal row names the target mode and the pages riding on the
+wordline), so at rest no wordline is ever torn.  The checker also pins
+the supporting invariants graceful degradation relies on: every valid
+page is readable under its wordline's mode, the page map only points at
+valid pages, retired (grown-bad) blocks hold no live data, and no
+journal row is left uncommitted — with or without a fault plan, since
+every ADJUST writes its row.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ def check_coding_invariants(ftl) -> list[str]:
     """Scan an FTL's device state; return human-readable violations.
 
     An empty list means every invariant holds.  Duck-typed against
-    :class:`~repro.ftl.ftl.Ftl` (anything with ``table``, ``map`` and the
-    fault-recovery attributes works).
+    :class:`~repro.ftl.ftl.Ftl` (anything with ``table`` and ``map``
+    works).
 
     The wordline/page sweeps run as array reductions over the columnar
     :class:`~repro.flash.state.DeviceState` — at the full 512 GB
@@ -90,11 +91,11 @@ def check_coding_invariants(ftl) -> list[str]:
                 )
 
     # Every journaled adjust intent must be committed or recovered.
-    journal = getattr(ftl, "_journal", None)
-    if journal:
-        for block_index, wordline in sorted(journal):
-            violations.append(
-                f"uncommitted adjust-journal intent for block {block_index} "
-                f"wordline {wordline}"
-            )
+    rows = (state.journal_bit_np != 0) | (state.journal_kept_np != 0)
+    for wl in np.flatnonzero(rows):
+        block_index, wordline = divmod(int(wl), wpb)
+        violations.append(
+            f"uncommitted adjust-journal intent for block {block_index} "
+            f"wordline {wordline}"
+        )
     return violations

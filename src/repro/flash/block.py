@@ -432,6 +432,19 @@ class Block:
             mask |= 1 << (page - base)
         state.journal_kept[gw] = mask
 
+    def journaled_adjust(self, wordline: int) -> tuple[int, list[int]]:
+        """The ADJUST intent :meth:`journal_adjust` recorded for ``wordline``.
+
+        Returns ``(start_bit, kept_pages)``: ``start_bit`` is 0 when the
+        row holds no intent (never written, committed, or erased).
+        """
+        state = self.state
+        gw = self._w0 + wordline
+        mask = state.journal_kept[gw]
+        base = wordline * self.bits_per_cell
+        kept = [base + off for off in range(self.bits_per_cell) if (mask >> off) & 1]
+        return state.journal_bit[gw], kept
+
     def adjust_wordlines(self, wordlines: np.ndarray, start_bits: np.ndarray) -> None:
         """Bulk :meth:`set_wordline_ida` plus :meth:`journal_adjust`.
 

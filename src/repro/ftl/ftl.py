@@ -86,14 +86,9 @@ class Ftl:
         self.counters = FtlCounters()
         self.refresh_reports: list[RefreshReport] = []
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # Fault-recovery state.  ``_journal`` doubles as the enable flag
-        # (``None`` = faults off, the zero-cost default): recording adjust
-        # intents, grown-bad blocks and read-retry pressure only happens
-        # when a FaultPlan is bound to the simulator.
-        self.grown_bad: list[int] = []
-        self._journal: dict[tuple[int, int], tuple[int, tuple[int, ...]]] | None = (
-            None
-        )
+        # Read reclaim (``None`` = off) is armed by a bound FaultPlan.
+        # Adjust intents and retired blocks live on flash only: in the
+        # journal columns and ``FLAG_RETIRED``.
         self._read_reclaim_threshold: int | None = None
         self._retry_pressure: dict[int, int] = {}
 
@@ -443,11 +438,10 @@ class Ftl:
         """Step 4 of Fig. 7 for every adjusted wordline of ``plan``.
 
         Sets each wordline's IDA mode and, before its ADJUST op is
-        issued, its on-flash intent record: a power cut before the
-        commit rolls forward from it at mount (see
-        :mod:`repro.ftl.recovery`).
+        issued, its on-flash intent record: an interrupted adjust, or a
+        power cut before the commit, rolls forward from it (see
+        :meth:`roll_forward_adjust`).
         """
-        bits = block.bits_per_cell
         wordlines = plan.adjusted_wordlines
         start_bits = plan.start_bits
         block.adjust_wordlines(wordlines, start_bits)
@@ -458,23 +452,18 @@ class Ftl:
                 for wordline in wordlines.tolist()
             ]
         )
-        if self._journal is None and not self.tracer.enabled:
+        if not self.tracer.enabled:
             return
+        bits = block.bits_per_cell
         for wordline, start_bit in zip(wordlines.tolist(), start_bits.tolist()):
-            kept = tuple(range(wordline * bits + start_bit, (wordline + 1) * bits))
-            if self._journal is not None:
-                # Intent record for torn-reprogram recovery: which mode
-                # the adjust lands in and which pages ride on the wordline.
-                self._journal[(index, wordline)] = (start_bit, kept)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    now_us,
-                    "ida_adjust",
-                    block=index,
-                    wordline=wordline,
-                    start_bit=start_bit,
-                    kept_pages=len(kept),
-                )
+            self.tracer.emit(
+                now_us,
+                "ida_adjust",
+                block=index,
+                wordline=wordline,
+                start_bit=start_bit,
+                kept_pages=bits - start_bit,
+            )
 
     def _read_ops(self, block: Block, pages: np.ndarray) -> list[PhysOp]:
         """Internal read ops for ``pages`` of ``block``, one gather.
@@ -555,8 +544,7 @@ class Ftl:
     # erase failed on may hold fresh data, and so on.
 
     def enable_fault_recovery(self, read_reclaim_threshold: int | None = None) -> None:
-        """Arm the recovery paths (called by the fault injector's bind)."""
-        self._journal = {}
+        """Arm read reclaim (called by the fault injector's bind)."""
         self._read_reclaim_threshold = read_reclaim_threshold
 
     def commit_adjust(self, block_index: int, wordline: int | None) -> None:
@@ -564,14 +552,11 @@ class Ftl:
 
         Writes the wordline's final mode into the block summary and
         clears its on-flash journal row (the commit record a power cut
-        checks for at mount), then drops the in-RAM intent when fault
-        recovery is armed.
+        checks for at mount).
         """
         if wordline is None:
             return
         self.table.blocks[block_index].commit_wordline_summary(wordline)
-        if self._journal is not None:
-            self._journal.pop((block_index, wordline), None)
 
     def on_program_failure(
         self, block_index: int, page: int | None, now_us: float
@@ -585,25 +570,14 @@ class Ftl:
         """
         self.counters.program_failures += 1
         block = self.table.blocks[block_index]
-        pool = self.table.plane_of_block(block_index)
-        in_plane = block_index - pool.plane_index * self.geometry.blocks_per_plane
-        already_retired = pool.is_retired(in_plane)
-        if not already_retired:
-            pool.retire(in_plane)
-            self.grown_bad.append(block_index)
-            self.counters.grown_bad_blocks += 1
+        self._retire(block_index)
         ops: list[PhysOp] = []
         # Replay the failed page itself: its data is still buffered in the
         # controller, so no read is charged, just the fresh program.
         if page is not None and block.state_of(page) is PageState.VALID:
             ops.append(self._move_page(block, page, now_us, ops))
             self.counters.fault_page_moves += 1
-        # Evacuate whatever else is still live (read back, then rewrite).
-        for other in block.valid_pages():
-            ops.append(self._internal_read_op(block, other))
-            ops.append(self._move_page(block, other, now_us, ops))
-            self.counters.fault_page_moves += 1
-        return ops
+        return self._evacuate(block, now_us, ops)
 
     def on_erase_failure(self, block_index: int, now_us: float) -> list[PhysOp]:
         """A block erase reported status failure; retire the block."""
@@ -617,20 +591,9 @@ class Ftl:
         timed GROWN_BAD event can land on a block a program failure
         already condemned.
         """
-        block = self.table.blocks[block_index]
-        pool = self.table.plane_of_block(block_index)
-        in_plane = block_index - pool.plane_index * self.geometry.blocks_per_plane
-        if pool.is_retired(in_plane):
+        if not self._retire(block_index):
             return []
-        pool.retire(in_plane)
-        self.grown_bad.append(block_index)
-        self.counters.grown_bad_blocks += 1
-        ops: list[PhysOp] = []
-        for page in block.valid_pages():
-            ops.append(self._internal_read_op(block, page))
-            ops.append(self._move_page(block, page, now_us, ops))
-            self.counters.fault_page_moves += 1
-        return ops
+        return self._evacuate(self.table.blocks[block_index], now_us, [])
 
     def fail_die(self, die_index: int, now_us: float) -> list[PhysOp]:
         """A whole die dropped out.
@@ -701,62 +664,91 @@ class Ftl:
             return []
         self._retry_pressure[block_index] = 0
         self.counters.read_reclaims += 1
-        ops: list[PhysOp] = []
         block.locked = True
         try:
-            for page in block.valid_pages():
-                ops.append(self._internal_read_op(block, page))
-                ops.append(self._move_page(block, page, now_us, ops))
-                self.counters.fault_page_moves += 1
+            return self._evacuate(block, now_us, [])
         finally:
             block.locked = False
-        return ops
 
     def on_adjust_interrupted(
         self, block_index: int, wordline: int | None, now_us: float
     ) -> list[PhysOp]:
         """An IDA reprogram was cut short mid-adjust (torn wordline).
 
-        Roll-forward recovery: the journal holds the intended mode and the
-        pages kept on the wordline.  Surviving kept pages are rewritten
-        elsewhere from their buffered copies (the refresh flow had just
-        read and decoded them — steps 1-2 of Fig. 7), then the wordline is
-        resolved to the *intended* coding.  The wordline is therefore
-        never left torn: it lands in exactly one of the two codings, which
-        is the invariant ``check_coding_invariants`` pins.
+        The wordline's on-flash journal row names the intended mode and
+        the pages kept on it; :meth:`roll_forward_adjust` resolves it.
+        A zero row means the intent is stale: the block was erased (and
+        possibly reused) while the adjust op was in flight, or another
+        interrupt already rolled the wordline forward, so there is
+        nothing left to tear.
         """
-        block = self.table.blocks[block_index]
-        ops: list[PhysOp] = []
         if wordline is None:
-            return ops
-        intent = None
-        if self._journal is not None:
-            intent = self._journal.pop((block_index, wordline), None)
-        if intent is None:
-            return ops
-        start_bit, kept_pages = intent
-        if block.wl_mode(wordline) != start_bit:
-            # The block was erased (and possibly reused) while the adjust
-            # op was in flight; the eager wordline state was superseded
-            # and there is nothing left to tear.
-            return ops
-        self.counters.torn_adjust_recoveries += 1
+            return []
+        block = self.table.blocks[block_index]
+        if not block.journaled_adjust(wordline)[0]:
+            return []
+        ops: list[PhysOp] = []
+        moved = self.roll_forward_adjust(block, wordline, now_us, ops)
+        self.counters.fault_page_moves += len(moved)
+        return ops
+
+    def roll_forward_adjust(
+        self, block: Block, wordline: int, now_us: float, ops: list[PhysOp]
+    ) -> list[int]:
+        """Resolve a torn wordline to its journaled coding and commit it.
+
+        The one roll-forward, shared by the in-run interrupt handler and
+        the power-loss mount.  Surviving kept pages are rewritten
+        elsewhere from their buffered copies (the refresh flow had just
+        read and decoded them — steps 1-2 of Fig. 7), then the wordline
+        lands in the *intended* coding and its journal row clears.  The
+        wordline is therefore never left torn: it lands in exactly one of
+        the two codings, which is the invariant
+        ``check_coding_invariants`` pins.  Rolling forward is safe on
+        both sides of the race: if the pulse completed, the kept pages
+        merely move; if it was cut, the move is mandatory.
+
+        Appends the moves' WRITE ops (and any GC work they trigger) to
+        ``ops``; returns the LPNs it moved, in move order.
+        """
+        intended, kept = block.journaled_adjust(wordline)
         block.mark_wordline_torn(wordline)
         block.locked = True
+        moved: list[int] = []
+        first = self.geometry.page_number(block.index, 0)
         try:
-            for page in kept_pages:
+            for page in kept:
                 if block.state_of(page) is PageState.VALID:
+                    moved.append(self.map.owner(first + page))
                     ops.append(self._move_page(block, page, now_us, ops))
-                    self.counters.fault_page_moves += 1
         finally:
             block.locked = False
-        block.resolve_wordline(wordline, start_bit)
+        block.resolve_wordline(wordline, intended)
         block.commit_wordline_summary(wordline)
-        return ops
+        self.counters.torn_adjust_recoveries += 1
+        return moved
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _retire(self, block_index: int) -> bool:
+        """Drop a block from rotation as grown-bad; False if it already was."""
+        pool = self.table.plane_of_block(block_index)
+        in_plane = block_index - pool.plane_index * self.geometry.blocks_per_plane
+        if pool.is_retired(in_plane):
+            return False
+        pool.retire(in_plane)
+        self.counters.grown_bad_blocks += 1
+        return True
+
+    def _evacuate(self, block: Block, now_us: float, ops: list[PhysOp]) -> list[PhysOp]:
+        """Read back and rewrite every live page of ``block``; returns ``ops``."""
+        for page in block.valid_pages():
+            ops.append(self._internal_read_op(block, page))
+            ops.append(self._move_page(block, page, now_us, ops))
+            self.counters.fault_page_moves += 1
+        return ops
+
     def _internal_read_op(self, block: Block, page: int) -> PhysOp:
         return PhysOp(
             kind=OpKind.READ,

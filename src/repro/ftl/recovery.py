@@ -32,20 +32,20 @@ consistent :class:`~repro.ftl.ftl.Ftl`:
   invalid, which would require an even newer stamp to exist.
 * **IDA coding state** — for every wordline the journal columns name as
   suspect (``journal_bit != 0``: an ADJUST intent with no commit
-  record), the mount rolls *forward*: kept pages still valid on the
-  wordline are relocated, the wordline is resolved to the journaled
-  coding and committed — mirroring the live torn-reprogram recovery of
-  ``Ftl.on_adjust_interrupted``, but driven purely from on-flash
-  records.  Rolling forward is safe on both sides of the race: if the
-  adjust pulse completed but the commit was cut, the wordline already
-  sits in the intended coding and the roll-forward merely re-homes the
-  kept pages; if the pulse itself was cut, the cells are indeterminate
-  and the relocation is mandatory.
+  record), the mount rolls *forward* through
+  ``Ftl.roll_forward_adjust``, the same routine an in-run interrupted
+  adjust takes: kept pages still valid on the wordline are relocated,
+  the wordline is resolved to the journaled coding and committed.
+  Rolling forward is safe on both sides of the race: if the adjust
+  pulse completed but the commit was cut, the wordline already sits in
+  the intended coding and the roll-forward merely re-homes the kept
+  pages; if the pulse itself was cut, the cells are indeterminate and
+  the relocation is mandatory.
 
 What is *not* recovered (controller RAM, documented lost): FTL event
 counters, refresh reports, and read-retry pressure all restart from
-zero; ``grown_bad`` is rebuilt (sorted) from the retired flags rather
-than in discovery order.
+zero.  Nothing else of the crash state lives in RAM: adjust intents are
+the journal columns and grown-bad blocks are ``FLAG_RETIRED``.
 
 The acknowledged-write-durability argument, the on-flash metadata
 format and the harness that sweeps hundreds of cut points live in
@@ -206,9 +206,6 @@ def _rebuild_pools(
         report.open_blocks += int(pool.active is not None)
         report.free_blocks += len(pool.free)
         report.retired_blocks += len(pool.retired)
-    ftl.grown_bad = sorted(
-        np.flatnonzero((state.flags_np & FLAG_RETIRED) != 0).tolist()
-    )
 
 
 def _rebuild_allocator(
@@ -237,9 +234,7 @@ def _resolve_journal(
     ftl: Ftl, state: DeviceState, now_us: float, report: MountReport
 ) -> None:
     """Roll suspect wordlines forward from the on-flash ADJUST journal."""
-    geometry = ftl.geometry
     wpb = state.wordlines_per_block
-    bits = state.bits_per_cell
     scratch: list[PhysOp] = []
     relocated: list[int] = []
     for gw in np.flatnonzero(state.journal_bit_np).tolist():
@@ -256,24 +251,7 @@ def _resolve_journal(
             state.journal_kept[gw] = 0
             report.stale_journal_cleared += 1
             continue
-        mask = int(state.journal_kept[gw])
-        base = wordline * bits
-        kept = [base + off for off in range(bits) if (mask >> off) & 1]
-        block.mark_wordline_torn(wordline)
-        block.locked = True
-        try:
-            for page in kept:
-                if block.state_of(page) is PageState.VALID:
-                    old_ppn = geometry.page_number(slot, page)
-                    owner = ftl.map.owner(old_ppn)
-                    if owner is not None:
-                        relocated.append(owner)
-                    ftl._move_page(block, page, now_us, scratch)
-        finally:
-            block.locked = False
-        block.resolve_wordline(wordline, intended)
-        block.commit_wordline_summary(wordline)
-        ftl.counters.torn_adjust_recoveries += 1
+        relocated.extend(ftl.roll_forward_adjust(block, wordline, now_us, scratch))
         report.torn_rolled_forward += 1
     report.relocated_lpns = tuple(relocated)
 

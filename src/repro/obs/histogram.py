@@ -93,45 +93,6 @@ class Histogram:
                 return min(self.bounds[index], self.max)
         return self.max  # pragma: no cover - unreachable
 
-    def _require_same_bounds(self, other: "Histogram", verb: str) -> None:
-        """Mismatched bucket edges are a caller bug, never a quiet False.
-
-        Two histograms with different bounds measure on different grids;
-        comparing or merging them silently would let (say) a parity test
-        "fail" with no hint that the shapes diverged, or mis-add bucket
-        counts.  Fail loudly with both shapes in the message instead.
-        """
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot {verb} histograms with different bucket bounds: "
-                f"{len(self.bounds)} bounds [{self.bounds[0]:g} .. "
-                f"{self.bounds[-1]:g}] vs {len(other.bounds)} bounds "
-                f"[{other.bounds[0]:g} .. {other.bounds[-1]:g}]"
-            )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Histogram):
-            return NotImplemented
-        self._require_same_bounds(other, "compare")
-        return (
-            self.counts == other.counts
-            and self.count == other.count
-            and self.total == other.total
-            and self.min == other.min
-            and self.max == other.max
-        )
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other`` (same bounds) into this histogram."""
-        self._require_same_bounds(other, "merge")
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.count += other.count
-        self.total += other.total
-        if other.count:
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
-
     def summary(self) -> dict:
         """Count / mean / p50 / p95 / p99 / max, JSON-ready."""
         return {
@@ -140,16 +101,5 @@ class Histogram:
             "p50_us": self.percentile(50),
             "p95_us": self.percentile(95),
             "p99_us": self.percentile(99),
-            "max_us": self.max if self.count else 0.0,
-        }
-
-    def to_dict(self) -> dict:
-        """Full bucket dump (for manifests and offline re-aggregation)."""
-        return {
-            "bounds_us": list(self.bounds),
-            "counts": list(self.counts),
-            "count": self.count,
-            "total_us": self.total,
-            "min_us": self.min if self.count else 0.0,
             "max_us": self.max if self.count else 0.0,
         }

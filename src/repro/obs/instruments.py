@@ -119,7 +119,7 @@ class Telemetry:
         they need: ``sim.profiler`` and ``sim.completion_observer`` (the
         interval collector, which records each host completion)."""
         if self.profiler is not None:
-            self.profiler.bind(sim.engine, sim.dies, sim.channels)
+            self.profiler.bind(sim.dies, sim.channels)
             sim.profiler = self.profiler
         if self.collector is not None:
             self.collector.bind(sim.engine, sim.dies, sim.channels)

@@ -78,23 +78,17 @@ class IntervalCollector:
     collector serves one run.
 
     Args:
-        interval_us: Sampling period on the simulated clock.
-        latency_bounds: Bucket bounds for the per-interval read-latency
-            histograms (default: log-spaced 10 us .. 1 s).
+        interval_us: Sampling period on the simulated clock.  Read
+            latencies land in log-spaced 10 us .. 1 s histograms.
     """
 
-    def __init__(
-        self,
-        interval_us: float,
-        latency_bounds: tuple[float, ...] | None = None,
-    ) -> None:
+    def __init__(self, interval_us: float) -> None:
         if interval_us <= 0:
             raise ValueError("interval_us must be positive")
         self.interval_us = interval_us
-        self._latency_bounds = latency_bounds
         self.snapshots: list[IntervalSnapshot] = []
         #: Cumulative read-latency histogram over the whole run.
-        self.read_latency_total = Histogram(latency_bounds)
+        self.read_latency_total = Histogram()
         self._engine = None
         self._dies: list = []
         self._channels: list = []
@@ -179,7 +173,7 @@ class IntervalCollector:
         self._writes = 0
         self._bytes_read = 0
         self._bytes_written = 0
-        self._read_hist = Histogram(self._latency_bounds)
+        self._read_hist = Histogram()
         self._busy_baseline = (0.0, 0.0)
         self._processed_baseline = 0
 

@@ -43,8 +43,8 @@ events or touch RNG streams, so a profiled run produces byte-identical
 metrics to an unprofiled one.  A run without a profiler or other
 observer builds no records and pays one ``obs is None`` check per stage
 boundary.  The profiler itself is
-picklable (live engine/resource references are dropped and replaced by
-their captured summaries), so aggregated profiles survive the
+picklable (live resource references are dropped and replaced by their
+captured summaries), so aggregated profiles survive the
 ``RunResultPayload`` transport of ``--jobs`` sweeps.
 """
 
@@ -110,12 +110,10 @@ class SimProfiler:
     """
 
     def __init__(self, keep_events: bool = True, max_events: int = 200_000) -> None:
-        self.enabled = True
         self.keep_events = keep_events
         self.max_events = max_events
         self.events_dropped = 0
         # Live simulator attachments (dropped on pickling).
-        self._engine = None
         self._dies: list = []
         self._channels: list = []
         # (klass, stage, res_kind) -> {count, wait_us, service_us}
@@ -137,9 +135,9 @@ class SimProfiler:
     # ------------------------------------------------------------------
     # Simulator wiring
     # ------------------------------------------------------------------
-    def bind(self, engine, dies: list, channels: list) -> None:
-        """Attach to a simulator and arm per-resource wait profiling."""
-        self._engine = engine
+    def bind(self, dies: list, channels: list) -> None:
+        """Attach to a simulator's resources and arm per-resource wait
+        profiling."""
         self._dies = dies
         self._channels = channels
         for resource in (*dies, *channels):
@@ -396,15 +394,13 @@ class SimProfiler:
     # Pickling (parallel-sweep transport)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        # Live simulator objects (engine heap full of closures, resources
-        # holding engine references) cannot cross a process boundary;
-        # capture their summary now and drop the references.
+        # Live resources (holding engine references) cannot cross a
+        # process boundary; capture their summary now and drop them.
         if self._resources_summary is None and self._dies:
             self._resources_summary = self._capture_resources(
                 self._run["elapsed_us"]
             )
         state = self.__dict__.copy()
-        state["_engine"] = None
         state["_dies"] = []
         state["_channels"] = []
         return state

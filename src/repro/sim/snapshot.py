@@ -12,9 +12,11 @@ module makes the warm state a first-class value:
   the columnar :class:`~repro.flash.state.DeviceStateSnapshot`, the
   page-map forward column (reverse rebuilt on load), allocator rotation
   and cursor, per-plane pool membership (the free list is an
-  order-sensitive FIFO), FTL counters, refresh reports, grown-bad and
-  retry-pressure records, journal contents, and both RNG bit-generator
-  states.  A restored run is byte-identical to a cold run — pinned by
+  order-sensitive FIFO), FTL counters, refresh reports, read-retry
+  pressure, and both RNG bit-generator states.  Adjust intents and
+  grown-bad blocks ride in the device columns (the journal columns and
+  ``FLAG_RETIRED``); the FTL keeps no RAM copy of either.  A restored
+  run is byte-identical to a cold run — pinned by
   ``tests/experiments/test_snapshot_parity.py``.
 * :class:`SnapshotStore` — a content-addressed cache (in-process LRU of
   :data:`STORE_CAPACITY` states, optional on-disk spill) keyed by the
@@ -81,8 +83,10 @@ _log = logging.getLogger(__name__)
 #: field changes meaning or layout; stores treat any other value as
 #: stale and fall back to a cold preload.  2: the device snapshot
 #: gained the on-flash SPOR metadata columns (OOB records, block
-#: summaries, reprogram journal, write-sequence counter).
-SNAPSHOT_SCHEMA = 2
+#: summaries, reprogram journal, write-sequence counter).  3: the RAM
+#: ``grown_bad`` and ``journal`` fields are gone (the device columns
+#: carry both).
+SNAPSHOT_SCHEMA = 3
 
 #: Spill-file magic: identifies the container before anything is parsed.
 _SPILL_MAGIC = b"IDASNAP1"
@@ -127,9 +131,7 @@ class WarmState:
     planes: tuple[PlaneSnapshot, ...]
     counters: FtlCounters
     refresh_reports: tuple
-    grown_bad: tuple[int, ...]
     retry_pressure: tuple[tuple[int, int], ...]
-    journal: tuple
     ftl_rng_state: dict
     host_retry_rng_state: dict
 
@@ -165,13 +167,7 @@ def capture_warm_state(sim: "SsdSimulator") -> WarmState:
         refresh_reports=tuple(
             dataclasses.replace(report) for report in ftl.refresh_reports
         ),
-        grown_bad=tuple(ftl.grown_bad),
         retry_pressure=tuple(sorted(ftl._retry_pressure.items())),
-        journal=(
-            tuple(sorted(ftl._journal.items()))
-            if ftl._journal is not None
-            else ()
-        ),
         ftl_rng_state=ftl.rng.bit_generator.state,
         host_retry_rng_state=sim._host_retry_rng.bit_generator.state,
     )
@@ -183,9 +179,9 @@ def restore_warm_state(sim: "SsdSimulator", warm: WarmState) -> None:
     Every mutable container is rebuilt from the snapshot's immutable
     form, so a shared :class:`WarmState` can seed any number of runs.
     The target's construction-time bindings (tracer, fault injector,
-    health, telemetry) are left untouched; in particular the FTL journal
-    — which doubles as the fault-recovery arming flag — only has its
-    *contents* restored, never its armed/disarmed status.
+    health, telemetry) are left untouched; in particular the FTL's
+    read-reclaim threshold, which a bound fault plan arms, is never
+    restored.
 
     Raises:
         ValueError: on a stale schema or geometry/column mismatch (the
@@ -223,10 +219,7 @@ def restore_warm_state(sim: "SsdSimulator", warm: WarmState) -> None:
     ftl.refresh_reports = [
         dataclasses.replace(report) for report in warm.refresh_reports
     ]
-    ftl.grown_bad = list(warm.grown_bad)
     ftl._retry_pressure = dict(warm.retry_pressure)
-    if ftl._journal is not None:
-        ftl._journal = dict(warm.journal)
     ftl.rng.bit_generator.state = warm.ftl_rng_state
     sim._host_retry_rng.bit_generator.state = warm.host_retry_rng_state
 

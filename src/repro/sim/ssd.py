@@ -174,11 +174,11 @@ class _InternalChain(OpPipeline):
         if obs is not None and obs.fault is not None:
             self.sim.faults.recover(obs, end_us)
         elif op.kind is _ADJUST:
-            # A clean adjust writes its on-flash commit record and
-            # retires any torn-recovery journal intent.  This runs with
-            # or without a fault plan: the SPOR journal columns are
-            # always maintained, so a crash-free run leaves no stale
-            # intents behind for a later mount to misread.
+            # A clean adjust writes its on-flash commit record, which
+            # clears its journal row.  This runs with or without a
+            # fault plan: the journal columns are always maintained, so
+            # a crash-free run leaves no stale intents behind for a
+            # later mount to misread.
             self.sim.ftl.commit_adjust(op.block_index, op.wordline)
 
     def _resume(self) -> None:

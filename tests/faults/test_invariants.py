@@ -67,9 +67,22 @@ class TestTornWordlineDetection:
         sim = _ida_simulator(None)
         sim.run_requests(_aged_reads(sim))
         sim.ftl.enable_fault_recovery()
-        sim.ftl._journal[(0, 0)] = (1, (0,))
+        sim.ftl.table.blocks[0].journal_adjust(0, 1, (1, 2))
         violations = check_coding_invariants(sim.ftl)
         assert any("uncommitted adjust-journal intent" in v for v in violations)
+
+    def test_journal_row_is_flagged_without_a_fault_plan(self):
+        """Every ADJUST writes its on-flash row, fault plan or not, so the
+        check reads the rows of any FTL."""
+        sim = _ida_simulator(None)
+        sim.run_requests(_aged_reads(sim))
+        assert check_coding_invariants(sim.ftl) == []
+        sim.ftl.table.blocks[3].journal_adjust(2, 1, (7, 8))
+        assert check_coding_invariants(sim.ftl) == [
+            "uncommitted adjust-journal intent for block 3 wordline 2"
+        ]
+        sim.ftl.commit_adjust(3, 2)
+        assert check_coding_invariants(sim.ftl) == []
 
 
 class TestAdjustInterruptRecovery:

@@ -123,11 +123,6 @@ def refresh_block(ftl: Ftl, block: Block, now_us: float) -> list[PhysOp]:
         start_bit = wl_plan.decision.adjust_bits[0]
         block.set_wordline_ida(wl_plan.wordline, start_bit)
         block.journal_adjust(wl_plan.wordline, start_bit, wl_plan.pages_to_keep)
-        if ftl._journal is not None:
-            ftl._journal[(block.index, wl_plan.wordline)] = (
-                start_bit,
-                tuple(wl_plan.pages_to_keep),
-            )
         ops.append(
             PhysOp(kind=OpKind.ADJUST, block_index=block.index, wordline=wl_plan.wordline)
         )

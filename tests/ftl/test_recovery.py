@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import conventional_tlc
-from repro.flash.block import CONVENTIONAL_WL, TORN_WL
+from repro.flash.block import CONVENTIONAL_WL, TORN_WL, PageState
 from repro.flash.geometry import Geometry
 from repro.faults.invariants import check_coding_invariants
 from repro.ftl.ftl import Ftl
@@ -119,22 +121,35 @@ class TestPreSporState:
             _mount(ftl)
 
 
-class TestTornAdjustRollForward:
-    def _cut_mid_refresh(self):
-        """Churn, then plan a refresh whose ADJUSTs never commit."""
-        ftl = _ftl()
-        _churn(ftl, lpns=30, writes=300)
-        # Age every block past the refresh period, then scan: the plan's
-        # journal intents land on flash, but no commit ever arrives (the
-        # simulated power dies before the ADJUST ops complete).
-        ops = ftl.check_refresh(5000.0)
-        assert ops, "refresh produced no work; test premise broken"
-        journal = np.flatnonzero(ftl.table.state.journal_bit_np)
-        assert len(journal), "no ADJUST journal intents pending"
-        return ftl
+def _cut_mid_refresh():
+    """Churn, then plan a refresh whose ADJUSTs never commit."""
+    ftl = _ftl()
+    _churn(ftl, lpns=30, writes=300)
+    # Age every block past the refresh period, then scan: the plan's
+    # journal intents land on flash, but no commit ever arrives (the
+    # simulated power dies before the ADJUST ops complete).
+    ops = ftl.check_refresh(5000.0)
+    assert ops, "refresh produced no work; test premise broken"
+    journal = np.flatnonzero(ftl.table.state.journal_bit_np)
+    assert len(journal), "no ADJUST journal intents pending"
+    return ftl
 
+
+def _pending_row(ftl):
+    """The first journaled wordline that still carries a valid kept page."""
+    state = ftl.table.state
+    for gw in np.flatnonzero(state.journal_bit_np).tolist():
+        slot, wordline = divmod(gw, state.wordlines_per_block)
+        block = ftl.table.blocks[slot]
+        _, kept = block.journaled_adjust(wordline)
+        if any(block.state_of(page) is PageState.VALID for page in kept):
+            return block, wordline
+    raise AssertionError("no journaled wordline keeps a valid page")
+
+
+class TestTornAdjustRollForward:
     def test_rolls_forward_and_clears_journal(self):
-        ftl = self._cut_mid_refresh()
+        ftl = _cut_mid_refresh()
         live_map = dict(ftl.map.items())
         recovered, report = _mount(ftl)
         state = recovered.table.state
@@ -150,12 +165,52 @@ class TestTornAdjustRollForward:
                 assert live_map[lpn] == ppn
 
     def test_counter_attributes_recoveries(self):
-        ftl = self._cut_mid_refresh()
+        ftl = _cut_mid_refresh()
         recovered, report = _mount(ftl)
         assert (
             recovered.counters.torn_adjust_recoveries
             == report.torn_rolled_forward
         )
+
+
+class TestAdjustInterrupted:
+    """The in-run handler reads its intent from the on-flash journal row."""
+
+    def test_live_row_rolls_forward_and_clears(self):
+        ftl = _cut_mid_refresh()
+        block, wordline = _pending_row(ftl)
+        intended, kept = block.journaled_adjust(wordline)
+        live = [page for page in kept if block.state_of(page) is PageState.VALID]
+        geometry = ftl.geometry
+        owners = [
+            ftl.map.owner(geometry.page_number(block.index, page)) for page in live
+        ]
+
+        ops = ftl.on_adjust_interrupted(block.index, wordline, 6000.0)
+
+        assert ftl.counters.torn_adjust_recoveries == 1
+        assert ftl.counters.fault_page_moves == len(live)
+        assert len(ops) >= len(live)
+        assert block.journaled_adjust(wordline) == (0, [])
+        assert block.wl_mode(wordline) == intended
+        state = ftl.table.state
+        gw = block.index * state.wordlines_per_block + wordline
+        assert state.summary_wl_mode[gw] == intended
+        for page, lpn in zip(live, owners):
+            assert block.state_of(page) is PageState.INVALID
+            assert ftl.map.lookup(lpn) // geometry.pages_per_block != block.index
+
+    def test_stale_row_is_a_no_op(self):
+        ftl = _cut_mid_refresh()
+        block, wordline = _pending_row(ftl)
+        ftl.commit_adjust(block.index, wordline)  # the adjust completed
+        before = dataclasses.replace(ftl.counters)
+        columns = ftl.table.state.snapshot().columns
+
+        assert ftl.on_adjust_interrupted(block.index, wordline, 6000.0) == []
+        assert ftl.on_adjust_interrupted(block.index, None, 6000.0) == []
+        assert ftl.counters == before
+        assert ftl.table.state.snapshot().columns == columns
 
 
 class TestStaleJournal:

@@ -8,8 +8,8 @@ host writes, untimed batches and refresh ticks, on geometries small
 enough that GC watermarks are crossed mid-refresh and IDA blocks come
 due again.  One twin refreshes through ``Ftl.check_refresh``, the other
 through the oracle.  After every step both must hold identical op lists,
-device columns, maps, pools, allocator cursor, counters, refresh
-reports, adjust journal, trace events and RNG state.
+device columns (the adjust journal among them), maps, pools, allocator
+cursor, counters, refresh reports, trace events and RNG state.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ def _state(ftl: Ftl) -> dict:
     return {
         **_fingerprint(ftl),
         "reports": list(ftl.refresh_reports),
-        "journal": None if ftl._journal is None else dict(ftl._journal),
         "rng": ftl.rng.bit_generator.state,
         "events": list(getattr(ftl.tracer.sink, "events", ())),
     }

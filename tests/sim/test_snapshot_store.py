@@ -115,6 +115,21 @@ class TestSpillHardening:
         assert store.get("key") is None
         assert store.stats.fallbacks == 1
 
+    def test_schema_2_layout_falls_back(self, warm, tmp_path):
+        """A schema-2 state still carries the RAM ``grown_bad`` and
+        ``journal`` fields; it loads as a stale schema, not a crash."""
+        legacy = object.__new__(WarmState)
+        fields = {f.name: getattr(warm, f.name) for f in dataclasses.fields(warm)}
+        legacy.__dict__.update(
+            fields,
+            schema=2,
+            grown_bad=(),
+            journal=(),
+        )
+        store = self._spilled(legacy, tmp_path)
+        assert store.get("key") is None
+        assert store.stats.fallbacks == 1
+
     def test_non_warmstate_payload_falls_back(self, warm, tmp_path):
         import hashlib
 
