@@ -144,7 +144,7 @@ def probe_census(
     warm_device(sim, generated)
     sim.run_requests(
         _to_host_requests(generated, sim.geometry.page_size_bytes),
-        background_updates=_background_batches(spec, scale),
+        background_updates=_background_batches(generated, scale),
     )
     return sim.faults.census
 
@@ -206,7 +206,7 @@ def run_recovery_unit(unit: RunUnit, warm: WarmHandle | None = None) -> dict:
     )
     acked_ids, acked_write_lpns = _arm_ack_tracking(sim)
     requests = _to_host_requests(generated, sim.geometry.page_size_bytes)
-    background = _background_batches(spec, unit.scale)
+    background = _background_batches(generated, unit.scale)
     warm_device(sim, generated, warm=warm)
 
     cut_event = next(

@@ -374,7 +374,7 @@ def _to_host_requests(
 
 
 def _background_batches(
-    spec: WorkloadSpec, scale: RunScale
+    generated: GeneratedWorkload, scale: RunScale
 ) -> list[tuple[float, list[int]]]:
     """The background update stream of an open-loop run.
 
@@ -383,11 +383,14 @@ def _background_batches(
     the run (the timed trace replays only a sample of the original
     requests).
     """
+    spec = generated.spec
     batches_per_cycle = 8
     total_batches = max(1, int(scale.refresh_cycles * batches_per_cycle))
     per_cycle_updates = int(spec.aging_update_fraction * spec.footprint_pages)
     total_updates = int(per_cycle_updates * scale.refresh_cycles)
-    update_lpns = sample_update_lpns(spec, total_updates)
+    update_lpns = sample_update_lpns(
+        spec, total_updates, working_set=generated.update_set
+    )
     background: list[tuple[float, list[int]]] = []
     if update_lpns:
         chunk = max(1, len(update_lpns) // total_batches)
@@ -426,7 +429,7 @@ def _run(
     requests = _to_host_requests(generated, sim.geometry.page_size_bytes)
     if queue_depth is None:
         metrics = sim.run_requests(
-            requests, background_updates=_background_batches(spec, scale)
+            requests, background_updates=_background_batches(generated, scale)
         )
     else:
         metrics = sim.run_closed_loop(requests, queue_depth=queue_depth)
@@ -512,8 +515,11 @@ def run_capacity_phase_pair(
     warm_device(sim, generated, warm=warm)
     sim.run_requests(_to_host_requests(generated, page_size))
 
-    followup = sample_update_lpns(spec, scale.footprint_pages, seed_offset=9)
-    sim.ftl.apply_untimed_batch(list(followup), sim.engine.now)
+    followup = sample_update_lpns(
+        spec, scale.footprint_pages, seed_offset=9,
+        working_set=generated.update_set,
+    )
+    sim.ftl.apply_untimed_batch(followup, sim.engine.now)
 
     return CapacityCensus(
         in_use_blocks=sim.ftl.table.in_use_blocks(),

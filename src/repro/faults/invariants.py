@@ -9,9 +9,9 @@ journal row names the target mode and the pages riding on the
 wordline), so at rest no wordline is ever torn.  The checker also pins
 the supporting invariants graceful degradation relies on: every valid
 page is readable under its wordline's mode, the page map only points at
-valid pages, retired (grown-bad) blocks hold no live data, and no
-journal row is left uncommitted — with or without a fault plan, since
-every ADJUST writes its row.
+valid pages whose OOB record names the mapped LPN, retired (grown-bad)
+blocks hold no live data, and no journal row is left uncommitted — with
+or without a fault plan, since every ADJUST writes its row.
 """
 
 from __future__ import annotations
@@ -70,15 +70,29 @@ def check_coding_invariants(ftl) -> list[str]:
             "unreadable under its wordline mode"
         )
 
-    # The page map must only point at valid pages (and agree with the
-    # reverse map, which PageMap itself guarantees).
-    for lpn, ppn in ftl.map.items():
-        block, page = table.block_of_ppn(ppn)
-        if block.state_of(page) is not PageState.VALID:
-            violations.append(
-                f"LPN {lpn} maps to PPN {ppn} whose page state is "
-                f"{block.state_of(page).name}, not VALID"
-            )
+    # The page map must only point at valid pages whose OOB record
+    # holds the mapped LPN: that record is the map's reverse direction.
+    lpns, ppns = ftl.map.mapped()
+    page_states = state.page_state_np[ppns]
+    not_valid = page_states != int(PageState.VALID)
+    for lpn, ppn, page_state in zip(
+        lpns[not_valid].tolist(),
+        ppns[not_valid].tolist(),
+        page_states[not_valid].tolist(),
+    ):
+        violations.append(
+            f"LPN {lpn} maps to PPN {ppn} whose page state is "
+            f"{PageState(page_state).name}, not VALID"
+        )
+    oob = state.oob_lpn_np[ppns]
+    foreign = ~not_valid & (oob != lpns)
+    for lpn, ppn, holder in zip(
+        lpns[foreign].tolist(), ppns[foreign].tolist(), oob[foreign].tolist()
+    ):
+        violations.append(
+            f"LPN {lpn} maps to PPN {ppn} whose OOB record holds "
+            f"LPN {holder}"
+        )
 
     # Retired (grown-bad / dead-die) blocks must have been evacuated.
     for pool in table.planes:

@@ -80,7 +80,7 @@ class Ftl:
         self.gc_policy = gc_policy or GcPolicy()
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.table = table if table is not None else BlockStatusTable(geometry, coding)
-        self.map = PageMap()
+        self.map = PageMap(self.table.state.oob_lpn)
         self.allocator = StaticAllocator(geometry, allocation)
         self.disturb = AdjustDisturbModel(refresh_policy.error_rate)
         self.counters = FtlCounters()
@@ -335,7 +335,7 @@ class Ftl:
         # segment land directly as INVALID (net effect of program +
         # later invalidate).
         new_ppns = self._program_run(lpns, times, is_last)
-        self.map.bind_batch(uniq, new_ppns[last_positions], ext_ppns)
+        self.map.bind_batch(uniq, new_ppns[last_positions])
 
     # ------------------------------------------------------------------
     # Refresh daemon
@@ -518,7 +518,7 @@ class Ftl:
         first = self.geometry.page_number(source.index, 0)
         old_ppns = np.array(pages, dtype=np.int64) + first
         # The scalar path's checks: every source page is live and mapped.
-        lpns = self.map.owners(old_ppns.tolist())
+        lpns = self.map.owners(old_ppns)
         page_states = state.page_state_np
         stale = page_states[old_ppns] != _VALID
         if stale.any():
@@ -526,8 +526,8 @@ class Ftl:
 
         # The LPN travels with the data; the destination gets a fresh
         # sequence number (``DeviceState.relocate_oob``).
-        new_ppns = self._program_run(state.oob_lpn_np[old_ppns], now_us)
-        self.map.bind_batch(lpns, new_ppns, old_ppns)
+        new_ppns = self._program_run(lpns, now_us)
+        self.map.bind_batch(lpns, new_ppns)
         page_states[old_ppns] = _INVALID
         state.valid_count[source.slot] -= len(pages)
         dest_blocks, dest_pages = np.divmod(new_ppns, pages_per_block)
@@ -773,9 +773,11 @@ class Ftl:
         block = pool.active_block(now_us)
         page = block.program_next(now_us)
         ppn = self.geometry.page_number(block.index, page)
+        # Bind first: ``bind`` checks the page's OOB record before the
+        # stamp overwrites it.
+        self.map.bind(lpn, ppn)
         self.table.state.stamp_oob(ppn, lpn)
         pool.retire_active()
-        self.map.bind(lpn, ppn)
         return PhysOp(kind=OpKind.WRITE, block_index=block.index, page=page)
 
     def _move_page(

@@ -112,12 +112,15 @@ class GeneratedWorkload:
         fill_lpns: LPNs written during the initial sequential fill.
         aging_lpns: LPNs rewritten during warm-up aging (in order).
         trace: The timed request stream.
+        update_set: The spec's :func:`update_working_set`, which the
+            background update stream samples.
     """
 
     spec: WorkloadSpec
     fill_lpns: range
     aging_lpns: list[int]
     trace: Trace
+    update_set: np.ndarray
 
 
 def _geometric_sizes(
@@ -183,20 +186,47 @@ def update_working_set(spec: WorkloadSpec) -> np.ndarray:
     if quota <= 0:
         return np.empty(0, dtype=np.int64)
     rng = np.random.default_rng(spec.effective_seed() + 2)
-    chosen: set[int] = set()
     # Hot-skewed chunk starts; oversampled so the quota is always met.
+    # Chunks join the set in draw order until it first holds ``quota``
+    # pages; each covers ``update_chunk_pages`` clipped to the footprint.
     starts = _pick_starts(rng, max(8, 4 * quota // spec.update_chunk_pages), spec)
-    for start in starts:
-        if len(chosen) >= quota:
-            break
-        begin = int(start)
-        end = min(spec.footprint_pages, begin + spec.update_chunk_pages)
-        chosen.update(range(begin, end))
-    return np.sort(np.fromiter(chosen, dtype=np.int64))
+    footprint = spec.footprint_pages
+    chunks = len(starts)
+    # A chunk at least as wide as the footprint covers the rest of it,
+    # so clipping the width keeps every temporary O(footprint).
+    width = min(spec.update_chunk_pages, footprint)
+
+    # First chunk starting at each page (``chunks`` = none), padded to
+    # whole blocks of ``width`` pages.
+    first_at = np.full(-(-footprint // width) * width, chunks, dtype=np.int64)
+    at, first = np.unique(starts, return_index=True)
+    inside = at < footprint
+    first_at[at[inside]] = first[inside]
+
+    # First chunk covering each page: the minimum of ``first_at`` over
+    # the window ``(page - width, page]``, from per-block running minima
+    # in both directions (van Herk / Gil-Werman).
+    blocks = first_at.reshape(-1, width)
+    prefix = np.minimum.accumulate(blocks, axis=1).ravel()
+    suffix = np.minimum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    cover = prefix[:footprint]
+    cover[width - 1 :] = np.minimum(
+        suffix[: footprint - width + 1], prefix[width - 1 : footprint]
+    )
+
+    # Chunk ``i`` adds the pages it covers first, so the union's size
+    # after each chunk is a cumulative count; the last chunk to join is
+    # the first that brings it to the quota.
+    union = np.cumsum(np.bincount(cover, minlength=chunks + 1)[:chunks])
+    last = min(int(np.searchsorted(union, quota)), chunks - 1)
+    return np.flatnonzero(cover <= last).astype(np.int64, copy=False)
 
 
 def sample_update_lpns(
-    spec: WorkloadSpec, count: int, seed_offset: int = 1
+    spec: WorkloadSpec,
+    count: int,
+    seed_offset: int = 1,
+    working_set: np.ndarray | None = None,
 ) -> list[int]:
     """Sample ``count`` update targets from the update working set.
 
@@ -204,15 +234,20 @@ def sample_update_lpns(
     only a subset of a long trace's requests with timing, but applies the
     full update rate logically through these samples so invalid-page
     exposure evolves as in the original trace.
+
+    Args:
+        working_set: ``update_working_set(spec)`` when the caller already
+            holds it (:attr:`GeneratedWorkload.update_set`).
     """
     if count <= 0:
         return []
-    working_set = update_working_set(spec)
+    if working_set is None:
+        working_set = update_working_set(spec)
     if len(working_set) == 0:
         return []
     rng = np.random.default_rng(spec.effective_seed() + seed_offset)
     picks = rng.integers(0, len(working_set), size=count)
-    return [int(working_set[i]) for i in picks]
+    return working_set[picks].tolist()
 
 
 def generate_workload(
@@ -227,7 +262,7 @@ def generate_workload(
     # Warm-up aging: rewrite the update working set once so the old
     # copies become invalid pages scattered through the filled blocks.
     working_set = update_working_set(spec)
-    aging_lpns = [int(lpn) for lpn in rng.permutation(working_set)]
+    aging_lpns = rng.permutation(working_set).tolist()
 
     is_read = rng.random(spec.num_requests) < spec.read_ratio
     sizes = np.where(
@@ -261,4 +296,5 @@ def generate_workload(
         fill_lpns=range(spec.footprint_pages),
         aging_lpns=aging_lpns,
         trace=Trace(name=spec.name, requests=requests),
+        update_set=working_set,
     )

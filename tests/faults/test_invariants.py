@@ -85,6 +85,43 @@ class TestTornWordlineDetection:
         assert check_coding_invariants(sim.ftl) == []
 
 
+class TestMappingDetection:
+    """The OOB column is the map's reverse direction, so the checker
+    pins that every mapped LPN's page is VALID and names that LPN."""
+
+    def _run(self):
+        sim = _ida_simulator(None)
+        sim.run_requests(_aged_reads(sim))
+        assert check_coding_invariants(sim.ftl) == []
+        return sim
+
+    def test_corrupted_oob_row_is_flagged(self):
+        sim = self._run()
+        ppn = sim.ftl.map.lookup(3)
+        sim.ftl.table.state.oob_lpn[ppn] = 17
+        assert check_coding_invariants(sim.ftl) == [
+            f"LPN 3 maps to PPN {ppn} whose OOB record holds LPN 17"
+        ]
+
+    def test_stale_forward_entry_is_flagged(self):
+        sim = self._run()
+        ppn = sim.ftl.map.lookup(4)
+        sim.ftl.map._forward[3] = ppn
+        assert check_coding_invariants(sim.ftl) == [
+            f"LPN 3 maps to PPN {ppn} whose OOB record holds LPN 4"
+        ]
+
+    def test_forward_entry_to_an_invalid_page_is_flagged(self):
+        sim = self._run()
+        old_ppn = sim.ftl.map.lookup(3)
+        sim.ftl.host_write(3, 0.0)
+        sim.ftl.map._forward[3] = old_ppn
+        assert check_coding_invariants(sim.ftl) == [
+            f"LPN 3 maps to PPN {old_ppn} whose page state is INVALID, "
+            "not VALID"
+        ]
+
+
 class TestAdjustInterruptRecovery:
     def test_interrupted_adjust_rolls_forward(self):
         """ISSUE 5 acceptance: the torn-reprogram invariant holds under an

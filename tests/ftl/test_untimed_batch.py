@@ -51,7 +51,6 @@ def _fingerprint(ftl: Ftl) -> dict:
     return {
         "columns": ftl.table.state.snapshot().columns,
         "forward": bytes(ftl.map._forward),
-        "reverse": dict(ftl.map._reverse),
         "pools": [
             (pool.active, list(pool.free), sorted(pool.used), sorted(pool.retired))
             for pool in ftl.table.planes
