@@ -38,11 +38,19 @@ Run:  python benchmarks/bench_obs_overhead.py [--scale quick] [--reps 5]
 With ``--check`` the process exits non-zero when the null-tracer or
 health-disabled variant's overhead exceeds ``--threshold`` percent, or
 the profiler-disabled variant's exceeds ``--profiler-threshold``
-percent.  A variant's overhead is the median, over rounds, of its time
-divided by the same round's ``untraced`` time: a round runs every
-variant back to back, so the ratio cancels the machine-speed drift
-that makes best-of-reps times of different variants disagree by more
-than the thresholds on a shared host.  ``--record`` /
+percent.  The gate times only the four variants that run the bare code
+path (``untraced``, ``null_tracer``, ``profiler_disabled``,
+``health_disabled``), in process CPU seconds, over at least
+``GATE_ROUNDS`` rounds whatever ``--reps`` says.  A round runs each of
+them once back to back, in an order rotated by one place per round, and
+a variant's overhead is the median, over rounds, of its time divided by
+the same round's ``untraced`` time.  Process CPU time leaves out the
+time other tenants of a shared host hold the CPU; the ratio cancels
+the drift that remains; a ``gc.collect()`` before each timed run and the
+rotation keep the previous run's garbage and allocator state from
+landing on one variant; and the median of many rounds resolves a 3%
+bound that three rounds of wall time could not.  The report lines above the gate are best-of-reps wall
+seconds over ``--reps`` rounds of all eight variants.  ``--record`` /
 ``--baseline`` mirror ``bench_pipeline.py``: record times on a
 reference tree (committed as ``benchmarks/BENCH_obs.json`` and, with
 the health variants, ``benchmarks/BENCH_health.json``), then
@@ -53,6 +61,7 @@ beyond the profiler threshold.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import statistics
 import sys
@@ -89,23 +98,43 @@ VARIANTS = {
 }
 
 
-def time_variants(scale: RunScale, reps: int) -> dict[str, list[float]]:
-    """Wall seconds per variant and round, interleaved round-robin.
+#: The variants whose overhead ``--check`` gates: all run the bare path.
+GATED = ("untraced", "null_tracer", "profiler_disabled", "health_disabled")
+#: Rounds the gate times at least.  At ``--scale quick`` a run takes
+#: ~0.35 s; three rounds of wall time let variants running identical
+#: code read up to 35% apart on a shared 2-vCPU VM.
+GATE_ROUNDS = 25
+
+
+def time_variants(
+    scale: RunScale,
+    reps: int,
+    names: tuple[str, ...] = tuple(VARIANTS),
+    clock=time.perf_counter,
+) -> dict[str, list[float]]:
+    """``clock`` seconds per variant and round, interleaved round-robin.
 
     Variants are interleaved (one rep of each, then the next round)
     rather than timed in sequential blocks, so slow machine drift —
     thermal throttling, a noisy CI neighbour — lands on every variant
-    equally instead of inflating whichever happened to run last.
+    equally instead of inflating whichever happened to run last.  Round
+    ``r`` starts ``r`` places into ``names``, so every variant takes
+    every position equally often.
     """
     spec = workload("usr_1")
     duration_us = spec.scaled(scale.num_requests, scale.footprint_pages).duration_us
-    times: dict[str, list[float]] = {name: [] for name in VARIANTS}
-    for _ in range(reps):
-        for name, factory in VARIANTS.items():
+    times: dict[str, list[float]] = {name: [] for name in names}
+    for round_index in range(reps):
+        shift = round_index % len(names)
+        for name in names[shift:] + names[:shift]:
+            factory = VARIANTS[name]
             telemetry = factory(duration_us) if factory else None
-            started = time.perf_counter()
+            # The previous run's garbage is collected here, not inside
+            # the next variant's timing.
+            gc.collect()
+            started = clock()
             run_workload(ida(0.2), spec, scale, seed=11, telemetry=telemetry)
-            times[name].append(time.perf_counter() - started)
+            times[name].append(clock() - started)
     return times
 
 
@@ -192,9 +221,16 @@ def main(argv: list[str] | None = None) -> int:
             failed = failed or delta > args.profiler_threshold
 
     if args.check:
-        null_overhead = overhead["null_tracer"]
-        disabled_overhead = overhead["profiler_disabled"]
-        health_overhead = overhead["health_disabled"]
+        rounds = max(args.reps, GATE_ROUNDS)
+        gate = round_overheads(
+            time_variants(scale, rounds, GATED, clock=time.process_time)
+        )
+        print(f"gate (process CPU, median per-round ratio over {rounds} rounds):")
+        for name in GATED[1:]:
+            print(f"  {labels[name]} : {gate[name]:+.1f}%")
+        null_overhead = gate["null_tracer"]
+        disabled_overhead = gate["profiler_disabled"]
+        health_overhead = gate["health_disabled"]
         if null_overhead > args.threshold:
             print(f"FAIL: null-tracer overhead {null_overhead:.1f}% "
                   f"> {args.threshold:.1f}%")

@@ -211,7 +211,9 @@ def manifest_for_payload(
 
     Inline and pooled sweeps return the same payloads, so they emit
     interchangeable artifacts.  ``jobs`` and ``snapshots`` land in an
-    ``execution`` block outside the hashed config.
+    ``execution`` block outside the hashed config, with the run's
+    wall-clock: warm-up and timed-window seconds and the window's engine
+    events per second.
     """
     config = {
         "system": jsonable(payload.system),
@@ -242,6 +244,11 @@ def manifest_for_payload(
             execution["jobs"] = jobs
         if snapshots is not None:
             execution["snapshots"] = dict(snapshots)
+        wall = payload.wall_clock
+        if wall is not None:
+            execution["warmup_s"] = wall["warmup_s"]
+            execution["window_s"] = wall["window_s"]
+            execution["events_per_s"] = wall["events"] / wall["window_s"]
         extra["execution"] = execution
     return build_run_manifest(
         config,

@@ -13,6 +13,7 @@ The run protocol, mirroring Sec. IV:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from ..faults.plan import FaultPlan
@@ -70,6 +71,11 @@ class RunResult:
         telemetry: The run's :meth:`~repro.obs.instruments.Telemetry.payload`:
             ``profile``, ``health``, ``time_series`` and ``trace_path``,
             each ``None`` when that instrument was not attached.
+        wall_clock: Host seconds of the warm-up (``warmup_s``) and of
+            the timed window (``window_s``), and the engine events the
+            window fired (``events``).  Not part of the result's identity:
+            it never compares and reaches a manifest only under
+            ``execution``.
     """
 
     system: SystemSpec
@@ -84,6 +90,7 @@ class RunResult:
     seed: int = 11
     faults: dict | None = None
     telemetry: dict = field(default_factory=dict)
+    wall_clock: dict | None = field(default=None, compare=False)
 
     @property
     def mean_read_response_us(self) -> float:
@@ -131,6 +138,7 @@ class RunResultPayload:
     queue_wait: dict = field(default_factory=dict)
     faults: dict | None = None
     telemetry: dict = field(default_factory=dict)
+    wall_clock: dict | None = field(default=None, compare=False)
 
     @property
     def mean_read_response_us(self) -> float:
@@ -189,6 +197,7 @@ class RunResultPayload:
             queue_wait=result.queue_wait,
             faults=result.faults,
             telemetry=result.telemetry,
+            wall_clock=result.wall_clock,
         )
 
 
@@ -425,14 +434,18 @@ def _run(
         system, scale, spec.duration_us, seed=seed, faults=faults,
         telemetry=telemetry,
     )
+    warm_start = time.perf_counter()
     warm_device(sim, generated, warm=warm)
+    warmup_s = time.perf_counter() - warm_start
     requests = _to_host_requests(generated, sim.geometry.page_size_bytes)
     if queue_depth is None:
-        metrics = sim.run_requests(
-            requests, background_updates=_background_batches(generated, scale)
-        )
+        background = _background_batches(generated, scale)
+        window_start = time.perf_counter()
+        metrics = sim.run_requests(requests, background_updates=background)
     else:
+        window_start = time.perf_counter()
         metrics = sim.run_closed_loop(requests, queue_depth=queue_depth)
+    window_s = time.perf_counter() - window_start
     return RunResult(
         system=system,
         workload=spec,
@@ -446,6 +459,11 @@ def _run(
         seed=seed,
         faults=sim.fault_summary(),
         telemetry=sim.telemetry.payload(),
+        wall_clock={
+            "warmup_s": warmup_s,
+            "window_s": window_s,
+            "events": sim.engine.processed,
+        },
     )
 
 

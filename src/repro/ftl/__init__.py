@@ -5,7 +5,7 @@ from .blockstatus import BlockStatusTable
 from .ftl import Ftl
 from .gc import GcPolicy, select_victim
 from .mapping import PageMap
-from .ops import FlashTranslation, FtlCounters, OpKind, PhysOp, WriteResult
+from .ops import FlashTranslation, FtlCounters, OpKind, OpTable, PhysOp, WriteResult
 from .recovery import MountReport, mount_device
 from .refresh import (
     RefreshMode,
@@ -31,6 +31,7 @@ __all__ = [
     "MountReport",
     "mount_device",
     "OpKind",
+    "OpTable",
     "PhysOp",
     "RefreshMode",
     "RefreshPlan",

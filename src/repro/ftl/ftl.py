@@ -1,8 +1,9 @@
 """The flash translation layer: host I/O, GC, and (IDA-modified) refresh.
 
 The FTL applies logical state transitions eagerly at dispatch time and
-emits :class:`~repro.ftl.ops.PhysOp` lists for the simulator to push
-through the contended die/channel resources.  This mirrors the paper's
+emits :class:`~repro.ftl.ops.PhysOp` lists (a refresh tick: one
+:class:`~repro.ftl.ops.OpTable`) for the simulator to push through the
+contended die/channel resources.  This mirrors the paper's
 DiskSim methodology: FTL decisions are instantaneous metadata updates; all
 *time* is spent in the flash-operation queues.
 
@@ -18,7 +19,9 @@ Bulk page placement is columnar.  Untimed writes and refresh relocations
 are applied in *safe runs* — stretches that trigger no GC and open no
 block — as scatters on the device columns plus one bulk map rebinding;
 the write on each boundary takes the scalar path, so the resulting
-state and op lists equal a page-by-page loop.
+state and op lists equal a page-by-page loop.  A refresh tick hands its
+ops over as the columns it planned with (reads, relocation writes and
+adjusts appended as arrays, scalar moves and their GC as single rows).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .allocation import StaticAllocator
 from .blockstatus import BlockStatusTable
 from .gc import GcPolicy, select_victim
 from .mapping import PageMap
-from .ops import FtlCounters, OpKind, PhysOp, WriteResult
+from .ops import FtlCounters, OpKind, OpTable, PhysOp, WriteResult
 from .refresh import RefreshPlan, RefreshPolicy, RefreshReport, plan_refresh
 
 __all__ = ["Ftl"]
@@ -340,7 +343,7 @@ class Ftl:
     # ------------------------------------------------------------------
     # Refresh daemon
     # ------------------------------------------------------------------
-    def check_refresh(self, now_us: float) -> list[PhysOp]:
+    def check_refresh(self, now_us: float) -> OpTable:
         """Refresh every full block older than the policy period.
 
         Blocks are visited in pool order, then in the order of each
@@ -350,8 +353,10 @@ class Ftl:
         the tick's own work can only make a block younger (a first
         program and an IDA refresh stamp ``now_us``, an erase clears the
         stamp), so the mask only narrows the live checks below.
+
+        Returns the tick's ops as one :class:`OpTable`, in issue order.
         """
-        ops: list[PhysOp] = []
+        ops = OpTable()
         period_us = self.refresh_policy.period_us
         stamps = self.table.state.programmed_at_us_np
         due = (now_us - stamps) >= period_us
@@ -373,10 +378,10 @@ class Ftl:
                     continue
                 if not now_us - stamps[block.slot] >= period_us:
                     continue  # erased and refilled earlier in this tick
-                ops.extend(self._refresh_block(block, now_us))
+                self._refresh_block(block, now_us, ops)
         return ops
 
-    def _refresh_block(self, block: Block, now_us: float) -> list[PhysOp]:
+    def _refresh_block(self, block: Block, now_us: float, ops: OpTable) -> None:
         self.counters.refresh_invocations += 1
         block.locked = True
         try:
@@ -384,7 +389,7 @@ class Ftl:
             report = RefreshReport(block.index, n_valid=len(plan.valid_pages))
 
             # Step 1-2 of Fig. 7: read + ECC-decode every valid page.
-            ops = self._read_ops(block, plan.valid_pages)
+            self._read_ops(block, plan.valid_pages, ops)
 
             # Step 3: move the pages that cannot benefit from IDA.
             self._relocate(block, plan.moves.tolist(), now_us, ops)
@@ -402,7 +407,7 @@ class Ftl:
             kept_pages = plan.kept.tolist()
             report.n_target = len(kept_pages)
             self.counters.refresh_reprogrammed_pages += len(kept_pages)
-            ops.extend(self._read_ops(block, plan.kept))
+            self._read_ops(block, plan.kept, ops)
 
             # Step 7-8: corrupted pages get their error-free copy written
             # to the new block; clean pages stay in place.
@@ -430,10 +435,9 @@ class Ftl:
                 n_error=report.n_error,
                 n_adjusted_wordlines=report.n_adjusted_wordlines,
             )
-        return ops
 
     def _adjust_wordlines(
-        self, block: Block, plan: RefreshPlan, now_us: float, ops: list[PhysOp]
+        self, block: Block, plan: RefreshPlan, now_us: float, ops: OpTable
     ) -> None:
         """Step 4 of Fig. 7 for every adjusted wordline of ``plan``.
 
@@ -446,12 +450,7 @@ class Ftl:
         start_bits = plan.start_bits
         block.adjust_wordlines(wordlines, start_bits)
         index = block.index
-        ops.extend(
-            [
-                PhysOp(OpKind.ADJUST, index, wordline=wordline)
-                for wordline in wordlines.tolist()
-            ]
-        )
+        ops.add_adjusts(index, wordlines)
         if not self.tracer.enabled:
             return
         bits = block.bits_per_cell
@@ -465,8 +464,8 @@ class Ftl:
                 kept_pages=bits - start_bit,
             )
 
-    def _read_ops(self, block: Block, pages: np.ndarray) -> list[PhysOp]:
-        """Internal read ops for ``pages`` of ``block``, one gather.
+    def _read_ops(self, block: Block, pages: np.ndarray, ops: OpTable) -> None:
+        """Append internal read ops for ``pages`` of ``block``, one gather.
 
         Sense counts come from :meth:`SenseTable.lut` over the current
         ``wl_mode`` column; a page the table marks unreadable is handed
@@ -481,12 +480,10 @@ class Ftl:
         if not senses.all():
             bad = int(np.flatnonzero(senses == 0)[0])
             sense_table.senses(int(modes[bad]), int(page_bits[bad]))
-        return PhysOp.reads(
-            block.index, pages.tolist(), senses.tolist(), page_bits.tolist()
-        )
+        ops.add_reads(block.index, pages, senses, page_bits)
 
     def _relocate(
-        self, source: Block, pages: list[int], now_us: float, ops: list[PhysOp]
+        self, source: Block, pages: list[int], now_us: float, ops: OpTable
     ) -> None:
         """Move ``pages`` of ``source`` to fresh pages, in order.
 
@@ -510,7 +507,7 @@ class Ftl:
             start += safe
 
     def _relocate_segment(
-        self, source: Block, pages: list[int], now_us: float, ops: list[PhysOp]
+        self, source: Block, pages: list[int], now_us: float, ops: OpTable
     ) -> None:
         """Move one safe run of ``source`` pages as column operations."""
         state = self.table.state
@@ -531,7 +528,7 @@ class Ftl:
         page_states[old_ppns] = _INVALID
         state.valid_count[source.slot] -= len(pages)
         dest_blocks, dest_pages = np.divmod(new_ppns, pages_per_block)
-        ops.extend(PhysOp.writes(dest_blocks.tolist(), dest_pages.tolist()))
+        ops.add_writes(dest_blocks, dest_pages)
 
     # ------------------------------------------------------------------
     # Fault recovery (graceful degradation)
@@ -557,6 +554,26 @@ class Ftl:
         if wordline is None:
             return
         self.table.blocks[block_index].commit_wordline_summary(wordline)
+
+    def commit_adjusts(self, blocks: np.ndarray, wordlines: np.ndarray) -> None:
+        """:meth:`commit_adjust` for each ``(blocks[i], wordlines[i])``.
+
+        One vectorized write of the summary and journal columns: the
+        commit of every adjust an internal chain's quiet run served.  A
+        negative wordline (an ADJUST without one) is skipped, as
+        :meth:`commit_adjust` skips ``None``.  Commits of one wordline
+        all copy its current mode, so the order within the batch cannot
+        matter.
+        """
+        keep = wordlines >= 0
+        state = self.table.state
+        rows = (
+            blocks[keep].astype(np.int64) * state.wordlines_per_block
+            + wordlines[keep]
+        )
+        state.summary_wl_mode_np[rows] = state.wl_mode_np[rows]
+        state.journal_bit_np[rows] = 0
+        state.journal_kept_np[rows] = 0
 
     def on_program_failure(
         self, block_index: int, page: int | None, now_us: float

@@ -3,8 +3,10 @@
 This module is the *entire* surface the simulator sees of the flash
 translation layer.  The FTL applies *logical* state transitions (mapping
 updates, validity flips, wordline-mode changes) immediately, and hands
-the simulator lists of :class:`PhysOp` records describing the physical
-work those transitions imply.  The simulator routes each op through the
+the simulator the physical work those transitions imply: a host op as
+one :class:`PhysOp` record, a GC / refresh pass as an :class:`OpTable`
+of int columns (a refresh tick hands over the arrays it planned with,
+not one tuple per op).  The simulator routes each op through the
 contended die / channel resources, which is where all queueing behaviour
 comes from.
 
@@ -19,12 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
-from typing import NamedTuple, Protocol, runtime_checkable
+from typing import Iterable, Iterator, NamedTuple, Protocol, runtime_checkable
+
+import numpy as np
 
 __all__ = [
     "OpKind",
     "PhysOp",
+    "OpTable",
     "WriteResult",
     "FtlCounters",
     "FlashTranslation",
@@ -70,56 +74,168 @@ class PhysOp(NamedTuple):
     from_ida: bool = False
     wordline: int | None = None
 
+
+#: ``OpKind`` members by their :class:`OpTable` kind code.
+OP_KINDS = (OpKind.READ, OpKind.WRITE, OpKind.ADJUST, OpKind.ERASE)
+READ_CODE, WRITE_CODE, ADJUST_CODE, ERASE_CODE = range(len(OP_KINDS))
+
+
+def _row_of(op: PhysOp) -> tuple[int, int, int, int, int, int]:
+    """One :class:`OpTable` row for an internal ``op``."""
+    if op.wl_validity is not None or op.from_ida:
+        raise ValueError(f"{op} is a host read; an op table holds internal ops")
+    return (
+        # ``tuple.index`` compares by identity first: no ``Enum.__hash__``.
+        OP_KINDS.index(op.kind),
+        op.block_index,
+        -1 if op.page is None else op.page,
+        op.senses,
+        -1 if op.bit is None else op.bit,
+        -1 if op.wordline is None else op.wordline,
+    )
+
+
+class OpTable:
+    """A GC / refresh pass as int columns, one row per internal op.
+
+    The columns are ``kind`` (an index into :data:`OP_KINDS`),
+    ``block``, ``page``, ``senses``, ``bit`` and ``wordline``; a field
+    the op's :class:`PhysOp` leaves ``None`` is ``-1``.  Internal ops
+    carry no wordline snapshot and are never ``from_ida``, so
+    :meth:`op` rebuilds each op exactly.
+
+    A table is built in op order: the refresh flow appends the arrays it
+    planned with (:meth:`add_reads`, :meth:`add_writes`,
+    :meth:`add_adjusts`), and the scalar paths (a page move at a segment
+    boundary, the GC pass it triggers) append single rows
+    (:meth:`append`, :meth:`extend`), so their ops interleave where they
+    were issued.  :meth:`of` converts a list of internal ops (GC and
+    fault-recovery work).
+    """
+
+    __slots__ = ("_parts", "_rows")
+
+    def __init__(self) -> None:
+        #: Finished ``(n, 6)`` int32 parts of the rows, in op order.
+        self._parts: list[np.ndarray] = []
+        #: Single rows appended since the last part.
+        self._rows: list[tuple[int, ...]] = []
+
     @classmethod
-    def reads(
-        cls, block_index: int, pages: list[int], senses: list[int], bits: list[int]
-    ) -> list[PhysOp]:
-        """Internal READ ops of one block, one per page, built in bulk.
+    def of(cls, ops: Iterable[PhysOp]) -> "OpTable":
+        """The table of a list of internal ops.
 
-        Equal to ``PhysOp(OpKind.READ, block_index, page, sense, bit)``
-        for each position — no wordline snapshot, not ``from_ida`` — at
-        about half the per-op cost of the keyword-default constructor.
+        Raises:
+            ValueError: for a host read (a wordline snapshot or
+                ``from_ida``), which a table cannot carry.
         """
-        return list(
-            map(
-                tuple.__new__,
-                repeat(cls),
-                zip(
-                    repeat(OpKind.READ),
-                    repeat(block_index),
-                    pages,
-                    senses,
-                    bits,
-                    repeat(None),
-                    repeat(False),
-                    repeat(None),
-                ),
-            )
-        )
+        table = cls()
+        table.extend(ops)
+        return table
 
-    @classmethod
-    def writes(cls, block_indices: list[int], pages: list[int]) -> list[PhysOp]:
-        """WRITE ops, one per ``(block_index, page)`` pair, built in bulk.
+    def append(self, op: PhysOp) -> None:
+        """Append one internal op as a row."""
+        self._rows.append(_row_of(op))
 
-        Equal to ``PhysOp(OpKind.WRITE, block_index, page)`` for each
-        pair (see :meth:`reads`).
-        """
-        return list(
-            map(
-                tuple.__new__,
-                repeat(cls),
-                zip(
-                    repeat(OpKind.WRITE),
-                    block_indices,
-                    pages,
-                    repeat(0),
-                    repeat(None),
-                    repeat(None),
-                    repeat(False),
-                    repeat(None),
-                ),
-            )
-        )
+    def extend(self, ops: Iterable[PhysOp]) -> None:
+        """Append internal ops as rows, in order."""
+        self._rows.extend(map(_row_of, ops))
+
+    def add_reads(
+        self, block: int, pages: np.ndarray, senses: np.ndarray, bits: np.ndarray
+    ) -> None:
+        """READs of ``pages`` of one block, needing ``senses``, of page type ``bits``."""
+        part = self._new_part(READ_CODE, len(pages))
+        part[:, 1] = block
+        part[:, 2] = pages
+        part[:, 3] = senses
+        part[:, 4] = bits
+
+    def add_writes(self, blocks: np.ndarray, pages: np.ndarray) -> None:
+        """WRITEs, one per ``(blocks[i], pages[i])``."""
+        part = self._new_part(WRITE_CODE, len(pages))
+        part[:, 1] = blocks
+        part[:, 2] = pages
+
+    def add_adjusts(self, block: int, wordlines: np.ndarray) -> None:
+        """ADJUSTs of ``wordlines`` of one block."""
+        part = self._new_part(ADJUST_CODE, len(wordlines))
+        part[:, 1] = block
+        part[:, 5] = wordlines
+
+    def _new_part(self, kind: int, length: int) -> np.ndarray:
+        """``length`` new rows of ``kind`` after the pending single rows;
+        their fields default to a non-READ op's."""
+        self._flush()
+        part = np.full((length, 6), -1, dtype=np.int32)
+        part[:, 0] = kind
+        part[:, 3] = 0
+        if length:
+            self._parts.append(part)
+        return part
+
+    def _flush(self) -> None:
+        if self._rows:
+            self._parts.append(np.array(self._rows, dtype=np.int32))
+            self._rows = []
+
+    def rows(self) -> np.ndarray:
+        """All rows as one ``(n, 6)`` int32 array (column order as above)."""
+        parts = self._parts
+        if self._rows or len(parts) != 1:
+            self._flush()
+            parts[:] = [
+                np.concatenate(parts) if parts else np.empty((0, 6), dtype=np.int32)
+            ]
+        return parts[0]
+
+    @property
+    def kind(self) -> np.ndarray:
+        return self.rows()[:, 0]
+
+    @property
+    def block(self) -> np.ndarray:
+        return self.rows()[:, 1]
+
+    @property
+    def page(self) -> np.ndarray:
+        return self.rows()[:, 2]
+
+    @property
+    def senses(self) -> np.ndarray:
+        return self.rows()[:, 3]
+
+    @property
+    def bit(self) -> np.ndarray:
+        return self.rows()[:, 4]
+
+    @property
+    def wordline(self) -> np.ndarray:
+        return self.rows()[:, 5]
+
+    def op(self, index: int) -> PhysOp:
+        """The :class:`PhysOp` of row ``index``, built on demand."""
+        return _op_of(self.rows()[index].tolist())
+
+    def __len__(self) -> int:
+        return sum(len(part) for part in self._parts) + len(self._rows)
+
+    def __iter__(self) -> Iterator[PhysOp]:
+        return map(_op_of, self.rows().tolist())
+
+
+def _op_of(row: list[int]) -> PhysOp:
+    kind, block, page, senses, bit, wordline = row
+    return PhysOp(
+        OP_KINDS[kind],
+        block,
+        None if page < 0 else page,
+        senses,
+        None if bit < 0 else bit,
+        None,
+        False,
+        None if wordline < 0 else wordline,
+    )
 
 
 @dataclass
@@ -165,8 +281,9 @@ class FtlCounters:
 class FlashTranslation(Protocol):
     """What the simulator requires of a flash translation layer.
 
-    Everything is expressed in terms of :class:`PhysOp` sequences — the
-    FTL never touches simulator resources, queues, or the event engine,
+    Everything is expressed in terms of :class:`PhysOp` sequences (an
+    :class:`OpTable` for a refresh tick) — the FTL never touches
+    simulator resources, queues, or the event engine,
     and the simulator never reaches past these six members into FTL
     internals.  Host writes may trigger GC; the implied relocation work
     comes back in :attr:`WriteResult.internal_ops` rather than being
@@ -201,6 +318,6 @@ class FlashTranslation(Protocol):
         """
         ...
 
-    def check_refresh(self, now_us: float) -> list[PhysOp]:
+    def check_refresh(self, now_us: float) -> OpTable:
         """Scan for refresh-due blocks; returns the implied physical work."""
         ...

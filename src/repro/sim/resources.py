@@ -199,21 +199,32 @@ class Resource:
         )
         self._dispatch_next()
 
-    def credit(self, priority: IoPriority, start_us: float, duration: float) -> None:
-        """Serve a window ``[start_us, start_us + duration]`` with no event.
+    def credit_run(
+        self,
+        priority: IoPriority,
+        busy_us: float,
+        class_busy_us: float,
+        ops: int,
+        start_us: float,
+        end_us: float,
+    ) -> None:
+        """Account ``ops`` back-to-back stages of a quiet run with no event.
 
-        Accounts the service exactly as :meth:`submit`'s idle fast start
-        would, and leaves the resource idle, as if the window's completion
-        had already fired.  Only for an internal chain's quiet run, which
-        has checked that the resource is idle with nothing queued and that
-        no event is due before the window ends.
+        Each stage is served as :meth:`submit`'s idle fast start would
+        serve it; the caller has added their durations in stage order to
+        this resource's ``busy_us`` and ``busy_us_by_class[priority]``,
+        giving ``busy_us`` and ``class_busy_us``, and the last stage ran
+        over ``[start_us, end_us]``.  The resource is left idle, as if the
+        last stage's completion had already fired.  Only for an internal
+        chain's quiet run, which has checked that the resource is idle
+        with nothing queued and that no event is due before the run ends.
         """
-        self.busy_us += duration
-        self._ops_served[priority] += 1
-        self.busy_us_by_class[priority] += duration
+        self.busy_us = busy_us
+        self.busy_us_by_class[priority] = class_busy_us
+        self._ops_served[priority] += ops
         self._klass = priority
         self._start_us = start_us
-        self._end_us = start_us + duration
+        self._end_us = end_us
 
     def enable_wait_profile(self) -> None:
         """Turn on the wait-class breakdown for subsequent submissions."""

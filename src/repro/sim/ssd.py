@@ -15,17 +15,19 @@ The simulator is a thin conductor over the layered architecture (see
   pipeline, except that the pages of an unobserved read request with one
   retry count run only to their transfer and the request completes with
   one ECC event (see ``SsdSimulator._launch_request``); a GC / refresh
-  pass is one ``_InternalChain``, a pipeline re-armed for each of its
+  pass is one ``_InternalChain`` over the FTL's
+  :class:`~repro.ftl.ops.OpTable`, a pipeline re-armed for each of its
   ops, which also commits clean adjusts and routes faulted ops to
-  recovery as they end.  Where nothing else is due
-  before its ops would end, a chain serves them as one *quiet run*: one
-  loop times them and one event resumes the chain (see
+  recovery as they end.  Where nothing else is due before its ops would
+  end, a chain serves them as one *quiet run*, computed on the table's
+  plan columns as arrays, and one event resumes the chain (see
   :class:`_InternalChain`);
 * **resources** — contended dies and channels, where all queueing
   behaviour comes from;
 * **FTL** — reached only through the :class:`FlashTranslation` protocol
   (:mod:`repro.ftl.ops`): logical state transitions are applied eagerly
-  at dispatch and come back as :class:`PhysOp` sequences.
+  at dispatch and come back as :class:`PhysOp` sequences (a refresh
+  tick's as one :class:`~repro.ftl.ops.OpTable`).
 
 Approximation note (shared with DiskSim-class simulators): because FTL
 metadata transitions are applied eagerly at dispatch, a page relocated
@@ -36,7 +38,6 @@ resources either way.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
 import numpy as np
@@ -49,7 +50,15 @@ from ..flash.geometry import Geometry
 from ..flash.timing import TimingSpec
 from ..ftl.ftl import Ftl
 from ..ftl.gc import GcPolicy
-from ..ftl.ops import FlashTranslation, OpKind, PhysOp
+from ..ftl.ops import (
+    ADJUST_CODE,
+    OP_KINDS,
+    READ_CODE,
+    FlashTranslation,
+    OpKind,
+    OpTable,
+    PhysOp,
+)
 from ..ftl.refresh import RefreshPolicy
 from ..obs.instruments import Telemetry
 from .drivers import check_lpns, run_closed_loop, run_open_loop
@@ -85,56 +94,153 @@ _HOST_READ = IoPriority.HOST_READ
 _INTERNAL = IoPriority.INTERNAL
 
 
+def run_instants(start_us: float, increments: np.ndarray) -> np.ndarray:
+    """The instants of back-to-back ops, from their time increments.
+
+    Row ``i`` of ``increments`` (an ``(n, 4)`` float array, overwritten
+    and returned) is op ``i``'s first-stage, second-stage and
+    latency-stage durations and the gap before the next op (``0.0`` for
+    an absent stage).  Row ``i`` of the result holds its first-stage end,
+    last resource-stage end, end, and the next op's issue instant, with
+    op ``0`` issued at ``start_us``.  One ``np.cumsum``: it accumulates
+    left to right, and adding a ``0.0`` filler is exact, so every instant
+    is the float the per-op loop computes.
+    """
+    flat = increments.reshape(-1)
+    flat[0] += start_us
+    np.cumsum(flat, out=flat)
+    return increments
+
+
+def ordered_sums(seeds: list[float], slots: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``seeds[slot] += value`` for each ``(slot, value)`` pair, in order.
+
+    ``np.add.at`` applies the additions one at a time in index order, so
+    each slot's sum is the float a left-to-right loop of ``+=`` gives.
+    """
+    sums = np.array(seeds, dtype=np.float64)
+    np.add.at(sums, slots, values)
+    return sums
+
+
 class _InternalChain(OpPipeline):
     """One GC / refresh pass: an op pipeline re-armed for each of its ops.
+
+    The pass arrives as an :class:`~repro.ftl.ops.OpTable`, and the chain
+    derives its plan columns once: each row's compiled plan and kind as
+    Python lists (what the per-op path reads), and each row's plan id
+    into per-plan arrays of first and second resource and ``(first_us,
+    second_us, latency_us, gap_us)`` increments (what a quiet run reads).
 
     A chain has exactly one op in flight, so it is itself the pipeline
     its ops run through: :meth:`issue_next` sets the inherited ``plan``
     and ``obs`` slots for the next op and calls :meth:`OpPipeline.start`,
     and the op's stages advance through the same boundary methods a host
-    op's do.  When an op ends, :meth:`_complete` runs its fault recovery
-    or commits a clean adjust, and the chain goes on — at once, or after
-    a throttling policy's idle gap.
+    op's do.  A :class:`~repro.ftl.ops.PhysOp` is built only for an
+    injector or profiler.  When an op ends, :meth:`_complete` runs its
+    fault recovery or commits a clean adjust, and the chain goes on — at
+    once, or after a throttling policy's idle gap.
 
     **Quiet runs.**  At a *safe point* — see :meth:`_op_done` — the chain
-    may serve its next ops in one loop instead (:meth:`_serve_run`):
-    while an op's die and channel are idle with nothing queued and the op
-    would end strictly before :meth:`SimEngine.horizon`, no other event
-    can fire before it ends, so its every stage is a resource's idle fast
-    start and its times are known now.  The run credits each stage with
-    :meth:`Resource.credit`, feeds the op's record (when profiled) and
-    :meth:`_complete` the calls and floats the per-op path would, and
-    posts one event at the last op's end (plus the gap, if ops remain)
-    that resumes the chain.  A chain's first op is always issued per op:
-    the caller of :meth:`SsdSimulator.issue_internal_sequence` may still
-    schedule work at this instant.  A bound fault plan keeps runs from
-    starting, since the injector counts, fails or cuts power at each op's
-    own dispatch instant.
+    may serve its next ops at once instead (:meth:`_serve_run`): while an
+    op's die and channel are idle with nothing queued and the op would
+    end strictly before :meth:`SimEngine.horizon`, no other event can
+    fire before it ends, so its every stage is a resource's idle fast
+    start and its times are known now.  Nothing else happens until the
+    run ends, so each resource stays idle or busy for the whole run, and
+    the run is a function of the columns:
+
+    * the instants are one :func:`run_instants` per window of ops;
+    * the run stops at a ``searchsorted`` of the ends against the
+      horizon, or at the first op that meets a resource busy at the
+      run's start;
+    * each resource's ``busy_us`` and ``busy_us_by_class`` come from
+      :func:`ordered_sums`, its ops served from a ``bincount``, and its
+      last service window from its last stage;
+    * the run's adjusts are committed in one batch
+      (:meth:`_complete_run`), and a profiled run feeds each op's
+      :class:`OpRecord` from the same instants.
+
+    One event at the last op's end (plus the gap, if ops remain) resumes
+    the chain.  A chain's first op is always issued per op: the caller of
+    :meth:`SsdSimulator.issue_internal_sequence` may still schedule work
+    at this instant.  A bound fault plan keeps runs from starting, since
+    the injector counts, fails or cuts power at each op's own dispatch
+    instant.
     """
 
-    __slots__ = ("sim", "ops", "gap_us", "op")
+    __slots__ = (
+        "sim",
+        "table",
+        "gap_us",
+        "pos",
+        "kinds",
+        "plans",
+        "_plan_ids",
+        "_plan_slots",
+        "_plan_increments",
+        "_adjusts",
+    )
 
-    def __init__(self, sim: "SsdSimulator", ops: list[PhysOp], gap_us: float) -> None:
+    #: Ops a run times in its first window; later windows grow 4x, to at
+    #: most ``_MAX_WINDOW``: the work stays proportional to the run, not
+    #: to the ops left, and the temporaries stay small.
+    _WINDOW = 64
+    _MAX_WINDOW = 4096
+
+    def __init__(self, sim: "SsdSimulator", table: OpTable, gap_us: float) -> None:
         super().__init__(
             sim.engine, None, _INTERNAL, sim._queue_of[_INTERNAL], self._op_done
         )
         self.sim = sim
-        self.ops = deque(ops)
+        self.table = table
         self.gap_us = gap_us
-        self.op: PhysOp | None = None
+        #: The next op to issue or serve (the op in flight is ``pos - 1``).
+        self.pos = 0
+        kinds = table.kind
+        self.kinds = kinds.tolist()
+        # One plan per (kind, plane, senses), looked up through the op of
+        # its first row; only reads vary with senses.
+        senses = np.where(kinds == READ_CODE, table.senses, 0)
+        width = int(senses.max()) + 1
+        keys = (
+            kinds * sim.geometry.total_planes + table.block // sim._blocks_per_plane
+        ) * width + senses
+        firsts = np.full(len(OP_KINDS) * sim.geometry.total_planes * width, len(keys))
+        np.minimum.at(firsts, keys, np.arange(len(keys)))
+        present = np.flatnonzero(firsts < len(keys))
+        plans = [sim._plan_of(table.op(row), 0) for row in firsts[present].tolist()]
+        ids = np.empty(len(firsts), dtype=np.int32)
+        ids[present] = np.arange(len(present))
+        self._plan_ids = ids = ids[keys]
+        self.plans = list(map(plans.__getitem__, ids.tolist()))
+        slot_of = sim._slot_of
+        #: ``(first, second)`` resource slot of each plan.
+        self._plan_slots = np.array(
+            [(slot_of[plan.first], slot_of[plan.second]) for plan in plans]
+        )
+        self._plan_increments = np.array(
+            [
+                (plan.first_us, plan.second_us, plan.latency_us or 0.0, gap_us)
+                for plan in plans
+            ]
+        )
+        self._adjusts = np.flatnonzero(kinds == ADJUST_CODE)
 
     def issue_next(self) -> None:
         """Dispatch the chain's next op (the injector may fail it)."""
         sim = self.sim
-        op = self.op = self.ops.popleft()
-        fault = sim.faults.on_dispatch(op, False) if sim.faults is not None else None
-        self.plan = sim._plan_of(op, 0)
+        index = self.pos
+        self.pos = index + 1
+        faults, profiler = sim.faults, sim.profiler
+        self.obs = None
+        if faults is not None or profiler is not None:
+            op = self.table.op(index)
+            fault = faults.on_dispatch(op, False) if faults is not None else None
+            if profiler is not None or fault is not None:
+                self.obs = OpRecord(op, 0, _INTERNAL, None, profiler, fault)
+        self.plan = self.plans[index]
         sim.ops_dispatched += 1
-        profiler = sim.profiler
-        if profiler is not None or fault is not None:
-            self.obs = OpRecord(op, 0, _INTERNAL, None, profiler, fault)
-        else:
-            self.obs = None
         self.start()
 
     def _op_done(self, start_us: float, end_us: float) -> None:
@@ -145,8 +251,8 @@ class _InternalChain(OpPipeline):
         them once this returns, and a run planned now would not see that
         op's events.
         """
-        self._complete(self.op, start_us, end_us)
-        if not self.ops:
+        self._complete(self.pos - 1, start_us, end_us)
+        if self.pos == len(self.plans):
             # Drop the self-reference so the finished chain is freed now.
             self.on_done = None
             return
@@ -164,22 +270,30 @@ class _InternalChain(OpPipeline):
                 return
         self._resume()
 
-    def _complete(self, op: PhysOp, start_us: float, end_us: float) -> None:
-        """One op ended: run its fault recovery or commit a clean adjust.
-
-        Every internal op's completion passes here, from the per-op path
-        and from quiet runs alike.
-        """
+    def _complete(self, index: int, start_us: float, end_us: float) -> None:
+        """Op ``index`` ended on the per-op path: run its fault recovery
+        or commit a clean adjust."""
         obs = self.obs
         if obs is not None and obs.fault is not None:
             self.sim.faults.recover(obs, end_us)
-        elif op.kind is _ADJUST:
+        elif self.kinds[index] == ADJUST_CODE:
             # A clean adjust writes its on-flash commit record, which
             # clears its journal row.  This runs with or without a
             # fault plan: the journal columns are always maintained, so
             # a crash-free run leaves no stale intents behind for a
             # later mount to misread.
-            self.sim.ftl.commit_adjust(op.block_index, op.wordline)
+            _, block, _, _, _, wordline = self.table.rows()[index].tolist()
+            self.sim.ftl.commit_adjust(block, None if wordline < 0 else wordline)
+
+    def _complete_run(self, lo: int, times: np.ndarray) -> None:
+        """Ops ``lo``, ``lo + 1``, ... ended in a quiet run, at the
+        :func:`run_instants` ``times``: commit their adjusts in one batch
+        (a run serves no faulted op)."""
+        first, last = self._adjusts.searchsorted((lo, lo + len(times)))
+        if first < last:
+            adjusts = self._adjusts[first:last]
+            table = self.table
+            self.sim.ftl.commit_adjusts(table.block[adjusts], table.wordline[adjusts])
 
     def _resume(self) -> None:
         """At a safe point: serve a quiet run, or else issue the next op.
@@ -187,79 +301,137 @@ class _InternalChain(OpPipeline):
         Also the event a finished chain's last run posts, where it does
         nothing.
         """
-        if self.ops and (self.sim.faults is not None or not self._serve_run()):
+        if self.pos < len(self.plans) and (
+            self.sim.faults is not None or not self._serve_run()
+        ):
             self.issue_next()
 
     def _serve_run(self) -> bool:
-        """Serve every next op that ends before the horizon, in one loop.
+        """Serve every next op that ends before the horizon, as arrays.
 
         Returns ``False``, having changed nothing, when not even the next
-        op fits; otherwise posts the event that resumes the chain.
+        op fits (checked on scalars first: most calls serve nothing);
+        otherwise posts the event that resumes the chain.
         """
         sim = self.sim
         engine = sim.engine
         horizon = engine.horizon()
-        ops = self.ops
-        gap_us = self.gap_us
-        plan_of = sim._plan_of
-        profiler = sim.profiler
+        pos = self.pos
+        plan = self.plans[pos]
+        first = plan.first
+        queues = first._queues
+        if first._on_done is not None or queues[0] or queues[1] or queues[2]:
+            return False
+        second = plan.second
+        if second is not None:
+            queues = second._queues
+            if second._on_done is not None or queues[0] or queues[1] or queues[2]:
+                return False
         start = engine.now
-        end = start
-        served = 0
+        # ``run_instants``' floats for this op: a ``0.0`` second stage adds
+        # nothing, and the latency stage is added only when present.
+        end = start + plan.first_us + plan.second_us
+        if plan.latency_us is not None:
+            end += plan.latency_us
+        if not end < horizon:
+            return False
         # Nothing fires before the horizon, so a resource idle with empty
         # queues now stays so until then, but for this run's own stages
-        # (which leave it idle: ``credit`` posts no completion).
-        while ops:
-            op = ops[0]
-            plan = plan_of(op, 0)
-            first = plan.first
-            queues = first._queues
-            if first._on_done is not None or queues[0] or queues[1] or queues[2]:
+        # (which leave it idle: no completion is posted).
+        busy = np.array(
+            [r._on_done is not None or any(r._queues) for r in sim._resources]
+            + [False]
+        )
+        blocked = busy[self._plan_slots].any(axis=1)
+        plan_ids = self._plan_ids
+        total = len(plan_ids)
+        # Row ``i`` holds op ``pos + i``'s instants once its window ran.
+        out = np.empty((total - pos, 4))
+        lo = pos
+        width = self._WINDOW
+        while True:
+            ids = plan_ids[lo : lo + width]
+            times = out[lo - pos : lo - pos + len(ids)]
+            self._plan_increments.take(ids, axis=0, out=times)
+            run_instants(start, times)
+            fits = int(times[:, 2].searchsorted(horizon))
+            stuck = blocked[ids[:fits]]
+            if stuck.any():
+                fits = int(stuck.argmax())
+            if fits:
+                self._credit(ids[:fits], start, times[:fits])
+            lo += fits
+            if fits < len(ids) or lo == total:
                 break
-            mid = start + plan.first_us
-            second = plan.second
-            if second is None:
-                last_start = start
-                done = mid
-            else:
-                queues = second._queues
-                if second._on_done is not None or queues[0] or queues[1] or queues[2]:
-                    break
-                last_start = mid
-                done = mid + plan.second_us
-            latency_us = plan.latency_us
-            stop = done if latency_us is None else done + latency_us
-            if not stop < horizon:
-                break
-            ops.popleft()
-            first.credit(_INTERNAL, start, plan.first_us)
-            if second is not None:
-                second.credit(_INTERNAL, mid, plan.second_us)
-            if profiler is not None:
-                # No request or fault to join: the record only feeds the
-                # profiler each stage.
-                record = OpRecord(op, 0, _INTERNAL, None, profiler)
-                bounds = [start, mid]
-                if second is not None:
-                    bounds.append(done)
-                if latency_us is not None:
-                    bounds.append(stop)
-                for i, stage in enumerate(plan.stages):
-                    record.note_stage(stage, bounds[i], bounds[i], bounds[i + 1])
-            self._complete(op, last_start, stop)
-            served += 1
-            end = stop
-            start = stop + gap_us
-        if not served:
-            return False
-        sim.ops_dispatched += served
-        if not ops:
+            start = times[-1, 3]
+            width = min(4 * width, self._MAX_WINDOW)
+        times = out[: lo - pos]
+        if sim.profiler is not None:
+            self._profile(pos, engine.now, times)
+        self.pos = lo
+        sim.ops_dispatched += lo - pos
+        self._complete_run(pos, times)
+        more = lo < total
+        if not more:
             self.on_done = None
         # The resume event: at the next op's issue instant, or at the
         # last op's end when the chain is done (so the clock and
         # ``elapsed_us`` land where the per-op path leaves them).
-        engine.push(start if ops else end, self._resume)
+        engine.push(float(times[-1, 3 if more else 2]), self._resume)
         return True
+
+    def _credit(self, ids: np.ndarray, start: float, times: np.ndarray) -> None:
+        """Account the stages of ops of plans ``ids``, the first issued
+        at ``start``, on their resources (:meth:`Resource.credit_run`)."""
+        # Stage ``2 * i`` is op ``i``'s first, ``2 * i + 1`` its second
+        # (on the filler slot past the last resource when absent).
+        slots = self._plan_slots[ids].reshape(-1)
+        durations = self._plan_increments[ids, :2].reshape(-1)
+        starts = np.empty((len(ids), 2))
+        starts[0, 0] = start
+        starts[1:, 0] = times[:-1, 3]
+        starts[:, 1] = times[:, 0]
+        resources = self.sim._resources
+        busy_us = ordered_sums(
+            [r.busy_us for r in resources] + [0.0], slots, durations
+        ).tolist()
+        by_class = ordered_sums(
+            [r.busy_us_by_class[_INTERNAL] for r in resources] + [0.0],
+            slots,
+            durations,
+        ).tolist()
+        served = np.bincount(slots, minlength=len(resources) + 1).tolist()
+        # Each resource's last stage sets its service window.
+        last = np.zeros(len(resources) + 1, dtype=np.intp)
+        np.maximum.at(last, slots, np.arange(len(slots)))
+        start_us = starts.reshape(-1)[last].tolist()
+        end_us = times[:, :2].reshape(-1)[last].tolist()
+        for slot, resource in enumerate(resources):
+            if served[slot]:
+                resource.credit_run(
+                    _INTERNAL,
+                    busy_us[slot],
+                    by_class[slot],
+                    served[slot],
+                    start_us[slot],
+                    end_us[slot],
+                )
+
+    def _profile(self, pos: int, start: float, times: np.ndarray) -> None:
+        """Feed each op of a run its :class:`OpRecord` stages (no request
+        or fault to join: the record only feeds the profiler)."""
+        profiler = self.sim.profiler
+        for index, (mid, done, end, issue) in enumerate(times.tolist(), pos):
+            plan = self.plans[index]
+            bounds = [start, mid]
+            if plan.second is not None:
+                bounds.append(done)
+            if plan.latency_us is not None:
+                bounds.append(end)
+            record = OpRecord(self.table.op(index), 0, _INTERNAL, None, profiler)
+            for i, stage in enumerate(plan.stages):
+                record.note_stage(stage, bounds[i], bounds[i], bounds[i + 1])
+            start = issue
 
 
 class SsdSimulator:
@@ -347,6 +519,14 @@ class SsdSimulator:
             Resource(self.engine, f"chan{c}", kind="channel", index=c)
             for c in range(geometry.channels)
         ]
+        #: Every resource by slot (dies, then channels); an internal
+        #: chain's resource columns index it, and the slot past the last
+        #: stands for an absent stage.
+        self._resources = self.dies + self.channels
+        self._slot_of = {
+            resource: slot for slot, resource in enumerate(self._resources)
+        }
+        self._slot_of[None] = len(self._resources)
         self.ops_dispatched = 0
         #: Optional hook ``fn(request, is_read)`` fired when a host
         #: request fully completes (its acknowledgement instant).  The
@@ -596,7 +776,7 @@ class SsdSimulator:
     # ------------------------------------------------------------------
     # Op issue (policy + pipeline)
     # ------------------------------------------------------------------
-    def issue_internal_sequence(self, ops: list[PhysOp]) -> None:
+    def issue_internal_sequence(self, ops: OpTable | list[PhysOp]) -> None:
         """Run internal (GC / refresh) ops one after another.
 
         A refresh or GC pass is a background *process* that works through
@@ -607,9 +787,13 @@ class SsdSimulator:
         throttling policy additionally inserts an idle gap between the
         chained ops.  The first op is issued here on the per-op path;
         later ones may be served in quiet runs (see
-        :class:`_InternalChain`).
+        :class:`_InternalChain`).  A refresh tick arrives as an
+        :class:`~repro.ftl.ops.OpTable`; a GC or fault-recovery list is
+        converted to one.
         """
         if ops:
+            if not isinstance(ops, OpTable):
+                ops = OpTable.of(ops)
             _InternalChain(self, ops, self.policy.internal_gap_us).issue_next()
 
     def _issue(

@@ -389,6 +389,42 @@ class TestRunHealthFlag:
         b = json.loads(pooled.read_text())
         assert a["health"] == b["health"]
 
+    def test_run_report_records_wall_clock_outside_the_config(self, capsys, tmp_path):
+        """Warm-up and window seconds and events/s land under
+        ``execution``: the config hash is the bare manifest's, and an
+        inline and a pooled report still differ only in ``execution``
+        and ``trace_path`` (the CI smoke check)."""
+        import json
+
+        from repro.experiments import RunScale, ida, manifest_for_payload
+        from repro.experiments.runner import run_workload
+        from repro.workloads import workload
+
+        reports = []
+        for jobs, name in (("1", "a"), ("2", "b")):
+            report = tmp_path / f"{name}.json"
+            assert main(["run", "--scale", "tiny", "--jobs", jobs,
+                         "--trace", str(tmp_path / f"{name}.jsonl"),
+                         "--report", str(report)]) == 0
+            reports.append(json.loads(report.read_text()))
+        capsys.readouterr()
+        inline, pooled = reports
+        assert list(inline) == list(pooled)
+        differ = sorted(key for key in inline if inline[key] != pooled[key])
+        assert differ == ["execution", "trace_path"]
+        for manifest, jobs in ((inline, 1), (pooled, 2)):
+            execution = manifest["execution"]
+            assert set(execution) == {"jobs", "warmup_s", "window_s", "events_per_s"}
+            assert execution["jobs"] == jobs
+            assert execution["warmup_s"] > 0.0
+            assert execution["window_s"] > 0.0
+            assert execution["events_per_s"] > 0.0
+        bare = manifest_for_payload(
+            run_workload(ida(0.2), workload("usr_1"), RunScale.tiny(), seed=11).to_payload()
+        )
+        assert "execution" not in bare
+        assert inline["config_hash"] == pooled["config_hash"] == bare["config_hash"]
+
     def test_run_without_health_omits_key(self, capsys, tmp_path):
         import json
 

@@ -189,7 +189,7 @@ class TestRefreshExecution:
         ftl = _ftl(RefreshMode.BASELINE)
         for lpn in range(24):
             ftl.write_untimed(lpn, -10.0)  # younger than the period
-        assert ftl.check_refresh(0.0) == []
+        assert len(ftl.check_refresh(0.0)) == 0
 
     def test_data_never_lost_across_refresh_cycles(self):
         ftl = _ftl(RefreshMode.IDA, error_rate=0.3)

@@ -138,7 +138,7 @@ def _drive(columnar: Ftl, scalar: Ftl, seed: int, steps: int = 40) -> _Probe:
         now += rng.uniform(100.0, 600.0)
         roll = rng.random()
         if roll < 0.4:
-            assert probe.tick(now) == oracle.check_refresh(scalar, now)
+            assert list(probe.tick(now)) == oracle.check_refresh(scalar, now)
         elif roll < 0.7:
             for _ in range(rng.choice((1, 8, 40))):
                 lpn = rng.randrange(footprint)
@@ -192,7 +192,7 @@ def _write(ftls: tuple[Ftl, ...], lpns, now_us: float) -> None:
 def _tick(columnar: Ftl, scalar: Ftl, now_us: float) -> list[int]:
     """One tick on both twins; the block indices refreshed, in order."""
     before = len(columnar.refresh_reports)
-    assert columnar.check_refresh(now_us) == oracle.check_refresh(scalar, now_us)
+    assert list(columnar.check_refresh(now_us)) == oracle.check_refresh(scalar, now_us)
     assert _state(columnar) == _state(scalar)
     return [report.block_index for report in columnar.refresh_reports[before:]]
 

@@ -93,7 +93,7 @@ def test_batch_equals_scalar_loop(seed: int) -> None:
         now += rng.uniform(100.0, 600.0)
         if rng.random() < 0.3:
             ops = batched.check_refresh(now)
-            assert ops == scalar.check_refresh(now)
+            assert list(ops) == list(scalar.check_refresh(now))
         else:
             lpns, times = _draw_batch(rng, now)
             batched.apply_untimed_batch(lpns, times)

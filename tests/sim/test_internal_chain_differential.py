@@ -3,7 +3,7 @@
 An internal chain (a GC or refresh pass) is an
 :class:`~repro.sim.pipeline.OpPipeline` re-armed for each of its ops,
 and at a safe point it serves every next op that ends before the
-engine's next pending event in one loop (a *quiet run*).
+engine's next pending event at once (a *quiet run*, served as arrays).
 ``_chain_oracle.py`` keeps the per-op design, where each op took the
 simulator's op dispatch, a fresh pipeline and its own events.  Twin
 simulators, one of each, run the same seeded scenario on a tiny
@@ -24,9 +24,13 @@ geometry:
 * a :class:`~repro.faults.FaultPlan` of program failures and adjust
   interrupts, or none (a bound plan keeps runs from starting).
 
-Internal completions are logged from ``_InternalChain._complete``, the
-one method both the per-op path and a quiet run call.  Everything
-observable must match exactly — each internal op's ``(start, end)``, each
+Internal completions are logged from ``_InternalChain._complete`` (the
+per-op path) and ``_InternalChain._complete_run`` (a quiet run, which
+hands over its ops' instants).  A run commits its adjusts in one
+``Ftl.commit_adjusts`` batch; the log places each batched commit just
+before its own op's completion, after checking that the batch holds
+exactly the run's ADJUST ops in order.  Everything observable must
+match exactly — each internal op's ``(start, end)``, each
 host request's arrival and completion and their interleaving with the
 internal completions and ``commit_adjust`` calls, ``ops_dispatched``,
 the resources' busy, queue-wait and wait-class accounting, the profiler
@@ -203,6 +207,18 @@ def _simulate(seed: int, simulator_cls, install_log, extra_read_at=None) -> dict
         commit_adjust(block_index, wordline)
 
     sim.ftl.commit_adjust = logged_commit
+    #: ``(block, wordline)`` of a run's batched commits not yet logged.
+    batched: list = []
+    commit_adjusts = sim.ftl.commit_adjusts
+
+    def logged_commits(blocks, wordlines):
+        for block, wordline in zip(blocks.tolist(), wordlines.tolist()):
+            wordline = None if wordline < 0 else wordline
+            batched.append((block, wordline))
+            commits.append((block, wordline, sim.engine.now))
+        commit_adjusts(blocks, wordlines)
+
+    sim.ftl.commit_adjusts = logged_commits
     for name in ("dispatch_read", "dispatch_write"):
         dispatch = getattr(sim, name)
 
@@ -226,6 +242,9 @@ def _simulate(seed: int, simulator_cls, install_log, extra_read_at=None) -> dict
 
     def record(op, start_us, end_us):
         nonlocal queued_host_at_end
+        if batched and op.kind is OpKind.ADJUST:
+            assert batched.pop(0) == (op.block_index, op.wordline)
+            order.append(("commit", op.block_index, op.wordline))
         internal.append((op, start_us, end_us))
         order.append(("internal", op, start_us, end_us))
         die = sim._plane_resources[op.block_index // GEOMETRY.blocks_per_plane][0]
@@ -249,6 +268,7 @@ def _simulate(seed: int, simulator_cls, install_log, extra_read_at=None) -> dict
             ),
         )
     sim.run_requests(scenario["requests"])
+    assert not batched
     resources = sim.dies + sim.channels
     return {
         "sim": sim,
@@ -274,18 +294,31 @@ def _simulate(seed: int, simulator_cls, install_log, extra_read_at=None) -> dict
     }
 
 
-def _run_chain(seed: int, monkeypatch, extra_read_at=None) -> dict:
+def _run_chain(
+    seed: int, monkeypatch, extra_read_at=None, simulator_cls=SsdSimulator
+) -> dict:
     def install_log(sim, record):
         complete = ssd._InternalChain._complete
+        complete_run = ssd._InternalChain._complete_run
 
-        def logged(chain, op, start_us, end_us):
-            complete(chain, op, start_us, end_us)
-            record(op, start_us, end_us)
+        def logged(chain, index, start_us, end_us):
+            complete(chain, index, start_us, end_us)
+            record(chain.table.op(index), start_us, end_us)
+
+        def logged_run(chain, lo, times):
+            complete_run(chain, lo, times)
+            start = sim.engine.now  # a run starts at the instant it is planned
+            for index, (mid, _, end, issue) in enumerate(times.tolist(), lo):
+                # An op's window starts at its last resource stage.
+                last_start = start if chain.plans[index].second is None else mid
+                record(chain.table.op(index), last_start, end)
+                start = issue
 
         monkeypatch.setattr(ssd._InternalChain, "_complete", logged)
+        monkeypatch.setattr(ssd._InternalChain, "_complete_run", logged_run)
 
     try:
-        return _simulate(seed, SsdSimulator, install_log, extra_read_at)
+        return _simulate(seed, simulator_cls, install_log, extra_read_at)
     finally:
         monkeypatch.undo()
 

@@ -328,7 +328,8 @@ class TestCompletedOpRelease:
 
 
 class TestCredit:
-    """``credit`` accounts a window exactly as an idle fast start does."""
+    """``credit_run`` accounts a quiet run's stages exactly as idle fast
+    starts do."""
 
     def test_matches_fast_start_accounting_without_an_event(self):
         served, credited = SimEngine(), SimEngine()
@@ -336,11 +337,20 @@ class TestCredit:
         b = Resource(credited, "b")
         a.enable_wait_profile()
         b.enable_wait_profile()
-        for klass, duration in ((IoPriority.INTERNAL, 2.5), (IoPriority.HOST_READ, 0.1)):
-            a.submit(klass, duration, lambda s, e: None)
-            served.run()
-            b.credit(klass, credited.now, duration)
-            assert b._end_us == served.now
+        for klass, durations in (
+            (IoPriority.INTERNAL, (2.5, 0.3, 1.7)),
+            (IoPriority.HOST_READ, (0.1,)),
+        ):
+            busy_us, class_busy_us = b.busy_us, b.busy_us_by_class[klass]
+            for duration in durations:
+                start_us = served.now
+                a.submit(klass, duration, lambda s, e: None)
+                served.run()
+                busy_us += duration
+                class_busy_us += duration
+            b.credit_run(
+                klass, busy_us, class_busy_us, len(durations), start_us, served.now
+            )
             credited.now = b._end_us
         assert credited.pending == 0 and credited.processed == 0
         assert b.busy_us == a.busy_us
