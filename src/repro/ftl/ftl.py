@@ -84,6 +84,8 @@ class Ftl:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.table = table if table is not None else BlockStatusTable(geometry, coding)
         self.map = PageMap(self.table.state.oob_lpn)
+        self._lookup = self.map.lookup
+        self._pages_per_block = geometry.pages_per_block
         self.allocator = StaticAllocator(geometry, allocation)
         self.disturb = AdjustDisturbModel(refresh_policy.error_rate)
         self.counters = FtlCounters()
@@ -111,14 +113,14 @@ class Ftl:
         ``counters.unmapped_reads``.
         """
         self.counters.host_reads += 1
-        ppn = self.map.lookup(lpn)
+        ppn = self._lookup(lpn)
         if ppn is None:
             self.counters.unmapped_reads += 1
             self._program_page(lpn, now_us, [])
             ppn = self.map.lookup(lpn)
             assert ppn is not None
         table = self.table
-        block_index, page = divmod(ppn, self.geometry.pages_per_block)
+        block_index, page = divmod(ppn, self._pages_per_block)
         senses, bit, validity, from_ida = table.blocks[block_index].read_view(
             table.sense_table, page
         )

@@ -23,7 +23,7 @@ from .policy import (
     make_policy,
 )
 from .resources import IoPriority, Resource
-from .scheduler import HostRequest, OutstandingRequest
+from .scheduler import HostRequest, RequestCompletion
 from .ssd import SsdSimulator
 
 __all__ = [
@@ -51,6 +51,6 @@ __all__ = [
     "IoPriority",
     "Resource",
     "HostRequest",
-    "OutstandingRequest",
+    "RequestCompletion",
     "SsdSimulator",
 ]

@@ -24,6 +24,7 @@ surgery.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .metrics import SimMetrics
@@ -104,17 +105,10 @@ def run_open_loop(
     _check_lpns(sim, requests, background_updates)
     ordered = sorted(requests, key=lambda r: r.arrival_us)
 
-    def make_dispatch(request: HostRequest):
-        def dispatch() -> None:
-            if request.is_read:
-                sim.dispatch_read(request)
-            else:
-                sim.dispatch_write(request)
-
-        return dispatch
-
+    read, write = sim.dispatch_read, sim.dispatch_write
     sim.engine.add_stream(
-        (request.arrival_us, make_dispatch(request)) for request in ordered
+        (request.arrival_us, partial(read if request.is_read else write, request))
+        for request in ordered
     )
     _schedule_background(sim, background_updates)
 

@@ -6,9 +6,9 @@ Every physical flash operation moves through a fixed sequence of
 * **read**:  queue -> ``sense`` (die) -> ``transfer`` (channel) ->
   ``ecc`` (latency-only) — the host-interface overhead is a fixed
   per-request constant added at completion accounting, not a queued
-  stage; an unobserved host read request runs each page's sense and
-  transfer only (its plan's ``head``) and completes with one
-  request-level ECC event;
+  stage; an unobserved host read request submits each page's sense and
+  transfer itself, with no pipeline, and completes with one
+  request-level ECC event (see :mod:`repro.sim.scheduler`);
 * **write**: queue -> ``transfer`` (channel) -> ``program`` (die);
 * **adjust** (IDA voltage adjustment): ``adjust`` (die);
 * **erase**: ``erase`` (die).
@@ -250,12 +250,6 @@ class OpPlan:
     erase: die).  Compiling the tuple once pulls each stage's resource and
     duration into a slot, so running an op does no per-stage lookups.
 
-    A plan with a latency-only stage also compiles its ``head``: the
-    plan of its resource stages alone, which a host read request whose
-    ECC decodes are folded into one request-level event runs per page
-    (see :meth:`repro.sim.ssd.SsdSimulator.dispatch_read`).  ``head`` is
-    ``None`` on a plan without a latency stage.
-
     Raises:
         ValueError: For any other shape — no stages, a latency-only
             stage first or in the middle, or more than two resource
@@ -269,7 +263,6 @@ class OpPlan:
         "second",
         "second_us",
         "latency_us",
-        "head",
     )
 
     def __init__(self, stages: tuple[Stage, ...]) -> None:
@@ -291,9 +284,6 @@ class OpPlan:
         self.latency_us: float | None = (
             stages[-1].duration_us if len(stages) > served else None
         )
-        self.head: OpPlan | None = (
-            None if self.latency_us is None else OpPlan(stages[:served])
-        )
 
 
 class OpPipeline:
@@ -314,7 +304,7 @@ class OpPipeline:
             ``start_us`` is the service start of the last *resource*
             stage and ``end_us`` the pipeline end (including a trailing
             latency-only stage) — the contract every completion sink
-            (request trackers, internal chains) consumes.
+            (request completions, internal chains) consumes.
         obs: Optional :class:`OpRecord` fed every stage boundary and
             the op's completion.
     """

@@ -197,7 +197,8 @@ class Resource:
         queues[queue if queue is not None else priority].append(
             (duration, on_done, self.engine.now, priority, snapshot)
         )
-        self._dispatch_next()
+        if self._on_done is None:
+            self._dispatch_next()
 
     def credit_run(
         self,

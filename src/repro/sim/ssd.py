@@ -13,9 +13,9 @@ The simulator is a thin conductor over the layered architecture (see
   for reads, transfer/program for writes, adjust/erase for internal ops).
   Each host page op goes through ``SsdSimulator._issue`` into a fresh
   pipeline, except that the pages of an unobserved read request with one
-  retry count run only to their transfer and the request completes with
-  one ECC event (see ``SsdSimulator._launch_request``); a GC / refresh
-  pass is one ``_InternalChain`` over the FTL's
+  retry count run no pipeline: each is submitted to its die and channel
+  directly, and the request completes with one ECC event (see
+  ``SsdSimulator._launch_request``); a GC / refresh pass is one ``_InternalChain`` over the FTL's
   :class:`~repro.ftl.ops.OpTable`, a pipeline re-armed for each of its
   ops, which also commits clean adjusts and routes faulted ops to
   recovery as they end.  Where nothing else is due before its ops would
@@ -81,7 +81,7 @@ from .resources import (
     aggregate_queue_waits,
     mean_utilisation,
 )
-from .scheduler import HostRequest, OutstandingRequest
+from .scheduler import HostRequest, RequestCompletion, TransferHandoff
 
 __all__ = ["SsdSimulator"]
 
@@ -91,6 +91,7 @@ _READ = OpKind.READ
 _WRITE = OpKind.WRITE
 _ADJUST = OpKind.ADJUST
 _HOST_READ = IoPriority.HOST_READ
+_HOST_WRITE = IoPriority.HOST_WRITE
 _INTERNAL = IoPriority.INTERNAL
 
 
@@ -627,22 +628,15 @@ class SsdSimulator:
     # Host dispatch
     # ------------------------------------------------------------------
     def dispatch_read(self, request: HostRequest, on_request_done=None) -> None:
-        """Fan one host read out into per-page read pipelines.
-
-        An unobserved request whose pages all drew the same retry count
-        runs folded: its pages run only their sense and transfer stages,
-        and the last transfer posts the one ECC event that completes the
-        request (see :meth:`_launch_request`).
-        """
+        """Fan one host read out into per-page reads (see
+        :meth:`_launch_request`)."""
         now = self.engine.now
         host_read = self.ftl.host_read
         ops = [host_read(lpn, now) for lpn in request.lpns]
         record = self.metrics.read_mix.record
         for op in ops:
             record(op.bit, op.wl_validity, op.from_ida)
-        self._launch_request(
-            request, ops, _HOST_READ, "read_span", on_request_done
-        )
+        self._launch_request(request, ops, on_request_done)
 
     def dispatch_write(self, request: HostRequest, on_request_done=None) -> None:
         """Fan one host write out into page programs (plus any GC work)."""
@@ -652,81 +646,27 @@ class SsdSimulator:
             result = self.ftl.host_write(lpn, now)
             host_ops.extend(result.host_ops)
             self.issue_internal_sequence(result.internal_ops)
-        self._launch_request(
-            request, host_ops, IoPriority.HOST_WRITE, "write_span", on_request_done
-        )
+        self._launch_request(request, host_ops, on_request_done)
 
     def _launch_request(
-        self,
-        request: HostRequest,
-        ops: list[PhysOp],
-        klass: IoPriority,
-        span_kind: str,
-        on_request_done,
+        self, request: HostRequest, ops: list[PhysOp], on_request_done
     ) -> None:
-        """Issue one host request's page ops and track its completion.
+        """Issue one host request's page ops under one
+        :class:`~repro.sim.scheduler.RequestCompletion`.
 
-        **Request-level ECC.**  A read request is *folded* when nothing
-        observes its pages (no tracer, no profiler, no fault plan)
-        and every page drew the same retry count.  Every page then has
-        the same ECC latency, so the page whose transfer ends last is the
-        page whose decode ends last (equal transfer ends keep their seq
-        order).  The pages run their plans' resource-stage ``head``; the
-        completion counter counts transfers, and the last one pushes one
-        event at ``end + ecc latency``, at the same point of the same
-        callback and with the same float as the per-page path's last ECC
-        event.  That event completes the request, so every remaining
-        event keeps its ``(time, seq)`` order; only the other pages'
-        no-op decode events are gone.
+        Each page runs :meth:`_issue`, except that a read request nothing
+        observes (no tracer, profiler or fault plan) whose pages all drew
+        one retry count is *folded* (:meth:`_launch_folded`): its pages
+        run no pipeline, and the last transfer posts one request-level
+        ECC event at ``end + ecc latency``, in the same callback and with
+        the same float as the per-page path's last ECC event, so every
+        other event keeps its ``(time, seq)`` slot (see
+        ``docs/architecture.md``).
         """
-        tracer, profiler = self.tracer, self.profiler
-        record = (
-            RequestRecord(request)
-            if tracer.enabled or profiler is not None
-            else None
-        )
-        stats = (
-            self.metrics.read_response
-            if klass is _HOST_READ
-            else self.metrics.write_response
-        )
-        observer = self.completion_observer
-        observe = (
-            None
-            if observer is None
-            else (
-                observer.record_read if klass is _HOST_READ else observer.record_write
-            )
-        )
-
-        def complete(req: HostRequest, now_us: float) -> None:
-            response = now_us - req.arrival_us + self.timing.host_overhead_us
-            stats.add(response)
-            if klass is _HOST_READ:
-                self.metrics.bytes_read += req.size_bytes
-            else:
-                self.metrics.bytes_written += req.size_bytes
-            if observe is not None:
-                observe(response, req.size_bytes)
-            if record is not None:
-                overhead_us = self.timing.host_overhead_us
-                if tracer.enabled:
-                    record.emit(tracer, span_kind, now_us, overhead_us)
-                if profiler is not None:
-                    profiler.end_request(
-                        record,
-                        "read" if klass is _HOST_READ else "write",
-                        now_us,
-                        overhead_us,
-                    )
-            if self.on_host_request_complete is not None:
-                self.on_host_request_complete(
-                    req, klass is _HOST_READ
-                )
-            if on_request_done is not None:
-                on_request_done()
-
-        if klass is not _HOST_READ:
+        observed = self.tracer.enabled or self.profiler is not None
+        record = RequestRecord(request) if observed else None
+        completion = RequestCompletion(self, request, len(ops), record, on_request_done)
+        if not request.is_read:
             retries = [0] * len(ops)
         elif self.faults is not None:
             # Drawn at each page's own dispatch, after the injector has
@@ -735,43 +675,31 @@ class SsdSimulator:
         else:
             retries = self._draw_retries(ops)
             if record is None and retries.count(retries[0]) == len(ops):
-                self._launch_folded(request, ops, retries[0], complete)
+                self._launch_folded(completion, ops, retries[0])
                 return
-
-        outstanding = OutstandingRequest(request, len(ops), complete)
-
-        def page_done(start_us: float, end_us: float) -> None:
-            outstanding.page_done(end_us)
-
+        klass = _HOST_READ if request.is_read else _HOST_WRITE
         for op, op_retries in zip(ops, retries):
-            self._issue(op, klass, page_done, record, op_retries)
+            self._issue(op, klass, completion.page_done, record, op_retries)
 
     def _launch_folded(
-        self,
-        request: HostRequest,
-        ops: list[PhysOp],
-        retries: int,
-        complete,
+        self, completion: RequestCompletion, ops: list[PhysOp], retries: int
     ) -> None:
-        """Run a folded read request: pages to transfer, one ECC event."""
-        engine = self.engine
-        plans = [self._plan_of(op, retries) for op in ops]
-        latency_us = plans[0].latency_us
-
-        def decode(req: HostRequest, transfer_end_us: float) -> None:
-            engine.push(
-                transfer_end_us + latency_us, lambda: complete(req, engine.now)
-            )
-
-        outstanding = OutstandingRequest(request, len(ops), decode)
-
-        def transfer_done(start_us: float, end_us: float) -> None:
-            outstanding.page_done(end_us)
-
+        """Run a folded read request: senses, transfers, one ECC event."""
+        plans, per_plane = self._read_plans, self._blocks_per_plane
         queue = self._queue_of[_HOST_READ]
+        handoffs: dict[Resource, TransferHandoff] = {}
         self.ops_dispatched += len(ops)
-        for plan in plans:
-            OpPipeline(engine, plan.head, _HOST_READ, queue, transfer_done).start()
+        for op in ops:
+            key = (op.block_index // per_plane, op.senses, retries)
+            plan = plans.get(key) or self._plan_of(op, retries)
+            handoff = handoffs.get(plan.second)
+            if handoff is None:
+                handoff = handoffs[plan.second] = TransferHandoff(
+                    plan.second, plan.second_us, completion, queue
+                )
+            plan.first.submit(_HOST_READ, plan.first_us, handoff.sensed, queue)
+        # Every page shares it, and no transfer ends before this returns.
+        completion.latency_us = plan.latency_us
 
     # ------------------------------------------------------------------
     # Op issue (policy + pipeline)

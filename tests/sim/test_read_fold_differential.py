@@ -20,7 +20,9 @@ same seeded scenario:
 
 Every host request's completion instant and the order of completions
 (logged through ``on_host_request_complete``), ``metrics_summary``, the
-queue waits and the utilisation must match exactly.  The bare run fires
+queue waits and the utilisation must match exactly.  The spy sits on the
+request's :class:`~repro.sim.scheduler.RequestCompletion`: a folded page
+ends in ``transferred``, any other in ``page_done``.  The bare run fires
 exactly one event fewer per folded non-final page; where internal chains
 run, a folded request's missing decode events can also let a quiet run
 serve more ops in one loop, so there it fires at least that many fewer.
@@ -44,7 +46,7 @@ from repro.flash.timing import TimingSpec
 from repro.ftl.refresh import RefreshMode, RefreshPolicy
 from repro.obs import Telemetry
 from repro.obs.profiler import SimProfiler
-from repro.sim.scheduler import HostRequest, OutstandingRequest
+from repro.sim.scheduler import HostRequest, RequestCompletion
 from repro.sim.ssd import SsdSimulator
 from repro.workloads import workload
 
@@ -87,9 +89,9 @@ class _Log:
 def spy(monkeypatch):
     """Install logging wrappers; returns a factory of fresh logs."""
     logs: list[_Log] = []
-    launch_folded = SsdSimulator._launch_folded
     draw_retries = SsdSimulator._draw_retries
-    page_done = OutstandingRequest.page_done
+    page_done = RequestCompletion.page_done
+    transferred = RequestCompletion.transferred
     init = SsdSimulator.__init__
 
     def current() -> _Log:
@@ -105,24 +107,26 @@ def spy(monkeypatch):
         sim.on_host_request_complete = complete
         log.sim = sim
 
-    def logged_folded(sim, request, ops, retries, complete):
-        current().folded[request.request_id] = len(ops)
-        launch_folded(sim, request, ops, retries, complete)
-
     def logged_draws(sim, ops):
         drawn = draw_retries(sim, ops)
         current().draws.append(list(drawn))
         current().senses.append([op.senses for op in ops])
         return drawn
 
-    def logged_tick(outstanding, now_us):
-        current().ticks.append((outstanding.request.request_id, now_us))
-        page_done(outstanding, now_us)
+    def logged_page_done(completion, start_us, end_us):
+        current().ticks.append((completion.request.request_id, end_us))
+        page_done(completion, start_us, end_us)
+
+    def logged_transferred(completion, start_us, end_us):
+        request = completion.request
+        current().folded[request.request_id] = len(request.lpns)
+        current().ticks.append((request.request_id, end_us))
+        transferred(completion, start_us, end_us)
 
     monkeypatch.setattr(SsdSimulator, "__init__", logged_init)
-    monkeypatch.setattr(SsdSimulator, "_launch_folded", logged_folded)
     monkeypatch.setattr(SsdSimulator, "_draw_retries", logged_draws)
-    monkeypatch.setattr(OutstandingRequest, "page_done", logged_tick)
+    monkeypatch.setattr(RequestCompletion, "page_done", logged_page_done)
+    monkeypatch.setattr(RequestCompletion, "transferred", logged_transferred)
 
     def fresh() -> _Log:
         logs.append(_Log())

@@ -86,6 +86,30 @@ class TestReadFirstScheduling:
         engine.run()
         assert order == ["head", "r1", "r2", "w1", "i1", "i2"]
 
+    def test_submit_from_a_completion_starts_the_queued_op_first(
+        self, engine, resource
+    ):
+        # The head's completion callback submits an internal op while the
+        # resource is idle and a host read is already queued: the read
+        # starts at once, inside that submit, and the internal op waits.
+        spans = {}
+        queued = []
+
+        def head_done(s, e):
+            resource.submit(
+                IoPriority.INTERNAL, 5.0, lambda s, e: spans.setdefault("internal", (s, e))
+            )
+            queued.append(resource.queued)
+
+        resource.submit(IoPriority.INTERNAL, 10.0, head_done)
+        resource.submit(
+            IoPriority.HOST_READ, 10.0, lambda s, e: spans.setdefault("read", (s, e))
+        )
+        engine.run()
+        assert queued == [1]
+        assert spans == {"read": (10.0, 20.0), "internal": (20.0, 25.0)}
+        assert resource.queue_wait_stats()["internal"]["total_wait_us"] == 10.0
+
     def test_queued_count(self, engine, resource):
         resource.submit(IoPriority.HOST_READ, 10.0, lambda s, e: None)
         resource.submit(IoPriority.HOST_READ, 10.0, lambda s, e: None)

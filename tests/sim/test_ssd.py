@@ -363,15 +363,42 @@ class TestScheduler:
         with pytest.raises(ValueError):
             HostRequest(0, 0.0, True, (1,), 0)
 
-    def test_outstanding_completion_fires_once(self):
-        from repro.sim.scheduler import OutstandingRequest
+    def test_request_completion_fires_once(self):
+        from repro.sim.scheduler import RequestCompletion
 
+        sim = _simulator()
         fired = []
-        req = _read(0, 0.0, [1, 2])
-        tracker = OutstandingRequest(req, 2, lambda r, t: fired.append(t))
-        tracker.page_done(10.0)
+        sim.on_host_request_complete = lambda req, is_read: fired.append(
+            (req.request_id, is_read)
+        )
+        completion = RequestCompletion(
+            sim, _read(7, 0.0, [1, 2]), 2, None, lambda: fired.append("done")
+        )
+        completion.page_done(0.0, 10.0)
         assert fired == []
-        tracker.page_done(20.0)
-        assert fired == [20.0]
+        completion.page_done(5.0, 20.0)
+        assert fired == [(7, True), "done"]
         with pytest.raises(RuntimeError):
-            tracker.page_done(30.0)
+            completion.page_done(20.0, 30.0)
+        assert fired == [(7, True), "done"]
+        # Host overhead (5 us) on top of the last page's end.
+        assert sim.metrics.read_response.mean_us == 25.0
+        assert sim.metrics.bytes_read == 2 * 8192
+        with pytest.raises(ValueError):
+            RequestCompletion(sim, _read(8, 0.0, [1]), 0, None, None)
+
+    def test_folded_completion_posts_one_decode_event(self):
+        from repro.sim.scheduler import RequestCompletion
+
+        sim = _simulator()
+        completion = RequestCompletion(sim, _write(3, 0.0, [1, 2]), 2, None, None)
+        completion.latency_us = 20.0
+        completion.transferred(0.0, 48.0)
+        completion.transferred(48.0, 96.0)
+        assert sim.engine.pending == 1
+        with pytest.raises(RuntimeError):
+            completion.transferred(96.0, 144.0)
+        sim.engine.run()
+        assert sim.engine.now == 116.0
+        assert sim.metrics.write_response.mean_us == 121.0
+        assert sim.metrics.bytes_written == 2 * 8192
