@@ -451,8 +451,8 @@ def _run(
         workload=spec,
         metrics=metrics,
         refresh_reports=list(sim.ftl.refresh_reports),
-        in_use_blocks=sim.ftl.table.in_use_blocks(),
-        ida_blocks=sim.ftl.table.ida_blocks(),
+        in_use_blocks=sim.ftl.table.state.in_use_blocks(),
+        ida_blocks=sim.ftl.table.state.ida_blocks(),
         utilisation=sim.utilisation_report(),
         queue_wait=sim.queue_wait_report(),
         scale=scale,
@@ -540,8 +540,8 @@ def run_capacity_phase_pair(
     sim.ftl.apply_untimed_batch(followup, sim.engine.now)
 
     return CapacityCensus(
-        in_use_blocks=sim.ftl.table.in_use_blocks(),
-        ida_blocks=sim.ftl.table.ida_blocks(),
+        in_use_blocks=sim.ftl.table.state.in_use_blocks(),
+        ida_blocks=sim.ftl.table.state.ida_blocks(),
         total_blocks=sim.geometry.total_blocks,
         gc_invocations=sim.ftl.counters.gc_invocations,
         block_erases=sim.ftl.counters.block_erases,

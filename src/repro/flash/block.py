@@ -27,10 +27,11 @@ import numpy as np
 from ..core.coding import GrayCoding
 from ..core.ida import IdaTransform
 from .state import (
+    CONVENTIONAL_WL,
     FLAG_IS_IDA,
     FLAG_LOCKED,
     FLAG_RETIRED,
-    NO_SUMMARY,
+    TORN_WL,
     DeviceState,
 )
 
@@ -44,16 +45,6 @@ class PageState(IntEnum):
     VALID = 1
     INVALID = 2
 
-
-#: Sentinel wordline mode: programmed with the conventional coding.
-CONVENTIONAL_WL = 0xFF
-
-#: Sentinel wordline mode: an IDA reprogram was interrupted mid-adjust and
-#: the cells sit between the old and new coding.  A torn wordline is
-#: *unreadable* (``SenseTable.senses`` raises) — fault recovery must
-#: resolve it to one coding or the other before anything reads it, which
-#: is exactly what :func:`repro.faults.check_coding_invariants` pins.
-TORN_WL = 0xFE
 
 _VALID = int(PageState.VALID)
 _INVALID = int(PageState.INVALID)
@@ -359,9 +350,10 @@ class Block:
     def erase(self) -> None:
         """Erase the block: all pages free, wear counter bumped.
 
-        The erase pulse wipes the on-flash SPOR metadata with the data:
-        OOB records, the summary page, and any stale reprogram-journal
-        rows of this block all reset to their fresh-block values.
+        Every row of the block resets to its erased value
+        (:meth:`DeviceState.erase_rows`), the on-flash SPOR metadata
+        included; the wear counter and the LOCKED / RETIRED flags
+        survive.
         """
         state = self.state
         slot = self.slot
@@ -370,24 +362,9 @@ class Block:
                 f"erasing block {self.index} with "
                 f"{state.valid_count[slot]} valid pages"
             )
-        self._ps[self._p0 : self._p0 + self.pages_per_block] = state._zero_pages
-        self._wl[self._w0 : self._w0 + self.wordlines] = state._conv_wordlines
-        state.next_page[slot] = 0
+        state.erase_rows(slot)
         state.erase_count[slot] += 1
-        state.programmed_at_us[slot] = float("nan")
         state.flags[slot] &= ~FLAG_IS_IDA & 0xFF
-        p_end = self._p0 + self.pages_per_block
-        w_end = self._w0 + self.wordlines
-        memoryview(state.oob_lpn).cast("B")[
-            8 * self._p0 : 8 * p_end
-        ] = state._fresh_oob_lpn
-        memoryview(state.oob_seq).cast("B")[
-            8 * self._p0 : 8 * p_end
-        ] = state._fresh_oob_seq
-        state.summary_seq[slot] = NO_SUMMARY
-        state.summary_wl_mode[self._w0 : w_end] = state._conv_wordlines
-        state.journal_bit[self._w0 : w_end] = bytes(self.wordlines)
-        state.journal_kept[self._w0 : w_end] = bytes(self.wordlines)
 
     def seal_summary(self) -> None:
         """Write the block summary page (called when the block fills).

@@ -15,8 +15,7 @@ Why columns
 * **Vector math** — columnar untimed writes
   (:meth:`repro.ftl.ftl.Ftl.apply_untimed_batch`), device aggregates and
   the coding-invariant checks run as array operations over these
-  columns; wordline-granular policies (STRAW-style stress-aware reclaim,
-  per-page coding schemes) get their counters for free.
+  columns.
 * **Scalar speed** — the timed event path still touches one page at a
   time.  Columns are therefore stored as
   ``bytearray`` / ``array`` buffers (C-speed scalar indexing, ~3-5x
@@ -27,46 +26,18 @@ Why columns
 Column schema
 -------------
 
-=====================  =========  ============  =============================
-column                 per        dtype         meaning
-=====================  =========  ============  =============================
-``page_state``         page       uint8         :class:`PageState` lifecycle
-``wl_mode``            wordline   uint8         coding id: CONVENTIONAL_WL,
-                                                TORN_WL or kept-suffix start
-``wl_read_count``      wordline   int64         host-read senses landed here
-                                                (stress input for STRAW-style
-                                                reclaim)
-``next_page``          block      int64         sequential program pointer
-``valid_count``        block      int64         VALID pages (GC victim key)
-``erase_count``        block      int64         P/E wear (RBER input)
-``programmed_at_us``   block      float64       age of first program since
-                                                erase (RBER retention input;
-                                                NaN = never programmed)
-``flags``              block      uint8         IS_IDA | LOCKED | RETIRED
-``oob_lpn``            page       int64         on-flash OOB record: owning
-                                                LPN (-1 = never programmed)
-``oob_seq``            page       int64         on-flash OOB record: global
-                                                write sequence number
-``summary_seq``        block      int64         block summary page: one past
-                                                the newest OOB sequence at
-                                                block close (-1 = not
-                                                sealed)
-``summary_wl_mode``    wordline   uint8         block summary page: durable
-                                                copy of the wordline coding
-                                                mode, updated at ADJUST
-                                                commit
-``journal_bit``        wordline   uint8         on-flash ADJUST journal:
-                                                intended kept-suffix start
-                                                bit (0 = no intent pending)
-``journal_kept``       wordline   uint8         on-flash ADJUST journal:
-                                                bitmask of kept in-wordline
-                                                page offsets
-=====================  =========  ============  =============================
+:data:`_COLUMNS` declares every column once — its extent (one row per
+page, wordline or block), its buffer typecode and its erased value —
+and drives allocation, :meth:`DeviceState.erase_rows`, snapshot,
+restore and :meth:`DeviceState.memory_bytes`.  Adding a column is one
+``_COLUMNS`` row plus a ``SNAPSHOT_SCHEMA`` bump in
+:mod:`repro.sim.snapshot`.
 
-The last six columns are the sudden-power-off-recovery (SPOR) metadata a
-real controller keeps on-flash: per-page OOB spare-area records written
-with every program, a per-block summary page sealed when a block fills,
-and a two-column reprogram journal persisted before each IDA ADJUST.
+The ``oob_*``, ``summary_*`` and ``journal_*`` columns are the
+sudden-power-off-recovery (SPOR) metadata a real controller keeps
+on-flash: per-page OOB spare-area records written with every program, a
+per-block summary page sealed when a block fills, and a two-column
+reprogram journal persisted before each IDA ADJUST.
 ``repro.ftl.recovery`` mounts a device from these columns alone (see
 ``docs/faults.md``).  The monotonically increasing ``write_seq`` scalar
 feeds ``oob_seq``; every program — host write or relocation — stamps a
@@ -74,9 +45,12 @@ fresh sequence number, so the newest stamp of an LPN always marks its
 live physical copy.
 
 View-ownership rules (enforced by convention, pinned by the parity
-tests): only :class:`~repro.flash.block.Block` views and the vectorized
-batch helpers in this module mutate columns; everything above the flash
-layer reads through the view API or the numpy views, never by caching
+tests): columns are mutated only by :class:`~repro.flash.block.Block`
+views, the helpers in this module, the FTL's columnar paths
+(``Ftl._program_run``, ``Ftl._apply_untimed_segment``,
+``Ftl._relocate_segment``, ``Ftl.commit_adjusts``) and the mount path
+(``recovery._rebuild_map``, ``recovery._resolve_journal``).  Everything
+else reads through the view API or the numpy views, and no code caches
 column slices across mutations.
 """
 
@@ -87,6 +61,7 @@ from array import array
 import numpy as np
 
 __all__ = [
+    "CONVENTIONAL_WL",
     "DeviceState",
     "DeviceStateSnapshot",
     "FLAG_IS_IDA",
@@ -94,6 +69,7 @@ __all__ = [
     "FLAG_RETIRED",
     "NO_LPN",
     "NO_SUMMARY",
+    "TORN_WL",
 ]
 
 #: ``flags`` column bits.
@@ -101,9 +77,15 @@ FLAG_IS_IDA = 0x01
 FLAG_LOCKED = 0x02
 FLAG_RETIRED = 0x04
 
-# Local copies of the wordline-mode sentinels (block.py re-exports them;
-# duplicated here to avoid a circular import).
-_CONVENTIONAL_WL = 0xFF
+#: Sentinel wordline mode: programmed with the conventional coding.
+CONVENTIONAL_WL = 0xFF
+
+#: Sentinel wordline mode: an IDA reprogram was interrupted mid-adjust and
+#: the cells sit between the old and new coding.  A torn wordline is
+#: *unreadable* (``SenseTable.senses`` raises) — fault recovery must
+#: resolve it to one coding or the other before anything reads it, which
+#: is exactly what :func:`repro.faults.check_coding_invariants` pins.
+TORN_WL = 0xFE
 
 #: ``oob_lpn`` value of a never-programmed page.
 NO_LPN = -1
@@ -111,36 +93,58 @@ NO_LPN = -1
 #: ``summary_seq`` value of a block whose summary page was never sealed.
 NO_SUMMARY = -1
 
-#: Column name -> bytes-per-element, fixing the snapshot wire layout.
-#: ``write_seq`` is a scalar riding the snapshot as an 8-byte
-#: pseudo-column so old snapshots (missing it) are rejected cleanly.
-_COLUMN_WIDTHS = {
-    "page_state": 1,
-    "wl_mode": 1,
-    "wl_read_count": 8,
-    "next_page": 8,
-    "valid_count": 8,
-    "erase_count": 8,
-    "programmed_at_us": 8,
-    "flags": 1,
-    "oob_lpn": 8,
-    "oob_seq": 8,
-    "summary_seq": 8,
-    "summary_wl_mode": 1,
-    "journal_bit": 1,
-    "journal_kept": 1,
-    "write_seq": 8,
+#: The device-state schema, in snapshot wire order: column name ->
+#: (extent, typecode, erased value).  The extent gives one row per
+#: ``page``, ``wordline`` or ``block``; typecode ``"B"`` is a
+#: ``bytearray`` (uint8), ``"q"`` / ``"d"`` an ``array`` (int64 /
+#: float64).  A fresh device holds every column at its erased value.
+_COLUMNS = {
+    # PageState lifecycle: FREE / VALID / INVALID
+    "page_state": ("page", "B", 0),
+    # coding id: CONVENTIONAL_WL, TORN_WL or kept-suffix start bit
+    "wl_mode": ("wordline", "B", CONVENTIONAL_WL),
+    # sequential program pointer
+    "next_page": ("block", "q", 0),
+    # VALID pages (the GC victim key)
+    "valid_count": ("block", "q", 0),
+    # P/E wear (RBER input); survives erase
+    "erase_count": ("block", "q", 0),
+    # first program since erase (RBER retention input; NaN = never)
+    "programmed_at_us": ("block", "d", float("nan")),
+    # IS_IDA | LOCKED | RETIRED; survives erase but for IS_IDA
+    "flags": ("block", "B", 0),
+    # on-flash OOB record: owning LPN
+    "oob_lpn": ("page", "q", NO_LPN),
+    # on-flash OOB record: global write sequence number
+    "oob_seq": ("page", "q", 0),
+    # block summary page: one past the newest OOB sequence at close
+    "summary_seq": ("block", "q", NO_SUMMARY),
+    # block summary page: durable wordline coding mode, updated at
+    # ADJUST commit
+    "summary_wl_mode": ("wordline", "B", CONVENTIONAL_WL),
+    # on-flash ADJUST journal: intended kept-suffix start bit (0 = none)
+    "journal_bit": ("wordline", "B", 0),
+    # on-flash ADJUST journal: bitmask of kept in-wordline page offsets
+    "journal_kept": ("wordline", "B", 0),
 }
+
+#: Buffer typecode -> dtype of its numpy view.
+_DTYPES = {"B": np.uint8, "q": np.int64, "d": np.float64}
+
+#: Columns an erase leaves alone (``Block.erase`` bumps the wear count
+#: and clears ``FLAG_IS_IDA`` itself).
+_KEPT_ON_ERASE = frozenset({"erase_count", "flags"})
 
 
 class DeviceStateSnapshot:
     """Frozen byte-level copy of every :class:`DeviceState` column.
 
     Geometry plus one immutable ``bytes`` blob per column — nothing else.
-    Snapshots are picklable by construction (the warm-state cache's
-    spill files, which pooled sweeps read too, rely on that) and carry
-    no live views, so holding one costs exactly :meth:`nbytes` and can
-    never alias a running device.
+    ``write_seq`` rides last as an 8-byte pseudo-column.  Snapshots are
+    picklable by construction (the warm-state cache's spill files,
+    which pooled sweeps read too, rely on that) and carry no live views,
+    so holding one costs exactly :meth:`nbytes` and can never alias a
+    running device.
     """
 
     __slots__ = ("num_blocks", "pages_per_block", "bits_per_cell", "columns")
@@ -182,6 +186,9 @@ class DeviceStateSnapshot:
 class DeviceState:
     """All mutable metadata of one device, column per field.
 
+    Each :data:`_COLUMNS` row is a buffer attribute of its own name plus
+    a zero-copy numpy view ``<name>_np`` over the same memory.
+
     Args:
         num_blocks: Total (device-linear) block count.
         pages_per_block: Pages per block (Table II: 192).
@@ -195,43 +202,10 @@ class DeviceState:
         "wordlines_per_block",
         "num_pages",
         "num_wordlines",
-        # scalar-fast buffers
-        "page_state",
-        "wl_mode",
-        "wl_read_count",
-        "next_page",
-        "valid_count",
-        "erase_count",
-        "programmed_at_us",
-        "flags",
-        "oob_lpn",
-        "oob_seq",
-        "summary_seq",
-        "summary_wl_mode",
-        "journal_bit",
-        "journal_kept",
         # global write sequence counter feeding ``oob_seq``
         "write_seq",
-        # zero-copy numpy views over the buffers above
-        "page_state_np",
-        "wl_mode_np",
-        "wl_read_count_np",
-        "next_page_np",
-        "valid_count_np",
-        "erase_count_np",
-        "programmed_at_us_np",
-        "flags_np",
-        "oob_lpn_np",
-        "oob_seq_np",
-        "summary_seq_np",
-        "summary_wl_mode_np",
-        "journal_bit_np",
-        "journal_kept_np",
-        # cached erase fill patterns
-        "_zero_pages",
-        "_conv_wordlines",
-        "_fresh_oob_lpn",
-        "_fresh_oob_seq",
+        *_COLUMNS,
+        *(f"{name}_np" for name in _COLUMNS),
     )
 
     def __init__(
@@ -247,85 +221,40 @@ class DeviceState:
         self.wordlines_per_block = pages_per_block // bits_per_cell
         self.num_pages = num_blocks * pages_per_block
         self.num_wordlines = num_blocks * self.wordlines_per_block
-
-        self.page_state = bytearray(self.num_pages)
-        self.wl_mode = bytearray([_CONVENTIONAL_WL]) * self.num_wordlines
-        self.wl_read_count = array("q", bytes(8 * self.num_wordlines))
-        self.next_page = array("q", bytes(8 * num_blocks))
-        self.valid_count = array("q", bytes(8 * num_blocks))
-        self.erase_count = array("q", bytes(8 * num_blocks))
-        self.programmed_at_us = array("d", bytes(8 * num_blocks))
-        self.flags = bytearray(num_blocks)
-        self.oob_lpn = array("q", bytes(8 * self.num_pages))
-        self.oob_seq = array("q", bytes(8 * self.num_pages))
-        self.summary_seq = array("q", bytes(8 * num_blocks))
-        self.summary_wl_mode = (
-            bytearray([_CONVENTIONAL_WL]) * self.num_wordlines
-        )
-        self.journal_bit = bytearray(self.num_wordlines)
-        self.journal_kept = bytearray(self.num_wordlines)
         self.write_seq = 0
-
-        nan = float("nan")
-        for i in range(num_blocks):
-            self.programmed_at_us[i] = nan
-            self.summary_seq[i] = NO_SUMMARY
-
         # Live views: same memory, so scalar and vector mutations stay
         # coherent by construction (the buffers are never resized).
-        self.page_state_np = np.frombuffer(self.page_state, dtype=np.uint8)
-        self.wl_mode_np = np.frombuffer(self.wl_mode, dtype=np.uint8)
-        self.wl_read_count_np = np.frombuffer(self.wl_read_count, dtype=np.int64)
-        self.next_page_np = np.frombuffer(self.next_page, dtype=np.int64)
-        self.valid_count_np = np.frombuffer(self.valid_count, dtype=np.int64)
-        self.erase_count_np = np.frombuffer(self.erase_count, dtype=np.int64)
-        self.programmed_at_us_np = np.frombuffer(
-            self.programmed_at_us, dtype=np.float64
-        )
-        self.flags_np = np.frombuffer(self.flags, dtype=np.uint8)
-        self.oob_lpn_np = np.frombuffer(self.oob_lpn, dtype=np.int64)
-        self.oob_seq_np = np.frombuffer(self.oob_seq, dtype=np.int64)
-        self.summary_seq_np = np.frombuffer(self.summary_seq, dtype=np.int64)
-        self.summary_wl_mode_np = np.frombuffer(
-            self.summary_wl_mode, dtype=np.uint8
-        )
-        self.journal_bit_np = np.frombuffer(self.journal_bit, dtype=np.uint8)
-        self.journal_kept_np = np.frombuffer(self.journal_kept, dtype=np.uint8)
-        # The per-page OOB columns are too large for a scalar fill loop at
-        # full-device scale; the numpy views make the -1 fill a memset.
-        self.oob_lpn_np[:] = NO_LPN
+        for name, (extent, code, fill) in _COLUMNS.items():
+            rows = num_blocks * self._rows_per_block(extent)
+            if code == "B":
+                buf = bytearray([fill]) * rows
+            else:
+                buf = array(code, [fill]) * rows
+            setattr(self, name, buf)
+            setattr(self, f"{name}_np", np.frombuffer(buf, dtype=_DTYPES[code]))
 
-        self._zero_pages = bytes(pages_per_block)
-        self._conv_wordlines = bytes([_CONVENTIONAL_WL]) * self.wordlines_per_block
-        self._fresh_oob_lpn = (NO_LPN).to_bytes(
-            8, "little", signed=True
-        ) * pages_per_block
-        self._fresh_oob_seq = bytes(8 * pages_per_block)
+    def _rows_per_block(self, extent: str) -> int:
+        if extent == "page":
+            return self.pages_per_block
+        if extent == "wordline":
+            return self.wordlines_per_block
+        return 1
+
+    def erase_rows(self, slot: int) -> None:
+        """Reset block ``slot``'s rows to their erased values.
+
+        Every column but ``erase_count`` and ``flags``: the erase pulse
+        wipes the on-flash SPOR metadata (OOB records, summary page,
+        stale reprogram-journal rows) with the data.
+        """
+        for name, (extent, _code, fill) in _COLUMNS.items():
+            if name not in _KEPT_ON_ERASE:
+                rows = self._rows_per_block(extent)
+                getattr(self, f"{name}_np")[slot * rows : (slot + 1) * rows] = fill
 
     # ------------------------------------------------------------------
     # Snapshot / restore (the warm-state cache's device half)
     # ------------------------------------------------------------------
-    def _column_length(self, name: str) -> int:
-        """Expected byte length of one snapshot column for this geometry."""
-        per = {
-            "page_state": self.num_pages,
-            "wl_mode": self.num_wordlines,
-            "wl_read_count": self.num_wordlines,
-            "next_page": self.num_blocks,
-            "valid_count": self.num_blocks,
-            "erase_count": self.num_blocks,
-            "programmed_at_us": self.num_blocks,
-            "flags": self.num_blocks,
-            "oob_lpn": self.num_pages,
-            "oob_seq": self.num_pages,
-            "summary_seq": self.num_blocks,
-            "summary_wl_mode": self.num_wordlines,
-            "journal_bit": self.num_wordlines,
-            "journal_kept": self.num_wordlines,
-            "write_seq": 1,
-        }[name]
-        return per * _COLUMN_WIDTHS[name]
-
     def snapshot(self) -> DeviceStateSnapshot:
         """Copy every column into an immutable :class:`DeviceStateSnapshot`.
 
@@ -334,22 +263,9 @@ class DeviceState:
         much metadata churn produced the state.
         """
         columns = {
-            "page_state": bytes(self.page_state),
-            "wl_mode": bytes(self.wl_mode),
-            "wl_read_count": self.wl_read_count.tobytes(),
-            "next_page": self.next_page.tobytes(),
-            "valid_count": self.valid_count.tobytes(),
-            "erase_count": self.erase_count.tobytes(),
-            "programmed_at_us": self.programmed_at_us.tobytes(),
-            "flags": bytes(self.flags),
-            "oob_lpn": self.oob_lpn.tobytes(),
-            "oob_seq": self.oob_seq.tobytes(),
-            "summary_seq": self.summary_seq.tobytes(),
-            "summary_wl_mode": bytes(self.summary_wl_mode),
-            "journal_bit": bytes(self.journal_bit),
-            "journal_kept": bytes(self.journal_kept),
-            "write_seq": self.write_seq.to_bytes(8, "little", signed=True),
+            name: memoryview(getattr(self, name)).tobytes() for name in _COLUMNS
         }
+        columns["write_seq"] = self.write_seq.to_bytes(8, "little", signed=True)
         return DeviceStateSnapshot(
             self.num_blocks, self.pages_per_block, self.bits_per_cell, columns
         )
@@ -358,16 +274,16 @@ class DeviceState:
         """Overwrite every column in place from ``snapshot``.
 
         The existing buffers are reused (their length never changes), so
-        :class:`~repro.flash.block.Block` views cached against them stay
-        coherent; the ``*_np`` numpy views are then rebound so vector
-        consumers holding ``state.page_state_np`` etc. via the attribute
-        also see the restored bytes.  Everything is validated *before*
-        the first byte is written — a malformed snapshot leaves the state
-        untouched (the cold-preload fallback depends on that).
+        :class:`~repro.flash.block.Block` views and the ``*_np`` numpy
+        views cached against them see the restored bytes.  Everything is
+        validated *before* the first byte is written — a malformed
+        snapshot leaves the state untouched (the cold-preload fallback
+        depends on that).
 
         Raises:
-            ValueError: on geometry mismatch, a missing column, or a
-                column whose byte length disagrees with this geometry.
+            ValueError: on geometry mismatch, a missing or unknown
+                column, or a column whose byte length disagrees with
+                this geometry.
         """
         mine = (self.num_blocks, self.pages_per_block, self.bits_per_cell)
         theirs = (
@@ -379,58 +295,27 @@ class DeviceState:
             raise ValueError(
                 f"snapshot geometry {theirs} does not match device {mine}"
             )
-        for name in _COLUMN_WIDTHS:
-            blob = snapshot.columns.get(name)
-            if blob is None:
-                raise ValueError(f"snapshot is missing column {name!r}")
-            expected = self._column_length(name)
-            if len(blob) != expected:
-                raise ValueError(
-                    f"snapshot column {name!r} holds {len(blob)} bytes, "
-                    f"expected {expected} (truncated or stale layout)"
-                )
         columns = snapshot.columns
-        self.page_state[:] = columns["page_state"]
-        self.wl_mode[:] = columns["wl_mode"]
-        memoryview(self.wl_read_count).cast("B")[:] = columns["wl_read_count"]
-        memoryview(self.next_page).cast("B")[:] = columns["next_page"]
-        memoryview(self.valid_count).cast("B")[:] = columns["valid_count"]
-        memoryview(self.erase_count).cast("B")[:] = columns["erase_count"]
-        memoryview(self.programmed_at_us).cast("B")[:] = columns[
-            "programmed_at_us"
-        ]
-        self.flags[:] = columns["flags"]
-        memoryview(self.oob_lpn).cast("B")[:] = columns["oob_lpn"]
-        memoryview(self.oob_seq).cast("B")[:] = columns["oob_seq"]
-        memoryview(self.summary_seq).cast("B")[:] = columns["summary_seq"]
-        self.summary_wl_mode[:] = columns["summary_wl_mode"]
-        self.journal_bit[:] = columns["journal_bit"]
-        self.journal_kept[:] = columns["journal_kept"]
+        expected = {
+            name: memoryview(getattr(self, name)).nbytes for name in _COLUMNS
+        }
+        expected["write_seq"] = 8
+        for name, nbytes in expected.items():
+            if name not in columns:
+                raise ValueError(f"snapshot is missing column {name!r}")
+            if len(columns[name]) != nbytes:
+                raise ValueError(
+                    f"snapshot column {name!r} holds {len(columns[name])} "
+                    f"bytes, expected {nbytes} (truncated or stale layout)"
+                )
+        unknown = sorted(columns.keys() - expected.keys())
+        if unknown:
+            raise ValueError(f"snapshot carries unknown column(s) {unknown}")
+        for name in _COLUMNS:
+            memoryview(getattr(self, name)).cast("B")[:] = columns[name]
         self.write_seq = int.from_bytes(
             columns["write_seq"], "little", signed=True
         )
-        # Rebind the zero-copy views.  They still target the same buffers,
-        # so this is belt-and-braces for the view-ownership contract: any
-        # consumer reading through ``state.<col>_np`` is guaranteed a view
-        # of the restored memory.
-        self.page_state_np = np.frombuffer(self.page_state, dtype=np.uint8)
-        self.wl_mode_np = np.frombuffer(self.wl_mode, dtype=np.uint8)
-        self.wl_read_count_np = np.frombuffer(self.wl_read_count, dtype=np.int64)
-        self.next_page_np = np.frombuffer(self.next_page, dtype=np.int64)
-        self.valid_count_np = np.frombuffer(self.valid_count, dtype=np.int64)
-        self.erase_count_np = np.frombuffer(self.erase_count, dtype=np.int64)
-        self.programmed_at_us_np = np.frombuffer(
-            self.programmed_at_us, dtype=np.float64
-        )
-        self.flags_np = np.frombuffer(self.flags, dtype=np.uint8)
-        self.oob_lpn_np = np.frombuffer(self.oob_lpn, dtype=np.int64)
-        self.oob_seq_np = np.frombuffer(self.oob_seq, dtype=np.int64)
-        self.summary_seq_np = np.frombuffer(self.summary_seq, dtype=np.int64)
-        self.summary_wl_mode_np = np.frombuffer(
-            self.summary_wl_mode, dtype=np.uint8
-        )
-        self.journal_bit_np = np.frombuffer(self.journal_bit, dtype=np.uint8)
-        self.journal_kept_np = np.frombuffer(self.journal_kept, dtype=np.uint8)
 
     # ------------------------------------------------------------------
     # On-flash OOB records (the SPOR metadata write path)
@@ -476,29 +361,10 @@ class DeviceState:
     def total_valid_pages(self) -> int:
         return int(self.valid_count_np.sum())
 
-    def total_erases(self) -> int:
-        return int(self.erase_count_np.sum())
-
     def memory_bytes(self) -> int:
         """Resident size of all columns (the bounded-memory guarantee).
 
         Includes the 8 bytes of the ``write_seq`` scalar so the identity
         ``snapshot().nbytes() == memory_bytes()`` holds.
         """
-        return (
-            8  # write_seq
-            + len(self.page_state)
-            + len(self.wl_mode)
-            + 8 * len(self.wl_read_count)
-            + 8 * len(self.next_page)
-            + 8 * len(self.valid_count)
-            + 8 * len(self.erase_count)
-            + 8 * len(self.programmed_at_us)
-            + len(self.flags)
-            + 8 * len(self.oob_lpn)
-            + 8 * len(self.oob_seq)
-            + 8 * len(self.summary_seq)
-            + len(self.summary_wl_mode)
-            + len(self.journal_bit)
-            + len(self.journal_kept)
-        )
+        return 8 + sum(memoryview(getattr(self, name)).nbytes for name in _COLUMNS)

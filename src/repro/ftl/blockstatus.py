@@ -7,8 +7,8 @@ refactor the table *owns* one :class:`~repro.flash.state.DeviceState`
 (flat columns over every page/wordline/block of the device) and hands
 out :class:`~repro.flash.block.Block` views plus the per-plane pools.
 It answers the queries the rest of the FTL makes: page validity,
-wordline validity, sense counts, and block-level aggregates — the
-aggregates as single array reductions instead of Python loops.
+wordline validity and sense counts.  Block-level aggregates are single
+array reductions on the state itself (``table.state.ida_blocks()``).
 """
 
 from __future__ import annotations
@@ -96,26 +96,5 @@ class BlockStatusTable:
     def plane_of_block(self, block_index: int) -> PlanePool:
         return self.planes[self.geometry.plane_of_block(block_index)]
 
-    # ------------------------------------------------------------------
-    # Aggregates (array reductions over the columnar state)
-    # ------------------------------------------------------------------
-    def in_use_blocks(self) -> int:
-        """Blocks holding any programmed pages (Sec. III-C accounting)."""
-        return self.state.in_use_blocks()
-
-    def ida_blocks(self) -> int:
-        """Blocks currently carrying IDA-reprogrammed wordlines."""
-        return self.state.ida_blocks()
-
-    def total_valid_pages(self) -> int:
-        return self.state.total_valid_pages()
-
-    def total_erases(self) -> int:
-        return self.state.total_erases()
-
     def free_blocks(self) -> int:
         return sum(pool.free_count for pool in self.planes)
-
-    def retired_blocks(self) -> int:
-        """Grown-bad blocks permanently out of rotation (fault paths)."""
-        return self.state.retired_blocks()

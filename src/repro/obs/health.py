@@ -155,15 +155,15 @@ class HealthMonitor:
             "life_used": (int(erases[-1]) / self.rated_pe_cycles) if n else 0.0,
         }
 
-        in_use = table.in_use_blocks()
-        ida = table.ida_blocks()
+        in_use = table.state.in_use_blocks()
+        ida = table.state.ida_blocks()
         snap = HealthSnapshot(
             start_us=start_us,
             end_us=end_us,
             wear=wear,
             in_use_blocks=in_use,
             free_blocks=table.free_blocks(),
-            retired_blocks=table.retired_blocks(),
+            retired_blocks=table.state.retired_blocks(),
             ida_blocks=ida,
             ida_exposure=ida / in_use if in_use else 0.0,
             rber_groups=self._rber_groups(table, end_us),

@@ -85,8 +85,8 @@ _log = logging.getLogger(__name__)
 #: gained the on-flash SPOR metadata columns (OOB records, block
 #: summaries, reprogram journal, write-sequence counter).  3: the RAM
 #: ``grown_bad`` and ``journal`` fields are gone (the device columns
-#: carry both).
-SNAPSHOT_SCHEMA = 3
+#: carry both).  4: the never-written ``wl_read_count`` column is gone.
+SNAPSHOT_SCHEMA = 4
 
 #: Spill-file magic: identifies the container before anything is parsed.
 _SPILL_MAGIC = b"IDASNAP1"

@@ -42,12 +42,12 @@ class TestFullTopologyState:
             geometry.total_blocks, geometry.pages_per_block, geometry.bits_per_cell
         )
         assert state.num_blocks == FULL_BLOCKS
-        # 67 M page-state bytes + 22 M wordline modes + 8-byte wordline
-        # read counters (~180 MB) + the 16-byte per-page OOB records
-        # that make the device mountable after power loss (~1.0 GiB —
-        # real drives spend far more spare area on the same metadata)
-        # + per-block summary/journal columns: ~1.36 GiB for the whole
-        # 512 GB device, still flat buffers with no per-page objects.
+        # 67 M page-state bytes + 22 M wordline modes + the 16-byte
+        # per-page OOB records that make the device mountable after
+        # power loss (~1.0 GiB — real drives spend far more spare area
+        # on the same metadata) + per-block summary/journal columns:
+        # ~1.16 GiB for the whole 512 GB device, still flat buffers with
+        # no per-page objects.
         assert state.memory_bytes() < 1536 * 1024 * 1024
 
     def test_full_device_mounts_in_bounded_time(self):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.flash.block import CONVENTIONAL_WL, Block, PageState, SenseTable
+from repro.flash.state import _COLUMNS, FLAG_IS_IDA, DeviceState
 
 
 @pytest.fixture
@@ -79,6 +81,47 @@ class TestLifecycle:
         assert not block.is_ida
         assert block.programmed_at_us is None
         assert block.wl_mode(0) == CONVENTIONAL_WL
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        num_blocks=st.integers(min_value=1, max_value=8),
+        wordlines=st.integers(min_value=1, max_value=6),
+        bits=st.sampled_from([2, 3, 4]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_erase_resets_exactly_its_block_rows(
+        self, num_blocks, wordlines, bits, seed, data
+    ):
+        # After erase the block's rows in every column equal a fresh
+        # device's, but for the wear bump and the IS_IDA bit; every
+        # other block's rows keep their bytes.
+        pages = wordlines * bits
+        state = DeviceState(num_blocks, pages, bits)
+        rng = np.random.default_rng(seed)
+        for name in _COLUMNS:
+            raw = getattr(state, f"{name}_np").view(np.uint8)
+            raw[:] = rng.integers(0, 256, size=raw.size, dtype=np.uint8)
+        state.erase_count_np[:] = rng.integers(0, 1 << 40, size=num_blocks)
+        slot = data.draw(st.integers(0, num_blocks - 1))
+        state.valid_count[slot] = 0
+        before = {name: getattr(state, f"{name}_np").copy() for name in _COLUMNS}
+        fresh = DeviceState(num_blocks, pages, bits)
+
+        Block(slot, pages, bits, state=state).erase()
+
+        rows_per_block = {"page": pages, "wordline": wordlines, "block": 1}
+        for name, (extent, _code, _fill) in _COLUMNS.items():
+            rows = rows_per_block[extent]
+            mine = slice(slot * rows, (slot + 1) * rows)
+            expected = before[name].copy()
+            expected[mine] = getattr(fresh, f"{name}_np")[mine]
+            if name == "erase_count":
+                expected[slot] = before[name][slot] + 1
+            elif name == "flags":
+                expected[slot] = before[name][slot] & (0xFF ^ FLAG_IS_IDA)
+            after = getattr(state, f"{name}_np")
+            assert after.tobytes() == expected.tobytes(), name
 
     def test_erase_with_valid_pages_raises(self, block):
         block.program_next(0.0)

@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.flash.state import DeviceState, DeviceStateSnapshot
+from repro.flash.state import _COLUMNS, DeviceState, DeviceStateSnapshot
 
 
 def _make_state(num_blocks: int = 4) -> DeviceState:
@@ -19,7 +19,7 @@ def _scribble(state: DeviceState) -> None:
     state.page_state[0] = 1
     state.page_state[5] = 2
     state.wl_mode[1] = 0x03
-    state.wl_read_count[2] = 77
+    state.oob_seq[2] = 77
     state.next_page[0] = 4
     state.valid_count[0] = 3
     state.erase_count[3] = 9
@@ -62,6 +62,26 @@ class TestRoundtrip:
         state = _make_state()
         assert state.snapshot().nbytes() == state.memory_bytes()
 
+    def test_wire_order_is_the_column_table_plus_write_seq(self):
+        # Reordering the table changes the spill-file layout, which
+        # needs a SNAPSHOT_SCHEMA bump; pin the order explicitly.
+        assert list(_COLUMNS) == [
+            "page_state",
+            "wl_mode",
+            "next_page",
+            "valid_count",
+            "erase_count",
+            "programmed_at_us",
+            "flags",
+            "oob_lpn",
+            "oob_seq",
+            "summary_seq",
+            "summary_wl_mode",
+            "journal_bit",
+            "journal_kept",
+        ]
+        assert list(_make_state().snapshot().columns) == [*_COLUMNS, "write_seq"]
+
 
 class TestValidation:
     def test_geometry_mismatch_rejected_untouched(self):
@@ -78,6 +98,26 @@ class TestValidation:
         target = _make_state()
         pristine = target.snapshot().columns
         with pytest.raises(ValueError, match="missing column"):
+            target.restore(snap)
+        assert target.snapshot().columns == pristine
+
+    def test_extra_column_rejected_untouched(self):
+        # The schema-3 layout carried a ``wl_read_count`` wordline
+        # column after ``wl_mode``; a snapshot with it must not restore.
+        source = _make_state()
+        _scribble(source)
+        good = source.snapshot().columns
+        stale = {}
+        for name, blob in good.items():
+            stale[name] = blob
+            if name == "wl_mode":
+                stale["wl_read_count"] = bytes(8 * source.num_wordlines)
+        snap = DeviceStateSnapshot(
+            source.num_blocks, source.pages_per_block, source.bits_per_cell, stale
+        )
+        target = _make_state()
+        pristine = target.snapshot().columns
+        with pytest.raises(ValueError, match="unknown column.*wl_read_count"):
             target.restore(snap)
         assert target.snapshot().columns == pristine
 
@@ -115,7 +155,7 @@ class TestViewCoherence:
         target = _make_state()
         target.restore(snap)
         assert target.page_state_np[5] == 2
-        assert target.wl_read_count_np[2] == 77
+        assert target.oob_seq_np[2] == 77
         assert target.erase_count_np[3] == 9
         assert target.flags_np[2] == 0x05
         assert target.programmed_at_us_np[1] == 123.5

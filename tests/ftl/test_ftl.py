@@ -208,11 +208,11 @@ class TestCensus:
         ftl = _ftl(RefreshMode.IDA)
         for lpn in range(24):
             ftl.write_untimed(lpn, -2000.0)
-        assert ftl.table.in_use_blocks() > 0
-        assert ftl.table.ida_blocks() == 0
+        assert ftl.table.state.in_use_blocks() > 0
+        assert ftl.table.state.ida_blocks() == 0
         ftl.check_refresh(0.0)
-        assert ftl.table.ida_blocks() > 0
-        assert ftl.table.total_valid_pages() == 24
+        assert ftl.table.state.ida_blocks() > 0
+        assert ftl.table.state.total_valid_pages() == 24
 
 
 class TestBlockStatusTable:

@@ -104,7 +104,7 @@ def test_batch_equals_scalar_loop(seed: int) -> None:
                 for lpn, time_us in zip(lpns, times):
                     scalar.write_untimed(lpn, float(time_us))
         assert _fingerprint(batched) == _fingerprint(scalar)
-        saw_ida = saw_ida or batched.table.ida_blocks() > 0
+        saw_ida = saw_ida or batched.table.state.ida_blocks() > 0
 
     # The draw must reach every regime the batch path special-cases.
     assert segments > 0

@@ -10,6 +10,7 @@ import pytest
 from repro.experiments.config import RunScale
 from repro.experiments.runner import prepare_warm_state
 from repro.experiments.systems import ida
+from repro.flash.state import DeviceStateSnapshot
 from repro.sim.snapshot import (
     SNAPSHOT_SCHEMA,
     STORE_CAPACITY,
@@ -125,6 +126,26 @@ class TestSpillHardening:
             schema=2,
             grown_bad=(),
             journal=(),
+        )
+        store = self._spilled(legacy, tmp_path)
+        assert store.get("key") is None
+        assert store.stats.fallbacks == 1
+
+    def test_schema_3_layout_falls_back(self, warm, tmp_path):
+        """A schema-3 device snapshot still carries the ``wl_read_count``
+        column; it loads as a stale schema, not a failed restore."""
+        device = warm.device
+        columns = dict(device.columns)
+        columns["wl_read_count"] = bytes(8 * len(columns["wl_mode"]))
+        legacy = dataclasses.replace(
+            warm,
+            schema=3,
+            device=DeviceStateSnapshot(
+                device.num_blocks,
+                device.pages_per_block,
+                device.bits_per_cell,
+                columns,
+            ),
         )
         store = self._spilled(legacy, tmp_path)
         assert store.get("key") is None
