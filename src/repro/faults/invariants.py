@@ -10,8 +10,9 @@ wordline), so at rest no wordline is ever torn.  The checker also pins
 the supporting invariants graceful degradation relies on: every valid
 page is readable under its wordline's mode, the page map only points at
 valid pages whose OOB record names the mapped LPN, retired (grown-bad)
-blocks hold no live data, and no journal row is left uncommitted — with
-or without a fault plan, since every ADJUST writes its row.
+blocks hold no live data, no journal row is left uncommitted — with
+or without a fault plan, since every ADJUST writes its row — and the
+pool state kept in RAM (free list, open block) agrees with the columns.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..flash.block import CONVENTIONAL_WL, TORN_WL, PageState
+from ..flash.state import FLAG_RETIRED
 
 __all__ = ["check_coding_invariants"]
 
@@ -95,14 +97,37 @@ def check_coding_invariants(ftl) -> list[str]:
         )
 
     # Retired (grown-bad / dead-die) blocks must have been evacuated.
+    holders = ((state.flags_np & FLAG_RETIRED) != 0) & (state.valid_count_np > 0)
+    for block_index in np.flatnonzero(holders):
+        violations.append(
+            f"retired block {int(block_index)} still holds "
+            f"{int(state.valid_count_np[block_index])} valid pages"
+        )
+
+    # The pool state kept in RAM must agree with the columns: every
+    # free-list entry is an erased, in-rotation block listed once and
+    # not open; the open block is in rotation and not yet full.
     for pool in table.planes:
-        for in_plane in sorted(pool.retired):
-            block = pool.block(in_plane)
-            if block.valid_count:
-                violations.append(
-                    f"retired block {block.index} still holds "
-                    f"{block.valid_count} valid pages"
-                )
+        listed = np.bincount(
+            np.array(pool.free, dtype=np.int64), minlength=pool.total_blocks
+        )
+        free = listed > 0
+        is_open = np.zeros(pool.total_blocks, dtype=bool)
+        if pool.active is not None:
+            is_open[pool.active] = True
+        retired = ~pool.in_rotation()
+        pointers = pool.column("next_page")
+        problems = (
+            ("free block {} is listed more than once", listed > 1),
+            ("free block {} is not erased", free & (pointers != 0)),
+            ("free block {} is retired", free & retired),
+            ("open block {} is on the free list", is_open & free),
+            ("open block {} is retired", is_open & retired),
+            ("open block {} is full", is_open & (pointers >= state.pages_per_block)),
+        )
+        for template, mask in problems:
+            for in_plane in np.flatnonzero(mask).tolist():
+                violations.append(template.format(pool.block(in_plane).index))
 
     # Every journaled adjust intent must be committed or recovered.
     rows = (state.journal_bit_np != 0) | (state.journal_kept_np != 0)

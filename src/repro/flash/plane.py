@@ -1,9 +1,9 @@
 """Per-plane block pools.
 
-Each plane owns its blocks: a free list, the currently-open ("active")
-block that sequential programs land in, and the set of in-use blocks.  The
-allocator and the GC both work at plane granularity, mirroring the
-plane-level parallelism of real devices.
+Each plane owns its blocks: a free list and the currently-open
+("active") block that sequential programs land in.  The allocator and
+the GC both work at plane granularity, mirroring the plane-level
+parallelism of real devices.
 """
 
 from __future__ import annotations
@@ -11,14 +11,22 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .block import Block
+from .state import FLAG_RETIRED
 
 __all__ = ["PlanePool"]
 
 
 @dataclass
 class PlanePool:
-    """Free/active/used block management for one plane.
+    """Free/active block management for one plane.
+
+    The pool keeps only what flash cannot say: the free-list order and
+    the open block.  In-use and retired membership are read from the
+    plane's slice of the device columns, so the blocks must be
+    consecutive slots of one :class:`~repro.flash.state.DeviceState`.
 
     Attributes:
         plane_index: Linear plane number.
@@ -26,25 +34,21 @@ class PlanePool:
         free: In-plane indices of erased blocks, FIFO.
         active: In-plane index of the block currently accepting programs,
             or ``None`` when a fresh one must be opened.
-        used: In-plane indices of fully- or partially-programmed blocks
-            that are not the active block.
-        retired: In-plane indices of grown-bad blocks — permanently out
-            of rotation (never free, never allocated, never a GC or
-            refresh candidate).  Retirement shrinks the plane's usable
-            capacity; only fault-injection paths populate this.
     """
 
     plane_index: int
     blocks: list[Block]
     free: deque[int] = field(init=False)
     active: int | None = field(default=None, init=False)
-    used: set[int] = field(init=False)
-    retired: set[int] = field(init=False)
 
     def __post_init__(self) -> None:
         self.free = deque(range(len(self.blocks)))
-        self.used = set()
-        self.retired = set()
+        first, last = self.blocks[0], self.blocks[-1]
+        self._state = first.state
+        self._rows = slice(first.slot, last.slot + 1)
+        span = last.slot - first.slot + 1
+        if last.state is not self._state or span != len(self.blocks):
+            raise ValueError("a plane's blocks must be consecutive device slots")
 
     # ------------------------------------------------------------------
     # Queries
@@ -60,9 +64,25 @@ class PlanePool:
     def block(self, in_plane_index: int) -> Block:
         return self.blocks[in_plane_index]
 
+    def column(self, name: str) -> np.ndarray:
+        """This plane's rows of the block-extent device column ``name``."""
+        return getattr(self._state, f"{name}_np")[self._rows]
+
+    def in_rotation(self) -> np.ndarray:
+        """Per-block mask: not retired (grown bad)."""
+        return (self.column("flags") & FLAG_RETIRED) == 0
+
+    def in_use(self) -> np.ndarray:
+        """In-plane indices, ascending, of blocks holding programmed
+        pages that are neither retired nor the open block."""
+        mask = (self.column("next_page") > 0) & self.in_rotation()
+        if self.active is not None:
+            mask[self.active] = False
+        return np.flatnonzero(mask)
+
     def used_blocks(self) -> list[Block]:
-        """All non-free blocks, including the active one."""
-        result = [self.blocks[i] for i in sorted(self.used)]
+        """All in-use blocks, then the active one."""
+        result = [self.blocks[i] for i in self.in_use().tolist()]
         if self.active is not None:
             result.append(self.blocks[self.active])
         return result
@@ -81,7 +101,6 @@ class PlanePool:
             return self.blocks[self.active]
         if self.active is not None:
             self.blocks[self.active].seal_summary()
-            self.used.add(self.active)
             self.active = None
         if not self.free:
             raise RuntimeError(f"plane {self.plane_index} has no free blocks")
@@ -89,7 +108,7 @@ class PlanePool:
         return self.blocks[self.active]
 
     def retire_active(self) -> None:
-        """Move a filled active block to the used set.
+        """Close a filled active block: it is in use from now on.
 
         Closing a block writes its summary page (close-time sequence
         stamp + wordline coding modes) — the SPOR mount's per-block
@@ -97,27 +116,21 @@ class PlanePool:
         """
         if self.active is not None and self.blocks[self.active].is_full:
             self.blocks[self.active].seal_summary()
-            self.used.add(self.active)
             self.active = None
 
     def release(self, in_plane_index: int) -> None:
         """Return an erased block to the free list."""
-        if in_plane_index in self.retired:
+        block = self.blocks[in_plane_index]
+        if block.retired:
             raise RuntimeError(
                 f"block {in_plane_index} of plane {self.plane_index} is "
                 "retired (grown bad) and cannot rejoin the free list"
             )
-        block = self.blocks[in_plane_index]
         if block.next_page and block.valid_count:
             raise RuntimeError("cannot release a block holding valid data")
-        self.used.discard(in_plane_index)
         if self.active == in_plane_index:
             self.active = None
         self.free.append(in_plane_index)
-
-    def gc_candidates(self) -> list[Block]:
-        """Blocks eligible as GC victims (used, not the active block)."""
-        return [self.blocks[i] for i in self.used]
 
     # ------------------------------------------------------------------
     # Graceful degradation
@@ -125,22 +138,18 @@ class PlanePool:
     def retire(self, in_plane_index: int) -> None:
         """Take a grown-bad block out of rotation permanently.
 
-        The block leaves whichever set currently holds it (free, used or
-        active); it will never be allocated, GC'd or refreshed again.
-        The caller is responsible for having migrated any valid data off
-        the block first.
+        Sets ``FLAG_RETIRED`` and drops the block from the free list and
+        the open slot; it will never be allocated, GC'd or refreshed
+        again.  The caller is responsible for having migrated any valid
+        data off the block first.
         """
-        if in_plane_index in self.retired:
+        block = self.blocks[in_plane_index]
+        if block.retired:
             return
-        self.retired.add(in_plane_index)
-        self.blocks[in_plane_index].retired = True
-        self.used.discard(in_plane_index)
+        block.retired = True
         if self.active == in_plane_index:
             self.active = None
         try:
             self.free.remove(in_plane_index)
         except ValueError:
             pass
-
-    def is_retired(self, in_plane_index: int) -> bool:
-        return in_plane_index in self.retired

@@ -350,8 +350,9 @@ class Ftl:
 
         Blocks are visited in pool order, then in the order of each
         pool's :meth:`~repro.flash.plane.PlanePool.used_blocks` at the
-        time the pool is reached.  Which blocks are old enough is taken
-        as one mask over ``programmed_at_us`` at the start of the tick:
+        time the pool is reached (in-use blocks ascending, then the open
+        block).  Which blocks are old enough is taken as one mask over
+        ``programmed_at_us`` at the start of the tick:
         the tick's own work can only make a block younger (a first
         program and an IDA refresh stamp ``now_us``, an erase clears the
         stamp), so the mask only narrows the live checks below.
@@ -367,12 +368,12 @@ class Ftl:
         blocks_per_plane = self.geometry.blocks_per_plane
         for pool in self.table.planes:
             first = pool.plane_index * blocks_per_plane
-            in_plane = np.flatnonzero(due[first : first + blocks_per_plane])
-            if not len(in_plane):
+            due_here = due[first : first + blocks_per_plane]
+            if not due_here.any():
                 continue
-            used = pool.used
-            visit = [index for index in in_plane.tolist() if index in used]
-            if pool.active is not None and due[first + pool.active]:
+            in_use = pool.in_use()
+            visit = in_use[due_here[in_use]].tolist()
+            if pool.active is not None and due_here[pool.active]:
                 visit.append(pool.active)
             for index in visit:
                 block = pool.blocks[index]
@@ -633,7 +634,7 @@ class Ftl:
         ops: list[PhysOp] = []
         for plane_index in planes:
             pool = self.table.planes[plane_index]
-            for block in list(pool.used_blocks()):
+            for block in pool.used_blocks():
                 for page in block.valid_pages():
                     ops.append(self._move_page(block, page, now_us, ops))
                     self.counters.fault_page_moves += 1
@@ -752,11 +753,10 @@ class Ftl:
     # ------------------------------------------------------------------
     def _retire(self, block_index: int) -> bool:
         """Drop a block from rotation as grown-bad; False if it already was."""
-        pool = self.table.plane_of_block(block_index)
-        in_plane = block_index - pool.plane_index * self.geometry.blocks_per_plane
-        if pool.is_retired(in_plane):
+        if self.table.blocks[block_index].retired:
             return False
-        pool.retire(in_plane)
+        pool = self.table.plane_of_block(block_index)
+        pool.retire(block_index - pool.plane_index * self.geometry.blocks_per_plane)
         self.counters.grown_bad_blocks += 1
         return True
 

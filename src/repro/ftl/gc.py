@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from ..flash.block import Block
 from ..flash.plane import PlanePool
+from ..flash.state import FLAG_LOCKED
 
 __all__ = ["GcPolicy", "select_victim"]
 
@@ -40,13 +41,21 @@ class GcPolicy:
 def select_victim(pool: PlanePool) -> Block | None:
     """GREEDY wear-aware victim selection for one plane.
 
-    Only *full*, unlocked blocks are eligible (partially-programmed blocks
-    are still being filled; locked blocks are mid-refresh).  Returns None
-    when the plane has no eligible block.
+    Only *full*, unlocked in-use blocks are eligible (partially-programmed
+    blocks are still being filled; locked blocks are mid-refresh; in use
+    excludes retired blocks and the open one).  The victim minimises
+    ``(valid_count, erase_count, index)``.  Returns None when the plane
+    has no eligible block.
     """
-    candidates = [
-        block for block in pool.gc_candidates() if block.is_full and not block.locked
-    ]
-    if not candidates:
+    candidates = pool.in_use()
+    full = pool.column("next_page")[candidates] >= pool.blocks[0].pages_per_block
+    unlocked = (pool.column("flags")[candidates] & FLAG_LOCKED) == 0
+    candidates = candidates[full & unlocked]
+    if not len(candidates):
         return None
-    return min(candidates, key=lambda b: (b.valid_count, b.erase_count, b.index))
+    # Narrow to the fewest valid pages, then the least wear; candidates
+    # ascend, so the first survivor has the lowest index.
+    for name in ("valid_count", "erase_count"):
+        keys = pool.column(name)[candidates]
+        candidates = candidates[keys == keys.min()]
+    return pool.blocks[int(candidates[0])]

@@ -14,15 +14,17 @@ consistent :class:`~repro.ftl.ftl.Ftl`:
   *rebuilt* from the scan, never trusted: ``page_state``'s
   VALID/INVALID distinction is controller metadata that a real crash
   loses.
-* **Block pools** — physical facts only: a block with ``next_page == 0``
-  is free, a full block is in use, the (at most one per plane) partially
-  programmed block is the plane's open active block, and
-  ``FLAG_RETIRED`` marks grown-bad blocks.  The free list is rebuilt in
-  ascending in-plane order — the pre-cut FIFO order is controller RAM
-  and unrecoverable, so post-mount allocation is deterministic but not
-  byte-identical to the uncut future (documented divergence; the
-  crash-consistency harness verifies recovered *state*, not future
-  allocation order).
+* **Block pools** — the mount rebuilds only what a pool keeps in RAM:
+  the free list (every in-rotation block with ``next_page == 0``) and
+  the open block (the at most one partially programmed block per
+  plane).  In-use and retired membership need no rebuild: the live FTL
+  and the mount read them from the same columns (programmed, not
+  ``FLAG_RETIRED``, not open — see :class:`~repro.flash.plane.PlanePool`).
+  The free list is rebuilt in ascending in-plane order — the pre-cut
+  FIFO order is controller RAM and unrecoverable, so post-mount
+  allocation is deterministic but not byte-identical to the uncut
+  future (documented divergence; the crash-consistency harness verifies
+  recovered *state*, not future allocation order).
 * **Allocator cursor** — positioned one past the plane holding the
   globally newest OOB stamp (the closest on-flash approximation of the
   lost round-robin cursor).
@@ -61,7 +63,7 @@ import numpy as np
 from ..core.coding import GrayCoding
 from ..flash.block import CONVENTIONAL_WL, PageState
 from ..flash.geometry import Geometry
-from ..flash.state import FLAG_RETIRED, DeviceState
+from ..flash.state import DeviceState
 from ..obs.tracer import Tracer
 from .blockstatus import BlockStatusTable
 from .ftl import Ftl
@@ -168,20 +170,11 @@ def _rebuild_map(
 def _rebuild_pools(
     ftl: Ftl, state: DeviceState, report: MountReport
 ) -> None:
-    """Classify every block into free/active/used/retired per plane."""
-    geometry = ftl.geometry
+    """Rebuild each plane's free list and open block from the columns."""
     ppb = state.pages_per_block
-    bpp = geometry.blocks_per_plane
     for pool in ftl.table.planes:
-        start = pool.plane_index * bpp
-        flags = state.flags_np[start : start + bpp]
-        pointers = state.next_page_np[start : start + bpp]
-        retired = (flags & FLAG_RETIRED) != 0
-        pool.retired = set(np.flatnonzero(retired).tolist())
-        in_rotation = ~retired
-        pool.used = set(
-            np.flatnonzero(in_rotation & (pointers >= ppb)).tolist()
-        )
+        pointers = pool.column("next_page")
+        in_rotation = pool.in_rotation()
         pool.free.clear()
         pool.free.extend(
             np.flatnonzero(in_rotation & (pointers == 0)).tolist()
@@ -195,17 +188,15 @@ def _rebuild_pools(
             # boundary; if several survive (defensive), the newest OOB
             # stamp marks the one that was accepting programs.
             def newest_stamp(in_plane: int) -> int:
-                base = (start + in_plane) * ppb
+                base = pool.blocks[in_plane].slot * ppb
                 count = int(pointers[in_plane])
                 return int(state.oob_seq_np[base : base + count].max())
 
-            partials.sort(key=newest_stamp)
-            pool.active = partials[-1]
-            pool.used.update(partials[:-1])
-        report.sealed_blocks += len(pool.used)
+            pool.active = sorted(partials, key=newest_stamp)[-1]
+        report.sealed_blocks += len(pool.in_use())
         report.open_blocks += int(pool.active is not None)
         report.free_blocks += len(pool.free)
-        report.retired_blocks += len(pool.retired)
+        report.retired_blocks += int(np.count_nonzero(~in_rotation))
 
 
 def _rebuild_allocator(
@@ -216,7 +207,7 @@ def _rebuild_allocator(
     dead = [
         pool.plane_index
         for pool in ftl.table.planes
-        if len(pool.retired) == pool.total_blocks
+        if not pool.in_rotation().any()
     ]
     if dead:
         ftl.allocator.remove_planes(dead)

@@ -7,16 +7,16 @@ a swept parameter (DTR threshold, refresh mode, policy, fault plan)
 repeat that ritual once per unit over an *identical* warmed state.  This
 module makes the warm state a first-class value:
 
-* :func:`capture_warm_state` / :func:`restore_warm_state` — everything
-  the warm-up mutates, captured as one picklable :class:`WarmState`:
-  the columnar :class:`~repro.flash.state.DeviceStateSnapshot`, the
-  page-map forward column (reverse rebuilt on load), allocator rotation
-  and cursor, per-plane pool membership (the free list is an
-  order-sensitive FIFO), FTL counters, refresh reports, read-retry
-  pressure, and both RNG bit-generator states.  Adjust intents and
-  grown-bad blocks ride in the device columns (the journal columns and
-  ``FLAG_RETIRED``); the FTL keeps no RAM copy of either.  A restored
-  run is byte-identical to a cold run — pinned by
+* :func:`capture_warm_state` / :func:`restore_warm_state` — what the
+  warm-up changes and a fresh simulator of the same warm key does not
+  already hold, captured as one picklable :class:`WarmState`: the
+  columnar :class:`~repro.flash.state.DeviceStateSnapshot`, the
+  page-map forward column (reverse rebuilt on load), the allocator
+  cursor (its strategy rides along as a check), each plane's free list
+  (an order-sensitive FIFO) and open block, and the FTL counters.
+  In-use and retired blocks, adjust intents and grown-bad blocks are
+  all read from the device columns; the FTL keeps no RAM copy of them.
+  A restored run is byte-identical to a cold run — pinned by
   ``tests/experiments/test_snapshot_parity.py``.
 * :class:`SnapshotStore` — a content-addressed cache (in-process LRU of
   :data:`STORE_CAPACITY` states, optional on-disk spill) keyed by the
@@ -37,13 +37,18 @@ magic, digest, type and schema checks.
 Restore-equivalence argument (why a fresh simulator plus a restored warm
 state equals a cold warmed simulator): the warm-up runs entirely through
 the untimed FTL path — it never touches the :class:`SimEngine` queue or
-clock, never samples the host-retry or disturb RNG streams, and never
-emits trace events unless a tracer is attached (which is why traced runs
-always warm up cold).  The bindings a simulator makes at construction
-time (tracer, collector, profiler, fault injector, health monitor) are
-therefore disjoint from the state the warm-up mutates, and swapping that
-state underneath a freshly constructed simulator reproduces the cold
-path exactly.
+clock, never samples the host-retry or disturb RNG streams, never runs a
+refresh tick or a fault handler, never drops a plane from the allocator
+rotation, and never emits trace events unless a tracer is attached
+(which is why traced runs always warm up cold).  Both RNG states, the
+refresh reports, the read-retry pressure and the allocator's plane
+order therefore leave the warm-up exactly as a fresh simulator of the
+same warm key builds them, and the snapshot does not carry them
+(``tests/experiments/test_snapshot_parity.py`` pins that premise).  The
+bindings a simulator makes at construction time (tracer, collector,
+profiler, fault injector, health monitor) are disjoint from the state
+the warm-up mutates, and swapping that state underneath a freshly
+constructed simulator reproduces the cold path exactly.
 """
 
 from __future__ import annotations
@@ -86,7 +91,11 @@ _log = logging.getLogger(__name__)
 #: summaries, reprogram journal, write-sequence counter).  3: the RAM
 #: ``grown_bad`` and ``journal`` fields are gone (the device columns
 #: carry both).  4: the never-written ``wl_read_count`` column is gone.
-SNAPSHOT_SCHEMA = 4
+#: 5: the pools' ``used`` / ``retired`` sets are gone (the columns hold
+#: both), and so are the fields the warm-up never changes: refresh
+#: reports, read-retry pressure, both RNG states and the allocator's
+#: plane order.
+SNAPSHOT_SCHEMA = 5
 
 #: Spill-file magic: identifies the container before anything is parsed.
 _SPILL_MAGIC = b"IDASNAP1"
@@ -100,7 +109,7 @@ STORE_CAPACITY = 8
 
 @dataclass(frozen=True)
 class PlaneSnapshot:
-    """One :class:`~repro.flash.plane.PlanePool`'s membership sets.
+    """What one :class:`~repro.flash.plane.PlanePool` keeps in RAM.
 
     ``free`` keeps its deque order — the pool is a FIFO, and allocation
     determinism depends on which erased block opens next.
@@ -108,13 +117,11 @@ class PlaneSnapshot:
 
     free: tuple[int, ...]
     active: int | None
-    used: tuple[int, ...]
-    retired: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class WarmState:
-    """Everything the warm-up mutates, as one picklable value.
+    """What the warm-up changes, as one picklable value.
 
     Tuples and ``bytes`` throughout: a stored warm state is shared by
     every run that restores from it, so nothing a restored simulator
@@ -126,14 +133,9 @@ class WarmState:
     device: DeviceStateSnapshot
     map_forward: bytes
     alloc_strategy: str
-    alloc_order: tuple[int, ...]
     alloc_cursor: int
     planes: tuple[PlaneSnapshot, ...]
     counters: FtlCounters
-    refresh_reports: tuple
-    retry_pressure: tuple[tuple[int, int], ...]
-    ftl_rng_state: dict
-    host_retry_rng_state: dict
 
     def nbytes(self) -> int:
         """Approximate payload size (dominated by the device columns)."""
@@ -152,24 +154,12 @@ def capture_warm_state(sim: "SsdSimulator") -> WarmState:
         device=ftl.table.state.snapshot(),
         map_forward=ftl.map.export_forward(),
         alloc_strategy=ftl.allocator.strategy,
-        alloc_order=tuple(ftl.allocator.order),
         alloc_cursor=ftl.allocator._cursor,
         planes=tuple(
-            PlaneSnapshot(
-                free=tuple(pool.free),
-                active=pool.active,
-                used=tuple(sorted(pool.used)),
-                retired=tuple(sorted(pool.retired)),
-            )
+            PlaneSnapshot(free=tuple(pool.free), active=pool.active)
             for pool in ftl.table.planes
         ),
         counters=dataclasses.replace(ftl.counters),
-        refresh_reports=tuple(
-            dataclasses.replace(report) for report in ftl.refresh_reports
-        ),
-        retry_pressure=tuple(sorted(ftl._retry_pressure.items())),
-        ftl_rng_state=ftl.rng.bit_generator.state,
-        host_retry_rng_state=sim._host_retry_rng.bit_generator.state,
     )
 
 
@@ -181,7 +171,9 @@ def restore_warm_state(sim: "SsdSimulator", warm: WarmState) -> None:
     The target's construction-time bindings (tracer, fault injector,
     health, telemetry) are left untouched; in particular the FTL's
     read-reclaim threshold, which a bound fault plan arms, is never
-    restored.
+    restored.  Neither are the RNG states, the refresh reports, the
+    read-retry pressure or the allocator's plane order: the warm-up
+    never changes them, so the target must be freshly built.
 
     Raises:
         ValueError: on a stale schema or geometry/column mismatch (the
@@ -208,20 +200,11 @@ def restore_warm_state(sim: "SsdSimulator", warm: WarmState) -> None:
     # first byte lands, so a bad snapshot leaves the simulator cold-able.
     ftl.table.state.restore(warm.device)
     ftl.map.load_forward(warm.map_forward)
-    allocator.order = list(warm.alloc_order)
     allocator._cursor = warm.alloc_cursor
     for pool, snap in zip(ftl.table.planes, warm.planes, strict=True):
         pool.free = deque(snap.free)
         pool.active = snap.active
-        pool.used = set(snap.used)
-        pool.retired = set(snap.retired)
     ftl.counters = dataclasses.replace(warm.counters)
-    ftl.refresh_reports = [
-        dataclasses.replace(report) for report in warm.refresh_reports
-    ]
-    ftl._retry_pressure = dict(warm.retry_pressure)
-    ftl.rng.bit_generator.state = warm.ftl_rng_state
-    sim._host_retry_rng.bit_generator.state = warm.host_retry_rng_state
 
 
 class WarmHandle:

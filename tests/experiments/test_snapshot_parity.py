@@ -169,10 +169,54 @@ class TestWarmDeviceHelper:
         manual.age(generated.aging_lpns, pseudo_now_us=-0.35 * period_us)
         a = capture_warm_state(helper)
         b = capture_warm_state(manual)
+        assert [field.name for field in dataclasses.fields(a)] == [
+            "schema",
+            "device",
+            "map_forward",
+            "alloc_strategy",
+            "alloc_cursor",
+            "planes",
+            "counters",
+        ]
         assert a.device.columns == b.device.columns
         assert dataclasses.replace(a, device=None) == dataclasses.replace(
             b, device=None
         )
+
+
+def _uncaptured(sim) -> tuple:
+    """The simulator state a WarmState does not carry."""
+    ftl = sim.ftl
+    return (
+        ftl.rng.bit_generator.state,
+        sim._host_retry_rng.bit_generator.state,
+        ftl.refresh_reports,
+        ftl._retry_pressure,
+        ftl.allocator.order,
+    )
+
+
+class TestWarmUpLeavesUncapturedStateFresh:
+    """The premise for what a WarmState leaves out: the warm-up never
+    changes it.  If a future warm-up draws randomness, refreshes, or
+    drops a plane, this fails instead of restored runs drifting."""
+
+    @pytest.mark.parametrize(
+        "scale", (RunScale.tiny(), RunScale.quick()), ids=("tiny", "quick")
+    )
+    @pytest.mark.parametrize(
+        "system", (baseline(), ida(0.2)), ids=("baseline", "ida-e20")
+    )
+    def test_warm_device_matches_a_fresh_simulator(self, system, scale) -> None:
+        spec = TABLE3_WORKLOADS["usr_1"].scaled(
+            scale.num_requests, scale.footprint_pages
+        )
+        generated = generate_workload(spec)
+        warmed = build_simulator(system, scale, spec.duration_us, seed=SEED)
+        warm_device(warmed, generated)
+        fresh = build_simulator(system, scale, spec.duration_us, seed=SEED)
+        assert warmed.ftl.table.state.write_seq > fresh.ftl.table.state.write_seq
+        assert _uncaptured(warmed) == _uncaptured(fresh)
 
 
 class TestExecutorParity:

@@ -103,8 +103,9 @@ class TestGrownBad:
         assert metrics.grown_bad_blocks == 1
         block, pool = None, None
         for candidate_pool in sim.ftl.table.planes:
-            for in_plane in candidate_pool.retired:
-                pool, block = candidate_pool, candidate_pool.block(in_plane)
+            for in_plane in range(candidate_pool.total_blocks):
+                if candidate_pool.block(in_plane).retired:
+                    pool, block = candidate_pool, candidate_pool.block(in_plane)
         assert block is not None, "no block was retired"
         assert block.valid_count == 0
         # All preloaded LPNs remain readable after the migration.
@@ -125,7 +126,8 @@ class TestGrownBad:
         retired = [
             pool.block(in_plane)
             for pool in sim.ftl.table.planes
-            for in_plane in pool.retired
+            for in_plane in range(pool.total_blocks)
+            if pool.block(in_plane).retired
         ]
         assert len(retired) == 1
         assert retired[0].valid_count == 0

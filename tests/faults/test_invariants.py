@@ -122,6 +122,54 @@ class TestMappingDetection:
         ]
 
 
+class TestPoolDetection:
+    """The pool state kept in RAM (free list, open block) must agree with
+    the columns, and retired blocks must hold no live data."""
+
+    def _run(self):
+        sim = _ida_simulator(None)
+        sim.run_requests(_aged_reads(sim))
+        assert check_coding_invariants(sim.ftl) == []
+        return sim, sim.ftl.table.planes[1]
+
+    def test_retired_blocks_with_live_data_are_flagged_in_block_order(self):
+        sim, pool = self._run()
+        # Plane 1 holds blocks 8..15: in-plane 1 and 2 carry live pages.
+        pool.block(2).retired = True
+        sim.ftl.table.blocks[1].retired = True
+        assert check_coding_invariants(sim.ftl) == [
+            "retired block 1 still holds 6 valid pages",
+            "retired block 10 still holds 5 valid pages",
+            "open block 10 is retired",
+        ]
+
+    def test_free_list_entries_are_checked(self):
+        sim, pool = self._run()
+        pool.free.append(3)
+        pool.free.append(0)
+        pool.block(4).retired = True
+        assert check_coding_invariants(sim.ftl) == [
+            "free block 11 is listed more than once",
+            "free block 8 is not erased",
+            "free block 12 is retired",
+        ]
+
+    def test_open_block_on_the_free_list_is_flagged(self):
+        sim, pool = self._run()
+        pool.free.appendleft(pool.active)
+        assert check_coding_invariants(sim.ftl) == [
+            "free block 10 is not erased",
+            "open block 10 is on the free list",
+        ]
+
+    def test_full_open_block_is_flagged(self):
+        sim, pool = self._run()
+        block = pool.block(pool.active)
+        while not block.is_full:
+            block.program_next(0.0)
+        assert check_coding_invariants(sim.ftl) == ["open block 10 is full"]
+
+
 class TestAdjustInterruptRecovery:
     def test_interrupted_adjust_rolls_forward(self):
         """ISSUE 5 acceptance: the torn-reprogram invariant holds under an

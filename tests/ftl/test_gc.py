@@ -4,18 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.flash.block import Block
-from repro.flash.plane import PlanePool
 from repro.ftl.gc import GcPolicy, select_victim
+
+from ..flash._pool_oracle import plane_pool
 
 
 def _pool_with_filled_blocks(valid_counts, pages=6):
     """A pool whose blocks are full with the given number of valid pages."""
-    blocks = [
-        Block(index=i, pages_per_block=pages, bits_per_cell=3)
-        for i in range(len(valid_counts) + 1)
-    ]
-    pool = PlanePool(plane_index=0, blocks=blocks)
+    pool = plane_pool(len(valid_counts) + 1, pages)
     for valid in valid_counts:
         block = pool.active_block(0.0)
         for _ in range(pages):

@@ -79,12 +79,22 @@ class TestCleanMount:
         ftl = _ftl()
         _churn(ftl)
         live = [
-            (set(p.free), p.active, set(p.used), set(p.retired))
+            (
+                set(p.free),
+                p.active,
+                set(p.in_use().tolist()),
+                set(np.flatnonzero(~p.in_rotation()).tolist()),
+            )
             for p in ftl.table.planes
         ]
         recovered, _ = _mount(ftl)
         rebuilt = [
-            (set(p.free), p.active, set(p.used), set(p.retired))
+            (
+                set(p.free),
+                p.active,
+                set(p.in_use().tolist()),
+                set(np.flatnonzero(~p.in_rotation()).tolist()),
+            )
             for p in recovered.table.planes
         ]
         assert rebuilt == live

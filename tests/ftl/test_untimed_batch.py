@@ -52,7 +52,12 @@ def _fingerprint(ftl: Ftl) -> dict:
         "columns": ftl.table.state.snapshot().columns,
         "forward": bytes(ftl.map._forward),
         "pools": [
-            (pool.active, list(pool.free), sorted(pool.used), sorted(pool.retired))
+            (
+                pool.active,
+                list(pool.free),
+                pool.in_use().tolist(),
+                np.flatnonzero(~pool.in_rotation()).tolist(),
+            )
             for pool in ftl.table.planes
         ],
         "cursor": ftl.allocator._cursor,

@@ -14,6 +14,7 @@ from repro.flash.state import DeviceStateSnapshot
 from repro.sim.snapshot import (
     SNAPSHOT_SCHEMA,
     STORE_CAPACITY,
+    PlaneSnapshot,
     SnapshotStore,
     WarmHandle,
     WarmState,
@@ -146,6 +147,33 @@ class TestSpillHardening:
                 device.bits_per_cell,
                 columns,
             ),
+        )
+        store = self._spilled(legacy, tmp_path)
+        assert store.get("key") is None
+        assert store.stats.fallbacks == 1
+
+    def test_schema_4_layout_falls_back(self, warm, tmp_path):
+        """A schema-4 state still carries the pools' ``used`` / ``retired``
+        sets and the fields the warm-up never changes; it loads as a
+        stale schema, not a failed restore."""
+        planes = []
+        for plane in warm.planes:
+            legacy_plane = object.__new__(PlaneSnapshot)
+            legacy_plane.__dict__.update(
+                dataclasses.asdict(plane), used=(), retired=()
+            )
+            planes.append(legacy_plane)
+        legacy = object.__new__(WarmState)
+        fields = {f.name: getattr(warm, f.name) for f in dataclasses.fields(warm)}
+        legacy.__dict__.update(
+            fields,
+            schema=4,
+            planes=tuple(planes),
+            alloc_order=(),
+            refresh_reports=(),
+            retry_pressure=(),
+            ftl_rng_state={},
+            host_retry_rng_state={},
         )
         store = self._spilled(legacy, tmp_path)
         assert store.get("key") is None
