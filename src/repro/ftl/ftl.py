@@ -19,9 +19,11 @@ Bulk page placement is columnar.  Untimed writes and refresh relocations
 are applied in *safe runs* — stretches that trigger no GC and open no
 block — as scatters on the device columns plus one bulk map rebinding;
 the write on each boundary takes the scalar path, so the resulting
-state and op lists equal a page-by-page loop.  A refresh tick hands its
-ops over as the columns it planned with (reads, relocation writes and
-adjusts appended as arrays, scalar moves and their GC as single rows).
+state and op lists equal a page-by-page loop.  A refresh tick programs
+the relocations of all its blocks as one run (see
+:meth:`Ftl.check_refresh`) and hands its ops over as the columns it
+planned with (reads, relocation writes and adjusts appended as arrays,
+scalar moves and their GC as single rows).
 """
 
 from __future__ import annotations
@@ -47,6 +49,24 @@ __all__ = ["Ftl"]
 _VALID = int(PageState.VALID)
 _INVALID = int(PageState.INVALID)
 _READ = OpKind.READ
+
+
+class _MoveRun:
+    """Refresh moves staged for one program run (see :meth:`Ftl.check_refresh`).
+
+    Every staged page's source is already invalidated; its LPN and its
+    reserved WRITE rows wait here for :meth:`Ftl._program_moves`.
+    """
+
+    __slots__ = ("capacity", "length", "lpns", "rows")
+
+    def __init__(self) -> None:
+        #: Pages the run may hold: the safe run measured when it opened.
+        self.capacity = 0
+        self.length = 0
+        #: Per staged block: the LPNs moving, and their reserved rows.
+        self.lpns: list[np.ndarray] = []
+        self.rows: list[np.ndarray] = []
 
 
 class Ftl:
@@ -357,6 +377,22 @@ class Ftl:
         program and an IDA refresh stamp ``now_us``, an erase clears the
         stamp), so the mask only narrows the live checks below.
 
+        The tick's relocations share one pending :class:`_MoveRun`: a
+        block's moves invalidate their sources and reserve their WRITE
+        rows at once, and one :meth:`_program_moves` programs the whole
+        run.  It is flushed at exactly three points: (a) before a block
+        whose moves would outgrow the safe run measured when the run
+        opened (that block then goes through :meth:`_relocate`, which
+        takes the boundary write and the GC it triggers); (b) before
+        a pool whose open block is due lists its blocks, and again
+        before that block is checked, since the pending writes may fill
+        it; (c) at the end of the tick.  This equals moving the pages
+        one by one: sources are full blocks and destinations are open
+        ones, so no later block's plan, senses or disturb draw reads a
+        pending destination, and inside a safe run no GC fires, so
+        nothing reads the allocator, the pools or the map between the
+        writes.
+
         Returns the tick's ops as one :class:`OpTable`, in issue order.
         """
         ops = OpTable()
@@ -365,26 +401,35 @@ class Ftl:
         due = (now_us - stamps) >= period_us
         if not due.any():
             return ops
+        run = _MoveRun()
         blocks_per_plane = self.geometry.blocks_per_plane
         for pool in self.table.planes:
             first = pool.plane_index * blocks_per_plane
             due_here = due[first : first + blocks_per_plane]
             if not due_here.any():
                 continue
+            if pool.active is not None and due_here[pool.active]:
+                self._program_moves(run, now_us)  # (b): it may seal the open block
             in_use = pool.in_use()
             visit = in_use[due_here[in_use]].tolist()
-            if pool.active is not None and due_here[pool.active]:
-                visit.append(pool.active)
+            active = pool.active
+            if active is not None and due_here[active]:
+                visit.append(active)
             for index in visit:
+                if index == active:
+                    self._program_moves(run, now_us)  # (b): it may fill it
                 block = pool.blocks[index]
                 if not block.is_full or block.valid_count == 0:
                     continue
                 if not now_us - stamps[block.slot] >= period_us:
                     continue  # erased and refilled earlier in this tick
-                self._refresh_block(block, now_us, ops)
+                self._refresh_block(block, now_us, ops, run)
+        self._program_moves(run, now_us)  # (c)
         return ops
 
-    def _refresh_block(self, block: Block, now_us: float, ops: OpTable) -> None:
+    def _refresh_block(
+        self, block: Block, now_us: float, ops: OpTable, run: _MoveRun
+    ) -> None:
         self.counters.refresh_invocations += 1
         block.locked = True
         try:
@@ -395,7 +440,7 @@ class Ftl:
             self._read_ops(block, plan.valid_pages, ops)
 
             # Step 3: move the pages that cannot benefit from IDA.
-            self._relocate(block, plan.moves.tolist(), now_us, ops)
+            self._move_in_run(block, plan.moves, now_us, ops, run)
             report.n_moved = len(plan.moves)
             self.counters.refresh_page_moves += report.n_moved
 
@@ -415,7 +460,7 @@ class Ftl:
             # Step 7-8: corrupted pages get their error-free copy written
             # to the new block; clean pages stay in place.
             corrupted = self.disturb.corrupted_pages(self.rng, kept_pages)
-            self._relocate(block, corrupted, now_us, ops)
+            self._move_in_run(block, corrupted, now_us, ops, run)
             report.n_error = len(corrupted)
             self.counters.refresh_corrupted_pages += len(corrupted)
 
@@ -485,13 +530,37 @@ class Ftl:
             sense_table.senses(int(modes[bad]), int(page_bits[bad]))
         ops.add_reads(block.index, pages, senses, page_bits)
 
+    def _move_in_run(
+        self, source: Block, pages, now_us: float, ops: OpTable, run: _MoveRun
+    ) -> None:
+        """Stage the refresh moves of ``pages`` of ``source`` in ``run``.
+
+        The run opens at its first staged block, sized to the safe run
+        from the allocator's position then.  When ``pages`` would
+        outgrow it, the run is programmed first and ``pages`` go through
+        :meth:`_relocate`, whose boundary write and GC happen in place;
+        the next call opens a fresh run.
+        """
+        count = len(pages)
+        if not count:
+            return
+        if not run.length:
+            run.capacity = self._safe_run(self.geometry.total_pages)
+        if run.length + count > run.capacity:
+            self._program_moves(run, now_us)  # (a)
+            self._relocate(source, np.asarray(pages).tolist(), now_us, ops)
+            return
+        self._stage_moves(source, pages, ops, run)
+
     def _relocate(
         self, source: Block, pages: list[int], now_us: float, ops: OpTable
     ) -> None:
-        """Move ``pages`` of ``source`` to fresh pages, in order.
+        """Move ``pages`` of ``source`` to fresh pages, in order, now.
 
-        Appends each move's WRITE op to ``ops``, preceded by any GC work
-        its allocation triggered.  Moves run in safe segments like
+        A refresh tick's fallback where its pending run would outgrow
+        the safe run (see :meth:`check_refresh`).  Appends each move's
+        WRITE op to ``ops``, preceded by any GC work its allocation
+        triggered.  Moves run in safe segments like
         :meth:`apply_untimed_batch`; a move that lands on a segment
         boundary (GC watermark, block open) takes the scalar
         :meth:`_move_page`, so GC ops interleave exactly as they would
@@ -513,25 +582,52 @@ class Ftl:
         self, source: Block, pages: list[int], now_us: float, ops: OpTable
     ) -> None:
         """Move one safe run of ``source`` pages as column operations."""
+        run = _MoveRun()
+        self._stage_moves(source, pages, ops, run)
+        self._program_moves(run, now_us)
+
+    def _stage_moves(
+        self, source: Block, pages, ops: OpTable, run: _MoveRun
+    ) -> None:
+        """The source half of moving ``pages``: the rest waits in ``run``.
+
+        Runs the scalar path's checks (every source page is live and
+        mapped), invalidates the sources and reserves the WRITE rows.
+        """
         state = self.table.state
-        pages_per_block = self.geometry.pages_per_block
         first = self.geometry.page_number(source.index, 0)
-        old_ppns = np.array(pages, dtype=np.int64) + first
-        # The scalar path's checks: every source page is live and mapped.
+        old_ppns = np.asarray(pages, dtype=np.int64) + first
         lpns = self.map.owners(old_ppns)
         page_states = state.page_state_np
         stale = page_states[old_ppns] != _VALID
         if stale.any():
-            source.invalidate(pages[int(np.flatnonzero(stale)[0])])
+            source.invalidate(int(old_ppns[stale][0]) - first)
+        page_states[old_ppns] = _INVALID
+        state.valid_count[source.slot] -= len(old_ppns)
+        run.lpns.append(lpns)
+        run.rows.append(ops.reserve_writes(len(old_ppns)))
+        run.length += len(old_ppns)
 
-        # The LPN travels with the data; the destination gets a fresh
-        # sequence number (``DeviceState.relocate_oob``).
+    def _program_moves(self, run: _MoveRun, now_us: float) -> None:
+        """Program every page staged in ``run`` as one safe run; empty it.
+
+        The LPN travels with the data; each destination gets a fresh
+        sequence number (``DeviceState.relocate_oob``), and the reserved
+        WRITE rows get the destinations.
+        """
+        if not run.length:
+            return
+        lpns = np.concatenate(run.lpns)
         new_ppns = self._program_run(lpns, now_us)
         self.map.bind_batch(lpns, new_ppns)
-        page_states[old_ppns] = _INVALID
-        state.valid_count[source.slot] -= len(pages)
-        dest_blocks, dest_pages = np.divmod(new_ppns, pages_per_block)
-        ops.add_writes(dest_blocks, dest_pages)
+        dest = np.column_stack(np.divmod(new_ppns, self.geometry.pages_per_block))
+        start = 0
+        for rows in run.rows:
+            rows[:] = dest[start : start + len(rows)]
+            start += len(rows)
+        run.lpns.clear()
+        run.rows.clear()
+        run.length = 0
 
     # ------------------------------------------------------------------
     # Fault recovery (graceful degradation)

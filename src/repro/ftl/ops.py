@@ -105,7 +105,7 @@ class OpTable:
     :meth:`op` rebuilds each op exactly.
 
     A table is built in op order: the refresh flow appends the arrays it
-    planned with (:meth:`add_reads`, :meth:`add_writes`,
+    planned with (:meth:`add_reads`, :meth:`reserve_writes`,
     :meth:`add_adjusts`), and the scalar paths (a page move at a segment
     boundary, the GC pass it triggers) append single rows
     (:meth:`append`, :meth:`extend`), so their ops interleave where they
@@ -151,11 +151,13 @@ class OpTable:
         part[:, 3] = senses
         part[:, 4] = bits
 
-    def add_writes(self, blocks: np.ndarray, pages: np.ndarray) -> None:
-        """WRITEs, one per ``(blocks[i], pages[i])``."""
-        part = self._new_part(WRITE_CODE, len(pages))
-        part[:, 1] = blocks
-        part[:, 2] = pages
+    def reserve_writes(self, length: int) -> np.ndarray:
+        """``length`` WRITE rows whose destinations are filled in later.
+
+        Returns the rows' ``(length, 2)`` block / page view.  The caller
+        fills it before the table is read: :meth:`rows` may copy it.
+        """
+        return self._new_part(WRITE_CODE, length)[:, 1:3]
 
     def add_adjusts(self, block: int, wordlines: np.ndarray) -> None:
         """ADJUSTs of ``wordlines`` of one block."""

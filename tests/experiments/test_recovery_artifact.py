@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.experiments.config import RunScale
 from repro.experiments.parallel import RunUnit
 from repro.experiments.recovery_artifact import (
@@ -217,3 +219,23 @@ class TestProbeCensus:
         assert len(census) > SCALE.num_requests  # host ops + GC + refresh
         assert "adjust" in census  # IDA refresh actually ran
         assert set(census) <= {"read", "write", "erase", "adjust"}
+
+
+class TestGoldenSweep:
+    """``tests/golden/recover_tiny.json`` pins the whole crash sweep.
+
+    It is ``repro recover --scale tiny --workloads proj_1 --cuts 12
+    --json-out``: every cut's phase, instant, rolled-forward and
+    relocated counts, and resumed requests.  A change to the FTL's
+    relocation or recovery paths must reproduce it byte for byte; CI
+    diffs the pooled (``--jobs 4``) sweep against the same file.
+    """
+
+    GOLDEN = Path(__file__).parent.parent / "golden" / "recover_tiny.json"
+
+    def test_inline_sweep_matches_the_pin(self, tmp_path, capsys):
+        out = tmp_path / "recover.json"
+        argv = ["recover", "--scale", "tiny", "--workloads", "proj_1"]
+        assert cli.main([*argv, "--cuts", "12", "--json-out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == self.GOLDEN.read_bytes()

@@ -77,7 +77,7 @@ def test_array_rows_and_single_rows_keep_their_order():
     table.add_reads(7, np.array([0, 4, 5]), np.array([1, 2, 4]), np.array([0, 1, 2]))
     table.append(PhysOp(OpKind.READ, 9, 1, 2, 1))
     table.extend([PhysOp(OpKind.WRITE, 2, 3), PhysOp(OpKind.ERASE, 9)])
-    table.add_writes(np.array([3, 9]), np.array([10, 11]))
+    table.reserve_writes(2)[:] = [[3, 10], [9, 11]]
     table.add_adjusts(7, np.array([1, 3]))
     table.add_reads(7, np.array([], dtype=np.int64), np.array([]), np.array([]))
     assert list(table) == [

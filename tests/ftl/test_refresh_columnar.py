@@ -1,7 +1,8 @@
 """The columnar refresh equals the per-wordline scalar flow, byte for byte.
 
-``Ftl.check_refresh`` plans each block from one validity matrix and moves
-its pages in safe segments; ``_refresh_oracle.py`` keeps the flow it
+``Ftl.check_refresh`` plans each block from one validity matrix and
+programs a tick's moves in one pending run (safe segments where a block
+would outgrow it); ``_refresh_oracle.py`` keeps the flow it
 replaced (one Table I classification per wordline, one ``_move_page``
 per page) as its oracle.  Seeded draws drive twin FTLs through the same
 host writes, untimed batches and refresh ticks, on geometries small
@@ -86,15 +87,31 @@ def _state(ftl: Ftl) -> dict:
 
 
 class _Probe:
-    """Counts how the columnar twin's refresh ticks moved their pages."""
+    """Counts how the columnar twin's refresh ticks moved their pages.
+
+    ``segments`` and ``scalar_moves`` count the overflow fallback's bulk
+    segments and page-by-page moves.  Every program of a tick's pending
+    run is classified by where ``check_refresh`` flushed it: a flush
+    followed by ``_relocate`` is an overflow fallback, the tick's last
+    flush is its end, and any other flush that programs pages was forced
+    by a due open block.
+    """
 
     def __init__(self, ftl: Ftl) -> None:
         self.segments = 0
         self.scalar_moves = 0
         self.gc_in_refresh = 0
         self.ida_reclaims = 0
+        self.multi_block_runs = 0
+        self.open_block_flushes = 0
+        self.gc_fallbacks = 0
         self._in_tick = False
+        self._in_fallback = False
+        #: This tick's flushes and fallbacks: ``("flush", pages)`` or
+        #: ``("fallback", gc_fired)``, in call order.
+        self._calls: list[tuple[str, int]] = []
         segment, move_page = ftl._relocate_segment, ftl._move_page
+        program_moves, relocate = ftl._program_moves, ftl._relocate
 
         def counting_segment(*args) -> None:
             self.segments += 1
@@ -104,8 +121,28 @@ class _Probe:
             self.scalar_moves += self._in_tick
             return move_page(*args)
 
+        def counting_program(run, now_us) -> None:
+            if self._in_tick and not self._in_fallback:
+                self._calls.append(("flush", run.length))
+                if run.length:
+                    lpns = np.concatenate(run.lpns)
+                    sources = ftl.map.lookup_many(lpns) // ftl.geometry.pages_per_block
+                    self.multi_block_runs += len(np.unique(sources)) > 1
+            program_moves(run, now_us)
+
+        def counting_relocate(*args) -> None:
+            gc_before = ftl.counters.gc_invocations
+            self._in_fallback = True
+            try:
+                relocate(*args)
+            finally:
+                self._in_fallback = False
+            self._calls.append(("fallback", ftl.counters.gc_invocations > gc_before))
+
         ftl._relocate_segment = counting_segment
         ftl._move_page = counting_move
+        ftl._program_moves = counting_program
+        ftl._relocate = counting_relocate
         self.ftl = ftl
 
     def tick(self, now_us: float):
@@ -114,6 +151,7 @@ class _Probe:
         reports_before = len(ftl.refresh_reports)
         gc_before = ftl.counters.gc_invocations
         self._in_tick = True
+        self._calls = []
         try:
             ops = ftl.check_refresh(now_us)
         finally:
@@ -123,6 +161,11 @@ class _Probe:
             report.block_index in ida_before
             for report in ftl.refresh_reports[reports_before:]
         )
+        calls = self._calls
+        for position, (kind, value) in enumerate(calls[:-1]):
+            if kind == "flush" and value and calls[position + 1][0] != "fallback":
+                self.open_block_flushes += 1
+            self.gc_fallbacks += kind == "fallback" and value
         return ops
 
 
@@ -167,6 +210,9 @@ def test_columnar_refresh_equals_oracle(bits, mode, error_rate, armed) -> None:
     assert probe.segments > 0
     assert probe.scalar_moves > 0
     assert probe.gc_in_refresh > 0
+    assert probe.multi_block_runs > 0
+    assert probe.open_block_flushes > 0
+    assert probe.gc_fallbacks > 0
     if mode is RefreshMode.IDA:
         assert columnar.counters.refresh_adjusted_wordlines > 0
     if mode is RefreshMode.IDA and error_rate < 1.0:
@@ -210,6 +256,25 @@ def test_active_block_filled_mid_tick_is_refreshed_in_that_tick() -> None:
     refreshed = _tick(columnar, scalar, PERIOD_US)
     assert late.blocks[1].index in refreshed
     assert refreshed.index(late.blocks[1].index) > refreshed.index(0)
+
+
+def test_open_block_sealed_by_pending_moves_is_refreshed_in_block_order() -> None:
+    # Plane 1 opens block 3 before block 0, so its open block (0) has a
+    # lower index than its full one (3).  Both are due; plane 0's open
+    # block is not (its pages carry a later time).
+    twins = _twins(mode=RefreshMode.BASELINE, planes=2, pages_per_block=48)
+    for ftl in twins:
+        ftl.table.planes[1].free.remove(3)
+        ftl.table.planes[1].free.appendleft(3)
+        ftl.apply_untimed_batch(range(96), 0.0)
+        ftl.apply_untimed_batch(range(96, 144), [PERIOD_US / 2, 0.0] * 24)
+    columnar, scalar = twins
+    late = columnar.table.planes[1]
+    assert late.active == 0 and late.in_use().tolist() == [3]
+    # Plane 0's block 0 stages 48 moves, which fill both open blocks.
+    # Plane 1 must see its block 0 sealed before it lists its blocks.
+    refreshed = _tick(columnar, scalar, PERIOD_US)
+    assert refreshed[:3] == [0, late.blocks[0].index, late.blocks[3].index]
 
 
 def test_due_block_erased_by_gc_mid_tick_is_skipped() -> None:
@@ -281,3 +346,31 @@ def test_unreadable_page_raises_as_the_scalar_read_does() -> None:
         oracle.check_refresh(scalar, PERIOD_US)
     assert str(raised.value) == str(expected.value)
     assert not columnar.table.blocks[0].locked
+
+
+def test_short_move_lists_of_one_tick_share_one_program_run() -> None:
+    # Four planes of 48-page blocks.  The first 384 writes fill blocks
+    # 0 and 1 of every plane; rewriting all but 4 LPNs per block leaves
+    # each a handful of pages to refresh (LSBs to move, MSBs to keep)
+    # and every plane's open block with 8 free pages: room for 32 moves.
+    columnar, scalar = twins = _twins(planes=4, pages_per_block=48)
+    _write(twins, range(384), 0.0)
+    keep = {lpn for lpn in range(384) if (lpn // 4) % 24 in (0, 5)}
+    _write(twins, [lpn for lpn in range(384) if lpn not in keep], PERIOD_US / 2)
+    assert columnar._safe_run(columnar.geometry.total_pages) == 32
+    programs = []
+    program_run = columnar._program_run
+
+    def counting_program(*args):
+        programs.append(len(args[0]))
+        return program_run(*args)
+
+    columnar._program_run = counting_program
+    gc_before = columnar.counters.gc_invocations
+    refreshed = _tick(columnar, scalar, PERIOD_US)
+    assert len(refreshed) == 8
+    # No block moved 32 pages, yet the tick programmed one run.
+    moved = [r.n_moved + r.n_error for r in columnar.refresh_reports]
+    assert max(moved) < Ftl._MIN_BULK_SEGMENT
+    assert programs == [sum(moved)]
+    assert columnar.counters.gc_invocations == gc_before
