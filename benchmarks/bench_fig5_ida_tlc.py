@@ -1,16 +1,12 @@
 """Fig. 5 — the TLC IDA merge (LSB invalidated).
 
-Micro-benchmarks the merge computation and the cell-level voltage
-adjustment, and prints the paper's move table (S1->S8 ... S4->S5, CSB
-2->1 senses at V6, MSB 4->2 at V5/V7).
+Micro-benchmarks the merge computation and prints the paper's move table
+(S1->S8 ... S4->S5, CSB 2->1 senses at V6, MSB 4->2 at V5/V7).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import IdaTransform, conventional_tlc, merge_states
-from repro.flash.cell import WordlineCells
 
 
 def test_fig5_merge(benchmark):
@@ -23,16 +19,3 @@ def test_fig5_merge(benchmark):
     assert transform.senses(1) == 1
     assert transform.senses(2) == 2
 
-
-def test_fig5_cell_adjustment(benchmark):
-    coding = conventional_tlc()
-    rng = np.random.default_rng(0)
-    pages = [rng.integers(0, 2, 4096, dtype=np.int8) for _ in range(3)]
-
-    def adjust_one_wordline():
-        cells = WordlineCells(coding, 4096)
-        cells.program(pages)
-        cells.apply_ida((1, 2))
-        return cells.senses(2)
-
-    assert benchmark(adjust_one_wordline) == 2

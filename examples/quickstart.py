@@ -5,8 +5,7 @@ Walks the paper's core idea bottom-up:
 
 1. the conventional TLC coding and its asymmetric read costs (Fig. 2);
 2. what invalidating the LSB makes possible — the IDA merge (Fig. 5);
-3. the same effect executed on real (simulated) cells, bit-for-bit;
-4. a small end-to-end SSD simulation: baseline vs IDA-Coding-E20.
+3. a small end-to-end SSD simulation: baseline vs IDA-Coding-E20.
 
 Run:  python examples/quickstart.py
 """
@@ -15,8 +14,6 @@ from __future__ import annotations
 
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 from repro.core import IdaTransform, ReadLatencyModel, conventional_tlc
 from repro.experiments import (
@@ -27,7 +24,6 @@ from repro.experiments import (
     run_workload,
     write_run_manifest,
 )
-from repro.flash.cell import WordlineCells
 from repro.obs import SimProfiler, Telemetry
 from repro.workloads import workload
 
@@ -61,27 +57,9 @@ def step2_ida_merge() -> None:
     print()
 
 
-def step3_real_cells() -> None:
+def step3_end_to_end() -> None:
     print("=" * 70)
-    print("3. The same thing on explicit voltage states, bit-for-bit")
-    print("=" * 70)
-    rng = np.random.default_rng(7)
-    cells = WordlineCells(conventional_tlc(), size=16)
-    pages = [rng.integers(0, 2, 16, dtype=np.int8) for _ in range(3)]
-    cells.program(pages)
-    print("programmed states:", cells.states.tolist())
-    cells.apply_ida((1, 2))
-    print("after adjustment: ", cells.states.tolist(), "(only states S5-S8 remain)")
-    assert np.array_equal(cells.read_page(1), pages[1])
-    assert np.array_equal(cells.read_page(2), pages[2])
-    print("CSB and MSB pages read back identically; senses:",
-          cells.senses(1), "and", cells.senses(2))
-    print()
-
-
-def step4_end_to_end() -> None:
-    print("=" * 70)
-    print("4. End to end: baseline vs IDA-Coding-E20 on usr_1 (quick scale)")
+    print("3. End to end: baseline vs IDA-Coding-E20 on usr_1 (quick scale)")
     print("=" * 70)
     scale = RunScale.quick()
     spec = workload("usr_1")
@@ -119,8 +97,7 @@ def step4_end_to_end() -> None:
 def main() -> None:
     step1_conventional_coding()
     step2_ida_merge()
-    step3_real_cells()
-    step4_end_to_end()
+    step3_end_to_end()
 
 
 if __name__ == "__main__":

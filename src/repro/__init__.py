@@ -6,9 +6,8 @@ Public API layers:
 
 * :mod:`repro.core` — multi-level-cell codings and the IDA transform
   (the paper's contribution, cell-exact);
-* :mod:`repro.flash` — flash device substrate (geometry, timing, cells,
+* :mod:`repro.flash` — flash device substrate (geometry, timing,
   blocks, error models);
-* :mod:`repro.ecc` — ECC substrate (the SEC-DED codec);
 * :mod:`repro.ftl` — flash translation layer (mapping, allocation, GC,
   baseline + IDA-modified refresh);
 * :mod:`repro.sim` — event-driven SSD simulator;

@@ -60,8 +60,14 @@ from .experiments.reporting import (
     manifest_for_payload,
     write_run_manifest,
 )
+from .sim.policy import POLICIES
 
 __all__ = ["main", "ARTIFACTS"]
+
+#: ``--policy`` help, built from the policy table.
+_POLICY_HELP = (
+    "scheduling policy: " + " or ".join(POLICIES) + " (default: read-first, Table II)"
+)
 
 _SCALES = {
     "tiny": RunScale.tiny,
@@ -179,9 +185,7 @@ def _build_run_parser() -> argparse.ArgumentParser:
     parser.add_argument("--system", default="ida-e20",
                         help="baseline, ida, or ida-eNN (default: ida-e20)")
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--policy", default="read-first",
-                        help="scheduling policy: read-first (paper default), "
-                             "fcfs, or throttled")
+    parser.add_argument("--policy", default="read-first", help=_POLICY_HELP)
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="write a JSONL event trace to PATH")
     parser.add_argument("--interval-us", type=float, default=None, metavar="N",
@@ -323,9 +327,7 @@ def _build_profile_parser() -> argparse.ArgumentParser:
     parser.add_argument("--system", default="ida-e20",
                         help="baseline, ida, or ida-eNN (default: ida-e20)")
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--policy", default="read-first",
-                        help="scheduling policy: read-first (paper default), "
-                             "fcfs, or throttled")
+    parser.add_argument("--policy", default="read-first", help=_POLICY_HELP)
     parser.add_argument("--interval-us", type=float, default=None, metavar="N",
                         help="sample utilization/queue-depth timelines every "
                              "N simulated us")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 from ..flash.errors import ReadRetryModel
 from ..ftl.refresh import RefreshMode
-from ..sim.policy import make_policy
+from ..sim.policy import queue_classes
 from .config import device
 
 __all__ = ["SystemSpec", "baseline", "ida"]
@@ -33,9 +33,9 @@ class SystemSpec:
         allocation: Static allocation strategy.
         adjust_program_fraction: Voltage-adjustment cost as a fraction of
             a program (1.0 = the paper's conservative charge).
-        policy: Scheduling policy name from the
-            :data:`repro.sim.policy.POLICIES` registry ("read-first" =
-            the paper's Table II default, "fcfs", "throttled").
+        policy: Scheduling policy name, a key of
+            :data:`repro.sim.policy.POLICIES` ("read-first" = the
+            paper's Table II default, or "fcfs").
     """
 
     name: str
@@ -70,7 +70,7 @@ class SystemSpec:
         Validates eagerly so a typo fails at configuration time, not
         half-way into a run.
         """
-        make_policy(policy)
+        queue_classes(policy)
         return replace(self, policy=policy)
 
 

@@ -1,7 +1,6 @@
-"""Flash device substrate: geometry, timing, cells, blocks, error models."""
+"""Flash device substrate: geometry, timing, blocks, error models."""
 
 from .block import CONVENTIONAL_WL, TORN_WL, Block, PageState, SenseTable
-from .cell import ERASED_STATE, WordlineCells
 from .errors import AdjustDisturbModel, RberModel, ReadRetryModel
 from .geometry import Geometry
 from .plane import PlanePool
@@ -13,8 +12,6 @@ __all__ = [
     "Block",
     "PageState",
     "SenseTable",
-    "ERASED_STATE",
-    "WordlineCells",
     "AdjustDisturbModel",
     "RberModel",
     "ReadRetryModel",

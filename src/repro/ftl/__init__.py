@@ -14,7 +14,6 @@ from .refresh import (
     RefreshReport,
     plan_refresh,
 )
-from .wear import WearStats, collect_wear, write_amplification
 
 __all__ = [
     "StaticAllocator",
@@ -38,7 +37,4 @@ __all__ = [
     "RefreshPolicy",
     "RefreshReport",
     "plan_refresh",
-    "WearStats",
-    "collect_wear",
-    "write_amplification",
 ]

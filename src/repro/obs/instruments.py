@@ -141,7 +141,7 @@ class Telemetry:
                 "run_start",
                 mode=mode,
                 requests=n_requests,
-                policy=sim.policy.name,
+                policy=sim.policy,
                 dies=len(sim.dies),
                 channels=len(sim.channels),
             )

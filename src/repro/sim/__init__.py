@@ -14,14 +14,7 @@ from .pipeline import (
     read_stages,
     write_stages,
 )
-from .policy import (
-    POLICIES,
-    FcfsPolicy,
-    ReadFirstPolicy,
-    SchedulingPolicy,
-    ThrottledInternalPolicy,
-    make_policy,
-)
+from .policy import POLICIES, queue_classes
 from .resources import IoPriority, Resource
 from .scheduler import HostRequest, RequestCompletion
 from .ssd import SsdSimulator
@@ -43,11 +36,7 @@ __all__ = [
     "adjust_stages",
     "erase_stages",
     "POLICIES",
-    "SchedulingPolicy",
-    "ReadFirstPolicy",
-    "FcfsPolicy",
-    "ThrottledInternalPolicy",
-    "make_policy",
+    "queue_classes",
     "IoPriority",
     "Resource",
     "HostRequest",

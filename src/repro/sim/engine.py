@@ -28,7 +28,7 @@ per-op completions (resource service ends in
 :mod:`repro.sim.pipeline`) inline those same three steps onto
 ``_queue``, ``_sequence`` and ``_peak_mark`` instead of calling it, so
 every event keeps its ``(time, seq)`` slot; ``push`` itself schedules
-the throttled internal chain's gaps and quiet runs' resume events.
+quiet runs' resume events and folded read requests' ECC completions.
 ``processed`` is not counted per event: it is derived as events
 scheduled minus events pending.
 

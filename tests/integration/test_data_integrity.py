@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.core import classify_validity, conventional_qlc, conventional_tlc
-from repro.ecc import DecodeStatus, HammingCodec
-from repro.flash import WordlineCells
+from tests.ecc._hamming import DecodeStatus, HammingCodec
+from tests.flash._cells import WordlineCells
 
 
 def _random_pages(rng, bits, size):

@@ -12,9 +12,9 @@ against the re-armed chain on a twin simulator.  Host ops take the
 simulator's own path on both sides.  Nothing in ``src/`` imports it.
 
 The oracle also notes what the differential test's coverage checks
-need: each chain's ops with their dies and completion windows, and the
-idle gaps a throttling policy put between them.  It knows nothing of
-quiet runs: every internal op here fires its own events.
+need: each chain's ops with their dies and completion windows.  It
+knows nothing of quiet runs: every internal op here fires its own
+events.
 """
 
 from __future__ import annotations
@@ -32,17 +32,14 @@ _INTERNAL = IoPriority.INTERNAL
 class OracleChain:
     """One GC / refresh pass issuing its ops one after another."""
 
-    def __init__(self, sim: "OracleSimulator", ops: list[PhysOp], gap_us: float) -> None:
+    def __init__(self, sim: "OracleSimulator", ops: list[PhysOp]) -> None:
         self.sim = sim
         self.ops = deque(ops)
-        self.gap_us = gap_us
         self.serial = len(sim.chains)
         self.current: PhysOp | None = None
         sim.chains.append(self)
         #: ``(op, die, start_us, end_us)`` of every completed op.
         self.done: list[tuple] = []
-        #: ``[end_us, end_us + gap_us)`` of every idle gap taken.
-        self.gaps: list[tuple[float, float]] = []
 
     def issue_next(self) -> None:
         self.current = self.ops.popleft()
@@ -55,13 +52,7 @@ class OracleChain:
         self.sim.internal_log.append((self.serial, op, start_us, end_us))
         if self.sim.on_internal_done is not None:
             self.sim.on_internal_done(op, start_us, end_us)
-        if not self.ops:
-            return
-        if self.gap_us > 0.0:
-            engine = self.sim.engine
-            self.gaps.append((engine.now, engine.now + self.gap_us))
-            engine.push(engine.now + self.gap_us, self.issue_next)
-        else:
+        if self.ops:
             self.issue_next()
 
 
@@ -80,7 +71,7 @@ class OracleSimulator(SsdSimulator):
 
     def issue_internal_sequence(self, ops: list[PhysOp]) -> None:
         if ops:
-            OracleChain(self, ops, self.policy.internal_gap_us).issue_next()
+            OracleChain(self, ops).issue_next()
 
     def issue_internal(self, op: PhysOp, on_done) -> None:
         """Dispatch one internal op as the per-op path did."""

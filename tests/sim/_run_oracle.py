@@ -4,7 +4,7 @@ Before quiet runs were served as arrays, ``_InternalChain._serve_run``
 timed a run one op at a time: per op it checked the op's resources,
 computed its instants with float adds, credited each stage on its
 resource, fed the profiler and completed the op (committing a clean
-adjust), then moved on by the op's end plus the gap.  :class:`LoopChain`
+adjust), then moved on to the op's end.  :class:`LoopChain`
 is an internal chain whose quiet runs take that loop, and
 :class:`LoopSimulator` a simulator whose chains are loop chains, so
 ``test_quiet_run_columnar.py`` can run it against the columnar runs on a
@@ -40,11 +40,9 @@ class LoopChain(_InternalChain):
         sim = self.sim
         engine = sim.engine
         horizon = engine.horizon()
-        gap_us = self.gap_us
         profiler = sim.profiler
         total = len(self.plans)
         start = engine.now
-        end = start
         served = 0
         while self.pos < total:
             index = self.pos
@@ -84,14 +82,13 @@ class LoopChain(_InternalChain):
                     record.note_stage(stage, bounds[i], bounds[i], bounds[i + 1])
             self._complete(index, last_start, stop)
             served += 1
-            end = stop
-            start = stop + gap_us
+            start = stop
         if not served:
             return False
         sim.ops_dispatched += served
         if self.pos == total:
             self.on_done = None
-        engine.push(start if self.pos < total else end, self._resume)
+        engine.push(start, self._resume)
         return True
 
 
@@ -102,4 +99,4 @@ class LoopSimulator(SsdSimulator):
         if ops:
             if isinstance(ops, list):
                 ops = OpTable.of(ops)
-            LoopChain(self, ops, self.policy.internal_gap_us).issue_next()
+            LoopChain(self, ops).issue_next()

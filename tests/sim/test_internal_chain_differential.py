@@ -18,8 +18,7 @@ geometry:
 * a chain whose erase ends on a die with a host read queued behind it,
   followed by reads on the other die of that channel (the finishing
   resource starts the queued read after the chain's callback returns);
-* read-first with no gap, and the throttling policy's 500 us gap, with
-  host reads arriving inside the gaps;
+* the read-first and fcfs queue mappings;
 * the sim-time profiler on or off;
 * a :class:`~repro.faults.FaultPlan` of program failures and adjust
   interrupts, or none (a bound plan keeps runs from starting).
@@ -86,7 +85,7 @@ HOOK_RIDS = 1000
 def _scenario(seed: int) -> dict:
     """Seeded inputs; the switches cycle so every combination occurs."""
     rng = random.Random(seed)
-    throttled = seed % 2 == 1
+    fcfs = seed % 2 == 1
     profiled = seed % 3 == 0
     faulted = seed % 4 >= 2
     requests = []
@@ -131,7 +130,7 @@ def _scenario(seed: int) -> dict:
             )
         )
     return {
-        "policy": "throttled" if throttled else "read-first",
+        "policy": "fcfs" if fcfs else "read-first",
         "profiled": profiled,
         "plan": plan,
         "requests": requests,
@@ -308,11 +307,11 @@ def _run_chain(
         def logged_run(chain, lo, times):
             complete_run(chain, lo, times)
             start = sim.engine.now  # a run starts at the instant it is planned
-            for index, (mid, _, end, issue) in enumerate(times.tolist(), lo):
+            for index, (mid, _, end) in enumerate(times.tolist(), lo):
                 # An op's window starts at its last resource stage.
                 last_start = start if chain.plans[index].second is None else mid
                 record(chain.table.op(index), last_start, end)
-                start = issue
+                start = end
 
         monkeypatch.setattr(ssd._InternalChain, "_complete", logged)
         monkeypatch.setattr(ssd._InternalChain, "_complete_run", logged_run)
@@ -397,30 +396,22 @@ def test_quick_usr_1_cell_matches_the_per_op_chain(system, monkeypatch):
     assert mine.utilisation == theirs.utilisation
 
 
-def test_scenarios_cover_kinds_gaps_shared_dies_and_faults(monkeypatch):
-    """The seeds reach every op kind, gaps, shared dies and fault kind,
-    quiet runs on profiled and on throttled seeds, and a chain op ending
-    on a die with a host read queued behind it."""
+def test_scenarios_cover_kinds_policies_shared_dies_and_faults(monkeypatch):
+    """The seeds reach every op kind, shared dies and fault kind, quiet
+    runs on profiled and on fcfs seeds, and a chain op ending on a die
+    with a host read queued behind it."""
     kinds = set()
     adjusts_committed = 0
-    reads_in_gaps = 0
     shared_die = False
     fired: dict[str, int] = {}
     profiled_stages = 0
-    quiet_profiled = quiet_throttled = queued_host_at_end = 0
+    quiet_profiled = quiet_fcfs = queued_host_at_end = 0
     for seed in SEEDS:
         oracle = _run_oracle(seed)
         sim = oracle["sim"]
         kinds.update(op.kind for _, op, _, _ in sim.internal_log)
         adjusts_committed += len(oracle["commits"])
         scenario = _scenario(seed)
-        gaps = [gap for chain in sim.chains for gap in chain.gaps]
-        reads_in_gaps += sum(
-            1
-            for request in scenario["requests"]
-            if request.is_read
-            and any(begin < request.arrival_us < end for begin, end in gaps)
-        )
         # Two chains in flight at once with ops on one die.
         lifetimes = [
             (
@@ -443,16 +434,15 @@ def test_scenarios_cover_kinds_gaps_shared_dies_and_faults(monkeypatch):
         chain = _run_chain(seed, monkeypatch)
         if scenario["profiled"]:
             quiet_profiled += len(chain["quiet"])
-        if scenario["policy"] == "throttled":
-            quiet_throttled += len(chain["quiet"])
+        if scenario["policy"] == "fcfs":
+            quiet_fcfs += len(chain["quiet"])
         queued_host_at_end += chain["queued_host_at_end"]
     assert kinds == set(OpKind)
     assert adjusts_committed > 0
-    assert reads_in_gaps > 0
     assert shared_die
     assert fired["program_fail"] > 0
     assert fired["adjust_interrupt"] > 0
     assert profiled_stages > 0
     assert quiet_profiled > 0
-    assert quiet_throttled > 0
+    assert quiet_fcfs > 0
     assert queued_host_at_end > 0

@@ -2,59 +2,47 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.sim.engine import SimEngine
-from repro.sim.policy import (
-    POLICIES,
-    FcfsPolicy,
-    ReadFirstPolicy,
-    SchedulingPolicy,
-    ThrottledInternalPolicy,
-    make_policy,
-)
+from repro.sim.policy import POLICIES, queue_classes
 from repro.sim.resources import IoPriority, Resource
+from repro.sim.ssd import SsdSimulator
 
 
 class TestRegistry:
-    def test_registry_names_match_instances(self):
-        for name, cls in POLICIES.items():
-            assert cls().name == name
+    def test_every_policy_maps_every_class(self):
+        for name, queues in POLICIES.items():
+            assert len(queues) == len(IoPriority)
+            assert all(isinstance(queue, IoPriority) for queue in queues)
+            assert queue_classes(name) is queues
 
-    def test_make_policy_defaults_to_read_first(self):
-        assert isinstance(make_policy(None), ReadFirstPolicy)
+    def test_simulator_defaults_to_read_first(self):
+        default = inspect.signature(SsdSimulator).parameters["policy"].default
+        assert default == "read-first"
 
-    def test_make_policy_by_name(self):
-        assert isinstance(make_policy("fcfs"), FcfsPolicy)
-        assert isinstance(make_policy("throttled"), ThrottledInternalPolicy)
-
-    def test_make_policy_passes_instances_through(self):
-        policy = ThrottledInternalPolicy(internal_gap_us=25.0)
-        assert make_policy(policy) is policy
+    def test_queue_classes_by_name(self):
+        assert queue_classes("read-first") == tuple(IoPriority)
+        assert queue_classes("fcfs") == (IoPriority.HOST_READ,) * 3
 
     def test_unknown_name_lists_choices(self):
-        with pytest.raises(ValueError, match="read-first"):
-            make_policy("sjf")
+        for name in ("sjf", "throttled"):
+            with pytest.raises(ValueError, match="fcfs, read-first") as excinfo:
+                queue_classes(name)
+            assert repr(name) in str(excinfo.value)
 
 
 class TestQueueMapping:
     def test_read_first_keeps_one_queue_per_class(self):
-        policy = ReadFirstPolicy()
+        queues = POLICIES["read-first"]
         for klass in IoPriority:
-            assert policy.queue_class(klass) is klass
+            assert queues[klass] is klass
 
     def test_fcfs_collapses_all_classes_into_one_queue(self):
-        policy = FcfsPolicy()
-        queues = {policy.queue_class(klass) for klass in IoPriority}
-        assert len(queues) == 1
-
-    def test_throttled_validates_gap(self):
-        with pytest.raises(ValueError):
-            ThrottledInternalPolicy(internal_gap_us=-1.0)
-
-    def test_base_policy_queue_class_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            SchedulingPolicy().queue_class(IoPriority.HOST_READ)
+        queues = POLICIES["fcfs"]
+        assert len({queues[klass] for klass in IoPriority}) == 1
 
 
 class TestFcfsOrderingOnResource:
@@ -63,20 +51,20 @@ class TestFcfsOrderingOnResource:
         # op must not overtake it.
         engine = SimEngine()
         die = Resource(engine, "die")
-        policy = FcfsPolicy()
+        queues = POLICIES["fcfs"]
         order: list[str] = []
 
         def busy() -> None:
             die.submit(IoPriority.INTERNAL, 10.0, lambda s, e: order.append("busy"),
-                       queue=policy.queue_class(IoPriority.INTERNAL))
+                       queue=queues[IoPriority.INTERNAL])
 
         def internal() -> None:
             die.submit(IoPriority.INTERNAL, 5.0, lambda s, e: order.append("internal"),
-                       queue=policy.queue_class(IoPriority.INTERNAL))
+                       queue=queues[IoPriority.INTERNAL])
 
         def read() -> None:
             die.submit(IoPriority.HOST_READ, 1.0, lambda s, e: order.append("read"),
-                       queue=policy.queue_class(IoPriority.HOST_READ))
+                       queue=queues[IoPriority.HOST_READ])
 
         engine.at(0.0, busy)
         engine.at(1.0, internal)
@@ -89,13 +77,13 @@ class TestFcfsOrderingOnResource:
         # queued internal op (but never the in-service one).
         engine = SimEngine()
         die = Resource(engine, "die")
-        policy = ReadFirstPolicy()
+        queues = POLICIES["read-first"]
         order: list[str] = []
 
         def submit(klass: IoPriority, duration: float, label: str):
             def doit() -> None:
                 die.submit(klass, duration, lambda s, e: order.append(label),
-                           queue=policy.queue_class(klass))
+                           queue=queues[klass])
 
             return doit
 
@@ -110,11 +98,11 @@ class TestFcfsOrderingOnResource:
         # attributed to the *dispatch* class.
         engine = SimEngine()
         die = Resource(engine, "die")
-        policy = FcfsPolicy()
+        queues = POLICIES["fcfs"]
         die.submit(IoPriority.INTERNAL, 10.0, lambda s, e: None,
-                   queue=policy.queue_class(IoPriority.INTERNAL))
+                   queue=queues[IoPriority.INTERNAL])
         die.submit(IoPriority.HOST_READ, 1.0, lambda s, e: None,
-                   queue=policy.queue_class(IoPriority.HOST_READ))
+                   queue=queues[IoPriority.HOST_READ])
         engine.run()
         stats = die.queue_wait_stats()
         assert stats["internal"]["ops"] == 1

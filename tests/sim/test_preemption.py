@@ -20,7 +20,7 @@ from repro.sim.scheduler import HostRequest
 from repro.sim.ssd import SsdSimulator
 
 
-def _single_die_sim(policy=None, tracer=None):
+def _single_die_sim(policy="read-first", tracer=None):
     # One channel, one die: every op contends for the same resources.
     geometry = Geometry(
         channels=1,

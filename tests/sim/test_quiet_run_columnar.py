@@ -7,7 +7,8 @@ adjust commit.  ``_run_oracle.py`` keeps the loop it replaced, which
 timed, credited and completed one op per iteration.  Twin simulators,
 one of each, run the seeded scenarios of
 ``test_internal_chain_differential.py`` (refresh passes, GC, scripted
-chains on shared dies, throttling gaps, the profiler, fault plans) and
+chains on shared dies, both scheduling policies, the profiler, fault
+plans) and
 the ``usr_1`` quick cell.  Both post one event per run, so everything
 observable must match exactly, with no exceptions: each internal op's
 ``(start, end)`` and its place among host events and adjust commits
@@ -15,8 +16,8 @@ observable must match exactly, with no exceptions: each internal op's
 each resource's busy, queue-wait and wait-class accounting and last
 service window, the profiler payload and the fault record.
 
-A property test pins the arithmetic itself: over random durations, gaps
-and absent stages, :func:`~repro.sim.ssd.run_instants` and
+A property test pins the arithmetic itself: over random durations and
+absent stages, :func:`~repro.sim.ssd.run_instants` and
 :func:`~repro.sim.ssd.ordered_sums` equal the left-to-right float loops
 bit for bit, whatever a future numpy does with ``cumsum`` or ``add.at``.
 """
@@ -115,20 +116,18 @@ _DURATIONS = st.floats(min_value=0.0, max_value=5000.0, allow_nan=False)
         min_size=1,
         max_size=80,
     ),
-    gap=st.just(0.0) | _DURATIONS,
 )
-def test_run_instants_equal_the_per_op_loop(start, ops, gap):
+def test_run_instants_equal_the_per_op_loop(start, ops):
     increments = np.array(
-        [(first, second or 0.0, latency or 0.0, gap) for first, second, latency in ops]
+        [(first, second or 0.0, latency or 0.0) for first, second, latency in ops]
     )
     expected = []
-    issue = start
+    end = start
     for first, second, latency in ops:
-        mid = issue + first
+        mid = end + first
         done = mid if second is None else mid + second
         end = done if latency is None else done + latency
-        issue = end + gap
-        expected.append([mid, done, end, issue])
+        expected.append([mid, done, end])
     assert run_instants(start, increments).tolist() == expected
 
 

@@ -8,6 +8,7 @@ import weakref
 import pytest
 
 from repro.sim.engine import SimEngine
+from repro.sim.policy import POLICIES
 from repro.sim.resources import IoPriority, Resource
 
 
@@ -198,8 +199,9 @@ class TestQueueWaitStats:
 class TestWaitClassBreakdown:
     """Who a queued op waited behind, per scheduling policy.
 
-    Ops are submitted through ``policy.queue_class`` exactly as the SSD
-    model does, so each case exercises the real policy mapping.  The
+    Ops are submitted to the queue the policy's
+    :data:`~repro.sim.policy.POLICIES` row maps their class to, exactly
+    as the SSD model does, so each case exercises the real mapping.  The
     pinned invariant: the ``behind`` + ``inflight`` matrices sum to the
     class's total queue wait, and under read-first the scheduler never
     *starts* a write while a read is queued (``behind_us`` stays zero —
@@ -208,8 +210,7 @@ class TestWaitClassBreakdown:
 
     @staticmethod
     def submit_via(resource, policy, klass, duration):
-        resource.submit(klass, duration, lambda s, e: None,
-                        queue=policy.queue_class(klass))
+        resource.submit(klass, duration, lambda s, e: None, queue=policy[klass])
 
     @staticmethod
     def total_wait(breakdown, waiter):
@@ -228,9 +229,7 @@ class TestWaitClassBreakdown:
     def test_read_first_reads_never_wait_behind_started_writes(
         self, engine, resource
     ):
-        from repro.sim.policy import make_policy
-
-        policy = make_policy("read-first")
+        policy = POLICIES["read-first"]
         resource.enable_wait_profile()
         # Internal op in service; a write and a read queue behind it.
         self.submit_via(resource, policy, IoPriority.INTERNAL, 1000.0)
@@ -255,25 +254,8 @@ class TestWaitClassBreakdown:
         assert write["host_read"]["behind_us"] == 10.0
         assert self.total_wait(breakdown, "host_write") == 1005.0
 
-    def test_throttled_keeps_read_first_ordering(self, engine, resource):
-        from repro.sim.policy import make_policy
-
-        policy = make_policy("throttled")
-        resource.enable_wait_profile()
-        self.submit_via(resource, policy, IoPriority.INTERNAL, 1000.0)
-        engine.at(5.0, lambda: self.submit_via(
-            resource, policy, IoPriority.HOST_WRITE, 50.0))
-        engine.at(10.0, lambda: self.submit_via(
-            resource, policy, IoPriority.HOST_READ, 10.0))
-        engine.run()
-        read = resource.wait_class_breakdown()["host_read"]
-        assert read["host_write"]["behind_us"] == 0.0
-        assert read["host_write"]["inflight_us"] == 0.0
-
     def test_fcfs_reads_do_wait_behind_started_writes(self, engine, resource):
-        from repro.sim.policy import make_policy
-
-        policy = make_policy("fcfs")
+        policy = POLICIES["fcfs"]
         resource.enable_wait_profile()
         # One queue: write in service, a second write queued, then a read.
         self.submit_via(resource, policy, IoPriority.HOST_WRITE, 100.0)
@@ -292,9 +274,7 @@ class TestWaitClassBreakdown:
             resource.wait_class_breakdown(), "host_read") == 190.0
 
     def test_breakdown_sums_to_queue_wait_stats(self, engine, resource):
-        from repro.sim.policy import make_policy
-
-        policy = make_policy("read-first")
+        policy = POLICIES["read-first"]
         resource.enable_wait_profile()
         for tick in range(8):
             klass = (IoPriority.INTERNAL, IoPriority.HOST_WRITE,

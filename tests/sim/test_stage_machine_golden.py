@@ -2,7 +2,7 @@
 
 ``tests/golden/fig8_tiny.json`` covers only read-first, open-loop runs.
 This pin widens the net to every path through the resources, pipelines
-and engine that a refactor of the hot path could reorder: all three
+and engine that a refactor of the hot path could reorder: both
 scheduling policies on both systems, closed-loop issue at QD8, a
 profiled run (the wait-class breakdown depends on the exact service
 order), a fault-injected run, and traced runs whose ``run_end`` event
@@ -35,7 +35,7 @@ from repro.workloads import workload
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "stage_machine_tiny.json"
 SEED = 11
 SYSTEMS = {"baseline": baseline, "ida-e20": lambda: ida(0.2)}
-POLICIES = ("read-first", "fcfs", "throttled")
+POLICIES = ("read-first", "fcfs")
 
 
 def _fault_plan() -> FaultPlan:
